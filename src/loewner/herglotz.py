@@ -323,15 +323,21 @@ def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float,
     return list(zip(cuts, cuts[1:]))
 
 
-def _rk4_jet(field: HerglotzFieldSpec, s: float, t: float, order: int,
-             nsteps: int) -> PolyJet:
-    """Fixed-grid RK4 for the coefficient ODE J' = H(., tau) o J, J(s) = id.
+def _initial_steps(s: float, t: float) -> int:
+    return max(12, int(math.ceil(6.0 * (t - s))))
 
-    Steps are distributed over the breakpoint segments proportionally to
-    length; inside a segment the stage times are capped just below the right
+
+def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
+         rhs, nsteps: int) -> tuple:
+    """Fixed-grid RK4 for x' = rhs(tau, x) from x(s) = state to time t.
+
+    The state is a tuple of parts (jets or arrays) that support + and
+    scalar *, and rhs returns one derivative per part.  Steps are
+    distributed over the breakpoint segments proportionally to length;
+    inside a segment the stage times are capped just below the right
     endpoint so right-open piecewise schedules never leak the next value in.
     """
-    J = PolyJet.identity(field.q, order)
+    x = state
     span = t - s
     for a, b in _segments(field, s, t):
         n = max(1, int(round(nsteps * (b - a) / span)))
@@ -339,16 +345,15 @@ def _rk4_jet(field: HerglotzFieldSpec, s: float, t: float, order: int,
         cap = b - 1e-12 * max(1.0, abs(b))
         for i in range(n):
             t0 = a + i * h
-
-            def F(jet, tau):
-                return compose(field.jet(min(tau, cap), order), jet, order)
-
-            k1 = F(J, t0)
-            k2 = F(J + k1 * (h / 2.0), t0 + h / 2.0)
-            k3 = F(J + k2 * (h / 2.0), t0 + h / 2.0)
-            k4 = F(J + k3 * h, t0 + h)
-            J = J + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0)
-    return J
+            k1 = rhs(min(t0, cap), x)
+            k2 = rhs(min(t0 + h / 2.0, cap),
+                     tuple(xp + kp * (h / 2.0) for xp, kp in zip(x, k1)))
+            k3 = rhs(min(t0 + h / 2.0, cap),
+                     tuple(xp + kp * (h / 2.0) for xp, kp in zip(x, k2)))
+            k4 = rhs(min(t0 + h, cap), tuple(xp + kp * h for xp, kp in zip(x, k3)))
+            x = tuple(xp + (p1 + p2 * 2.0 + p3 * 2.0 + p4) * (h / 6.0)
+                      for xp, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4))
+    return x
 
 
 def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
@@ -367,14 +372,19 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         raise ValueError("reversed time interval")
     if t == s:
         return PolyJet.identity(field.q, order)
-    nsteps = max(12, int(math.ceil(6.0 * (t - s))))
+    identity = (PolyJet.identity(field.q, order),)
+
+    def rhs(tau, x):
+        return (compose(field.jet(tau, order), x[0], order),)
+
+    nsteps = _initial_steps(s, t)
     while True:
-        full = _rk4_jet(field, s, t, order, nsteps)
+        (full,) = _rk4(field, s, t, identity, rhs, nsteps)
         mid = 0.5 * (s + t)
         # each half gets the full step count, so the composed map runs at
         # half the step size and the residual measures the actual error
-        left = _rk4_jet(field, s, mid, order, nsteps)
-        right = _rk4_jet(field, mid, t, order, nsteps)
+        (left,) = _rk4(field, s, mid, identity, rhs, nsteps)
+        (right,) = _rk4(field, mid, t, identity, rhs, nsteps)
         split = compose(right, left, order)
         res = (full - split).max_coeff / max(1.0, split.max_coeff)
         if res <= tol:
@@ -389,78 +399,53 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         nsteps = min(max_nsteps, int(math.ceil(nsteps * factor)))
 
 
-def _rk4_points(field: HerglotzFieldSpec, s: float, t: float,
-                points: np.ndarray, nsteps: int) -> np.ndarray:
-    z = np.array(points, dtype=complex)
-    span = t - s
-    for a, b in _segments(field, s, t):
-        n = max(1, int(round(nsteps * (b - a) / span)))
-        h = (b - a) / n
-        cap = b - 1e-12 * max(1.0, abs(b))
-        for i in range(n):
-            t0 = a + i * h
-            k1 = field.values(min(t0, cap), z)
-            k2 = field.values(min(t0 + h / 2.0, cap), z + k1 * (h / 2.0))
-            k3 = field.values(min(t0 + h / 2.0, cap), z + k2 * (h / 2.0))
-            k4 = field.values(min(t0 + h, cap), z + k3 * h)
-            z = z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
-    return z
+def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
+                  rhs, tol: float, max_nsteps: int) -> tuple:
+    """RK4 with the step count doubled until two successive runs agree.
 
-
-def _rk4_variational(field: HerglotzFieldSpec, s: float, t: float,
-                     points: np.ndarray, nsteps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectories and their initial-condition Jacobians on a fixed grid.
-
-    The Jacobian factors solve M' = DH(z(tau), tau) M along each trajectory,
-    started at the identity.
+    Agreement is the largest entrywise difference over all parts, relative
+    to max(1, largest entry of the finer run).
     """
-    z = np.array(points, dtype=complex)
-    q, m = z.shape
-    M = np.tile(np.eye(q, dtype=complex), (m, 1, 1))
-    span = t - s
-
-    def rhs(tau, zc, Mc):
-        dz = field.values(tau, zc)
-        J = field.jacobians(tau, zc)
-        return dz, np.einsum("mij,mjk->mik", J, Mc)
-
-    for a, b in _segments(field, s, t):
-        n = max(1, int(round(nsteps * (b - a) / span)))
-        h = (b - a) / n
-        cap = b - 1e-12 * max(1.0, abs(b))
-        for i in range(n):
-            t0 = a + i * h
-            k1z, k1m = rhs(min(t0, cap), z, M)
-            k2z, k2m = rhs(min(t0 + h / 2, cap), z + k1z * (h / 2), M + k1m * (h / 2))
-            k3z, k3m = rhs(min(t0 + h / 2, cap), z + k2z * (h / 2), M + k2m * (h / 2))
-            k4z, k4m = rhs(min(t0 + h, cap), z + k3z * h, M + k3m * h)
-            z = z + (k1z + 2 * k2z + 2 * k3z + k4z) * (h / 6)
-            M = M + (k1m + 2 * k2m + 2 * k3m + k4m) * (h / 6)
-    return z, M
+    nsteps = _initial_steps(s, t)
+    prev = _rk4(field, s, t, state, rhs, nsteps)
+    while True:
+        if 2 * nsteps > max_nsteps:
+            raise ValueError(
+                f"trajectory integration failed to reach the tolerance "
+                f"within {max_nsteps} steps")
+        nsteps *= 2
+        cur = _rk4(field, s, t, state, rhs, nsteps)
+        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
+        scale = max(1.0, *(float(np.abs(c).max()) for c in cur))
+        if err <= tol * scale:
+            return cur
+        prev = cur
 
 
 def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
                           points: np.ndarray, tol: float = 1e-11,
                           max_nsteps: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
-    """phi_{s,t} and D phi_{s,t} at the columns of points."""
+    """phi_{s,t} and D phi_{s,t} at the columns of points.
+
+    The Jacobian factors solve M' = DH(z(tau), tau) M along each trajectory,
+    started at the identity.
+    """
     s, t = float(s), float(t)
     if t < s:
         raise ValueError("reversed time interval")
     pts = np.asarray(points, dtype=complex)
     q, m = pts.shape
+    M = np.tile(np.eye(q, dtype=complex), (m, 1, 1))
     if t == s or m == 0:
-        return np.array(pts), np.tile(np.eye(q, dtype=complex), (m, 1, 1))
-    nsteps = max(12, int(math.ceil(6.0 * (t - s))))
-    pz, pm = _rk4_variational(field, s, t, pts, nsteps)
-    while True:
-        if 2 * nsteps > max_nsteps:
-            raise ValueError("variational integration failed to reach the tolerance")
-        nsteps *= 2
-        cz, cm = _rk4_variational(field, s, t, pts, nsteps)
-        err = max(float(np.abs(cz - pz).max()), float(np.abs(cm - pm).max()))
-        if err <= tol * max(1.0, float(np.abs(cz).max()), float(np.abs(cm).max())):
-            return cz, cm
-        pz, pm = cz, cm
+        return np.array(pts), M
+
+    def rhs(tau, x):
+        z, Mc = x
+        dz = field.values(tau, z)
+        J = field.jacobians(tau, z)
+        return dz, np.einsum("mij,mjk->mik", J, Mc)
+
+    return _rk4_doubling(field, s, t, (pts, M), rhs, tol, max_nsteps)
 
 
 def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
@@ -476,17 +461,9 @@ def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
         pts = pts[:, None]
     if t == s or pts.shape[1] == 0:
         return pts[:, 0] if single else np.array(pts)
-    nsteps = max(12, int(math.ceil(6.0 * (t - s))))
-    prev = _rk4_points(field, s, t, pts, nsteps)
-    while True:
-        if 2 * nsteps > max_nsteps:
-            raise ValueError("point integration failed to reach the tolerance")
-        nsteps *= 2
-        cur = _rk4_points(field, s, t, pts, nsteps)
-        err = float(np.abs(cur - prev).max()) / max(1.0, float(np.abs(cur).max()))
-        if err <= tol:
-            return cur[:, 0] if single else cur
-        prev = cur
+    (cur,) = _rk4_doubling(field, s, t, (pts,),
+                           lambda tau, x: (field.values(tau, x[0]),), tol, max_nsteps)
+    return cur[:, 0] if single else cur
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,6 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
-# Above this many stored multi-indices a full dense power table for
-# composition would be too large; fall back to computing only the powers
-# that are actually referenced.
-_DENSE_POWER_LIMIT = 2000
-
 
 def index_count(q: int, degree: int) -> int:
     """Number of exponent tuples of length q with total degree `degree`."""
@@ -412,15 +407,6 @@ class HomogeneousMap:
         return HomogeneousMap(q, degree, np.zeros((q, index_count(q, degree)), dtype=complex))
 
     @staticmethod
-    def basis(q: int, degree: int, j: int, index: Sequence[int]) -> "HomogeneousMap":
-        """The map with j-th component z^I and all other components zero."""
-        I = tuple(int(e) for e in index)
-        pos = enumerate_indices(q, degree).index(I)
-        c = np.zeros((q, index_count(q, degree)), dtype=complex)
-        c[j, pos] = 1.0
-        return HomogeneousMap(q, degree, c)
-
-    @staticmethod
     def from_flat(q: int, degree: int, vec: np.ndarray) -> "HomogeneousMap":
         return HomogeneousMap(q, degree, np.asarray(vec, dtype=complex).reshape(q, -1))
 
@@ -473,11 +459,6 @@ class HomogeneousMap:
         c[:, t.offsets[self.degree]:t.offsets[self.degree + 1]] = self.coeffs
         return PolyJet(self.q, order, c)
 
-    def apply_linear(self, matrix: np.ndarray) -> "HomogeneousMap":
-        """Left composition with a linear map: z -> matrix @ H(z)."""
-        return HomogeneousMap(self.q, self.degree,
-                              np.asarray(matrix, dtype=complex) @ self.coeffs)
-
     def substitute_linear(self, matrix: np.ndarray) -> "HomogeneousMap":
         """Right composition with a linear map: z -> H(matrix @ z)."""
         lin = PolyJet.from_linear(matrix, self.degree)
@@ -491,53 +472,45 @@ class HomogeneousMap:
 # composition and inversion
 
 
+def _power_rows(t: _Tables, gc: np.ndarray, rows: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Powers g^I for the monomials `rows` and every monomial on their parent chains.
+
+    gc holds the coefficient block of g cut to t.order.  Returns (pos, table):
+    table[pos[r]] is the coefficient row of g^{indices[r]} for every rank r in
+    the parent closure of `rows`, and pos is -1 elsewhere.  Each power is one
+    truncated multiplication of its parent's power by a coordinate of g, so
+    the cost follows the closure of `rows`, not the number of monomials.
+    """
+    need = np.zeros(t.count, dtype=bool)
+    need[rows] = True
+    for d in range(t.order, 1, -1):
+        lo, hi = t.offsets[d], t.offsets[d + 1]
+        need[t.parent_rank[lo:hi][need[lo:hi]]] = True
+    ranks = np.flatnonzero(need)
+    pos = np.full(t.count, -1, dtype=np.int64)
+    pos[ranks] = np.arange(ranks.size)
+    table = np.empty((ranks.size, gc.shape[1]), dtype=complex)
+    for i, r in enumerate(ranks):
+        k = t.parent_var[r]
+        deg = int(t.degrees[r])
+        if deg == 1:
+            table[i] = gc[k]
+        else:
+            table[i] = _vec_mul(table[pos[t.parent_rank[r]]], gc[k], t.q, t.order,
+                                lval_a=deg - 1, lval_b=1)
+    return pos, table
+
+
 def _compose_arrays(q: int, order: int, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     """Core composition on raw coefficient blocks already cut to `order`."""
     t = _tables(q, order)
-    n = t.count
-    support = np.nonzero(np.any(fc[:, :n] != 0, axis=0))[0]
+    support = np.nonzero(np.any(fc != 0, axis=0))[0]
     support = support[t.degrees[support] >= 1]
     if support.size == 0:
-        return np.zeros((q, n), dtype=complex)
-    if n <= _DENSE_POWER_LIMIT:
-        pows = np.zeros((n, n), dtype=complex)
-        for r in range(1, n):
-            k = t.parent_var[r]
-            p = t.parent_rank[r]
-            if t.degrees[r] == 1:
-                pows[r] = gc[k, :n]
-            else:
-                pows[r] = _vec_mul(pows[p], gc[k, :n], q, order,
-                                   lval_a=int(t.degrees[r]) - 1, lval_b=1)
-        return fc[:, support] @ pows[support]
-    # lazy path: only powers reachable from the support of f
-    needed: set[int] = set()
-    stack = [int(r) for r in support]
-    while stack:
-        r = stack.pop()
-        if r in needed or t.degrees[r] == 0:
-            continue
-        needed.add(r)
-        if t.degrees[r] > 1:
-            stack.append(int(t.parent_rank[r]))
-    memo: dict[int, np.ndarray] = {}
-
-    def power(r: int) -> np.ndarray:
-        got = memo.get(r)
-        if got is not None:
-            return got
-        if t.degrees[r] == 1:
-            val = gc[t.parent_var[r], :n]
-        else:
-            val = _vec_mul(power(int(t.parent_rank[r])), gc[t.parent_var[r], :n],
-                           q, order, lval_a=int(t.degrees[r]) - 1, lval_b=1)
-        memo[r] = val
-        return val
-
-    out = np.zeros((q, n), dtype=complex)
-    for r in support:
-        out += np.outer(fc[:, r], power(int(r)))
-    return out
+        return np.zeros((q, t.count), dtype=complex)
+    pos, table = _power_rows(t, gc, support)
+    return fc[:, support] @ table[pos[support]]
 
 
 def compose(f: PolyJet, g: PolyJet, order: int | None = None) -> PolyJet:
@@ -635,8 +608,7 @@ def evaluate_triangular_inverse_many(f: PolyJet, w: np.ndarray) -> np.ndarray:
             acc += f.coeffs[j, r] * vals[r]
         z[j] = (w[j] - acc) / lam[j]
         if j + 1 < f.q:
-            for r in range(1, t.count):
-                vals[r] = vals[t.parent_rank[r]] * z[t.parent_var[r]]
+            vals = _monomial_values(t, z)
     return z
 
 

@@ -45,6 +45,15 @@ def _nonlinear(jet: PolyJet) -> PolyJet:
     return PolyJet(jet.q, jet.order, coeffs)
 
 
+def _value_key(jet: PolyJet) -> tuple:
+    """Cache key equal for jets with identical coefficients.
+
+    Object ids are reused once a jet is collected, and zero-tail families
+    build a fresh jet on every step(n) call, so caches key by value.
+    """
+    return (jet.q, jet.order, jet.coeffs.tobytes())
+
+
 def _with_linear(jet: PolyJet, matrix: np.ndarray) -> PolyJet:
     t = jet.tables
     coeffs = np.array(jet.coeffs)
@@ -226,10 +235,10 @@ class TriangularFamily:
         return self.steps[n]
 
     def inverse_step_jet(self, n: int) -> PolyJet:
-        # keyed by object identity: resonance-free builds share one linear
-        # jet across the whole window, so the inversion runs once
+        # keyed by value: resonance-free builds share one linear jet across
+        # the whole window, so the inversion runs once
         cache = self._inverse_jets
-        key = id(self.steps[n])
+        key = _value_key(self.steps[n])
         if key not in cache:
             cache[key] = invert(self.steps[n])
         return cache[key]
@@ -250,12 +259,6 @@ class TriangularFamily:
         for j in range(m - 1, n - 1, -1):
             w = evaluate_triangular_inverse_many(self.steps[j], w)
         return w[:, 0] if single else w
-
-    def nonlinear_norm(self) -> float:
-        return max(_nonlinear(s).max_coeff for s in self.steps)
-
-    def is_linear(self, tol: float = _LINEARIZABLE_TOL) -> bool:
-        return self.nonlinear_norm() <= tol
 
 
 def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
@@ -423,10 +426,10 @@ def _defect_sup_majorant(family: DiscreteEvolutionFamily,
     L = normalizers[0].order + 1
     worst = 0.0
     kmaj = [_majorant_series(kn) for kn in normalizers]
-    cache: dict[int, np.ndarray] = {}
+    cache: dict[tuple, np.ndarray] = {}
 
     def series(jet: PolyJet) -> np.ndarray:
-        key = id(jet)
+        key = _value_key(jet)
         if key not in cache:
             cache[key] = _majorant_series(jet)
         return cache[key]
@@ -474,9 +477,9 @@ def estimate_constants(family: DiscreteEvolutionFamily,
     r = 0.5 if c2 == 0.0 else min(0.5, (alpha - norm_a) / c2)
 
     beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
-    seen: dict[int, float] = {}
+    seen: dict[tuple, float] = {}
     for n in range(len(triangular)):
-        key = id(triangular.step(n))
+        key = _value_key(triangular.step(n))
         if key not in seen:
             g = gradient_bound_matrix(triangular.inverse_step_jet(n), 0.5)
             seen[key] = float(g.sum(axis=1).max())

@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .jets import (MultiIndex, PolyJet, _vec_mul, enumerate_indices,
-                   index_count)
+from .jets import MultiIndex, PolyJet, _power_rows, enumerate_indices
 
 _CONJUGATION_RTOL = 1e-10
 
@@ -241,25 +240,11 @@ def to_optimal_form(matrix: np.ndarray, target_norm: float | None = None,
 
 def _linear_substitution_matrix(Ainv: np.ndarray, degree: int) -> np.ndarray:
     """Matrix S with S[K, I] = coefficient of z^K in (Ainv z)^I, both graded-lex."""
-    q = Ainv.shape[0]
-    n = index_count(q, degree)
     jet = PolyJet.from_linear(Ainv, degree)
     t = jet.tables
     lo, hi = t.offsets[degree], t.offsets[degree + 1]
-    # powers of the substituted coordinates, built through the parent chain
-    pows = np.zeros((t.count, t.count), dtype=complex)
-    S = np.zeros((n, n), dtype=complex)
-    for r in range(1, t.count):
-        k = t.parent_var[r]
-        p = t.parent_rank[r]
-        if t.degrees[r] == 1:
-            pows[r] = jet.coeffs[k]
-        else:
-            pows[r] = _vec_mul(pows[p], jet.coeffs[k], q, degree,
-                               lval_a=int(t.degrees[r]) - 1, lval_b=1)
-        if t.degrees[r] == degree:
-            S[:, r - lo] = pows[r, lo:hi]
-    return S
+    pos, table = _power_rows(t, jet.coeffs, np.arange(lo, hi))
+    return np.ascontiguousarray(table[pos[lo:hi], lo:hi].T)
 
 
 def gamma_matrix(linear_part: "OptimalForm | np.ndarray", degree: int) -> np.ndarray:

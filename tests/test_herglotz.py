@@ -27,6 +27,7 @@ from loewner import (
     verification_samples,
     verify_subordination_chain,
 )
+from loewner.herglotz import _rk4, _segments
 from loewner.sampling import complex_ball_points
 
 from conftest import counterexample_field, demo_field
@@ -172,6 +173,34 @@ def test_variational_jacobian_matches_finite_differences():
         col = (integrate_points(f, 0.0, 1.5, z + bump)
                - integrate_points(f, 0.0, 1.5, z - bump)) / (2 * h)
         assert np.allclose(Dw[:, :, i].T, col, atol=2e-6)
+
+
+def _rk4_points_reference(field, s, t, points, nsteps):
+    """The point-trajectory RK4 loop the generic stepper replaced."""
+    z = np.array(points, dtype=complex)
+    span = t - s
+    for a, b in _segments(field, s, t):
+        n = max(1, int(round(nsteps * (b - a) / span)))
+        h = (b - a) / n
+        cap = b - 1e-12 * max(1.0, abs(b))
+        for i in range(n):
+            t0 = a + i * h
+            k1 = field.values(min(t0, cap), z)
+            k2 = field.values(min(t0 + h / 2.0, cap), z + k1 * (h / 2.0))
+            k3 = field.values(min(t0 + h / 2.0, cap), z + k2 * (h / 2.0))
+            k4 = field.values(min(t0 + h, cap), z + k3 * h)
+            z = z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
+    return z
+
+
+def test_rk4_stepper_matches_point_loop_across_breakpoint():
+    sched = TimeCoefficient("piecewise", (0.0, 0.9, 1.3), (0.2, -0.1 + 0.05j, 0.3j))
+    f = HerglotzFieldSpec(np.diag([-0.6, -1.0]).astype(complex), 3,
+                          ((0, (0, 2), sched), (1, (2, 0), sched)), horizon=2.0)
+    z = complex_ball_points(2, 0.4, 5)
+    for nsteps in (12, 25):
+        (got,) = _rk4(f, 0.25, 1.75, (z,), lambda tau, x: (f.values(tau, x[0]),), nsteps)
+        assert np.array_equal(got, _rk4_points_reference(f, 0.25, 1.75, z, nsteps))
 
 
 # ---------------------------------------------------------------------- #

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from loewner import HomogeneousMap, PolyJet, compose, invert, is_triangular
+from loewner import HomogeneousMap, PolyJet, compose, gamma_matrix, invert, is_triangular
 from loewner.jets import (
     _mul_plan,
     _vec_mul,
@@ -329,3 +329,63 @@ def test_valuation_filtered_multiply_matches_full():
         fast = _vec_mul(a, b, q, order, lva, lvb)
         assert np.allclose(full, fast, atol=1e-14)
         assert _mul_plan(q, order, lva, lvb) is _mul_plan(q, order, lva, lvb)
+
+
+# ---------------------------------------------------------------------- #
+# the power table against the full dense table it replaced
+
+
+def _dense_power_table(t, gc):
+    """Every power g^I, I in rank order, each from its parent's power."""
+    pows = np.zeros((t.count, t.count), dtype=complex)
+    for r in range(1, t.count):
+        k = t.parent_var[r]
+        if t.degrees[r] == 1:
+            pows[r] = gc[k]
+        else:
+            pows[r] = _vec_mul(pows[t.parent_rank[r]], gc[k], t.q, t.order,
+                               lval_a=int(t.degrees[r]) - 1, lval_b=1)
+    return pows
+
+
+def _dense_compose(f, g):
+    t = f.tables
+    support = np.nonzero(np.any(f.coeffs != 0, axis=0))[0]
+    support = support[t.degrees[support] >= 1]
+    if support.size == 0:
+        return np.zeros((f.q, t.count), dtype=complex)
+    return f.coeffs[:, support] @ _dense_power_table(t, g.coeffs)[support]
+
+
+def _sparse_outer(rng, q, order):
+    """A linear part plus a few monomials, shaped like a field jet."""
+    terms = {}
+    for _ in range(int(rng.integers(2, 4))):
+        d = int(rng.integers(2, order + 1))
+        I = enumerate_indices(q, d)[int(rng.integers(index_count(q, d)))]
+        terms[(int(rng.integers(q)), I)] = complex(rng.normal(), rng.normal())
+    lin = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    return PolyJet.from_linear(lin, order) + PolyJet.from_terms(q, order, terms)
+
+
+@pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])
+def test_compose_matches_dense_power_table(q, order):
+    rng = np.random.default_rng(100 * q + order)
+    g = random_polyjet(rng, q, order, linear=rng.normal(size=(q, q)))
+    outers = [_sparse_outer(rng, q, order),
+              random_polyjet(rng, q, order, linear=rng.normal(size=(q, q))),
+              PolyJet.zero(q, order)]
+    for f in outers:
+        assert np.array_equal(compose(f, g).coeffs, _dense_compose(f, g))
+
+
+@pytest.mark.parametrize("q,degree", [(1, 4), (2, 5), (3, 3), (4, 3)])
+def test_gamma_matrix_matches_dense_substitution_matrix(q, degree):
+    rng = np.random.default_rng(7 * q + degree)
+    A = np.tril(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))) + 2 * np.eye(q)
+    Ainv = np.linalg.inv(A)
+    lin = PolyJet.from_linear(Ainv, degree)
+    t = lin.tables
+    lo, hi = t.offsets[degree], t.offsets[degree + 1]
+    S_ref = np.ascontiguousarray(_dense_power_table(t, lin.coeffs)[lo:hi, lo:hi].T)
+    assert np.array_equal(gamma_matrix(A, degree), np.kron(A, S_ref))

@@ -1,0 +1,35 @@
+"""Halton sequences and ball samplers beyond the first sixteen primes."""
+
+import numpy as np
+
+from loewner.sampling import complex_ball_points, halton
+
+
+def _halton_reference(count, dim):
+    """Radical inverses in the first sixteen primes, the original table."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    out = np.empty((count, dim))
+    for d in range(dim):
+        for i in range(count):
+            n, f, x = i + 1, 1.0, 0.0
+            while n > 0:
+                f /= primes[d]
+                x += f * (n % primes[d])
+                n //= primes[d]
+            out[i, d] = x
+    return out
+
+
+def test_halton_keeps_its_first_sixteen_columns():
+    pts = halton(50, 20)
+    assert pts.shape == (50, 20)
+    assert np.array_equal(pts[:, :16], _halton_reference(50, 16))
+    assert ((pts >= 0.0) & (pts < 1.0)).all()
+
+
+def test_ball_points_in_eighteen_real_dimensions():
+    r, k = 0.7, 40
+    pts = complex_ball_points(9, r, k)
+    assert pts.shape == (9, k)
+    assert (np.linalg.norm(pts, axis=0) <= r).all()
+    assert np.array_equal(pts, complex_ball_points(9, r, k))
