@@ -36,7 +36,8 @@ from .normal_form import (
     univalence_check,
 )
 from .sampling import complex_ball_points
-from .spectral import OptimalForm, ResonanceReport, operator_norm, to_optimal_form
+from .spectral import (OptimalForm, PreconditionError, ResonanceReport, operator_norm,
+                       to_optimal_form)
 
 __all__ = [
     "PreconditionError",
@@ -57,10 +58,6 @@ __all__ = [
     "AttractionReport",
     "attraction_check",
 ]
-
-
-class PreconditionError(ValueError):
-    """Well-formed input that violates a mathematical admissibility condition."""
 
 
 # --------------------------------------------------------------------- #
@@ -468,7 +465,17 @@ def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
 
 @dataclass(frozen=True)
 class ContinuousEvolution:
-    """Transition maps of a field, as cached jets and on-demand trajectories."""
+    """Transition maps of a field, as cached jets and on-demand trajectories.
+
+    The owner of every transition jet a command computes: each distinct
+    interval is integrated once and kept for the life of the evolution, so
+    the cache holds at most one jet per distinct interval of one command.
+    For a field without breakpoints (every coefficient constant) the map
+    depends on the interval only through t - s, and integrate_jet reads
+    exactly the floats t - s, mid - s and t - mid with mid = (s + t) / 2;
+    keying by those makes a hit bit-identical to a fresh integration.
+    Other fields key by (s, t).
+    """
 
     field: HerglotzFieldSpec
     order: int
@@ -476,9 +483,17 @@ class ContinuousEvolution:
 
     def __post_init__(self):
         object.__setattr__(self, "_jets", {})
+        object.__setattr__(self, "_autonomous", not self.field.breakpoints())
+
+    def _key(self, s: float, t: float) -> tuple:
+        if not self._autonomous:
+            return (s, t)
+        mid = 0.5 * (s + t)
+        return (t - s, mid - s, t - mid)
 
     def jet(self, s: float, t: float) -> PolyJet:
-        key = (float(s), float(t))
+        s, t = float(s), float(t)
+        key = self._key(s, t)
         cache = self._jets
         if key not in cache:
             cache[key] = integrate_jet(self.field, s, t, self.order, self.tol)
@@ -523,9 +538,10 @@ def discretize(field: HerglotzFieldSpec, horizon: int | None = None,
     A = opt.matrix
     Mj = PolyJet.from_linear(opt.basis_change, order)
     Mij = PolyJet.from_linear(opt.basis_change_inverse, order)
+    evolution = ContinuousEvolution(field, order, tol)
     steps = []
     for n in range(T):
-        J = integrate_jet(field, n, n + 1, order, tol)
+        J = evolution.jet(n, n + 1)
         psi = compose(Mj, compose(J, Mij, order), order)
         steps.append(_with_linear(psi, A))
     family = DiscreteEvolutionFamily(A, tuple(steps), tail=tail)
@@ -700,8 +716,10 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     order: the working order depends on constants measured from the
     normalized data, so the estimate is refined and the family rebuilt until
     the jets carry true flow coefficients at every order the normalization
-    touches.  A sup bound for the normalized maps on the validity ball is
-    attached only when the spectrum is resonance-free.
+    touches.  The discrete chain identity f_m o phi_{n,m} = f_n, measured
+    on ball samples, must hold within its tolerance or the build raises.  A
+    sup bound for the normalized maps on the validity ball is attached only
+    when the spectrum is resonance-free.
     """
     T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
     if T < 1:
@@ -722,6 +740,10 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         raise RuntimeError("jet order failed to stabilize across rebuild passes")
 
     chain_disc = discrete_chain(result, T)
+    if not chain_disc.identity_ok:
+        raise RuntimeError(
+            f"discrete chain identity f_m o phi_(n,m) = f_n fails: residual "
+            f"{chain_disc.identity_residual:.3e} exceeds tol {chain_disc.identity_tol:.1e}")
     W = chain_disc.jets[0].order
     M = disc.optimal.basis_change
     Mj = PolyJet.from_linear(M, W)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -247,6 +247,11 @@ class PolyJet:
     @property
     def max_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
+
+    @cached_property
+    def triangular_plan(self) -> tuple[int, tuple, tuple]:
+        """Forward-substitution plan of evaluate_triangular_inverse_many."""
+        return _triangular_plan(self)
 
     def coefficient(self, j: int, index: Sequence[int]) -> complex:
         I = tuple(int(e) for e in index)
@@ -579,36 +584,66 @@ def is_triangular(f: PolyJet, tol: float = 0.0) -> bool:
     return not triangular_violations(f, tol)
 
 
+def _triangular_plan(f: PolyJet) -> tuple[int, tuple, tuple]:
+    """Forward-substitution plan of a triangular jet, built once per jet.
+
+    Returns (slots, terms, fills), where slots counts the monomial values
+    kept and slot 0 holds the constant monomial.  terms[j] lists (slot,
+    coefficient) for the monomials component j reads, in ascending rank,
+    without its diagonal z_j and without monomials in a variable not yet
+    solved (those read zero).  fills[j] lists (slot, parent slot, variable)
+    for the monomials to compute once z_j is known: the parent closure of
+    every term, grouped by its highest variable, in ascending rank so
+    parents come first.
+    """
+    t = f.tables
+    q = f.q
+    top = [max((k for k, e in enumerate(I) if e), default=-1) for I in t.indices]
+    reads = [[r for r in np.flatnonzero(f.coeffs[j]) if top[r] < j] for j in range(q)]
+    need = np.zeros(t.count, dtype=bool)
+    for rows in reads:
+        need[rows] = True
+    for d in range(t.order, 1, -1):
+        lo, hi = t.offsets[d], t.offsets[d + 1]
+        need[t.parent_rank[lo:hi][need[lo:hi]]] = True
+    need[0] = True
+    ranks = np.flatnonzero(need)
+    slot = {int(r): i for i, r in enumerate(ranks)}
+    terms = tuple(tuple((slot[int(r)], f.coeffs[j, r]) for r in rows)
+                  for j, rows in enumerate(reads))
+    fills = tuple(
+        tuple((slot[int(r)], slot[int(t.parent_rank[r])], int(t.parent_var[r]))
+              for r in ranks[1:] if top[r] == j)
+        for j in range(q))
+    return ranks.size, terms, fills
+
+
 def evaluate_triangular_inverse_many(f: PolyJet, w: np.ndarray) -> np.ndarray:
     """Solve f(z) = w columnwise for a triangular jet, w of shape (q, m).
 
     Component j reads lambda_j z_j + t_j(z_0..z_{j-1}) = w_j, so the z_j are
-    recovered in order without constructing the inverse polynomial.
+    recovered in order without constructing the inverse polynomial.  Each
+    monomial value the components read is computed once, right after its
+    highest variable is solved, from its parent as in _monomial_values.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != f.q:
         raise ValueError(f"w must have shape ({f.q}, m)")
-    t = f.tables
     lam = np.diagonal(f.linear_matrix)
     if np.any(np.abs(lam) == 0):
         raise ValueError("triangular jet with vanishing diagonal is not invertible")
+    slots, terms, fills = f.triangular_plan
     m = w.shape[1]
     z = np.zeros((f.q, m), dtype=complex)
-    # vals holds monomial values of the currently known coordinates; rows
-    # touching a not-yet-solved z_k are stale but triangularity guarantees
-    # component j never reads them.
-    vals = np.zeros((t.count, m), dtype=complex)
+    vals = np.empty((slots, m), dtype=complex)
     vals[0] = 1.0
     for j in range(f.q):
         acc = np.zeros(m, dtype=complex)
-        for r in np.nonzero(f.coeffs[j])[0]:
-            I = t.indices[r]
-            if sum(I) == 1 and I[j] == 1:
-                continue
-            acc += f.coeffs[j, r] * vals[r]
+        for i, c in terms[j]:
+            acc += c * vals[i]
         z[j] = (w[j] - acc) / lam[j]
-        if j + 1 < f.q:
-            vals = _monomial_values(t, z)
+        for i, parent, var in fills[j]:
+            vals[i] = vals[parent] * z[var]
     return z
 
 

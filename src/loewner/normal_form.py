@@ -29,9 +29,9 @@ from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_differ
 from .jets import (HomogeneousMap, PolyJet, compose, evaluate_triangular_inverse_many,
                    gradient_bound_matrix, invert, is_triangular, _monomial_values)
 from .sampling import complex_ball_points, complex_sphere_points
-from .spectral import (OptimalForm, ResonanceReport, _already_optimal,
-                       detect_resonances, gamma_matrix, operator_norm, spectral_split,
-                       triangular_compatibility_violations)
+from .spectral import (MAX_DEGREE, OptimalForm, PreconditionError, ResonanceReport,
+                       _already_optimal, detect_resonances, gamma_matrix, operator_norm,
+                       spectral_split, triangular_compatibility_violations)
 
 _LINEAR_MATCH_TOL = 1e-8
 _LINEARIZABLE_TOL = 1e-11
@@ -84,9 +84,10 @@ def _smallest_ell(alpha: float, beta: float) -> int:
     ell = 2
     while beta * alpha ** ell >= 1.0:
         ell += 1
-        if ell > 512:
-            raise ValueError("no contraction exponent below 512; the linear "
-                             "part is too close to the unit sphere")
+        if ell > MAX_DEGREE:
+            raise PreconditionError(
+                f"no contraction exponent ell up to the degree cap {MAX_DEGREE}; "
+                "the linear part is too close to the unit sphere")
     return ell
 
 
@@ -704,7 +705,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
     constants = None
     for _ in range(max_passes):
         if work_order > max_work_order:
-            raise ValueError(
+            raise PreconditionError(
                 f"normalization needs working order {work_order} above the "
                 f"limit {max_work_order}; the spectrum is too spread out")
         rate = min(0.9, beta * alpha ** (work_order + 1))

@@ -14,6 +14,8 @@ from scipy.special import ndtri
 # maps points instead of rejecting them: rejection costs 1 / share Halton
 # points per sample, 3e6 at q = 9
 _MIN_BALL_ACCEPTANCE = 1e-4
+# largest batch of Halton points the ball sampler draws at once (6 MB at q = 6)
+_MAX_BATCH = 1 << 16
 
 
 def _first_primes(count: int) -> list[int]:
@@ -30,18 +32,21 @@ def _first_primes(count: int) -> list[int]:
 def halton(count: int, dim: int, start: int = 0) -> np.ndarray:
     """First `count` Halton points in [0, 1)^dim, skipping `start` of them.
 
-    Coordinate d uses the radical inverse in the d-th prime base.
+    Coordinate d uses the radical inverse in the d-th prime base.  The digit
+    loop runs over all points at once; a point whose digits have run out
+    adds f * 0, so each value is the one the point-by-point loop gives.
     """
     out = np.empty((count, dim))
+    index = np.arange(start + 1, start + count + 1, dtype=np.int64)  # skip the origin
     for d, base in enumerate(_first_primes(dim)):
-        for i in range(count):
-            n = start + i + 1  # skip the origin
-            f, x = 1.0, 0.0
-            while n > 0:
-                f /= base
-                x += f * (n % base)
-                n //= base
-            out[i, d] = x
+        n = index.copy()
+        f = 1.0
+        x = np.zeros(count)
+        while n.any():
+            f /= base
+            x += f * (n % base)
+            n //= base
+        out[:, d] = x
     return out
 
 
@@ -58,7 +63,8 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if math.pi ** q / (math.factorial(q) * 4 ** q) < _MIN_BALL_ACCEPTANCE:
+    acceptance = math.pi ** q / (math.factorial(q) * 4 ** q)
+    if acceptance < _MIN_BALL_ACCEPTANCE:
         u = halton(count, 2 * q + 1, start)
         g = ndtri(np.clip(u[:, :-1], 1e-12, 1.0 - 1e-12))
         g *= (u[:, -1] ** (1.0 / (2 * q)) / np.linalg.norm(g, axis=1))[:, None]
@@ -67,7 +73,9 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
     have = 0
     offset = start
     while have < count:
-        batch = max(32, 2 * (count - have))
+        # enough cube points for twice the missing samples; the accepted
+        # points are the same whatever the batch size
+        batch = min(_MAX_BATCH, max(32, math.ceil(2 * (count - have) / acceptance)))
         u = 2.0 * halton(batch, 2 * q, offset) - 1.0
         offset += batch
         norms = np.sqrt((u * u).sum(axis=1))

@@ -21,6 +21,14 @@ from .jets import MultiIndex, PolyJet, _power_rows, enumerate_indices
 
 _CONJUGATION_RTOL = 1e-10
 
+# largest polynomial degree the package enumerates: the resonance cutoff p
+# and the contraction exponent ell must stay at or below it
+MAX_DEGREE = 512
+
+
+class PreconditionError(ValueError):
+    """Well-formed input that violates a mathematical admissibility condition."""
+
 
 def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix, dtype=complex)))))
@@ -383,8 +391,11 @@ def _degree_cutoff(moduli: np.ndarray) -> int:
     p = 0
     while big ** p >= small:
         p += 1
-        if p > 10_000:
-            raise ValueError("degree cutoff did not terminate; spectrum is not a dilation")
+        if p > MAX_DEGREE:
+            raise PreconditionError(
+                f"resonance degree cutoff exceeds the degree cap {MAX_DEGREE}: "
+                f"eigenvalue moduli {small:.6g} and {big:.6g} are too far apart "
+                "or too close to the unit circle")
     return p
 
 

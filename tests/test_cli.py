@@ -1,6 +1,7 @@
 """End-to-end command line behavior, driven in process through main()."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_unstable_spectrum_exits_3(tmp_path, capsys):
     assert main(["analyze", "--input", inp]) == 3
     err = capsys.readouterr().err
     assert "precondition violated" in err and "0.25" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "chain", "normalform"])
+def test_spectrum_near_unit_circle_exits_3(tmp_path, capsys, command):
+    # exp(-1e-4) needs resonance degree p ~ 5000 and ell far above the cap
+    doc = demo_field().to_json_dict()
+    doc["Lambda"] = matrix_to_json(np.diag([-1e-4, -0.5]).astype(complex))
+    inp = _write(tmp_path / "field.json", doc)
+    start = time.perf_counter()
+    assert main([command, "--input", inp]) == 3
+    assert time.perf_counter() - start < 20.0
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and "degree cap 512" in err
 
 
 def test_empty_sample_budget_exits_3(tmp_path, chain_doc):

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from loewner import (
+    ContinuousEvolution,
     DiscreteEvolutionFamily,
     HerglotzFieldSpec,
     LoewnerChain,
@@ -27,6 +28,7 @@ from loewner import (
     verification_samples,
     verify_subordination_chain,
 )
+from loewner import herglotz
 from loewner.herglotz import _rk4, _segments
 from loewner.sampling import complex_ball_points
 
@@ -201,6 +203,49 @@ def test_rk4_stepper_matches_point_loop_across_breakpoint():
     for nsteps in (12, 25):
         (got,) = _rk4(f, 0.25, 1.75, (z,), lambda tau, x: (f.values(tau, x[0]),), nsteps)
         assert np.array_equal(got, _rk4_points_reference(f, 0.25, 1.75, z, nsteps))
+
+
+# ---------------------------------------------------------------------- #
+# transition jets owned by one evolution
+
+
+def _counting_integrate_jet(monkeypatch):
+    calls = []
+
+    def counted(field, s, t, *args, **kwargs):
+        calls.append((s, t))
+        return integrate_jet(field, s, t, *args, **kwargs)
+
+    monkeypatch.setattr(herglotz, "integrate_jet", counted)
+    return calls
+
+
+def test_autonomous_evolution_integrates_each_length_once(monkeypatch):
+    f = demo_field()
+    evo = ContinuousEvolution(f, 3)
+    calls = _counting_integrate_jet(monkeypatch)
+    intervals = [(n, n + 1) for n in range(3)] + [(k / 2, k / 2 + 0.5) for k in range(4)]
+    got = [evo.jet(s, t) for s, t in intervals]
+    assert len(calls) == 2  # one unit step, one half step
+    # equal float lengths whose midpoints round apart give different bits
+    intervals += [(0.0, 0.1), (0.1, 0.2)]
+    got += [evo.jet(0.0, 0.1), evo.jet(0.1, 0.2)]
+    assert len(calls) == 4
+    for (s, t), jet in zip(intervals, got):
+        assert np.array_equal(jet.coeffs, integrate_jet(f, s, t, 3).coeffs)
+
+
+def test_piecewise_evolution_does_not_reuse_across_a_node(monkeypatch):
+    sched = TimeCoefficient("piecewise", (0.0, 0.5, 1.5), (0.2, -0.1 + 0.05j, 0.3j))
+    f = HerglotzFieldSpec(np.diag([-0.6, -1.0]).astype(complex), 3,
+                          ((0, (0, 2), sched),), horizon=2.0)
+    evo = ContinuousEvolution(f, 3)
+    calls = _counting_integrate_jet(monkeypatch)
+    first, second = evo.jet(0, 1), evo.jet(1, 2)
+    assert evo.jet(0.0, 1.0) is first
+    assert calls == [(0.0, 1.0), (1.0, 2.0)]
+    assert not np.array_equal(first.coeffs, second.coeffs)
+    assert np.array_equal(second.coeffs, integrate_jet(f, 1.0, 2.0, 3).coeffs)
 
 
 # ---------------------------------------------------------------------- #

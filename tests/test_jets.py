@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 
 from loewner import HomogeneousMap, PolyJet, compose, gamma_matrix, invert, is_triangular
 from loewner.jets import (
+    _monomial_values,
     _mul_plan,
     _vec_mul,
     enumerate_indices,
+    evaluate_triangular_inverse_many,
     gradient_bound_matrix,
     index_count,
     majorant_bound,
@@ -389,3 +391,59 @@ def test_gamma_matrix_matches_dense_substitution_matrix(q, degree):
     lo, hi = t.offsets[degree], t.offsets[degree + 1]
     S_ref = np.ascontiguousarray(_dense_power_table(t, lin.coeffs)[lo:hi, lo:hi].T)
     assert np.array_equal(gamma_matrix(A, degree), np.kron(A, S_ref))
+
+
+# ---------------------------------------------------------------------- #
+# triangular inverse evaluation against the full monomial refill it replaced
+
+
+def _triangular_inverse_reference(f, w):
+    """Forward substitution refilling every monomial value after each z_j."""
+    t = f.tables
+    lam = np.diagonal(f.linear_matrix)
+    m = w.shape[1]
+    z = np.zeros((f.q, m), dtype=complex)
+    vals = np.zeros((t.count, m), dtype=complex)
+    vals[0] = 1.0
+    for j in range(f.q):
+        acc = np.zeros(m, dtype=complex)
+        for r in np.nonzero(f.coeffs[j])[0]:
+            I = t.indices[r]
+            if sum(I) == 1 and I[j] == 1:
+                continue
+            acc += f.coeffs[j, r] * vals[r]
+        z[j] = (w[j] - acc) / lam[j]
+        if j + 1 < f.q:
+            vals = _monomial_values(t, z)
+    return z
+
+
+def _random_triangular(rng, q, order, leak=False):
+    """Lower-triangular linear part, component j nonlinear in z_0..z_{j-1};
+    with leak, one extra monomial per component in the unsolved variables."""
+    lin = np.tril(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))
+    lin[np.diag_indices(q)] = rng.uniform(0.3, 0.9, size=q) * np.exp(
+        2j * np.pi * rng.uniform(size=q))
+    coeffs = np.array(random_polyjet(rng, q, order, linear=lin, scale=0.8).coeffs)
+    t = PolyJet.zero(q, order).tables
+    for r, I in enumerate(t.indices):
+        if sum(I) < 2:
+            continue
+        for j in range(q):
+            if any(I[j:]) and not (leak and r % 7 == j):
+                coeffs[j, r] = 0.0
+    return PolyJet(q, order, coeffs)
+
+
+@pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])
+@pytest.mark.parametrize("m", [1, 7])
+def test_triangular_inverse_matches_full_refill(q, order, m):
+    rng = np.random.default_rng(1000 * q + 10 * order + m)
+    for leak in (False, True):
+        f = _random_triangular(rng, q, order, leak)
+        assert leak or is_triangular(f)
+        w = 0.4 * (rng.normal(size=(q, m)) + 1j * rng.normal(size=(q, m)))
+        got = evaluate_triangular_inverse_many(f, w)
+        assert np.array_equal(got, _triangular_inverse_reference(f, w))
+        # the plan is cached on the jet; a second call reads it back
+        assert np.array_equal(evaluate_triangular_inverse_many(f, w), got)
