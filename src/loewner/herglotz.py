@@ -251,10 +251,19 @@ class HerglotzFieldSpec:
             jet = jet + PolyJet.from_terms(self.q, order, sparse)
         return jet
 
-    def values(self, t: float, points: np.ndarray) -> np.ndarray:
-        """H(z, t) at the columns of points, exactly (no truncation)."""
+    def values(self, t: float, points: np.ndarray, _per_sample: bool = False) -> np.ndarray:
+        """H(z, t) at the columns of points, exactly (no truncation).
+
+        With _per_sample the linear term is one matrix-vector product per
+        column, so each column gets the floats it gets evaluated alone; one
+        matrix-matrix product rounds a column differently depending on how
+        many columns share the call.
+        """
         pts = np.asarray(points, dtype=complex)
-        vals = self.Lambda @ pts
+        if _per_sample:
+            vals = np.matmul(self.Lambda, pts.T[:, :, None])[:, :, 0].T
+        else:
+            vals = self.Lambda @ pts
         for j, index, coeff in self.terms:
             mono = np.ones(pts.shape[1], dtype=complex)
             for i, e in enumerate(index):
@@ -314,6 +323,10 @@ class HerglotzFieldSpec:
 
 # --------------------------------------------------------------------- #
 # transition integrators
+
+# relative tolerance of point and variational trajectories (step doubling)
+TRAJECTORY_TOL = 1e-11
+
 
 def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float, float]]:
     cuts = [s] + [b for b in field.breakpoints() if s < b < t] + [t]
@@ -396,13 +409,42 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         nsteps = min(max_nsteps, int(math.ceil(nsteps * factor)))
 
 
+def _sample_max(parts: Sequence[np.ndarray], axes: tuple, start=None) -> np.ndarray:
+    """Largest modulus of each sample over all parts.
+
+    A part's sample axis of None makes the whole part one sample.  Parts
+    combine like the builtin max (a later part wins only if strictly
+    larger), starting from start when given.
+    """
+    best = start
+    for p, ax in zip(parts, axes):
+        mag = np.abs(p)
+        rows = mag.reshape(1, -1) if ax is None else np.moveaxis(mag, ax, 0).reshape(
+            p.shape[ax], -1)
+        v = rows.max(axis=1)
+        best = v if best is None else np.where(v > best, v, best)
+    return best
+
+
 def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
-                  rhs, tol: float, max_nsteps: int) -> tuple:
+                  rhs, tol: float, max_nsteps: int, axes: tuple | None = None) -> tuple:
     """RK4 with the step count doubled until two successive runs agree.
 
-    Agreement is the largest entrywise difference over all parts, relative
-    to max(1, largest entry of the finer run).
+    Agreement is the largest entrywise difference, relative to max(1,
+    largest entry of the finer run).  By default it is measured over all
+    parts at once.  axes names each part's sample axis; then each sample is
+    measured over its own entries and accepted on its own, and the next
+    doubling re-integrates only the samples still open.  With an rhs that
+    treats samples independently, every sample gets the floats it would
+    get integrated alone.
     """
+    if axes is None:
+        axes = (None,) * len(state)
+        count = 1
+    else:
+        count = state[0].shape[axes[0]]
+    open_ = np.arange(count)
+    result = None
     nsteps = _initial_steps(s, t)
     prev = _rk4(field, s, t, state, rhs, nsteps)
     while True:
@@ -412,20 +454,35 @@ def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
                 f"within {max_nsteps} steps")
         nsteps *= 2
         cur = _rk4(field, s, t, state, rhs, nsteps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
-        scale = max(1.0, *(float(np.abs(c).max()) for c in cur))
-        if err <= tol * scale:
+        err = _sample_max([c - p for c, p in zip(cur, prev)], axes)
+        scale = _sample_max(cur, axes, start=1.0)
+        done = err <= tol * scale
+        if not done.any():
+            prev = cur
+            continue
+        if result is None and done.all():
             return cur
-        prev = cur
+        if result is None:
+            result = tuple(np.empty_like(c) for c in cur)
+        for r, c, ax in zip(result, cur, axes):
+            np.moveaxis(r, ax, 0)[open_[done]] = np.moveaxis(c, ax, 0)[done]
+        if done.all():
+            return result
+        keep = ~done
+        open_ = open_[keep]
+        state = tuple(np.compress(keep, x, axis=ax) for x, ax in zip(state, axes))
+        prev = tuple(np.compress(keep, c, axis=ax) for c, ax in zip(cur, axes))
 
 
 def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
-                          points: np.ndarray, tol: float = 1e-11,
-                          max_nsteps: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
+                          points: np.ndarray, tol: float = TRAJECTORY_TOL,
+                          max_nsteps: int = 1 << 18, *,
+                          _per_sample: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """phi_{s,t} and D phi_{s,t} at the columns of points.
 
     The Jacobian factors solve M' = DH(z(tau), tau) M along each trajectory,
-    started at the identity.
+    started at the identity.  _per_sample gives each column its own step
+    control and batch-invariant kernels (see _rk4_doubling).
     """
     s, t = float(s), float(t)
     if t < s:
@@ -438,17 +495,24 @@ def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
 
     def rhs(tau, x):
         z, Mc = x
-        dz = field.values(tau, z)
+        dz = field.values(tau, z, _per_sample)
         J = field.jacobians(tau, z)
+        if _per_sample:
+            return dz, np.stack([np.einsum("ij,jk->ik", Ji, Mi) for Ji, Mi in zip(J, Mc)])
         return dz, np.einsum("mij,mjk->mik", J, Mc)
 
-    return _rk4_doubling(field, s, t, (pts, M), rhs, tol, max_nsteps)
+    return _rk4_doubling(field, s, t, (pts, M), rhs, tol, max_nsteps,
+                         (1, 0) if _per_sample else None)
 
 
 def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
-                     points: np.ndarray, tol: float = 1e-11,
-                     max_nsteps: int = 1 << 18) -> np.ndarray:
-    """Trajectories z(t) of dz/dtau = H(z, tau) with z(s) = columns of points."""
+                     points: np.ndarray, tol: float = TRAJECTORY_TOL,
+                     max_nsteps: int = 1 << 18, *, _per_sample: bool = False) -> np.ndarray:
+    """Trajectories z(t) of dz/dtau = H(z, tau) with z(s) = columns of points.
+
+    _per_sample gives each column its own step control and batch-invariant
+    kernels (see _rk4_doubling).
+    """
     s, t = float(s), float(t)
     if t < s:
         raise ValueError("reversed time interval")
@@ -459,7 +523,8 @@ def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
     if t == s or pts.shape[1] == 0:
         return pts[:, 0] if single else np.array(pts)
     (cur,) = _rk4_doubling(field, s, t, (pts,),
-                           lambda tau, x: (field.values(tau, x[0]),), tol, max_nsteps)
+                           lambda tau, x: (field.values(tau, x[0], _per_sample),),
+                           tol, max_nsteps, (1,) if _per_sample else None)
     return cur[:, 0] if single else cur
 
 
@@ -499,8 +564,10 @@ class ContinuousEvolution:
             cache[key] = integrate_jet(self.field, s, t, self.order, self.tol)
         return cache[key]
 
-    def point(self, s: float, t: float, points: np.ndarray) -> np.ndarray:
-        return integrate_points(self.field, s, t, points, tol=min(self.tol, 1e-11))
+    def point(self, s: float, t: float, points: np.ndarray, *,
+              _per_sample: bool = False) -> np.ndarray:
+        return integrate_points(self.field, s, t, points, tol=min(self.tol, TRAJECTORY_TOL),
+                                _per_sample=_per_sample)
 
 
 # --------------------------------------------------------------------- #
@@ -779,41 +846,78 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
 # --------------------------------------------------------------------- #
 # residuals and checks
 
+def _difference_stencil(nodes: Sequence[float], t: float, h: float,
+                        horizon: float) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """Times, weights and step k of the quotient sum_i w_i f_{s_i} / (2k) for d/dt f_t.
+
+    f_t is smooth in t on each closed piece between consecutive coefficient
+    nodes and only continuous across a node, so every time s_i stays in the
+    piece [lo, hi] holding t; a node at t opens the piece on its right,
+    since piecewise schedules take the right-hand value there.  The central
+    pair t -+ h is used whenever it fits.  Otherwise the quotient is the
+    second-order one-sided one into the wider side of the piece, with its
+    step capped at half that side.
+    """
+    lo = max([0.0] + [b for b in nodes if b <= t])
+    hi = min([float(horizon)] + [b for b in nodes if b > t])
+    if lo <= t - h and t + h <= hi:
+        return (t + h, t - h), (1.0, -1.0), h
+    if hi - t >= t - lo:
+        k = min(h, 0.5 * (hi - t))
+        return (t, t + k, t + 2.0 * k), (-3.0, 4.0, -1.0), k
+    k = min(h, 0.5 * (t - lo))
+    return (t - 2.0 * k, t - k, t), (1.0, -4.0, 3.0), k
+
+
 def pde_residual(chain: LoewnerChain, samples: Sequence[tuple[float, np.ndarray]],
                  h: float = 1e-3, field: HerglotzFieldSpec | None = None) -> float:
     """Largest |d/dt f_t(z) + Df_t(z) H(z, t)| over the (t, z) samples.
 
-    The time derivative is a central difference with the two evaluations
-    anchored at the same integer time a = ceil(t + h), so the quotient
-    differentiates a single smooth map and converges at second order in h.
+    The time derivative is a difference quotient of f_s = f_a o phi_{s,a}
+    with every evaluation anchored at the same integer time a (the ceiling
+    of the latest quotient time), so it differentiates a single smooth map.
+    It is the central difference t -+ h, second order in h, unless a node
+    of the chain field's coefficient schedules lies strictly inside
+    (t - h, t + h); then it is a second-order one-sided quotient that stays
+    on t's side of the node (_difference_stencil).  Samples sharing a time t
+    share their integrations: one point batch per quotient time and one
+    variational batch t -> a, each column under its own step control, so
+    each sample gets the floats it would get integrated alone.
     Requires t - h >= 0 and t + h <= horizon for every sample.
     """
     field = chain.field if field is None else field
     if h <= 0.0:
         raise ValueError("h must be positive")
-    worst = 0.0
-    for t, z in samples:
+    columns = []
+    groups: dict[float, list[int]] = {}
+    for i, (t, z) in enumerate(samples):
         t = float(t)
-        z = np.asarray(z, dtype=complex).reshape(-1)
         if t - h < 0.0 or t + h > chain.horizon:
             raise ValueError(f"sample time {t} +- {h} leaves the window [0, {chain.horizon}]")
-        a = chain.anchor(t + h)
-        col = z[:, None]
-        wp = chain.evolution.point(t + h, a, col)
-        wm = chain.evolution.point(t - h, a, col)
-        # both evaluations go through the same anchor polynomial, so the
-        # quotient differentiates one smooth function of t
-        anchor_jet = chain.chain_jets[a]
-        fp = anchor_jet.evaluate_many(wp)
-        fm = anchor_jet.evaluate_many(wm)
-        dfdt = (fp[:, 0] - fm[:, 0]) / (2.0 * h)
+        columns.append(np.asarray(z, dtype=complex).reshape(-1))
+        groups.setdefault(t, []).append(i)
+    nodes = chain.field.breakpoints()
+    residuals = [0.0] * len(columns)
+    for t, members in groups.items():
+        times, weights, k = _difference_stencil(nodes, t, h, chain.horizon)
+        a = chain.anchor(max(times))
+        z = np.stack([columns[i] for i in members], axis=1)
+        pushed = [chain.evolution.point(s, a, z, _per_sample=True) for s in times]
         # Df_t(z) by the chain rule: exact polynomial Jacobian of the anchor
         # map at the pushed point times the variational factor of the flow
-        w0, Dw0 = integrate_variational(field, t, a, col)
-        Df = jacobian_points(anchor_jet, w0)[0] @ Dw0[0]
-        Hz = field.values(t, col)[:, 0]
-        res = dfdt + Df @ Hz
-        worst = max(worst, float(np.sqrt((res * res.conj()).real.sum())))
+        w0, Dw0 = integrate_variational(field, t, a, z, _per_sample=True)
+        anchor_jet = chain.chain_jets[a]
+        for c, i in enumerate(members):
+            terms = [w * anchor_jet.evaluate_many(p[:, [c]])[:, 0]
+                     for w, p in zip(weights, pushed)]
+            dfdt = sum(terms[1:], terms[0]) / (2.0 * k)
+            Df = jacobian_points(anchor_jet, w0[:, [c]])[0] @ Dw0[c]
+            Hz = field.values(t, columns[i][:, None])[:, 0]
+            res = dfdt + Df @ Hz
+            residuals[i] = float(np.sqrt((res * res.conj()).real.sum()))
+    worst = 0.0
+    for r in residuals:
+        worst = max(worst, r)
     return worst
 
 

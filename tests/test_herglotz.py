@@ -29,7 +29,8 @@ from loewner import (
     verify_subordination_chain,
 )
 from loewner import herglotz
-from loewner.herglotz import _rk4, _segments
+from loewner.herglotz import _difference_stencil, _rk4, _segments
+from loewner.normal_form import jacobian_points
 from loewner.sampling import complex_ball_points
 
 from conftest import counterexample_field, demo_field
@@ -205,6 +206,77 @@ def test_rk4_stepper_matches_point_loop_across_breakpoint():
         assert np.array_equal(got, _rk4_points_reference(f, 0.25, 1.75, z, nsteps))
 
 
+def _doubling_reference(field, s, t, state, rhs, tol=1e-11):
+    """The joint step-doubling controller before per-sample acceptance."""
+    nsteps = herglotz._initial_steps(s, t)
+    prev = _rk4(field, s, t, state, rhs, nsteps)
+    while True:
+        nsteps *= 2
+        cur = _rk4(field, s, t, state, rhs, nsteps)
+        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
+        scale = max(1.0, *(float(np.abs(c).max()) for c in cur))
+        if err <= tol * scale:
+            return cur
+        prev = cur
+
+
+def _spread_points(q, radius, count=6):
+    """Ball points rescaled to radii spread over two decades, so the
+    trajectories reach the tolerance at different doubling levels."""
+    z = complex_ball_points(q, 1.0, count)
+    z = z / np.sqrt((np.abs(z) ** 2).sum(axis=0))
+    return z * (radius * np.geomspace(0.01, 1.0, count))
+
+
+def _piecewise_field(q=2, kind="piecewise", nodes=(0.0, 0.7, 1.8)):
+    # the off-diagonal coupling makes Lambda @ z round like a dense product
+    Lam = (np.diag([-0.6, -1.0, -0.75 + 0.2j]) + np.diag([0.2j, 0.15], 1))[:q, :q]
+
+    def coeff(c):
+        if kind == "constant":
+            return TimeCoefficient.constant(c)
+        return TimeCoefficient("piecewise", nodes, (c, -0.5 * c, 1j * c)[:len(nodes)])
+
+    terms = [(j, tuple(2 if i == (j + 1) % q else 0 for i in range(q)), coeff(0.3 - 0.1j * j))
+             for j in range(q)]
+    if q > 1:
+        terms.append((q - 1, tuple(1 if i < 2 else 0 for i in range(q)), coeff(0.2 + 0.1j)))
+    return HerglotzFieldSpec(Lam, 3, tuple(terms), horizon=2.0)
+
+
+def test_joint_integration_matches_reference_controller():
+    f = _piecewise_field(3)
+    z = _spread_points(3, 0.3, 4)
+    got = integrate_points(f, 0.6, 1.2, z)
+    (ref,) = _doubling_reference(f, 0.6, 1.2, (z,), lambda tau, x: (f.values(tau, x[0]),))
+    assert np.array_equal(got, ref)
+    w, Dw = integrate_variational(f, 0.6, 1.2, z)
+
+    def var_rhs(tau, x):
+        return (f.values(tau, x[0]),
+                np.einsum("mij,mjk->mik", f.jacobians(tau, x[0]), x[1]))
+
+    eye = np.tile(np.eye(3, dtype=complex), (z.shape[1], 1, 1))
+    ref_w, ref_Dw = _doubling_reference(f, 0.6, 1.2, (z, eye), var_rhs)
+    assert np.array_equal(w, ref_w) and np.array_equal(Dw, ref_Dw)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_per_sample_integration_matches_columns_alone(q):
+    f = _piecewise_field(q)
+    z = _spread_points(q, 0.3, 4)
+    got = integrate_points(f, 0.6, 1.2, z, _per_sample=True)
+    w, Dw = integrate_variational(f, 0.6, 1.2, z, _per_sample=True)
+    for i in range(z.shape[1]):
+        col = z[:, [i]]
+        assert np.array_equal(got[:, [i]], integrate_points(f, 0.6, 1.2, col))
+        w1, Dw1 = integrate_variational(f, 0.6, 1.2, col)
+        assert np.array_equal(w[:, [i]], w1) and np.array_equal(Dw[[i]], Dw1)
+    # the columns reach the tolerance at different levels, so joint
+    # acceptance would hand some of them other floats
+    assert not np.array_equal(got, integrate_points(f, 0.6, 1.2, z))
+
+
 # ---------------------------------------------------------------------- #
 # transition jets owned by one evolution
 
@@ -359,6 +431,73 @@ def test_pde_residual_window_checks(demo_chain):
         pde_residual(demo_chain, [(0.0, z)], h=1e-3)
     with pytest.raises(ValueError, match="positive"):
         pde_residual(demo_chain, [(0.5, z)], h=0.0)
+
+
+def _pde_residual_reference(chain, samples, h):
+    """The one-sample-at-a-time loop the batched pde_residual replaced."""
+    worst = 0.0
+    for t, z in samples:
+        col = np.asarray(z, dtype=complex).reshape(-1)[:, None]
+        a = chain.anchor(t + h)
+        wp = chain.evolution.point(t + h, a, col)
+        wm = chain.evolution.point(t - h, a, col)
+        anchor_jet = chain.chain_jets[a]
+        fp = anchor_jet.evaluate_many(wp)
+        fm = anchor_jet.evaluate_many(wm)
+        dfdt = (fp[:, 0] - fm[:, 0]) / (2.0 * h)
+        w0, Dw0 = integrate_variational(chain.field, t, a, col)
+        Df = jacobian_points(anchor_jet, w0)[0] @ Dw0[0]
+        res = dfdt + Df @ chain.field.values(t, col)[:, 0]
+        worst = max(worst, float(np.sqrt((res * res.conj()).real.sum())))
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_batched_pde_residual_matches_per_sample_loop(q, kind):
+    chain = build_chain(_piecewise_field(q, kind))
+    z = _spread_points(q, 0.4 * chain.radius, 3)
+    samples = [(t, z[:, i]) for t in (0.5, 1.5) for i in range(z.shape[1])]
+    samples.append((1.7, z[:, 2]))  # a time of its own
+    assert pde_residual(chain, samples, h=1e-3) == _pde_residual_reference(chain, samples, 1e-3)
+
+
+def test_pde_residual_integrates_each_time_once(demo_chain, monkeypatch):
+    calls = []
+    for name in ("integrate_points", "integrate_variational"):
+        def counted(*args, _name=name, _orig=getattr(herglotz, name), **kwargs):
+            calls.append((_name, kwargs.get("_per_sample")))
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(herglotz, name, counted)
+    z = complex_ball_points(2, 0.4 * demo_chain.radius, 6)
+    samples = [(t, z[:, i]) for t in (0.5, 1.5, 2.5) for i in range(6)]
+    pde_residual(demo_chain, samples, h=1e-3)
+    assert sorted(calls) == [("integrate_points", True)] * 6 + [("integrate_variational", True)] * 3
+
+
+def test_difference_stencil_stays_inside_the_smooth_piece():
+    central = _difference_stencil((0.0, 1.0, 2.5), 1.5, 1e-3, 3.0)
+    assert central == ((1.501, 1.499), (1.0, -1.0), 1e-3)
+    # a node at t or just below it: forward; just above it: backward
+    for nodes, t in (((1.5,), 1.5), ((1.4998,), 1.5)):
+        times, weights, k = _difference_stencil(nodes, t, 1e-3, 3.0)
+        assert times == (t, t + k, t + 2 * k) and weights == (-3.0, 4.0, -1.0)
+        assert k == 1e-3
+    times, weights, k = _difference_stencil((1.5002,), 1.5, 1e-3, 3.0)
+    assert times == (1.5 - 2 * k, 1.5 - k, 1.5) and weights == (1.0, -4.0, 3.0)
+    # a piece shorter than the stencil shrinks the step to half its wider side
+    times, _, k = _difference_stencil((1.4998, 1.5008), 1.5, 1e-3, 3.0)
+    assert times[0] == 1.5 and k == pytest.approx(4e-4) and times[-1] <= 1.5008
+
+
+@pytest.mark.parametrize("delta", [0.0, 2e-4, -2e-4])
+def test_pde_residual_with_a_node_near_the_sample_time(delta):
+    chain = build_chain(_piecewise_field(2, nodes=(0.0, 1.5 + delta)))
+    z = complex_ball_points(2, 0.4 * chain.radius, 3)
+    samples = [(1.5, z[:, i]) for i in range(3)]
+    assert pde_residual(chain, samples, h=1e-3) <= 1e-6
+    # the central difference across the jump of H reports the jump instead
+    assert _pde_residual_reference(chain, samples, 1e-3) > 1e-5
 
 
 # ---------------------------------------------------------------------- #
