@@ -618,6 +618,11 @@ def discretize(field: HerglotzFieldSpec, horizon: int | None = None,
 # --------------------------------------------------------------------- #
 # the chain
 
+# a chain time up to this far above an integer n is read as n itself, so
+# roundoff above a grid point never asks for a backwards flow
+ANCHOR_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class LoewnerChain:
     """Chain f_t with f_s = f_t o phi_{s,t} and linear part exp(-Lambda t).
@@ -667,14 +672,16 @@ class LoewnerChain:
         return self.chain_jets[0].order
 
     def anchor(self, t: float) -> int:
-        if not 0.0 <= t <= self.horizon + 1e-12:
+        """Integer time a = ceil(t) at which f_t is evaluated; t <= a, or t
+        lies within ANCHOR_SLACK above a and is read as a itself."""
+        if not 0.0 <= t <= self.horizon + ANCHOR_SLACK:
             raise ValueError(f"time {t} outside the chain window [0, {self.horizon}]")
-        return min(self.horizon, max(0, int(math.ceil(t - 1e-12))))
+        return min(self.horizon, max(0, int(math.ceil(t - ANCHOR_SLACK))))
 
     def jet(self, t: float) -> PolyJet:
         a = self.anchor(t)
         base = self.chain_jets[a]
-        if t == a:
+        if t >= a:
             return base
         return compose(base, self.evolution.jet(t, a), base.order)
 
@@ -695,7 +702,7 @@ class LoewnerChain:
                 f"point norm {norms.max():.6g} outside the validity radius "
                 f"{self.radius:.6g}")
         a = self.anchor(t)
-        w = pts if t == a else self.evolution.point(t, a, pts)
+        w = pts if t >= a else self.evolution.point(t, a, pts)
         out = self._at_anchor(a, w)
         return out[:, 0] if single else out
 
@@ -902,10 +909,12 @@ def pde_residual(chain: LoewnerChain, samples: Sequence[tuple[float, np.ndarray]
         times, weights, k = _difference_stencil(nodes, t, h, chain.horizon)
         a = chain.anchor(max(times))
         z = np.stack([columns[i] for i in members], axis=1)
-        pushed = [chain.evolution.point(s, a, z, _per_sample=True) for s in times]
+        # a quotient time within the anchor slack above a starts at a itself
+        pushed = [chain.evolution.point(min(s, a), a, z, _per_sample=True)
+                  for s in times]
         # Df_t(z) by the chain rule: exact polynomial Jacobian of the anchor
         # map at the pushed point times the variational factor of the flow
-        w0, Dw0 = integrate_variational(field, t, a, z, _per_sample=True)
+        w0, Dw0 = integrate_variational(field, min(t, a), a, z, _per_sample=True)
         anchor_jet = chain.chain_jets[a]
         for c, i in enumerate(members):
             terms = [w * anchor_jet.evaluate_many(p[:, [c]])[:, 0]

@@ -249,7 +249,7 @@ class PolyJet:
         return float(np.max(np.abs(self.coeffs)))
 
     @cached_property
-    def triangular_plan(self) -> tuple[int, tuple, tuple]:
+    def triangular_plan(self) -> tuple[int, tuple, tuple, np.ndarray, bool]:
         """Forward-substitution plan of evaluate_triangular_inverse_many."""
         return _triangular_plan(self)
 
@@ -584,17 +584,18 @@ def is_triangular(f: PolyJet, tol: float = 0.0) -> bool:
     return not triangular_violations(f, tol)
 
 
-def _triangular_plan(f: PolyJet) -> tuple[int, tuple, tuple]:
+def _triangular_plan(f: PolyJet) -> tuple[int, tuple, tuple, np.ndarray, bool]:
     """Forward-substitution plan of a triangular jet, built once per jet.
 
-    Returns (slots, terms, fills), where slots counts the monomial values
-    kept and slot 0 holds the constant monomial.  terms[j] lists (slot,
-    coefficient) for the monomials component j reads, in ascending rank,
-    without its diagonal z_j and without monomials in a variable not yet
-    solved (those read zero).  fills[j] lists (slot, parent slot, variable)
-    for the monomials to compute once z_j is known: the parent closure of
-    every term, grouped by its highest variable, in ascending rank so
-    parents come first.
+    Returns (slots, terms, fills, lam, singular), where slots counts the
+    monomial values kept and slot 0 holds the constant monomial.  terms[j]
+    lists (slot, coefficient) for the monomials component j reads, in
+    ascending rank, without its diagonal z_j and without monomials in a
+    variable not yet solved (those read zero).  fills[j] lists (slot, parent
+    slot, variable) for the monomials to compute once z_j is known: the
+    parent closure of every term, grouped by its highest variable, in
+    ascending rank so parents come first.  lam is the diagonal of the linear
+    part, and singular says whether any of its entries vanishes.
     """
     t = f.tables
     q = f.q
@@ -615,7 +616,8 @@ def _triangular_plan(f: PolyJet) -> tuple[int, tuple, tuple]:
         tuple((slot[int(r)], slot[int(t.parent_rank[r])], int(t.parent_var[r]))
               for r in ranks[1:] if top[r] == j)
         for j in range(q))
-    return ranks.size, terms, fills
+    lam = np.diagonal(f.coeffs[:, 1:1 + q]).copy()
+    return ranks.size, terms, fills, lam, bool(np.any(np.abs(lam) == 0))
 
 
 def evaluate_triangular_inverse_many(f: PolyJet, w: np.ndarray) -> np.ndarray:
@@ -629,10 +631,9 @@ def evaluate_triangular_inverse_many(f: PolyJet, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != f.q:
         raise ValueError(f"w must have shape ({f.q}, m)")
-    lam = np.diagonal(f.linear_matrix)
-    if np.any(np.abs(lam) == 0):
+    slots, terms, fills, lam, singular = f.triangular_plan
+    if singular:
         raise ValueError("triangular jet with vanishing diagonal is not invertible")
-    slots, terms, fills = f.triangular_plan
     m = w.shape[1]
     z = np.zeros((f.q, m), dtype=complex)
     vals = np.empty((slots, m), dtype=complex)

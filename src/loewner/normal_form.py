@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
-import scipy.optimize
 
 from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_difference
 from .jets import (HomogeneousMap, PolyJet, compose, evaluate_triangular_inverse_many,
@@ -260,6 +259,25 @@ class TriangularFamily:
         for j in range(m - 1, n - 1, -1):
             w = evaluate_triangular_inverse_many(self.steps[j], w)
         return w[:, 0] if single else w
+
+    def inverse_from_origin(self, depths: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """T_{0,n}^{-1} applied to every column of points (q, count), with n
+        = depths[c] for column c.
+
+        One pass runs the columns sorted by depth, deepest first: step j's
+        inverse acts on the prefix of columns deeper than j.  Each column
+        meets the same elementwise operations as inverse_evaluate(0, n, .).
+        """
+        depths = np.asarray(depths)
+        order = np.argsort(-depths, kind="stable")
+        w = np.asarray(points, dtype=complex)[:, order]
+        deep = depths[order]
+        for j in range(int(deep.max(initial=0)) - 1, -1, -1):
+            k = int(np.count_nonzero(deep > j))
+            w[:, :k] = evaluate_triangular_inverse_many(self.steps[j], w[:, :k])
+        out = np.empty_like(w)
+        out[:, order] = w
+        return out
 
 
 def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
@@ -882,28 +900,132 @@ class RangeGrowthReport:
                 and self.achieved_step <= self.step_bound)
 
 
-def _sphere_min(point_fn, q: int, radius: float, samples: int, polish: bool) -> float:
-    pts = complex_sphere_points(q, radius, samples)
-    vals = np.linalg.norm(point_fn(pts), axis=0)
-    best = float(vals.min())
-    if not polish:
-        return best
-    for idx in np.argsort(vals)[:2]:
-        x0 = np.concatenate([pts[:, idx].real, pts[:, idx].imag])
+# Nelder-Mead polish of a sampled sphere minimum: scipy.optimize's method
+# with adaptive parameters off and no bounds, capped by iterations only
+_POLISH_MAXITER = 120
+_POLISH_XATOL = 1e-10            # simplex spread in the real coordinates
+_POLISH_FATOL = 1e-14            # spread of the simplex values
+# scipy's reflection, expansion, contraction and shrink coefficients, and
+# its initial simplex steps (relative, or absolute at a zero coordinate)
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# relative drop between consecutive in-radii still read as nondecreasing
+_MONOTONE_INRADIUS_SLACK = 1e-6
+# relative excess of the inner radius over the certified image radius s
+_CERTIFIED_RADIUS_SLACK = 1e-9
 
-        def objective(x):
-            zc = x[:q] + 1j * x[q:]
-            nz = np.linalg.norm(zc)
-            if nz == 0.0:
-                return float("inf")
-            z = radius * zc / nz
-            return float(np.linalg.norm(point_fn(z[:, None])[:, 0]))
 
-        res = scipy.optimize.minimize(objective, x0, method="Nelder-Mead",
-                                      options={"maxiter": 120, "fatol": 1e-14,
-                                               "xatol": 1e-10})
-        best = min(best, float(res.fun))
-    return best
+def _nelder_mead(x0: np.ndarray):
+    """scipy.optimize's Nelder-Mead loop as a generator.
+
+    It yields each array of points (k, N) it needs, receives their k
+    values, and returns the least value found.  The arithmetic, the sorts
+    and the stopping rules are scipy's own for the polish options, so a
+    caller that evaluates the points exactly as a scalar objective would
+    gets scipy's result bit for bit.
+    """
+    N = x0.size
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + _NM_NONZDELT) * y[k]
+        else:
+            y[k] = _NM_ZDELT
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    fsim[:] = yield sim
+    # scipy sorts twice here; argsort is not stable, so ties may move again
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    rho, chi, psi, sigma = _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA
+    iterations = 1
+    while iterations < _POLISH_MAXITER:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _POLISH_XATOL and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= _POLISH_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr, = yield xr[None]
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe, = yield xe[None]
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            doshrink = False
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc, = yield xc[None]
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc, = yield xcc[None]
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                # sim[0] stays put, so the N new vertices go out as one batch
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[1:] = yield sim[1:]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return np.min(fsim)
+
+
+def _sphere_values(triangular: TriangularFamily, radius: float, depths: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """|T_{0,n}^{-1}(radius z / |z|)| for z = x[:q] + i x[q:] per row of x,
+    with n = depths[row]; inf where z = 0.  Every norm is the scalar
+    objective's own call, one column at a time."""
+    q = triangular.q
+    zc = x[:, :q] + 1j * x[:, q:]
+    nz = np.array([np.linalg.norm(row) for row in zc])
+    out = np.full(len(x), np.inf)
+    live = np.flatnonzero(nz != 0.0)
+    z = radius * zc[live] / nz[live, None]
+    w = triangular.inverse_from_origin(depths[live], z.T)
+    out[live] = [np.linalg.norm(w[:, c]) for c in range(live.size)]
+    return out
+
+
+def _polish(triangular: TriangularFamily, radius: float,
+            starts: Sequence[tuple[int, np.ndarray]]) -> list[float]:
+    """Nelder-Mead minima of |T_{0,n}^{-1}| over the radius sphere, one per
+    (n, start point) pair, all run in lockstep: each round evaluates the
+    pending points of every live polish in one batch."""
+    runs = [_nelder_mead(np.concatenate([z.real, z.imag])) for _, z in starts]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    found = [0.0] * len(runs)
+    while pending:
+        live = list(pending)
+        sizes = [len(pending[i]) for i in live]
+        x = np.concatenate([pending[i] for i in live])
+        depths = np.repeat([starts[i][0] for i in live], sizes)
+        values = _sphere_values(triangular, radius, depths, x)
+        at = 0
+        for i, k in zip(live, sizes):
+            try:
+                pending[i] = runs[i].send(values[at:at + k])
+            except StopIteration as done:
+                found[i] = float(done.value)
+                del pending[i]
+            at += k
+    return found
 
 
 def range_growth_check(result: ConjugacyResult, s: float | None = None,
@@ -916,27 +1038,48 @@ def range_growth_check(result: ConjugacyResult, s: float | None = None,
     the sequence must not decrease, and the slowest eigendirection expands
     by at least 1/|lambda_1| per step; the factor should be reached within
     3 log(factor) / |log lambda_1| steps.
+
+    The sphere samples of every n go through one batched pass; each n's
+    two best samples are then polished by Nelder-Mead.  Polishing only
+    lowers a minimum, so no n before the first whose sampled minimum
+    reaches factor * s can be the achieved step: the n up to that one are
+    polished as one batch, and a further batch runs only if it falls short.
     """
     cs = result.constants
     s = cs.s if s is None else s
     if s <= 0.0:
         raise ValueError("inner radius must be positive")
-    if s > cs.s * (1.0 + 1e-9):
+    if s > cs.s * (1.0 + _CERTIFIED_RADIUS_SLACK):
         raise ValueError(f"inner radius {s:.4g} exceeds the certified image "
                          f"radius {cs.s:.4g}")
     lam_max = float(np.max(np.abs(np.diagonal(result.family.linear_part))))
     bound = math.ceil(3.0 * math.log(factor) / abs(math.log(lam_max)))
     last = min(bound if n_max is None else n_max, result.work_horizon)
-    inradii = []
-    achieved = None
-    for n in range(last + 1):
-        rn = _sphere_min(lambda p: result.triangular.inverse_evaluate(0, n, p),
-                         result.q, s, samples, polish)
-        inradii.append(rn)
-        if achieved is None and rn >= factor * s:
-            achieved = n
+    target = factor * s
+    pts = complex_sphere_points(result.q, s, samples)
+    # columns past the achieved step are evaluated too; far past factor * s
+    # they may overflow, which is no error here
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = result.triangular.inverse_from_origin(
+            np.repeat(np.arange(last + 1), samples), np.tile(pts, last + 1))
+    vals = [np.linalg.norm(w[:, n * samples:(n + 1) * samples], axis=0)
+            for n in range(last + 1)]
+    inradii = [float(v.min()) for v in vals]
+    start = 0
+    while polish and start <= last:
+        stop = next((n for n in range(start, last + 1) if inradii[n] >= target), last)
+        batch = [(n, pts[:, i]) for n in range(start, stop + 1)
+                 for i in np.argsort(vals[n])[:2]]
+        for (n, _), fun in zip(batch, _polish(result.triangular, s, batch)):
+            inradii[n] = min(inradii[n], fun)
+        if inradii[stop] >= target:
             break
-    nondecreasing = all(b >= a * (1.0 - 1e-6) for a, b in zip(inradii, inradii[1:]))
+        start = stop + 1
+    achieved = next((n for n in range(last + 1) if inradii[n] >= target), None)
+    if achieved is not None:
+        del inradii[achieved + 1:]
+    nondecreasing = all(b >= a * (1.0 - _MONOTONE_INRADIUS_SLACK)
+                        for a, b in zip(inradii, inradii[1:]))
     return RangeGrowthReport(s, factor, inradii[0], bound, tuple(inradii),
                              achieved, nondecreasing)
 

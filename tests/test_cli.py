@@ -1,11 +1,16 @@
 """End-to-end command line behavior, driven in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loewner
 from loewner.cli import main
 from loewner.herglotz import matrix_to_json
 from loewner.jets import PolyJet
@@ -167,3 +172,14 @@ def test_verify_flags_corrupted_coefficient(tmp_path, chain_doc, capsys):
 def test_verify_rejects_non_chain_documents(tmp_path):
     inp = _write(tmp_path / "field.json", demo_field().to_json_dict())
     assert main(["verify", "--input", inp]) == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s and 15 MB per process; the package
+    # needs none of it (the tests use it as a reference only)
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import loewner.cli, sys; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

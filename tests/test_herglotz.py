@@ -433,6 +433,20 @@ def test_pde_residual_window_checks(demo_chain):
         pde_residual(demo_chain, [(0.5, z)], h=0.0)
 
 
+def test_times_in_anchor_slack_read_as_the_anchor(demo_chain):
+    # a time within the slack above an integer reads as that integer, so no
+    # call flows backwards to its anchor ("reversed time interval")
+    z = complex_ball_points(2, 0.5 * demo_chain.radius, 3)
+    t = 1.0 + 1e-13
+    assert t - 1.0 <= herglotz.ANCHOR_SLACK and demo_chain.anchor(t) == 1
+    assert np.array_equal(demo_chain.evaluate(t, z), demo_chain.evaluate(1.0, z))
+    assert demo_chain.jet(t) is demo_chain.chain_jets[1]
+    # t + h rounds to 2.0000000000000004, inside the slack above anchor 2
+    t = math.nextafter(1.999, 2.0)
+    assert t + 1e-3 > 2.0
+    assert pde_residual(demo_chain, [(t, z[:, 0])], h=1e-3) <= 1e-6
+
+
 def _pde_residual_reference(chain, samples, h):
     """The one-sample-at-a-time loop the batched pde_residual replaced."""
     worst = 0.0

@@ -447,3 +447,13 @@ def test_triangular_inverse_matches_full_refill(q, order, m):
         assert np.array_equal(got, _triangular_inverse_reference(f, w))
         # the plan is cached on the jet; a second call reads it back
         assert np.array_equal(evaluate_triangular_inverse_many(f, w), got)
+
+
+def test_triangular_inverse_rejects_vanishing_diagonal_on_every_call():
+    f = _random_triangular(np.random.default_rng(3), 2, 3)
+    coeffs = np.array(f.coeffs)
+    coeffs[1, f.tables.indices.index((0, 1))] = 0.0
+    g = PolyJet(2, 3, coeffs)
+    for _ in range(2):  # the plan is cached, the refusal is not skipped
+        with pytest.raises(ValueError, match="vanishing diagonal"):
+            evaluate_triangular_inverse_many(g, np.ones((2, 3)))

@@ -1,16 +1,22 @@
 """Degree-by-degree normalization, its constants, and the discrete chains."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from loewner import (
     DiscreteEvolutionFamily,
+    HerglotzFieldSpec,
     PolyJet,
+    TimeCoefficient,
     TriangularFamily,
     build_normal_form,
     compose,
     defect,
     discrete_chain,
+    discretize,
     estimate_constants,
     extend_intertwining,
     invert,
@@ -19,7 +25,8 @@ from loewner import (
     spectral_split,
     univalence_check,
 )
-from loewner.sampling import complex_ball_points
+from loewner.normal_form import RangeGrowthReport, _nelder_mead
+from loewner.sampling import complex_ball_points, complex_sphere_points
 
 from conftest import koenigs_family, koenigs_oracle, random_optimal_family
 
@@ -327,6 +334,159 @@ def test_range_growth_componentwise_bound():
     for n, r_n in enumerate(rep.inradii):
         assert r_n >= s * 2.0 ** n * (1 - 1e-9)
     assert rep.achieved_step is not None and rep.achieved_step <= rep.step_bound
+
+
+# The sequential range-growth loop that the batched, lockstep one replaced:
+# one inverse_evaluate call and one scipy Nelder-Mead run per objective.
+
+def _sphere_min_reference(point_fn, q, radius, samples, polish):
+    pts = complex_sphere_points(q, radius, samples)
+    vals = np.linalg.norm(point_fn(pts), axis=0)
+    best = float(vals.min())
+    if not polish:
+        return best
+    for idx in np.argsort(vals)[:2]:
+        x0 = np.concatenate([pts[:, idx].real, pts[:, idx].imag])
+
+        def objective(x):
+            zc = x[:q] + 1j * x[q:]
+            nz = np.linalg.norm(zc)
+            if nz == 0.0:
+                return float("inf")
+            z = radius * zc / nz
+            return float(np.linalg.norm(point_fn(z[:, None])[:, 0]))
+
+        res = scipy.optimize.minimize(objective, x0, method="Nelder-Mead",
+                                      options={"maxiter": 120, "fatol": 1e-14,
+                                               "xatol": 1e-10})
+        best = min(best, float(res.fun))
+    return best
+
+
+def _range_growth_reference(result, s=None, n_max=None, *, factor=1000.0,
+                            samples=64, polish=True):
+    cs = result.constants
+    s = cs.s if s is None else s
+    lam_max = float(np.max(np.abs(np.diagonal(result.family.linear_part))))
+    bound = math.ceil(3.0 * math.log(factor) / abs(math.log(lam_max)))
+    last = min(bound if n_max is None else n_max, result.work_horizon)
+    inradii = []
+    achieved = None
+    for n in range(last + 1):
+        rn = _sphere_min_reference(
+            lambda p: result.triangular.inverse_evaluate(0, n, p),
+            result.q, s, samples, polish)
+        inradii.append(rn)
+        if achieved is None and rn >= factor * s:
+            achieved = n
+            break
+    nondecreasing = all(b >= a * (1.0 - 1e-6) for a, b in zip(inradii, inradii[1:]))
+    return RangeGrowthReport(s, factor, inradii[0], bound, tuple(inradii),
+                             achieved, nondecreasing)
+
+
+def _growth_field3():
+    Lam = np.diag([-0.6, -0.7 + 0.1j, -0.65]).astype(complex)
+    terms = ((0, (0, 1, 1), TimeCoefficient.constant(0.2)),
+             (1, (2, 0, 0), TimeCoefficient.constant(0.1 - 0.05j)),
+             (2, (1, 0, 1), TimeCoefficient.constant(0.15j)))
+    field = HerglotzFieldSpec(Lam, 3, terms, horizon=3.0)
+    return build_normal_form(discretize(field, 3, 3).family, horizon=3)
+
+
+@pytest.fixture(scope="module")
+def growth_cases():
+    """The two linear families above, criterion 8's three families and a
+    rebuilt q = 3 field, as verify rebuilds it."""
+    A = np.diag([0.5, 0.3]).astype(complex)
+    rng = np.random.default_rng(808)
+    return {
+        "scalar-dilation": build_normal_form(
+            _linear_family(np.diag([0.5, 0.5]).astype(complex)), extension=16),
+        "componentwise": build_normal_form(_linear_family(A), extension=16),
+        "koenigs": build_normal_form(koenigs_family(0.5, 0.1, horizon=2), extension=24),
+        "random-q2": build_normal_form(
+            random_optimal_family(rng, 2, 2, horizon=3, hi=0.7), extension=24),
+        "linear-q2": build_normal_form(
+            DiscreteEvolutionFamily(A, (PolyJet.from_linear(A, 3),) * 3), extension=24),
+        "field-q3": _growth_field3(),
+    }
+
+
+@pytest.mark.parametrize("name", ["scalar-dilation", "componentwise", "koenigs",
+                                  "random-q2", "linear-q2", "field-q3"])
+@pytest.mark.parametrize("samples", [8, 12, 64])
+def test_range_growth_matches_sequential_loop(growth_cases, name, samples):
+    res = growth_cases[name]
+    for polish in (True, False):
+        assert range_growth_check(res, samples=samples, polish=polish) == \
+            _range_growth_reference(res, samples=samples, polish=polish)
+
+
+def test_range_growth_short_window_polishes_every_step(growth_cases):
+    for name in ("random-q2", "field-q3"):
+        res = growth_cases[name]
+        rep = range_growth_check(res, n_max=5, samples=12)
+        assert rep.achieved_step is None and len(rep.inradii) == 6
+        assert rep == _range_growth_reference(res, n_max=5, samples=12)
+
+
+@pytest.mark.parametrize("samples", [1, 8])
+def test_range_growth_polish_pulls_first_sampled_step_back(growth_cases, samples):
+    # the first n whose sampled minimum reaches 1000 s is not the achieved
+    # step once polished, so a second polish batch has to run
+    res = growth_cases["componentwise"]
+    rough = range_growth_check(res, samples=samples, polish=False)
+    rep = range_growth_check(res, samples=samples)
+    assert rough.achieved_step < rep.achieved_step
+    assert rep == _range_growth_reference(res, samples=samples)
+
+
+def _drive(run, objective):
+    """Feed a _nelder_mead generator one scalar objective value per point;
+    return its result and the sizes of the batches it asked for."""
+    sizes = []
+    points = next(run)
+    while True:
+        sizes.append(len(points))
+        try:
+            points = run.send(np.array([objective(x) for x in points]))
+        except StopIteration as done:
+            return done.value, sizes
+
+
+def test_lockstep_nelder_mead_matches_scipy():
+    def bowl(x):
+        return float(np.sum((x - 0.3) ** 2) + 0.1 * abs(x[0] * x[-1]))
+
+    def kinked(x):
+        return float(np.max(np.abs(x - np.arange(x.size))))
+
+    options = {"maxiter": 120, "fatol": 1e-14, "xatol": 1e-10}
+    shrunk = False
+    starts = [np.array([0.0, 0.7, -0.2, 1.1]),     # zero coordinate: zdelt step
+              np.array([0.4, -1.3]), np.array([2.0, 0.5, 0.0]),
+              np.array([5.0, -3.0, 1.0, 0.25])]
+    for f in (bowl, kinked):
+        for x0 in starts:
+            fun, sizes = _drive(_nelder_mead(x0.copy()), f)
+            want = scipy.optimize.minimize(f, x0, method="Nelder-Mead", options=options)
+            assert fun == want.fun
+            shrunk |= x0.size > 1 and x0.size in sizes[1:]
+    assert shrunk
+
+
+def test_inverse_from_origin_matches_per_step_inverse(growth_cases):
+    rng = np.random.default_rng(5)
+    for name in ("random-q2", "field-q3"):
+        tri = growth_cases[name].triangular
+        q = tri.q
+        pts = complex_ball_points(q, 0.3, 40, start=7)
+        depths = rng.integers(0, 15, size=40)
+        got = tri.inverse_from_origin(depths, pts)
+        for c, n in enumerate(depths):
+            want = tri.inverse_evaluate(0, int(n), pts[:, [c]])[:, 0]
+            assert np.array_equal(got[:, c], want)
 
 
 def test_univalence_check_outcomes(koenigs10):
