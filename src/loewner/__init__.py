@@ -29,7 +29,6 @@ from .homological import (
 )
 from .normal_form import (
     ConjugacyResult,
-    DiscreteChain,
     DiscreteEvolutionFamily,
     NormalFormConstants,
     RangeGrowthReport,

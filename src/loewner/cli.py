@@ -42,6 +42,10 @@ from .sampling import complex_ball_points
 from .spectral import detect_resonances
 
 
+# default --tol of verify: the PDE residual bound and the attraction ball
+VERIFY_TOL = 1e-6
+
+
 class _Malformed(Exception):
     pass
 
@@ -90,7 +94,9 @@ def _family_from_doc(doc: dict) -> DiscreteEvolutionFamily:
         linear = matrix_from_json(doc["linear_part"])
         steps = tuple(PolyJet.from_json_dict(s) for s in doc["steps"])
         return DiscreteEvolutionFamily(linear, steps, tail=doc.get("tail", "constant"))
-    except (KeyError, TypeError, IndexError) as e:
+    except PreconditionError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as e:
         raise _Malformed(f"bad family description: {e}") from e
 
 
@@ -196,7 +202,7 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise _Malformed(f"bad chain document: {e}") from e
 
-    tol = 1e-6 if args.tol is None else args.tol
+    tol = VERIFY_TOL if args.tol is None else args.tol
     report = verify_subordination_chain(chain, samples=args.samples, start=args.seed)
     failures = list(report.failures)
     checks: dict[str, dict] = {

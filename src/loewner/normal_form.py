@@ -127,7 +127,6 @@ class DiscreteEvolutionFamily:
         A.setflags(write=False)
         object.__setattr__(self, "linear_part", A)
         object.__setattr__(self, "steps", tuple(snapped))
-        object.__setattr__(self, "_transitions", {})
 
     @property
     def q(self) -> int:
@@ -165,28 +164,21 @@ class DiscreteEvolutionFamily:
                                        tuple(conv(s) for s in self.steps), self.tail)
 
     def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
-        """Jet of phi_{n,m} = phi_{m-1} o ... o phi_n (cached)."""
+        """Jet of phi_{n,m} = phi_{m-1} o ... o phi_n."""
         if m < n:
             raise ValueError("transition needs n <= m")
         order = order or self.order
-        key = (n, m, order)
-        cache = self._transitions
-        if key not in cache:
-            out = PolyJet.identity(self.q, order)
-            for j in range(n, m):
-                out = compose(self.step(j), out, order)
-            cache[key] = out
-        return cache[key]
+        out = PolyJet.identity(self.q, order)
+        for j in range(n, m):
+            out = compose(self.step(j), out, order)
+        return out
 
     def evaluate_transition(self, n: int, m: int, points: np.ndarray) -> np.ndarray:
         """phi_{n,m} applied to points of shape (q, count)."""
         w = np.asarray(points, dtype=complex)
-        single = w.ndim == 1
-        if single:
-            w = w[:, None]
         for j in range(n, m):
             w = self.step(j).evaluate_many(w)
-        return w[:, 0] if single else w
+        return w
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,6 @@ class TriangularFamily:
         for n, s in enumerate(self.steps):
             if not is_triangular(s):
                 raise ValueError(f"step {n} is not triangular")
-        object.__setattr__(self, "_inverse_jets", {})
 
     @property
     def q(self) -> int:
@@ -224,24 +215,11 @@ class TriangularFamily:
                 out = max(out, sum(I))
         return out
 
-    @property
-    def coefficient_bound(self) -> float:
-        return max(s.max_coeff for s in self.steps)
-
     def __len__(self) -> int:
         return len(self.steps)
 
     def step(self, n: int) -> PolyJet:
         return self.steps[n]
-
-    def inverse_step_jet(self, n: int) -> PolyJet:
-        # keyed by value: resonance-free builds share one linear jet across
-        # the whole window, so the inversion runs once
-        cache = self._inverse_jets
-        key = _value_key(self.steps[n])
-        if key not in cache:
-            cache[key] = invert(self.steps[n])
-        return cache[key]
 
     def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
         out = PolyJet.identity(self.q, order or self.order)
@@ -280,6 +258,12 @@ class TriangularFamily:
         return out
 
 
+def _conjugacy_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
+                     T: Sequence[PolyJet], n: int, order: int) -> tuple[PolyJet, PolyJet]:
+    """k_{n+1} o phi_n and T_n o k_n through the given order."""
+    return compose(k[n + 1], family.step(n), order), compose(T[n], k[n], order)
+
+
 def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
            T: Sequence[PolyJet], n: int, degree: int) -> HomogeneousMap:
     """Degree-`degree` part of k_{n+1} o phi_n - T_n o k_n.
@@ -287,8 +271,7 @@ def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     The conjugacy identity must already hold below the requested degree;
     a violation there means the stages ran out of order.
     """
-    lhs = compose(k[n + 1], family.step(n), degree)
-    rhs = compose(T[n], k[n], degree)
+    lhs, rhs = _conjugacy_sides(family, k, T, n, degree)
     diff = lhs - rhs
     t = diff.tables
     cut = t.offsets[degree]
@@ -496,13 +479,15 @@ def estimate_constants(family: DiscreteEvolutionFamily,
     r = 0.5 if c2 == 0.0 else min(0.5, (alpha - norm_a) / c2)
 
     beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
-    seen: dict[tuple, float] = {}
-    for n in range(len(triangular)):
-        key = _value_key(triangular.step(n))
-        if key not in seen:
-            g = gradient_bound_matrix(triangular.inverse_step_jet(n), 0.5)
-            seen[key] = float(g.sum(axis=1).max())
-        beta = max(beta, seen[key])
+    # keyed by value: resonance-free builds share one linear jet across the
+    # whole window, so the inversion runs once
+    inverses: dict[tuple, PolyJet] = {}
+    for tn in triangular.steps:
+        key = _value_key(tn)
+        if key not in inverses:
+            inverses[key] = invert(tn)
+            g = gradient_bound_matrix(inverses[key], 0.5)
+            beta = max(beta, float(g.sum(axis=1).max()))
     ell = _smallest_ell(alpha, beta)
 
     if normalizers is not None:
@@ -523,7 +508,8 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         s = 0.5 * r
         worst = 0.0
         for n in range(len(family.steps)):
-            ti = _majorant_series(triangular.inverse_step_jet(min(n, len(triangular) - 1)))
+            last = triangular.step(min(n, len(triangular) - 1))
+            ti = _majorant_series(inverses[_value_key(last)])
             total = _poly_compose(ti, _majorant_series(family.step(n)))
             total[1] = max(0.0, total[1] - 1.0)  # one round trip against the identity
             worst = max(worst, float(npp.polyval(r, total)))
@@ -543,9 +529,7 @@ class ConjugacyResult:
     window n = 0 .. work_horizon; triangular.steps[n] is T_n, and the jet
     identity k_{n+1} o phi_n = T_n o k_n holds through work_order with sup
     coefficient error defect_sup.  The intertwining maps h_n share the jets
-    of k_n; pointwise values anchor the backward chain at m >= n, either a
-    fixed far anchor or adaptively until the Cauchy increment drops below a
-    tolerance at the certified rate.
+    of k_n; pointwise values anchor the backward chain at a fixed m >= n.
     """
 
     family: DiscreteEvolutionFamily
@@ -580,9 +564,8 @@ class ConjugacyResult:
 
     def defect_jet(self, n: int, order: int | None = None) -> PolyJet:
         """k_{n+1} o phi_n - T_n o k_n at the given order."""
-        order = order or self.work_order
-        lhs = compose(self.normalizers[n + 1], self.family.step(n), order)
-        rhs = compose(self.triangular.step(n), self.normalizers[n], order)
+        lhs, rhs = _conjugacy_sides(self.family, self.normalizers, self.triangular.steps,
+                                    n, order or self.work_order)
         return lhs - rhs
 
     def intertwining_jet(self, n: int) -> PolyJet:
@@ -590,82 +573,19 @@ class ConjugacyResult:
         return self.normalizers[n]
 
     def intertwining_point(self, n: int, points: np.ndarray,
-                           anchor: int | None = None,
-                           tol: float | None = None) -> np.ndarray:
-        """h_n at the given points: push with phi_{n,m}, apply k_m, pull
-        back with T_{n,m}^{-1}.
+                           anchor: int | None = None) -> np.ndarray:
+        """h_n at the columns of points (q, count): push with phi_{n,m},
+        apply k_m, pull back with T_{n,m}^{-1}, where the anchor m defaults
+        to the end of the working window."""
+        m = self.work_horizon if anchor is None else anchor
+        if not n <= m <= self.work_horizon:
+            raise ValueError("anchor must lie between n and the working horizon")
+        w = self.normalizers[m].evaluate_many(self.family.evaluate_transition(n, m, points))
+        return self.triangular.inverse_evaluate(n, m, w)
 
-        With `anchor` the backward chain starts at that fixed m (default:
-        the end of the working window).  With `tol` the anchor advances
-        until the Cauchy increment drops below tol; increments above twice
-        the certified bound raise, since they disprove the constants.
-        """
-        if tol is None:
-            m = self.work_horizon if anchor is None else anchor
-            if not n <= m <= self.work_horizon:
-                raise ValueError("anchor must lie between n and the working horizon")
-            w = self.family.evaluate_transition(n, m, points)
-            single = w.ndim == 1
-            if single:
-                w = w[:, None]
-            w = self.normalizers[m].evaluate_many(w)
-            w = self.triangular.inverse_evaluate(n, m, w)
-            return w[:, 0] if single else w
-        if anchor is not None:
-            raise ValueError("give either a fixed anchor or a tolerance, not both")
-        w = np.asarray(points, dtype=complex)
-        single = w.ndim == 1
-        if single:
-            w = w[:, None]
-        radii = np.linalg.norm(w, axis=0)
-        if radii.size and float(radii.max()) > self.constants.r * (1 + 1e-12):
-            raise ValueError("adaptive evaluation needs samples inside the "
-                             f"certified ball |z| <= {self.constants.r:.6g}")
-        orbit = w
-        prev = None
-        for m in range(n, self.work_horizon + 1):
-            vals = self.triangular.inverse_evaluate(
-                n, m, self.normalizers[m].evaluate_many(orbit))
-            if prev is not None:
-                inc = float(np.linalg.norm(vals - prev, axis=0).max(initial=0.0))
-                if inc <= tol:
-                    return vals[:, 0] if single else vals
-                bound = self.constants.increment_bound(m - 1 - n)
-                if inc > max(2.0 * bound, 1e-13):
-                    raise ValueError(
-                        f"Cauchy increment {inc:.3g} at anchor {m} exceeds twice "
-                        f"the certified bound {bound:.3g}; the constants are "
-                        "inconsistent with the data")
-            prev = vals
-            if m < self.work_horizon:
-                orbit = self.family.step(m).evaluate_many(orbit)
-        raise ValueError("tolerance not reached within the working window; "
-                         "rebuild with a longer horizon or extension")
-
-    def chain_point(self, n: int, points: np.ndarray,
-                    anchor: int | None = None,
-                    tol: float | None = None) -> np.ndarray:
-        """f_n = T_{0,n}^{-1} o h_n at the given points."""
-        w = self.intertwining_point(n, points, anchor, tol)
-        single = w.ndim == 1
-        if single:
-            w = w[:, None]
-        w = self.triangular.inverse_evaluate(0, n, w)
-        return w[:, 0] if single else w
-
-    def chain_jets(self, count: int | None = None) -> tuple[PolyJet, ...]:
-        """Jets of f_0 .. f_count from f_0 = k_0 and f_{n+1} = f_n o phi_n^{-1}.
-
-        Coefficients grow like the inverse transition, so long horizons
-        with small eigenvalues produce genuinely large numbers.
-        """
-        count = self.horizon if count is None else count
-        if count > self.work_horizon:
-            raise ValueError("count exceeds the working horizon")
-        out = [self.normalizers[0]]
-        for n in range(count):
-            out.append(compose(out[-1], invert(self.family.step(n))))
-        return tuple(out)
+    def chain_point(self, n: int, points: np.ndarray) -> np.ndarray:
+        """f_n = T_{0,n}^{-1} o h_n at the columns of points (q, count)."""
+        return self.triangular.inverse_evaluate(0, n, self.intertwining_point(n, points))
 
     def to_json_dict(self) -> dict:
         return {
@@ -755,9 +675,8 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
 
     defect_sup = 0.0
     for n in range(work_horizon):
-        d = compose(k[n + 1], fam_w.step(n), work_order) - \
-            compose(T[n], k[n], work_order)
-        defect_sup = max(defect_sup, d.max_coeff)
+        lhs, rhs = _conjugacy_sides(fam_w, k, T, n, work_order)
+        defect_sup = max(defect_sup, (lhs - rhs).max_coeff)
 
     result = ConjugacyResult(fam_w, triangular, k, order, work_order, horizon,
                              work_horizon, report, A_opt.cluster_sizes,
@@ -831,55 +750,21 @@ def extend_intertwining(result: ConjugacyResult, n: int, points: np.ndarray,
     return out[:, 0] if single else out
 
 
-@dataclass(frozen=True)
-class DiscreteChain:
-    """The expanding chain f_n = T_{0,n}^{-1} o h_n attached to a result.
+def discrete_chain(result: ConjugacyResult, count: int | None = None
+                   ) -> tuple[PolyJet, ...]:
+    """Jets of the chain f_0 .. f_count, from f_0 = k_0 and
+    f_{n+1} = f_n o phi_n^{-1}.
 
-    f_m o phi_{n,m} = f_n; the construction is checked on ball samples at
-    build time and the worst relative residual recorded.
+    Coefficients grow like the inverse transition, so long horizons with
+    small eigenvalues produce genuinely large numbers.
     """
-
-    result: ConjugacyResult
-    jets: tuple[PolyJet, ...]
-    sample_radius: float
-    identity_residual: float
-    identity_tol: float
-
-    @property
-    def identity_ok(self) -> bool:
-        return self.identity_residual <= self.identity_tol
-
-    def __len__(self) -> int:
-        return len(self.jets)
-
-    def jet(self, n: int) -> PolyJet:
-        return self.jets[n]
-
-    def evaluate(self, n: int, points: np.ndarray,
-                 anchor: int | None = None) -> np.ndarray:
-        return self.result.chain_point(n, points, anchor)
-
-
-def discrete_chain(result: ConjugacyResult, count: int | None = None, *,
-                   samples: int = 8, tol: float = 1e-9) -> DiscreteChain:
-    """Chain evaluator f_n with the identity f_m o phi_{n,m} = f_n checked
-    on Halton ball samples (worst relative error recorded)."""
     count = result.horizon if count is None else count
-    jets = result.chain_jets(count)
-    radius = 0.5 * result.constants.r
-    pts = complex_ball_points(result.q, radius, samples)
-    worst = 0.0
-    seen = set()
-    for n, m in ((0, count), (0, max(1, count // 2)), (count // 2, count)):
-        if n >= m or (n, m) in seen:
-            continue
-        seen.add((n, m))
-        pushed = result.family.evaluate_transition(n, m, pts)
-        lhs = result.chain_point(m, pushed)
-        rhs = result.chain_point(n, pts)
-        scale = 1.0 + np.linalg.norm(rhs, axis=0)
-        worst = max(worst, float((np.linalg.norm(lhs - rhs, axis=0) / scale).max()))
-    return DiscreteChain(result, jets, radius, worst, tol)
+    if count > result.work_horizon:
+        raise ValueError("count exceeds the working horizon")
+    out = [result.normalizers[0]]
+    for n in range(count):
+        out.append(compose(out[-1], invert(result.family.step(n))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

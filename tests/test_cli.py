@@ -111,6 +111,63 @@ def test_spectrum_near_unit_circle_exits_3(tmp_path, capsys, command):
     assert "precondition violated" in err and "degree cap 512" in err
 
 
+def _family_doc(**change):
+    A = np.diag([0.5, 0.3]).astype(complex)
+    step = PolyJet.from_linear(A, 2) + PolyJet.from_terms(2, 2, {(1, (2, 0)): 0.1})
+    doc = {"linear_part": matrix_to_json(A),
+           "steps": [step.to_json_dict() for _ in range(2)]}
+    doc.update(change)
+    return doc
+
+
+def _high_index_step():
+    step = _family_doc()["steps"][0]
+    step["terms"].append({"component": 1, "index": [3, 0], "re": 0.1, "im": 0.0})
+    return step
+
+
+@pytest.mark.parametrize("doc", [
+    _family_doc(steps=[_high_index_step()]),
+    _family_doc(steps=[PolyJet.identity(3, 2).to_json_dict()]),
+    _family_doc(tail="bogus"),
+    _family_doc(steps=[]),
+    _family_doc(steps=[_family_doc()["steps"][0], PolyJet.from_linear(
+        np.diag([0.6, 0.3]).astype(complex), 2).to_json_dict()]),
+], ids=["index-above-order", "q3-step", "bogus-tail", "no-steps", "drifting-linear-part"])
+def test_malformed_family_exits_2(tmp_path, capsys, doc):
+    inp = _write(tmp_path / "family.json", doc)
+    assert main(["normalform", "--input", inp]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+def _lower_order_jet(doc):
+    lower = PolyJet.from_json_dict(doc["jets"][2]).truncated(doc["order"] - 1)
+    return {"jets": doc["jets"][:2] + [lower.to_json_dict()] + doc["jets"][3:]}
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: {"certificate_step": 0},
+    lambda doc: {"certificate_step": -0.5},
+    lambda doc: {"radius": float("nan")},
+    lambda doc: {"radius": float("inf")},
+    lambda doc: {"radius": -1},
+    lambda doc: {"step_tol": -1},
+    lambda doc: {"horizon": 0, "jets": doc["jets"][:1]},
+    lambda doc: {"certificate": float("nan")},
+    lambda doc: {"basis_change": [[{"re": 1.0, "im": 0.0}]]},
+    lambda doc: {"jets": [PolyJet.identity(3, doc["order"]).to_json_dict()
+                          for _ in doc["jets"]]},
+    _lower_order_jet,
+], ids=["certificate-step-zero", "certificate-step-negative", "radius-nan",
+        "radius-inf", "radius-negative", "step-tol-negative", "horizon-zero",
+        "certificate-nan", "basis-change-1x1", "q3-jets", "lower-order-jet"])
+def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
+    inp = _write(tmp_path / "chain.json", {**chain_doc, **change(chain_doc)})
+    # main returns instead of raising: no traceback reaches the user
+    assert main(["verify", "--input", inp]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
 def test_empty_sample_budget_exits_3(tmp_path, chain_doc):
     inp = _write(tmp_path / "chain.json", chain_doc)
     assert main(["verify", "--input", inp, "--samples", "0"]) == 3

@@ -1,5 +1,6 @@
 """Degree-by-degree normalization, its constants, and the discrete chains."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,12 @@ from conftest import koenigs_family, koenigs_oracle, random_optimal_family
 def koenigs10():
     # order 10 keeps the jet truncation error at |z| = 0.1 near 1e-12
     return build_normal_form(koenigs_family(0.5, 0.1), order=10, extension=24)
+
+
+@pytest.fixture(scope="module")
+def seed12_q2():
+    fam = random_optimal_family(np.random.default_rng(12), 2, 3, horizon=3)
+    return build_normal_form(fam, extension=8)
 
 
 def _linear_family(A, order=3, horizon=3, tail="constant"):
@@ -237,10 +244,8 @@ def test_conjugacy_identity_through_work_order(koenigs10):
         assert koenigs10.defect_jet(n).max_coeff <= 1e-10 * scale
 
 
-def test_intertwining_identity_jets_and_points():
-    rng = np.random.default_rng(12)
-    fam = random_optimal_family(rng, 2, 3, horizon=3)
-    res = build_normal_form(fam, extension=8)
+def test_intertwining_identity_jets_and_points(seed12_q2):
+    res = seed12_q2
     W = res.work_order
     n, m = 1, 4
     lhs = compose(res.normalizers[m], res.family.transition(n, m, W), W)
@@ -295,17 +300,38 @@ def test_extension_reports_stuck_orbits(koenigs10):
         extend_intertwining(koenigs10, 0, np.array([[0.9]]), max_steps=1)
 
 
-def test_discrete_chain_identity(koenigs10):
-    chain = discrete_chain(koenigs10)
-    assert chain.identity_ok
-    assert chain.jets[0] == koenigs10.intertwining_jet(0)
+def _chain_gap(res, k0_shift=0.0):
+    """Largest gap between the chain jets f_n and the pointwise chain
+    T_{0,n}^{-1} o h_n on ball samples of radius r/2, with k_0's first
+    degree-2 coefficient shifted by k0_shift.
+
+    The jets start from k_0; the pointwise chain reads only the far anchor
+    k_W, so the two paths share no conjugator and a shifted k_0 shows.
+    """
+    k0 = res.normalizers[0]
+    coeffs = np.array(k0.coeffs)
+    coeffs[0, k0.tables.offsets[2]] += k0_shift
+    res = dataclasses.replace(
+        res, normalizers=(PolyJet(k0.q, k0.order, coeffs),) + res.normalizers[1:])
+    pts = complex_ball_points(res.q, 0.5 * res.constants.r, 8)
+    return max(float(np.abs(f.evaluate_many(pts) - res.chain_point(n, pts)).max())
+               for n, f in enumerate(discrete_chain(res)))
+
+
+def test_discrete_chain_identity(koenigs10, seed12_q2):
+    assert discrete_chain(koenigs10)[0] == koenigs10.intertwining_jet(0)
+    for res in (koenigs10, seed12_q2):
+        assert _chain_gap(res) <= 1e-9
+        # a corrupted k_0 fails the check, and its gap is linear in the shift
+        small, large = _chain_gap(res, 1e-6), _chain_gap(res, 1e-5)
+        assert small > 1e-8
+        assert large == pytest.approx(10.0 * small, rel=0.05)
 
 
 def test_discrete_chain_linear_family():
     A = np.diag([0.5, 0.3]).astype(complex)
     res = build_normal_form(_linear_family(A), extension=6)
-    chain = discrete_chain(res)
-    for n, jet in enumerate(chain.jets):
+    for n, jet in enumerate(discrete_chain(res)):
         want = PolyJet.from_linear(np.linalg.matrix_power(np.linalg.inv(A), n),
                                    res.work_order)
         assert (jet - want).max_coeff <= 1e-10 * want.max_coeff
