@@ -22,6 +22,7 @@ from .herglotz import (
     HerglotzFieldSpec,
     LoewnerChain,
     PreconditionError,
+    STEP_TOL,
     attraction_check,
     build_chain,
     complex_to_json,
@@ -110,7 +111,7 @@ def cmd_analyze(args) -> int:
     additive = detect_resonances(eigs, mode="additive", tau=args.tau)
 
     order = max(2, field.order if args.order is None else args.order)
-    disc = discretize(field, horizon=1, order=order, tol=args.tol or 1e-10)
+    disc = discretize(field, horizon=1, order=order, tol=args.tol or STEP_TOL)
     A = disc.family.linear_part
     trivial = TriangularFamily(A, (PolyJet.from_linear(A, order),))
     multiplicative = detect_resonances(np.diag(A), tau=args.tau)
@@ -142,7 +143,7 @@ def cmd_normalform(args) -> int:
         field = _field_from_doc(doc)
         T = int(math.ceil(field.horizon)) if args.horizon is None else args.horizon
         order = max(2, field.order if args.order is None else args.order)
-        family = discretize(field, T, order, tol=args.tol or 1e-10).family
+        family = discretize(field, T, order, tol=args.tol or STEP_TOL).family
     elif "steps" in doc:
         family = _family_from_doc(doc)
     else:
@@ -180,7 +181,7 @@ def cmd_chain(args) -> int:
     doc = _load(args.input)
     field = _field_from_doc(doc)
     chain = build_chain(field, horizon=args.horizon, order=args.order,
-                        tol=args.tol or 1e-10, tau=args.tau)
+                        tol=args.tol or STEP_TOL, tau=args.tau)
     _dump(chain.to_json_dict(), args.output)
     cert = "none (resonances present)" if chain.certificate is None \
         else f"{chain.certificate:.6g}"

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .homological import TAIL_CONSTANT
-from .jets import PolyJet, compose, invert
+from .jets import PolyJet, _compose_arrays, _tables, compose, invert
 from .normal_form import (
     ConjugacyResult,
     DiscreteEvolutionFamily,
@@ -218,6 +218,11 @@ class HerglotzFieldSpec:
         if not float(self.horizon) > 0.0:
             raise ValueError("horizon must be positive")
         object.__setattr__(self, "horizon", float(self.horizon))
+        # per term: component, nonzero (variable, exponent) pairs, schedule
+        object.__setattr__(self, "_layout", tuple(
+            (j, tuple((i, e) for i, e in enumerate(index) if e), coeff)
+            for j, index, coeff in cleaned))
+        object.__setattr__(self, "_stages", {})
 
     @property
     def q(self) -> int:
@@ -234,18 +239,17 @@ class HerglotzFieldSpec:
             pts.update(coeff.breakpoints())
         return tuple(sorted(pts))
 
+    def _stage(self, order: int) -> "_FieldStage":
+        """The field's coefficient block builder at jet order `order`, made once."""
+        stage = self._stages.get(order)
+        if stage is None:
+            stage = self._stages[order] = _FieldStage(self, order)
+        return stage
+
     def jet(self, t: float, order: int | None = None) -> PolyJet:
         """Jet of z -> H(z, t); terms above the requested order are dropped."""
         order = self.order if order is None else int(order)
-        jet = PolyJet.from_linear(self.Lambda, order)
-        sparse: dict[tuple[int, tuple[int, ...]], complex] = {}
-        for j, index, coeff in self.terms:
-            if sum(index) <= order:
-                key = (j, index)
-                sparse[key] = sparse.get(key, 0.0) + coeff(t)
-        if sparse:
-            jet = jet + PolyJet.from_terms(self.q, order, sparse)
-        return jet
+        return PolyJet(self.q, order, self._stage(order).block(t))
 
     def values(self, t: float, points: np.ndarray, _per_sample: bool = False) -> np.ndarray:
         """H(z, t) at the columns of points, exactly (no truncation).
@@ -260,11 +264,10 @@ class HerglotzFieldSpec:
             vals = np.matmul(self.Lambda, pts.T[:, :, None])[:, :, 0].T
         else:
             vals = self.Lambda @ pts
-        for j, index, coeff in self.terms:
+        for j, powers, coeff in self._layout:
             mono = np.ones(pts.shape[1], dtype=complex)
-            for i, e in enumerate(index):
-                if e:
-                    mono = mono * pts[i] ** e
+            for i, e in powers:
+                mono = mono * pts[i] ** e
             vals[j] += coeff(t) * mono
         return vals
 
@@ -273,13 +276,11 @@ class HerglotzFieldSpec:
         pts = np.asarray(points, dtype=complex)
         q, m = pts.shape
         jac = np.tile(np.asarray(self.Lambda), (m, 1, 1))
-        for j, index, coeff in self.terms:
+        for j, powers, coeff in self._layout:
             c = coeff(t)
-            for i, e in enumerate(index):
-                if not e:
-                    continue
+            for i, e in powers:
                 mono = np.full(m, e * c, dtype=complex)
-                for k, ek in enumerate(index):
+                for k, ek in powers:
                     p = ek - 1 if k == i else ek
                     if p:
                         mono = mono * pts[k] ** p
@@ -317,11 +318,62 @@ class HerglotzFieldSpec:
         )
 
 
+class _FieldStage:
+    """Coefficient block of z -> H(z, tau) at one jet order, for any tau.
+
+    The block is the linear part Lambda as a template plus one slot per
+    distinct (component, monomial) of the terms that fit the order.  A slot
+    holds 0.0 + c_1(tau) + c_2(tau) + ... over its terms in term order.
+    With a slot, the block is the sum of Lambda's block and the terms'
+    block, and that sum turns a -0.0 of Lambda into +0.0.  When every slot
+    is constant in time, the template is the whole block.
+    """
+
+    __slots__ = ("template", "flat", "schedules")
+
+    def __init__(self, field: HerglotzFieldSpec, order: int):
+        q = field.q
+        t = _tables(q, order)
+        lin = np.zeros((q, t.count), dtype=complex)
+        lin[:, 1:1 + q] = field.Lambda
+        slots: dict[tuple[int, int], list[TimeCoefficient]] = {}
+        for j, index, coeff in field.terms:
+            if sum(index) <= order:
+                slots.setdefault((j, t.rank[index]), []).append(coeff)
+        if slots:
+            # the sum Lambda + terms that the jets stand for: -0.0 -> +0.0
+            lin = lin + np.zeros_like(lin)
+        self.template = lin
+        self.flat = np.array([j * t.count + r for j, r in slots], dtype=np.int64)
+        self.schedules = tuple(tuple(c) for c in slots.values())
+        if not field.breakpoints():
+            self.template = self.block(0.0)
+            self.schedules = ()
+        self.template.setflags(write=False)
+
+    def block(self, tau: float) -> np.ndarray:
+        if not self.schedules:
+            return self.template
+        values = []
+        for coeffs in self.schedules:
+            acc = 0.0
+            for coeff in coeffs:
+                acc = acc + coeff(tau)
+            values.append(acc)
+        out = self.template.copy()
+        out.reshape(-1)[self.flat] = values
+        return out
+
+
 # --------------------------------------------------------------------- #
 # transition integrators
 
 # relative tolerance of point and variational trajectories (step doubling)
 TRAJECTORY_TOL = 1e-11
+# relative split residual every transition jet must reach (integrate_jet)
+STEP_TOL = 1e-10
+# RK4 stage times stay this far (relative) below a segment's right end
+STAGE_CAP_SLACK = 1e-12
 
 
 def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float, float]]:
@@ -337,8 +389,8 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
          rhs, nsteps: int) -> tuple:
     """Fixed-grid RK4 for x' = rhs(tau, x) from x(s) = state to time t.
 
-    The state is a tuple of parts (jets or arrays) that support + and
-    scalar *, and rhs returns one derivative per part.  Steps are
+    The state is a tuple of parts (coefficient blocks or point arrays)
+    that support + and scalar *, and rhs returns one derivative per part.  Steps are
     distributed over the breakpoint segments proportionally to length;
     inside a segment the stage times are capped just below the right
     endpoint so right-open piecewise schedules never leak the next value in.
@@ -348,7 +400,7 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
     for a, b in _segments(field, s, t):
         n = max(1, int(round(nsteps * (b - a) / span)))
         h = (b - a) / n
-        cap = b - 1e-12 * max(1.0, abs(b))
+        cap = b - STAGE_CAP_SLACK * max(1.0, abs(b))
         for i in range(n):
             t0 = a + i * h
             k1 = rhs(min(t0, cap), x)
@@ -363,14 +415,15 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
 
 
 def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
-                  order: int | None = None, tol: float = 1e-10,
+                  order: int | None = None, tol: float = STEP_TOL,
                   max_nsteps: int = 1 << 17) -> PolyJet:
     """Jet of the transition map phi_{s,t} of the field, s <= t.
 
     The step count is refined until the map integrated over [s, t] in one go
     agrees with the composition of the two half-interval maps to within tol
     (relative, on coefficients).  Raises when the budget of max_nsteps steps
-    cannot reach the tolerance.
+    cannot reach the tolerance.  The RK stages run on raw coefficient
+    blocks; only each pass's three integrated maps become PolyJets.
     """
     order = field.order if order is None else int(order)
     s, t = float(s), float(t)
@@ -378,19 +431,27 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         raise ValueError("reversed time interval")
     if t == s:
         return PolyJet.identity(field.q, order)
-    identity = (PolyJet.identity(field.q, order),)
+    q = field.q
+    stage = field._stage(order)
+    identity = (PolyJet.identity(q, order).coeffs,)
 
     def rhs(tau, x):
-        return (compose(field.jet(tau, order), x[0], order),)
+        return (_compose_arrays(q, order, stage.block(tau), x[0]),)
+
+    def flow(a, b):
+        # the PolyJet rejects non-finite coefficients; an overflow would
+        # otherwise surface as a NaN residual, refined up to the step budget
+        (x,) = _rk4(field, a, b, identity, rhs, nsteps)
+        return PolyJet(q, order, x)
 
     nsteps = _initial_steps(s, t)
     while True:
-        (full,) = _rk4(field, s, t, identity, rhs, nsteps)
+        full = flow(s, t)
         mid = 0.5 * (s + t)
         # each half gets the full step count, so the composed map runs at
         # half the step size and the residual measures the actual error
-        (left,) = _rk4(field, s, mid, identity, rhs, nsteps)
-        (right,) = _rk4(field, mid, t, identity, rhs, nsteps)
+        left = flow(s, mid)
+        right = flow(mid, t)
         split = compose(right, left, order)
         res = (full - split).max_coeff / max(1.0, split.max_coeff)
         if res <= tol:
@@ -540,7 +601,7 @@ class ContinuousEvolution:
 
     field: HerglotzFieldSpec
     order: int
-    tol: float = 1e-10
+    tol: float = STEP_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "_jets", {})
@@ -589,7 +650,7 @@ class DiscretizedField:
 
 
 def discretize(field: HerglotzFieldSpec, horizon: int | None = None,
-               order: int | None = None, tol: float = 1e-10,
+               order: int | None = None, tol: float = STEP_TOL,
                tail: str = TAIL_CONSTANT) -> DiscretizedField:
     """Integer-time snapshots psi_n of the evolution family, ready to normalize."""
     T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
@@ -766,7 +827,7 @@ class LoewnerChain:
             resonances=report,
             certificate=None if data.get("certificate") is None else float(data["certificate"]),
             certificate_step=float(data.get("certificate_step", 1.0)),
-            step_tol=float(data.get("step_tol", 1e-10)),
+            step_tol=float(data.get("step_tol", STEP_TOL)),
             constants=data.get("constants"),
         )
 
@@ -789,7 +850,7 @@ def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
 
 
 def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
-                order: int | None = None, tol: float = 1e-10, tau: float = 1e-9,
+                order: int | None = None, tol: float = STEP_TOL, tau: float = 1e-9,
                 grid_step: float = 0.5, ball_samples: int = 16,
                 max_passes: int = 3) -> LoewnerChain:
     """Normalize the evolution family of the field into a Loewner chain.

@@ -128,22 +128,20 @@ def _mul_table(q: int, order: int):
 
 @lru_cache(maxsize=None)
 def _mul_plan(q: int, order: int, lval_a: int, lval_b: int):
-    """Filtered triples and a sparse scatter for factor valuations >= lval.
+    """Triples of _mul_table kept for factor valuations >= lval.
 
     A factor with valuation v has zero coefficients below degree v, so every
     triple touching those rows contributes nothing; dropping them up front is
-    what keeps high-degree power updates cheap.
+    what keeps high-degree power updates cheap.  Returns (ri, rj, bins):
+    triple m multiplies a[ri[m]] by b[rj[m]], and bins[2m], bins[2m + 1] are
+    the real and imaginary slots of its output coefficient when the complex
+    output vector is viewed as floats.
     """
-    from scipy.sparse import csr_matrix
-
     t = _tables(q, order)
     ri, rj, rk = _mul_table(q, order)
     keep = (t.degrees[ri] >= lval_a) & (t.degrees[rj] >= lval_b)
-    ri, rj, rk = ri[keep], rj[keep], rk[keep]
-    m = ri.size
-    scatter = csr_matrix(
-        (np.ones(m), (rk, np.arange(m))), shape=(t.count, m), dtype=float)
-    return ri, rj, scatter
+    bins = (2 * rk[keep, None] + np.array([0, 1])).reshape(-1)
+    return ri[keep], rj[keep], bins
 
 
 def _vec_mul(a: np.ndarray, b: np.ndarray, q: int, order: int,
@@ -151,10 +149,13 @@ def _vec_mul(a: np.ndarray, b: np.ndarray, q: int, order: int,
     """Truncated product of two dense scalar coefficient vectors.
 
     lval_a / lval_b declare known valuations (all coefficients below that
-    degree are zero), which prunes the multiplication table.
+    degree are zero), which prunes the multiplication table.  One bincount
+    over the float view scatters real and imaginary parts apart; each
+    output part sums its products from 0.0 in table order.
     """
-    ri, rj, scatter = _mul_plan(q, order, lval_a, lval_b)
-    return scatter.dot(a[ri] * b[rj])
+    ri, rj, bins = _mul_plan(q, order, lval_a, lval_b)
+    prod = a[ri] * b[rj]
+    return np.bincount(bins, weights=prod.view(float), minlength=2 * a.shape[0]).view(complex)
 
 
 def _monomial_values(t: _Tables, points: np.ndarray) -> np.ndarray:
@@ -474,6 +475,35 @@ class HomogeneousMap:
 # composition and inversion
 
 
+@lru_cache(maxsize=1024)
+def _power_plan(q: int, order: int, rows: bytes) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Parent closure of the monomials `rows` and the order to fill it in.
+
+    rows holds int64 ranks as bytes, so plans are keyed by the support
+    pattern's value.  Table rows follow ascending rank, so the linear
+    monomials come first.  Returns (pos, linear, steps): pos maps a rank to
+    its table row (-1 outside the closure), linear[i] is the variable of
+    linear row i, and steps lists (parent row, variable, degree) for each
+    later row.
+    """
+    t = _tables(q, order)
+    need = np.zeros(t.count, dtype=bool)
+    need[np.frombuffer(rows, dtype=np.int64)] = True
+    for d in range(t.order, 1, -1):
+        lo, hi = t.offsets[d], t.offsets[d + 1]
+        need[t.parent_rank[lo:hi][need[lo:hi]]] = True
+    ranks = np.flatnonzero(need)
+    pos = np.full(t.count, -1, dtype=np.int64)
+    pos[ranks] = np.arange(ranks.size)
+    pos.setflags(write=False)
+    lin = int(np.count_nonzero(t.degrees[ranks] == 1))
+    linear = t.parent_var[ranks[:lin]]
+    linear.setflags(write=False)
+    steps = tuple((int(pos[t.parent_rank[r]]), int(t.parent_var[r]), int(t.degrees[r]))
+                  for r in ranks[lin:])
+    return pos, linear, steps
+
+
 def _power_rows(t: _Tables, gc: np.ndarray, rows: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Powers g^I for the monomials `rows` and every monomial on their parent chains.
@@ -484,34 +514,21 @@ def _power_rows(t: _Tables, gc: np.ndarray, rows: np.ndarray
     truncated multiplication of its parent's power by a coordinate of g, so
     the cost follows the closure of `rows`, not the number of monomials.
     """
-    need = np.zeros(t.count, dtype=bool)
-    need[rows] = True
-    for d in range(t.order, 1, -1):
-        lo, hi = t.offsets[d], t.offsets[d + 1]
-        need[t.parent_rank[lo:hi][need[lo:hi]]] = True
-    ranks = np.flatnonzero(need)
-    pos = np.full(t.count, -1, dtype=np.int64)
-    pos[ranks] = np.arange(ranks.size)
-    table = np.empty((ranks.size, gc.shape[1]), dtype=complex)
-    for i, r in enumerate(ranks):
-        k = t.parent_var[r]
-        deg = int(t.degrees[r])
-        if deg == 1:
-            table[i] = gc[k]
-        else:
-            table[i] = _vec_mul(table[pos[t.parent_rank[r]]], gc[k], t.q, t.order,
-                                lval_a=deg - 1, lval_b=1)
+    pos, linear, steps = _power_plan(t.q, t.order, np.asarray(rows, dtype=np.int64).tobytes())
+    table = np.empty((linear.size + len(steps), gc.shape[1]), dtype=complex)
+    table[:linear.size] = gc[linear]
+    for i, (parent, k, deg) in enumerate(steps, linear.size):
+        table[i] = _vec_mul(table[parent], gc[k], t.q, t.order, lval_a=deg - 1, lval_b=1)
     return pos, table
 
 
 def _compose_arrays(q: int, order: int, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     """Core composition on raw coefficient blocks already cut to `order`."""
-    t = _tables(q, order)
-    support = np.nonzero(np.any(fc != 0, axis=0))[0]
-    support = support[t.degrees[support] >= 1]
+    # rank 0 is the constant monomial, which never has a power row
+    support = (fc[:, 1:] != 0).any(axis=0).nonzero()[0] + 1
     if support.size == 0:
-        return np.zeros((q, t.count), dtype=complex)
-    pos, table = _power_rows(t, gc, support)
+        return np.zeros(fc.shape, dtype=complex)
+    pos, table = _power_rows(_tables(q, order), gc, support)
     return fc[:, support] @ table[pos[support]]
 
 

@@ -90,6 +90,18 @@ def _smallest_ell(alpha: float, beta: float) -> int:
     return ell
 
 
+def _compose_steps(family, n: int, m: int, order: int | None) -> PolyJet:
+    """family.step(m-1) o ... o family.step(n) as one jet, at family.order
+    unless an order is given."""
+    if m < n:
+        raise ValueError("transition needs n <= m")
+    order = order or family.order
+    out = PolyJet.identity(family.q, order)
+    for j in range(n, m):
+        out = compose(family.step(j), out, order)
+    return out
+
+
 @dataclass(frozen=True)
 class DiscreteEvolutionFamily:
     """Unit-step transition jets phi_n with a shared linear part.
@@ -165,13 +177,7 @@ class DiscreteEvolutionFamily:
 
     def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
         """Jet of phi_{n,m} = phi_{m-1} o ... o phi_n."""
-        if m < n:
-            raise ValueError("transition needs n <= m")
-        order = order or self.order
-        out = PolyJet.identity(self.q, order)
-        for j in range(n, m):
-            out = compose(self.step(j), out, order)
-        return out
+        return _compose_steps(self, n, m, order)
 
     def evaluate_transition(self, n: int, m: int, points: np.ndarray) -> np.ndarray:
         """phi_{n,m} applied to points of shape (q, count)."""
@@ -222,10 +228,8 @@ class TriangularFamily:
         return self.steps[n]
 
     def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
-        out = PolyJet.identity(self.q, order or self.order)
-        for j in range(n, m):
-            out = compose(self.steps[j], out, order or self.order)
-        return out
+        """Jet of T_{n,m} = T_{m-1} o ... o T_n."""
+        return _compose_steps(self, n, m, order)
 
     def inverse_evaluate(self, n: int, m: int, points: np.ndarray) -> np.ndarray:
         """T_{n,m}^{-1} applied to points of shape (q, count), by exact

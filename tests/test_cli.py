@@ -240,3 +240,28 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     code = ("import loewner.cli, sys; "
             "sys.exit('scipy.optimize' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+README_FIELD = {
+    "Lambda": [[{"re": -0.6, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+               [{"re": 0.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]],
+    "order": 3,
+    "terms": [{"component": 1, "index": [0, 2],
+               "time": {"kind": "constant", "value": {"re": 0.2, "im": 0.0}}}],
+    "horizon": 3.0,
+}
+
+
+def test_cli_chain_leaves_scipy_sparse_unloaded(tmp_path):
+    # the jet products scatter with numpy alone; scipy.sparse would add
+    # its import time to every chain command
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    inp = _write(tmp_path / "field.json", README_FIELD)
+    code = ("import sys; from loewner.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "sys.exit(rc or 10 * ('scipy.sparse' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, "chain", "--input", inp,
+                           "--output", str(tmp_path / "chain.json")], env=env)
+    assert proc.returncode == 0

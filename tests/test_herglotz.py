@@ -235,7 +235,7 @@ def _piecewise_field(q=2, kind="piecewise", nodes=(0.0, 0.7, 1.8)):
     def coeff(c):
         if kind == "constant":
             return TimeCoefficient.constant(c)
-        return TimeCoefficient("piecewise", nodes, (c, -0.5 * c, 1j * c)[:len(nodes)])
+        return TimeCoefficient(kind, nodes, (c, -0.5 * c, 1j * c)[:len(nodes)])
 
     terms = [(j, tuple(2 if i == (j + 1) % q else 0 for i in range(q)), coeff(0.3 - 0.1j * j))
              for j in range(q)]
@@ -275,6 +275,79 @@ def test_per_sample_integration_matches_columns_alone(q):
     # the columns reach the tolerance at different levels, so joint
     # acceptance would hand some of them other floats
     assert not np.array_equal(got, integrate_points(f, 0.6, 1.2, z))
+
+
+def _field_jet_reference(field, t, order):
+    """HerglotzFieldSpec.jet as a PolyJet sum, before the coefficient stage."""
+    jet = PolyJet.from_linear(field.Lambda, order)
+    sparse = {}
+    for j, index, coeff in field.terms:
+        if sum(index) <= order:
+            key = (j, index)
+            sparse[key] = sparse.get(key, 0.0) + coeff(t)
+    if sparse:
+        jet = jet + PolyJet.from_terms(field.q, order, sparse)
+    return jet
+
+
+def _integrate_jet_reference(field, s, t, order, tol=1e-10, max_nsteps=1 << 17):
+    """integrate_jet on PolyJet stages, before it ran on coefficient arrays."""
+    identity = (PolyJet.identity(field.q, order),)
+
+    def rhs(tau, x):
+        return (compose(_field_jet_reference(field, tau, order), x[0], order),)
+
+    nsteps = herglotz._initial_steps(s, t)
+    while True:
+        (full,) = _rk4(field, s, t, identity, rhs, nsteps)
+        mid = 0.5 * (s + t)
+        (left,) = _rk4(field, s, mid, identity, rhs, nsteps)
+        (right,) = _rk4(field, mid, t, identity, rhs, nsteps)
+        split = compose(right, left, order)
+        res = (full - split).max_coeff / max(1.0, split.max_coeff)
+        if res <= tol:
+            return split
+        assert 2 * nsteps <= max_nsteps
+        factor = max(2.0, min(16.0, (res / tol) ** 0.25))
+        nsteps = min(max_nsteps, int(math.ceil(nsteps * factor)))
+
+
+def test_field_jet_matches_jet_sum_bit_for_bit():
+    # a -0.0 in Lambda survives only while no term fits the order
+    Lam = np.array([[complex(-0.6, -0.0), complex(-0.0, 0.1)],
+                    [complex(0.0, -0.0), complex(-1.0, -0.0)]])
+    sched = TimeCoefficient("sampled", (0.0, 0.7, 1.8), (0.3, -0.2 + 0.0j, 0.1j))
+    terms = ((0, (0, 2), sched), (0, (0, 2), TimeCoefficient.constant(-0.3)),
+             (1, (2, 1), sched), (0, (1, 1), TimeCoefficient.constant(complex(0.0, -0.0))))
+    for f in (HerglotzFieldSpec(Lam, 3, terms), demo_field(), _piecewise_field(3)):
+        for order in (1, 2, 3, 5):
+            for t in (0.0, 0.7, 1.1, 2.5):
+                assert (f.jet(t, order).coeffs.tobytes()
+                        == _field_jet_reference(f, t, order).coeffs.tobytes())
+
+
+@pytest.mark.parametrize("q, kind", [(q, kind) for q in (1, 2, 3)
+                                     for kind in ("constant", "piecewise", "sampled")]
+                         + [(2, "demo"), (2, "counterexample")])
+def test_integrate_jet_matches_jet_stage_reference(q, kind):
+    # (0.5, 1.0) holds the node 0.7 of the schedules; the real-coefficient
+    # counterexample makes every imaginary part a signed zero, so compare
+    # bytes: np.array_equal would read -0.0 and 0.0 as equal
+    f = {"demo": demo_field, "counterexample": counterexample_field}.get(
+        kind, lambda: _piecewise_field(q, kind))()
+    for order in (3, 6):
+        got = integrate_jet(f, 0.5, 1.0, order)
+        want = _integrate_jet_reference(f, 0.5, 1.0, order)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_integrate_jet_overflow_names_finiteness():
+    # the z0^2 coefficient squares past the float range within one step
+    f = HerglotzFieldSpec(np.diag([-0.6, -1.0]).astype(complex), 3,
+                          ((0, (2, 0), TimeCoefficient.constant(1e160)),), horizon=2.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="finite"):
+        integrate_jet(f, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------- #

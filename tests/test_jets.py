@@ -333,6 +333,35 @@ def test_valuation_filtered_multiply_matches_full():
         assert _mul_plan(q, order, lva, lvb) is _mul_plan(q, order, lva, lvb)
 
 
+def _csr_vec_mul(a, b, q, order, lval_a, lval_b):
+    """_vec_mul's former scatter: a sparse (count, triples) 0/1 matrix."""
+    from scipy.sparse import csr_matrix
+
+    ri, rj, bins = _mul_plan(q, order, lval_a, lval_b)
+    rk = bins[::2] // 2
+    scatter = csr_matrix((np.ones(ri.size), (rk, np.arange(ri.size))),
+                         shape=(PolyJet.zero(q, order).tables.count, ri.size), dtype=float)
+    return scatter.dot(a[ri] * b[rj])
+
+
+def test_bincount_scatter_matches_csr_scatter():
+    rng = np.random.default_rng(23)
+    for q in range(1, 5):
+        for order in range(1, 9):
+            t = PolyJet.zero(q, order).tables
+            for lva, lvb in ((0, 0), (1, 1), (order - 1, 1), (2, 2), (1, order)):
+                a = rng.normal(size=t.count) + 1j * rng.normal(size=t.count)
+                b = rng.normal(size=t.count) + 1j * rng.normal(size=t.count)
+                a = a * (t.degrees >= max(lva, 1))
+                b = b * (t.degrees >= max(lvb, 1))
+                # real entries and signed zeros, as real fields produce
+                b[::3] = b[::3].real - 0.0j
+                a[::4] = -0.0
+                got = _vec_mul(a, b, q, order, lva, lvb)
+                want = _csr_vec_mul(a, b, q, order, lva, lvb)
+                assert got.tobytes() == want.tobytes(), (q, order, lva, lvb)
+
+
 # ---------------------------------------------------------------------- #
 # the power table against the full dense table it replaced
 
