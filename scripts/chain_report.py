@@ -57,7 +57,7 @@ def run(field, order, save):
           f"1000x inner radius at {reached}")
 
     disc = discretize(field, chain.horizon, chain.order)
-    orbit = attraction_check(disc, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
+    orbit = attraction_check(disc.family, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
     worst = max(r.steps for r in orbit.rows)
     print(f"attraction: all converged={orbit.all_converged}, "
           f"slowest orbit {worst} steps to the 1e-6 ball")

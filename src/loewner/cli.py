@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .herglotz import (
+    PDE_STEP,
     HerglotzFieldSpec,
     LoewnerChain,
     PreconditionError,
@@ -40,7 +41,7 @@ from .normal_form import (
     range_growth_check,
 )
 from .sampling import complex_ball_points
-from .spectral import detect_resonances
+from .spectral import RESONANCE_TOL, detect_resonances
 
 
 # default --tol of verify: the PDE residual bound and the attraction ball
@@ -224,7 +225,7 @@ def cmd_verify(args) -> int:
     pts = complex_ball_points(chain.q, 0.4 * chain.radius, max(1, args.samples // 2),
                               start=args.seed)
     pde_samples = [(t, pts[:, i]) for t in ts for i in range(pts.shape[1])]
-    residual = pde_residual(chain, pde_samples, h=1e-3)
+    residual = pde_residual(chain, pde_samples, h=PDE_STEP)
     checks["pde-residual"] = {"passed": residual <= tol, "residual": residual,
                               "tol": tol}
     if residual > tol:
@@ -273,6 +274,18 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------- #
 # argument plumbing
 
+# every optional flag; each command registers the ones it reads
+_FLAGS = {
+    "--order": dict(type=int, default=None, help="jet truncation order"),
+    "--tol": dict(type=float, default=None, help="integration / verification tolerance"),
+    "--tau": dict(type=float, default=RESONANCE_TOL, help="resonance detection tolerance"),
+    "--samples": dict(type=int, default=12, help="sample points per check"),
+    "--seed": dict(type=int, default=0,
+                   help="offset into the deterministic sample sequence"),
+    "--horizon": dict(type=int, default=None, help="number of unit time steps to cover"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loewner",
@@ -280,26 +293,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("analyze", cmd_analyze, "resonances and convergence constants of a field"),
-        ("normalform", cmd_normalform, "normalize a field or discrete family"),
-        ("chain", cmd_chain, "build the Loewner chain of a field"),
-        ("verify", cmd_verify, "check a chain document against its field"),
+        ("analyze", cmd_analyze, "resonances and convergence constants of a field",
+         ("--order", "--tol", "--tau")),
+        ("normalform", cmd_normalform, "normalize a field or discrete family",
+         ("--order", "--tol", "--tau", "--horizon")),
+        ("chain", cmd_chain, "build the Loewner chain of a field",
+         ("--order", "--tol", "--tau", "--horizon")),
+        ("verify", cmd_verify, "check a chain document against its field",
+         ("--tol", "--samples", "--seed")),
     ]
-    for name, func, help_text in specs:
+    for name, func, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--order", type=int, default=None, help="jet truncation order")
-        p.add_argument("--tol", type=float, default=None,
-                       help="integration / verification tolerance")
-        p.add_argument("--tau", type=float, default=1e-9,
-                       help="resonance detection tolerance")
-        p.add_argument("--samples", type=int, default=12,
-                       help="sample points per check")
-        p.add_argument("--seed", type=int, default=0,
-                       help="offset into the deterministic sample sequence")
-        p.add_argument("--horizon", type=int, default=None,
-                       help="number of unit time steps to cover")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

@@ -14,6 +14,7 @@ breakpoints so each Runge-Kutta step sees smooth data.
 from __future__ import annotations
 
 import bisect
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -36,8 +37,8 @@ from .normal_form import (
     univalence_check,
 )
 from .sampling import complex_ball_points
-from .spectral import (OptimalForm, PreconditionError, ResonanceReport, operator_norm,
-                       to_optimal_form)
+from .spectral import (RESONANCE_TOL, OptimalForm, PreconditionError, ResonanceReport,
+                       operator_norm, to_optimal_form)
 
 __all__ = [
     "PreconditionError",
@@ -108,6 +109,9 @@ class TimeCoefficient:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        if not (all(map(math.isfinite, self.times))
+                and all(map(cmath.isfinite, self.values))):
+            raise ValueError("coefficient times and values must be finite")
         if self.kind == "constant":
             if len(self.values) != 1 or self.times:
                 raise ValueError("constant coefficients take exactly one value and no times")
@@ -215,8 +219,8 @@ class HerglotzFieldSpec:
                 coeff = TimeCoefficient.constant(coeff)
             cleaned.append((j, index, coeff))
         object.__setattr__(self, "terms", tuple(cleaned))
-        if not float(self.horizon) > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < float(self.horizon) < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         object.__setattr__(self, "horizon", float(self.horizon))
         # per term: component, nonzero (variable, exponent) pairs, schedule
         object.__setattr__(self, "_layout", tuple(
@@ -251,19 +255,10 @@ class HerglotzFieldSpec:
         order = self.order if order is None else int(order)
         return PolyJet(self.q, order, self._stage(order).block(t))
 
-    def values(self, t: float, points: np.ndarray, _per_sample: bool = False) -> np.ndarray:
-        """H(z, t) at the columns of points, exactly (no truncation).
-
-        With _per_sample the linear term is one matrix-vector product per
-        column, so each column gets the floats it gets evaluated alone; one
-        matrix-matrix product rounds a column differently depending on how
-        many columns share the call.
-        """
+    def values(self, t: float, points: np.ndarray) -> np.ndarray:
+        """H(z, t) at the columns of points, exactly (no truncation)."""
         pts = np.asarray(points, dtype=complex)
-        if _per_sample:
-            vals = np.matmul(self.Lambda, pts.T[:, :, None])[:, :, 0].T
-        else:
-            vals = self.Lambda @ pts
+        vals = self.Lambda @ pts
         for j, powers, coeff in self._layout:
             mono = np.ones(pts.shape[1], dtype=complex)
             for i, e in powers:
@@ -466,42 +461,13 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         nsteps = min(max_nsteps, int(math.ceil(nsteps * factor)))
 
 
-def _sample_max(parts: Sequence[np.ndarray], axes: tuple, start=None) -> np.ndarray:
-    """Largest modulus of each sample over all parts.
-
-    A part's sample axis of None makes the whole part one sample.  Parts
-    combine like the builtin max (a later part wins only if strictly
-    larger), starting from start when given.
-    """
-    best = start
-    for p, ax in zip(parts, axes):
-        mag = np.abs(p)
-        rows = mag.reshape(1, -1) if ax is None else np.moveaxis(mag, ax, 0).reshape(
-            p.shape[ax], -1)
-        v = rows.max(axis=1)
-        best = v if best is None else np.where(v > best, v, best)
-    return best
-
-
 def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
-                  rhs, tol: float, max_nsteps: int, axes: tuple | None = None) -> tuple:
+                  rhs, tol: float, max_nsteps: int) -> tuple:
     """RK4 with the step count doubled until two successive runs agree.
 
-    Agreement is the largest entrywise difference, relative to max(1,
-    largest entry of the finer run).  By default it is measured over all
-    parts at once.  axes names each part's sample axis; then each sample is
-    measured over its own entries and accepted on its own, and the next
-    doubling re-integrates only the samples still open.  With an rhs that
-    treats samples independently, every sample gets the floats it would
-    get integrated alone.
+    Agreement is the largest entrywise difference over all parts, relative
+    to max(1, largest entry of the finer run).
     """
-    if axes is None:
-        axes = (None,) * len(state)
-        count = 1
-    else:
-        count = state[0].shape[axes[0]]
-    open_ = np.arange(count)
-    result = None
     nsteps = _initial_steps(s, t)
     prev = _rk4(field, s, t, state, rhs, nsteps)
     while True:
@@ -511,35 +477,20 @@ def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
                 f"within {max_nsteps} steps")
         nsteps *= 2
         cur = _rk4(field, s, t, state, rhs, nsteps)
-        err = _sample_max([c - p for c, p in zip(cur, prev)], axes)
-        scale = _sample_max(cur, axes, start=1.0)
-        done = err <= tol * scale
-        if not done.any():
-            prev = cur
-            continue
-        if result is None and done.all():
+        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
+        scale = max(1.0, *(float(np.abs(c).max()) for c in cur))
+        if err <= tol * scale:
             return cur
-        if result is None:
-            result = tuple(np.empty_like(c) for c in cur)
-        for r, c, ax in zip(result, cur, axes):
-            np.moveaxis(r, ax, 0)[open_[done]] = np.moveaxis(c, ax, 0)[done]
-        if done.all():
-            return result
-        keep = ~done
-        open_ = open_[keep]
-        state = tuple(np.compress(keep, x, axis=ax) for x, ax in zip(state, axes))
-        prev = tuple(np.compress(keep, c, axis=ax) for c, ax in zip(cur, axes))
+        prev = cur
 
 
 def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
                           points: np.ndarray, tol: float = TRAJECTORY_TOL,
-                          max_nsteps: int = 1 << 18, *,
-                          _per_sample: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                          max_nsteps: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
     """phi_{s,t} and D phi_{s,t} at the columns of points.
 
     The Jacobian factors solve M' = DH(z(tau), tau) M along each trajectory,
-    started at the identity.  _per_sample gives each column its own step
-    control and batch-invariant kernels (see _rk4_doubling).
+    started at the identity.
     """
     s, t = float(s), float(t)
     if t < s:
@@ -552,24 +503,15 @@ def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
 
     def rhs(tau, x):
         z, Mc = x
-        dz = field.values(tau, z, _per_sample)
-        J = field.jacobians(tau, z)
-        if _per_sample:
-            return dz, np.stack([np.einsum("ij,jk->ik", Ji, Mi) for Ji, Mi in zip(J, Mc)])
-        return dz, np.einsum("mij,mjk->mik", J, Mc)
+        return field.values(tau, z), np.einsum("mij,mjk->mik", field.jacobians(tau, z), Mc)
 
-    return _rk4_doubling(field, s, t, (pts, M), rhs, tol, max_nsteps,
-                         (1, 0) if _per_sample else None)
+    return _rk4_doubling(field, s, t, (pts, M), rhs, tol, max_nsteps)
 
 
 def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
                      points: np.ndarray, tol: float = TRAJECTORY_TOL,
-                     max_nsteps: int = 1 << 18, *, _per_sample: bool = False) -> np.ndarray:
-    """Trajectories z(t) of dz/dtau = H(z, tau) with z(s) = columns of points.
-
-    _per_sample gives each column its own step control and batch-invariant
-    kernels (see _rk4_doubling).
-    """
+                     max_nsteps: int = 1 << 18) -> np.ndarray:
+    """Trajectories z(t) of dz/dtau = H(z, tau) with z(s) = columns of points."""
     s, t = float(s), float(t)
     if t < s:
         raise ValueError("reversed time interval")
@@ -580,8 +522,7 @@ def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
     if t == s or pts.shape[1] == 0:
         return pts[:, 0] if single else np.array(pts)
     (cur,) = _rk4_doubling(field, s, t, (pts,),
-                           lambda tau, x: (field.values(tau, x[0], _per_sample),),
-                           tol, max_nsteps, (1,) if _per_sample else None)
+                           lambda tau, x: (field.values(tau, x[0]),), tol, max_nsteps)
     return cur[:, 0] if single else cur
 
 
@@ -621,10 +562,8 @@ class ContinuousEvolution:
             cache[key] = integrate_jet(self.field, s, t, self.order, self.tol)
         return cache[key]
 
-    def point(self, s: float, t: float, points: np.ndarray, *,
-              _per_sample: bool = False) -> np.ndarray:
-        return integrate_points(self.field, s, t, points, tol=min(self.tol, TRAJECTORY_TOL),
-                                _per_sample=_per_sample)
+    def point(self, s: float, t: float, points: np.ndarray) -> np.ndarray:
+        return integrate_points(self.field, s, t, points, tol=min(self.tol, TRAJECTORY_TOL))
 
 
 # --------------------------------------------------------------------- #
@@ -691,7 +630,8 @@ class LoewnerChain:
     certificate, when present, bounds sup_t sup_{|z|<=0.95 radius}
     |exp(Lambda t) f_t(z)| over the build grid; it is attached only for
     resonance-free spectra.  result is the discrete normalization backing a
-    freshly built chain; deserialized chains carry only the jets.
+    freshly built chain; deserialized chains carry only the jets.  evolution
+    is derived, not passed: the field's transition maps at the chain order.
     """
 
     field: HerglotzFieldSpec
@@ -705,7 +645,7 @@ class LoewnerChain:
     step_tol: float
     constants: Mapping | None = None
     result: ConjugacyResult | None = None
-    evolution: ContinuousEvolution | None = None
+    evolution: ContinuousEvolution = dataclasses.field(init=False)
 
     def __post_init__(self):
         M = np.ascontiguousarray(np.asarray(self.basis_change, dtype=complex))
@@ -729,10 +669,8 @@ class LoewnerChain:
         if any((j.q, j.order) != (self.q, order) for j in self.chain_jets):
             raise ValueError(f"every chain jet must have the field's dimension "
                              f"q={self.q} and one common order")
-        if self.evolution is None:
-            object.__setattr__(
-                self, "evolution",
-                ContinuousEvolution(self.field, order, self.step_tol))
+        object.__setattr__(self, "evolution",
+                           ContinuousEvolution(self.field, order, self.step_tol))
 
     @property
     def q(self) -> int:
@@ -811,7 +749,7 @@ class LoewnerChain:
         res = data.get("resonances") or {}
         report = ResonanceReport(
             mode=res.get("mode", "multiplicative"),
-            tolerance=float(res.get("tolerance", 1e-9)),
+            tolerance=float(res.get("tolerance", RESONANCE_TOL)),
             p=int(res.get("p", 2)),
             resonances=tuple(
                 (int(e["component"]) - 1, tuple(int(x) for x in e["index"]))
@@ -850,7 +788,7 @@ def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
 
 
 def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
-                order: int | None = None, tol: float = STEP_TOL, tau: float = 1e-9,
+                order: int | None = None, tol: float = STEP_TOL, tau: float = RESONANCE_TOL,
                 grid_step: float = 0.5, ball_samples: int = 16,
                 max_passes: int = 3) -> LoewnerChain:
     """Normalize the evolution family of the field into a Loewner chain.
@@ -903,7 +841,6 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         step_tol=tol,
         constants=result.constants.as_dict(),
         result=result,
-        evolution=ContinuousEvolution(field, W, tol),
     )
     if not result.resonance_report.resonances:
         ts = [k * grid_step for k in range(int(math.floor(T / grid_step)) + 1)]
@@ -941,8 +878,12 @@ def _difference_stencil(nodes: Sequence[float], t: float, h: float,
     return (t - 2.0 * k, t - k, t), (1.0, -4.0, 3.0), k
 
 
+# step h of pde_residual's difference quotient
+PDE_STEP = 1e-3
+
+
 def pde_residual(chain: LoewnerChain, samples: Sequence[tuple[float, np.ndarray]],
-                 h: float = 1e-3, field: HerglotzFieldSpec | None = None) -> float:
+                 h: float = PDE_STEP) -> float:
     """Largest |d/dt f_t(z) + Df_t(z) H(z, t)| over the (t, z) samples.
 
     The time derivative is a difference quotient of f_s = f_a o phi_{s,a}
@@ -952,46 +893,37 @@ def pde_residual(chain: LoewnerChain, samples: Sequence[tuple[float, np.ndarray]
     of the chain field's coefficient schedules lies strictly inside
     (t - h, t + h); then it is a second-order one-sided quotient that stays
     on t's side of the node (_difference_stencil).  Samples sharing a time t
-    share their integrations: one point batch per quotient time and one
-    variational batch t -> a, each column under its own step control, so
-    each sample gets the floats it would get integrated alone.
+    are one batch: one point integration per quotient time and one
+    variational integration t -> a.
     Requires t - h >= 0 and t + h <= horizon for every sample.
     """
-    field = chain.field if field is None else field
     if h <= 0.0:
         raise ValueError("h must be positive")
-    columns = []
-    groups: dict[float, list[int]] = {}
-    for i, (t, z) in enumerate(samples):
+    groups: dict[float, list[np.ndarray]] = {}
+    for t, z in samples:
         t = float(t)
         if t - h < 0.0 or t + h > chain.horizon:
             raise ValueError(f"sample time {t} +- {h} leaves the window [0, {chain.horizon}]")
-        columns.append(np.asarray(z, dtype=complex).reshape(-1))
-        groups.setdefault(t, []).append(i)
-    nodes = chain.field.breakpoints()
-    residuals = [0.0] * len(columns)
-    for t, members in groups.items():
+        groups.setdefault(t, []).append(np.asarray(z, dtype=complex).reshape(-1))
+    field = chain.field
+    nodes = field.breakpoints()
+    worst = 0.0
+    for t, columns in groups.items():
         times, weights, k = _difference_stencil(nodes, t, h, chain.horizon)
         a = chain.anchor(max(times))
-        z = np.stack([columns[i] for i in members], axis=1)
+        z = np.stack(columns, axis=1)
+        anchor_jet = chain.chain_jets[a]
         # a quotient time within the anchor slack above a starts at a itself
-        pushed = [chain.evolution.point(min(s, a), a, z, _per_sample=True)
-                  for s in times]
+        terms = [w * anchor_jet.evaluate_many(chain.evolution.point(min(s, a), a, z))
+                 for w, s in zip(weights, times)]
+        dfdt = sum(terms[1:], terms[0]) / (2.0 * k)
         # Df_t(z) by the chain rule: exact polynomial Jacobian of the anchor
         # map at the pushed point times the variational factor of the flow
-        w0, Dw0 = integrate_variational(field, min(t, a), a, z, _per_sample=True)
-        anchor_jet = chain.chain_jets[a]
-        for c, i in enumerate(members):
-            terms = [w * anchor_jet.evaluate_many(p[:, [c]])[:, 0]
-                     for w, p in zip(weights, pushed)]
-            dfdt = sum(terms[1:], terms[0]) / (2.0 * k)
-            Df = jacobian_points(anchor_jet, w0[:, [c]])[0] @ Dw0[c]
-            Hz = field.values(t, columns[i][:, None])[:, 0]
-            res = dfdt + Df @ Hz
-            residuals[i] = float(np.sqrt((res * res.conj()).real.sum()))
-    worst = 0.0
-    for r in residuals:
-        worst = max(worst, r)
+        w0, Dw0 = integrate_variational(field, min(t, a), a, z)
+        Df = jacobian_points(anchor_jet, w0) @ Dw0
+        # one matrix-vector product per column, as for a sample alone
+        res = dfdt + (Df @ field.values(t, z).T[:, :, None])[:, :, 0].T
+        worst = max(worst, float(np.sqrt((res * res.conj()).real.sum(axis=0)).max()))
     return worst
 
 
@@ -1173,16 +1105,15 @@ class AttractionReport:
         }
 
 
-def attraction_check(family, points: np.ndarray, tol: float = 1e-6,
-                     max_steps: int = 4096, start: int = 0) -> AttractionReport:
+def attraction_check(family: DiscreteEvolutionFamily, points: np.ndarray,
+                     tol: float = 1e-6, max_steps: int = 4096,
+                     start: int = 0) -> AttractionReport:
     """Iterate the evolution family on sample points until they reach the tol ball.
 
-    Accepts a DiscreteEvolutionFamily or a DiscretizedField.  Orbits that are
-    still outside the ball after max_steps are reported as not converged; the
-    family tail keeps the iteration defined past the stored window.
+    Orbits that are still outside the ball after max_steps are reported as
+    not converged; the family tail keeps the iteration defined past the
+    stored window.
     """
-    if isinstance(family, DiscretizedField):
-        family = family.family
     z = np.array(np.asarray(points, dtype=complex), ndmin=2)
     if z.shape[0] != family.linear_part.shape[0]:
         raise ValueError("points must have one row per coordinate")

@@ -28,9 +28,10 @@ from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_differ
 from .jets import (HomogeneousMap, PolyJet, compose, evaluate_triangular_inverse_many,
                    gradient_bound_matrix, invert, is_triangular, _monomial_values)
 from .sampling import complex_ball_points, complex_sphere_points
-from .spectral import (MAX_DEGREE, OptimalForm, PreconditionError, ResonanceReport,
-                       _already_optimal, detect_resonances, gamma_matrix, operator_norm,
-                       spectral_split, triangular_compatibility_violations)
+from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
+                       PreconditionError, ResonanceReport, _already_optimal,
+                       detect_resonances, gamma_matrix, operator_norm, spectral_split,
+                       triangular_compatibility_violations)
 
 _LINEAR_MATCH_TOL = 1e-8
 _LINEARIZABLE_TOL = 1e-11
@@ -65,7 +66,7 @@ def _with_linear(jet: PolyJet, matrix: np.ndarray) -> PolyJet:
 
 def _as_optimal(matrix: np.ndarray) -> OptimalForm:
     A = np.asarray(matrix, dtype=complex)
-    sizes = _already_optimal(A, 1e-9)
+    sizes = _already_optimal(A, CLUSTER_RTOL)
     if sizes is None:
         raise ValueError(
             "the linear part must be in optimal form (lower triangular, "
@@ -304,7 +305,7 @@ class StageReport:
 
 def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                      T: Sequence[PolyJet], degree: int, split=None, *,
-                     tau: float = 1e-9
+                     tau: float = RESONANCE_TOL
                      ) -> tuple[tuple[PolyJet, ...], tuple[PolyJet, ...], StageReport]:
     """Run one normalization degree, returning the updated (k, T) pair.
 
@@ -470,7 +471,7 @@ def estimate_constants(family: DiscreteEvolutionFamily,
     """
     A_opt = _as_optimal(family.linear_part)
     if report is None:
-        report = detect_resonances(A_opt.eigenvalues, "multiplicative", 1e-9)
+        report = detect_resonances(A_opt.eigenvalues, "multiplicative", RESONANCE_TOL)
     q = family.q
     norm_a = A_opt.norm_bound
     alpha = 0.5 * (norm_a + 1.0)
@@ -612,7 +613,7 @@ class ConjugacyResult:
 
 
 def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
-                      horizon: int | None = None, tau: float = 1e-9,
+                      horizon: int | None = None, tau: float = RESONANCE_TOL,
                       extension: int | None = None, max_work_order: int = 18,
                       max_passes: int = 4) -> ConjugacyResult:
     """Normalize a discrete evolution family degree by degree.

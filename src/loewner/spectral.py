@@ -21,6 +21,13 @@ from .jets import MultiIndex, PolyJet, _power_rows, enumerate_indices
 
 _CONJUGATION_RTOL = 1e-10
 
+# relative tolerance under which |lambda_j| and |lambda^I| count as equal:
+# a resonance, and a monomial direction that is neither stable nor unstable
+RESONANCE_TOL = 1e-9
+# relative modulus gap under which eigenvalues join one cluster of the
+# optimal form
+CLUSTER_RTOL = 1e-9
+
 # largest polynomial degree the package enumerates: the resonance cutoff p
 # and the contraction exponent ell must stay at or below it
 MAX_DEGREE = 512
@@ -176,7 +183,7 @@ def _already_optimal(A: np.ndarray, cluster_rtol: float) -> tuple[int, ...] | No
 
 
 def to_optimal_form(matrix: np.ndarray, target_norm: float | None = None,
-                    cluster_rtol: float = 1e-9) -> OptimalForm:
+                    cluster_rtol: float = CLUSTER_RTOL) -> OptimalForm:
     """Conjugate a dilation into optimal lower-triangular form.
 
     The construction is a complex Schur factorization, a unitary reordering
@@ -311,7 +318,8 @@ class SpectralSplit:
 
 
 def spectral_split(linear_part: "OptimalForm | np.ndarray", degree: int,
-                   tau: float = 1e-9, *, force_nonresonant: bool = False) -> SpectralSplit:
+                   tau: float = RESONANCE_TOL, *,
+                   force_nonresonant: bool = False) -> SpectralSplit:
     """Split the degree-`degree` monomial basis by |lambda_j / lambda^I|.
 
     With force_nonresonant, directions inside the resonance tolerance are
@@ -400,7 +408,7 @@ def _degree_cutoff(moduli: np.ndarray) -> int:
 
 
 def detect_resonances(values: Sequence[complex], mode: str = "multiplicative",
-                      tau: float = 1e-9) -> ResonanceReport:
+                      tau: float = RESONANCE_TOL) -> ResonanceReport:
     """Enumerate resonances of a dilation spectrum.
 
     values are the eigenvalues themselves (multiplicative mode) or the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import loewner
-from loewner.cli import main
+from loewner.cli import _build_parser, main
 from loewner.herglotz import matrix_to_json
 from loewner.jets import PolyJet
 
@@ -109,6 +109,31 @@ def test_spectrum_near_unit_circle_exits_3(tmp_path, capsys, command):
     assert time.perf_counter() - start < 20.0
     err = capsys.readouterr().err
     assert "precondition violated" in err and "degree cap 512" in err
+
+
+def _field_doc(**change):
+    doc = demo_field().to_json_dict()
+    doc.update(change)
+    return doc
+
+
+def _schedule(time):
+    return _field_doc(terms=[{"component": 1, "index": [0, 2], "time": time}])
+
+
+@pytest.mark.parametrize("command", ["analyze", "chain"])
+@pytest.mark.parametrize("doc", [
+    _schedule({"kind": "constant", "value": {"re": float("nan"), "im": 0.0}}),
+    _schedule({"kind": "constant", "value": {"re": float("inf"), "im": 0.0}}),
+    _field_doc(horizon=float("inf")),
+    _schedule({"kind": "sampled", "times": [0.0, float("nan"), 2.0],
+               "values": [{"re": 0.2, "im": 0.0}, {"re": 0.1, "im": 0.0},
+                          {"re": 0.0, "im": 0.0}]}),
+], ids=["value-nan", "value-inf", "horizon-inf", "sampled-time-nan"])
+def test_malformed_field_exits_2(tmp_path, capsys, doc, command):
+    inp = _write(tmp_path / "field.json", doc)
+    assert main([command, "--input", inp]) == 2
+    assert "malformed input" in capsys.readouterr().err
 
 
 def _family_doc(**change):
@@ -229,6 +254,33 @@ def test_verify_flags_corrupted_coefficient(tmp_path, chain_doc, capsys):
 def test_verify_rejects_non_chain_documents(tmp_path):
     inp = _write(tmp_path / "field.json", demo_field().to_json_dict())
     assert main(["verify", "--input", inp]) == 2
+
+
+# the optional flags each cmd_* reads from args, with a value to pass
+READ_FLAGS = {
+    "analyze": {"order": 3, "tol": 1e-10, "tau": 1e-8},
+    "normalform": {"order": 3, "tol": 1e-10, "tau": 1e-8, "horizon": 2},
+    "chain": {"order": 3, "tol": 1e-10, "tau": 1e-8, "horizon": 2},
+    "verify": {"tol": 1e-5, "samples": 5, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("argv", [["chain", "--samples", "5"], ["verify", "--order", "4"]])
+def test_parser_rejects_flags_a_command_ignores(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv + ["--input", "x.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_parser_accepts_every_flag_a_command_reads(command):
+    flags = READ_FLAGS[command]
+    argv = [command, "--input", "x.json"]
+    for name, value in flags.items():
+        argv += [f"--{name}", str(value)]
+    args = _build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in flags} == flags
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

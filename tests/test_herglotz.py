@@ -207,7 +207,7 @@ def test_rk4_stepper_matches_point_loop_across_breakpoint():
 
 
 def _doubling_reference(field, s, t, state, rhs, tol=1e-11):
-    """The joint step-doubling controller before per-sample acceptance."""
+    """The joint step-doubling controller, written out loop by loop."""
     nsteps = herglotz._initial_steps(s, t)
     prev = _rk4(field, s, t, state, rhs, nsteps)
     while True:
@@ -259,22 +259,6 @@ def test_joint_integration_matches_reference_controller():
     eye = np.tile(np.eye(3, dtype=complex), (z.shape[1], 1, 1))
     ref_w, ref_Dw = _doubling_reference(f, 0.6, 1.2, (z, eye), var_rhs)
     assert np.array_equal(w, ref_w) and np.array_equal(Dw, ref_Dw)
-
-
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_per_sample_integration_matches_columns_alone(q):
-    f = _piecewise_field(q)
-    z = _spread_points(q, 0.3, 4)
-    got = integrate_points(f, 0.6, 1.2, z, _per_sample=True)
-    w, Dw = integrate_variational(f, 0.6, 1.2, z, _per_sample=True)
-    for i in range(z.shape[1]):
-        col = z[:, [i]]
-        assert np.array_equal(got[:, [i]], integrate_points(f, 0.6, 1.2, col))
-        w1, Dw1 = integrate_variational(f, 0.6, 1.2, col)
-        assert np.array_equal(w[:, [i]], w1) and np.array_equal(Dw[[i]], Dw1)
-    # the columns reach the tolerance at different levels, so joint
-    # acceptance would hand some of them other floats
-    assert not np.array_equal(got, integrate_points(f, 0.6, 1.2, z))
 
 
 def _field_jet_reference(field, t, order):
@@ -553,13 +537,13 @@ def test_pde_residual_integrates_each_time_once(demo_chain, monkeypatch):
     calls = []
     for name in ("integrate_points", "integrate_variational"):
         def counted(*args, _name=name, _orig=getattr(herglotz, name), **kwargs):
-            calls.append((_name, kwargs.get("_per_sample")))
+            calls.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(herglotz, name, counted)
     z = complex_ball_points(2, 0.4 * demo_chain.radius, 6)
     samples = [(t, z[:, i]) for t in (0.5, 1.5, 2.5) for i in range(6)]
     pde_residual(demo_chain, samples, h=1e-3)
-    assert sorted(calls) == [("integrate_points", True)] * 6 + [("integrate_variational", True)] * 3
+    assert sorted(calls) == ["integrate_points"] * 6 + ["integrate_variational"] * 3
 
 
 def test_difference_stencil_stays_inside_the_smooth_piece():
@@ -673,6 +657,6 @@ def test_attraction_reports_stalled_orbits():
 def test_attraction_accepts_discretized_field():
     disc = discretize(demo_field(), 2)
     pts = complex_ball_points(2, 0.2, 3)
-    rep = attraction_check(disc, pts, tol=1e-6)
+    rep = attraction_check(disc.family, pts, tol=1e-6)
     assert rep.all_converged
     assert json.dumps(rep.to_json_dict())
