@@ -144,9 +144,6 @@ class TimeCoefficient:
     def breakpoints(self) -> tuple[float, ...]:
         return () if self.kind == "constant" else self.times
 
-    def bound(self) -> float:
-        return max(abs(v) for v in self.values)
-
     def to_json_dict(self) -> dict:
         if self.kind == "constant":
             return {"kind": "constant", "value": complex_to_json(self.values[0])}
@@ -787,10 +784,12 @@ def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
     return worst
 
 
+MAX_JET_ORDER_PASSES = 3  # build_chain's rebuilds until the jets cover the work order
+
+
 def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
                 order: int | None = None, tol: float = STEP_TOL, tau: float = RESONANCE_TOL,
-                grid_step: float = 0.5, ball_samples: int = 16,
-                max_passes: int = 3) -> LoewnerChain:
+                grid_step: float = 0.5, ball_samples: int = 16) -> LoewnerChain:
     """Normalize the evolution family of the field into a Loewner chain.
 
     The field is discretized at integer times, the discrete family is brought
@@ -811,14 +810,14 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     beta0 = float(np.abs(np.linalg.inv(opt0.matrix)).sum(axis=1).max())
     jet_order = max(base_order, _smallest_ell(alpha0, beta0))
     disc = result = None
-    for _ in range(max_passes):
+    for _ in range(MAX_JET_ORDER_PASSES):
         disc = discretize(field, T, jet_order, tol)
         result = build_normal_form(disc.family, order=base_order, horizon=T, tau=tau)
         if result.work_order <= jet_order:
             break
         jet_order = result.work_order
     else:
-        raise RuntimeError("jet order failed to stabilize across rebuild passes")
+        raise RuntimeError(f"jet order failed to stabilize in {MAX_JET_ORDER_PASSES} passes")
 
     discrete = discrete_chain(result, T)
     W = discrete[0].order

@@ -465,11 +465,6 @@ class HomogeneousMap:
         c[:, t.offsets[self.degree]:t.offsets[self.degree + 1]] = self.coeffs
         return PolyJet(self.q, order, c)
 
-    def substitute_linear(self, matrix: np.ndarray) -> "HomogeneousMap":
-        """Right composition with a linear map: z -> H(matrix @ z)."""
-        lin = PolyJet.from_linear(matrix, self.degree)
-        return compose(self.to_jet(), lin).homogeneous_part(self.degree)
-
 
 # ---------------------------------------------------------------------- #
 # composition and inversion

@@ -16,7 +16,6 @@ chain of maps with f_n = f_{n+1} o phi_n.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,8 +29,8 @@ from .jets import (HomogeneousMap, PolyJet, compose, evaluate_triangular_inverse
 from .sampling import complex_ball_points, complex_sphere_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
-                       detect_resonances, gamma_matrix, operator_norm, spectral_split,
-                       triangular_compatibility_violations)
+                       detect_resonances, gamma_from_rows, operator_norm, spectral_split,
+                       substitution_rows, triangular_compatibility_violations)
 
 _LINEAR_MATCH_TOL = 1e-8
 _LINEARIZABLE_TOL = 1e-11
@@ -148,11 +147,6 @@ class DiscreteEvolutionFamily:
     @property
     def order(self) -> int:
         return self.steps[0].order
-
-    @property
-    def coefficient_bound(self) -> float:
-        """Uniform bound for the step coefficients, tail included."""
-        return max(s.max_coeff for s in self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -303,6 +297,14 @@ class StageReport:
     recurrence_residual: float
 
 
+def _substituted(N: HomogeneousMap, rows: np.ndarray) -> HomogeneousMap:
+    """N o A^{-1} as compose forms it: N's nonzero columns times their
+    full-width substitution rows of A^{-1}, cut to the degree afterwards."""
+    support = (N.coeffs != 0).any(axis=0).nonzero()[0]
+    prod = N.coeffs[:, support] @ rows[support]
+    return HomogeneousMap(N.q, N.degree, prod[:, -len(rows):])
+
+
 def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                      T: Sequence[PolyJet], degree: int, split=None, *,
                      tau: float = RESONANCE_TOL
@@ -323,8 +325,8 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
         split = spectral_split(A_opt, degree, tau)
     if (split.q, split.degree) != (q, degree):
         raise ValueError("split does not match the family and degree")
-    gamma = gamma_matrix(A_opt, degree)
-    Ainv = A_opt.inverse_matrix
+    rows = substitution_rows(A_opt.inverse_matrix, degree)
+    gamma = gamma_from_rows(A_opt.matrix, rows)
 
     new_T = list(T)
     forcing = []
@@ -343,13 +345,11 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                     "the triangular shape; resonance classification conflict")
         resonant_norm = max(resonant_norm, R.norm)
         forcing_norm = max(forcing_norm, N.norm)
-        forcing.append(-N.substitute_linear(Ainv))
+        forcing.append(-_substituted(N, rows))
 
-    if family.tail == TAIL_CONSTANT:
-        seq = ForcingSequence(degree, q, tuple(forcing), TAIL_CONSTANT, forcing[-1])
-    else:
-        seq = ForcingSequence(degree, q, tuple(forcing), TAIL_ZERO)
-    sol = solve_difference(gamma, split, seq)
+    tail = forcing[-1] if family.tail == TAIL_CONSTANT else None
+    sol = solve_difference(gamma, split, ForcingSequence(degree, q, tuple(forcing),
+                                                         family.tail, tail))
 
     identity = PolyJet.identity(q, work)
     new_k = list(k)
@@ -525,6 +525,12 @@ def estimate_constants(family: DiscreteEvolutionFamily,
 # ---------------------------------------------------------------------- #
 # the driver
 
+MAX_WORK_ORDER = 18      # working-order cap of build_normal_form
+MAX_ELL_PASSES = 4       # its rebuilds chasing the contraction exponent ell
+# extra window steps: until they move h_n by less than the target, 4 to 32
+_EXTENSION_TARGET, _MIN_EXTENSION, _MAX_EXTENSION = 1e-10, 4, 32
+_PROBE_BOUND_FACTOR, _PROBE_FLOOR = 2.0, 1e-13  # probe: inc <= max(factor * bound, floor)
+
 
 @dataclass(frozen=True)
 class ConjugacyResult:
@@ -577,14 +583,13 @@ class ConjugacyResult:
         """h_n as a jet; the anchored limit stabilizes on k_n itself."""
         return self.normalizers[n]
 
-    def intertwining_point(self, n: int, points: np.ndarray,
-                           anchor: int | None = None) -> np.ndarray:
+    def intertwining_point(self, n: int, points: np.ndarray) -> np.ndarray:
         """h_n at the columns of points (q, count): push with phi_{n,m},
-        apply k_m, pull back with T_{n,m}^{-1}, where the anchor m defaults
-        to the end of the working window."""
-        m = self.work_horizon if anchor is None else anchor
-        if not n <= m <= self.work_horizon:
-            raise ValueError("anchor must lie between n and the working horizon")
+        apply k_m, pull back with T_{n,m}^{-1}, anchored at the end m of the
+        working window."""
+        m = self.work_horizon
+        if not n <= m:
+            raise ValueError("n must not pass the working horizon")
         w = self.normalizers[m].evaluate_many(self.family.evaluate_transition(n, m, points))
         return self.triangular.inverse_evaluate(n, m, w)
 
@@ -614,8 +619,7 @@ class ConjugacyResult:
 
 def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
                       horizon: int | None = None, tau: float = RESONANCE_TOL,
-                      extension: int | None = None, max_work_order: int = 18,
-                      max_passes: int = 4) -> ConjugacyResult:
+                      extension: int | None = None) -> ConjugacyResult:
     """Normalize a discrete evolution family degree by degree.
 
     Stages run from degree 2 up to the working order max(order, ell), with
@@ -645,15 +649,15 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
     beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
     work_order = max(order, _smallest_ell(alpha, beta))
 
-    constants = None
-    for _ in range(max_passes):
-        if work_order > max_work_order:
+    for _ in range(MAX_ELL_PASSES):
+        if work_order > MAX_WORK_ORDER:
             raise PreconditionError(
                 f"normalization needs working order {work_order} above the "
-                f"limit {max_work_order}; the spectrum is too spread out")
+                f"limit {MAX_WORK_ORDER}; the spectrum is too spread out")
         rate = min(0.9, beta * alpha ** (work_order + 1))
         if extension is None:
-            ext = min(32, max(4, math.ceil(math.log(1e-10) / math.log(rate))))
+            ext = math.ceil(math.log(_EXTENSION_TARGET) / math.log(rate))
+            ext = min(_MAX_EXTENSION, max(_MIN_EXTENSION, ext))
         else:
             ext = extension
         work_horizon = horizon + ext
@@ -675,35 +679,36 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
             break
         work_order = constants.ell
     else:
-        raise ValueError("the contraction exponent kept growing with the "
-                         "working order; constants do not stabilize")
+        raise ValueError(f"the contraction exponent kept growing over {MAX_ELL_PASSES} "
+                         "working-order passes; constants do not stabilize")
 
     defect_sup = 0.0
     for n in range(work_horizon):
         lhs, rhs = _conjugacy_sides(fam_w, k, T, n, work_order)
         defect_sup = max(defect_sup, (lhs - rhs).max_coeff)
 
-    result = ConjugacyResult(fam_w, triangular, k, order, work_order, horizon,
-                             work_horizon, report, A_opt.cluster_sizes,
-                             constants, tuple(stages), defect_sup)
-
-    # probe the guaranteed rate once, recording the Cauchy increments
-    probe = complex_ball_points(q, 0.5 * constants.r, 1)
+    # probe the guaranteed rate once, recording the Cauchy increments of h_0
+    # anchored at m = 0 .. work_horizon: push once, pull back in one pass
+    w = complex_ball_points(q, 0.5 * constants.r, 1)
+    anchored = [k[0].evaluate_many(w)]
+    for m in range(1, work_horizon + 1):
+        w = fam_w.step(m - 1).evaluate_many(w)
+        anchored.append(k[m].evaluate_many(w))
+    vals = triangular.inverse_from_origin(np.arange(work_horizon + 1),
+                                          np.concatenate(anchored, axis=1))
     log = []
-    prev = None
-    for m in range(work_horizon + 1):
-        vals = result.intertwining_point(0, probe, anchor=m)
-        if prev is not None:
-            inc = float(np.linalg.norm(vals - prev))
-            log.append((m - 1, inc))
-            bound = constants.increment_bound(m - 1)
-            if inc > max(2.0 * bound, 1e-13):
-                raise ValueError(
-                    f"pointwise increment {inc:.3g} between anchors {m - 1} and "
-                    f"{m} exceeds twice the certified bound {bound:.3g}; the "
-                    "normalization did not converge at the guaranteed rate")
-        prev = vals
-    return dataclasses.replace(result, convergence_log=tuple(log))
+    for m in range(1, work_horizon + 1):
+        inc = float(np.linalg.norm(vals[:, m] - vals[:, m - 1]))
+        log.append((m - 1, inc))
+        bound = constants.increment_bound(m - 1)
+        if inc > max(_PROBE_BOUND_FACTOR * bound, _PROBE_FLOOR):
+            raise ValueError(
+                f"pointwise increment {inc:.3g} between anchors {m - 1} and "
+                f"{m} exceeds {_PROBE_BOUND_FACTOR:g}x the certified bound {bound:.3g}; "
+                "the normalization did not converge at the guaranteed rate")
+    return ConjugacyResult(fam_w, triangular, k, order, work_order, horizon,
+                           work_horizon, report, A_opt.cluster_sizes,
+                           constants, tuple(stages), defect_sup, tuple(log))
 
 
 # ---------------------------------------------------------------------- #

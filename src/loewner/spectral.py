@@ -253,16 +253,23 @@ def to_optimal_form(matrix: np.ndarray, target_norm: float | None = None,
 # the conjugation operator on homogeneous map spaces
 
 
-def _linear_substitution_matrix(Ainv: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix S with S[K, I] = coefficient of z^K in (Ainv z)^I, both graded-lex."""
+def substitution_rows(Ainv: np.ndarray, degree: int) -> np.ndarray:
+    """compose's power rows (Ainv z)^I for the degree-`degree` monomials I, over
+    every column of a degree-`degree` jet; the last square block is S^T, with
+    S[K, I] = coefficient of z^K in (Ainv z)^I, both graded-lex."""
     jet = PolyJet.from_linear(Ainv, degree)
     t = jet.tables
     lo, hi = t.offsets[degree], t.offsets[degree + 1]
     pos, table = _power_rows(t, jet.coeffs, np.arange(lo, hi))
-    return np.ascontiguousarray(table[pos[lo:hi], lo:hi].T)
+    return table[pos[lo:hi]]
 
 
-def gamma_matrix(linear_part: "OptimalForm | np.ndarray", degree: int) -> np.ndarray:
+def gamma_from_rows(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """kron(A, S) for the substitution rows of A^{-1} (substitution_rows)."""
+    return np.kron(A, np.ascontiguousarray(rows[:, -len(rows):].T))
+
+
+def gamma_matrix(matrix: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of H -> A o H o A^{-1} on degree-`degree` homogeneous maps.
 
     Basis vectors are the maps z -> z^I e_j ordered component-major with
@@ -272,14 +279,8 @@ def gamma_matrix(linear_part: "OptimalForm | np.ndarray", degree: int) -> np.nda
     """
     if degree < 2:
         raise ValueError(f"homogeneous degree must be >= 2, got {degree}")
-    if isinstance(linear_part, OptimalForm):
-        A = np.asarray(linear_part.matrix)
-        Ainv = linear_part.inverse_matrix
-    else:
-        A = np.asarray(linear_part, dtype=complex)
-        Ainv = np.linalg.inv(A)
-    S = _linear_substitution_matrix(Ainv, degree)
-    return np.kron(A, S)
+    A = np.asarray(matrix, dtype=complex)
+    return gamma_from_rows(A, substitution_rows(np.linalg.inv(A), degree))
 
 
 @dataclass(frozen=True)

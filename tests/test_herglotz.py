@@ -48,7 +48,6 @@ def _linear_field(diag=(-0.5, -0.8), horizon=2.0):
 def test_coefficient_constant():
     c = TimeCoefficient.constant(0.2 - 0.1j)
     assert c(0.0) == c(17.3) == 0.2 - 0.1j
-    assert c.bound() == pytest.approx(abs(0.2 - 0.1j))
     assert c.breakpoints() == ()
 
 
@@ -531,6 +530,21 @@ def test_batched_pde_residual_matches_per_sample_loop(q, kind):
     samples = [(t, z[:, i]) for t in (0.5, 1.5) for i in range(z.shape[1])]
     samples.append((1.7, z[:, 2]))  # a time of its own
     assert pde_residual(chain, samples, h=1e-3) == _pde_residual_reference(chain, samples, 1e-3)
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_batched_pde_residual_per_time_within_roundoff(q, kind):
+    # a joint batch need not round a column as a (q, 1) call does (Lambda @ z
+    # is one matrix product for all columns), and the quotient divides
+    # that roundoff by the step, so each time group agrees within eps / h
+    chain = build_chain(_piecewise_field(q, kind))
+    z = _spread_points(q, 0.4 * chain.radius, 3)
+    h = 1e-3
+    for t in (0.5, 1.5, 1.7):
+        samples = [(t, z[:, i]) for i in range(z.shape[1])]
+        got = pde_residual(chain, samples, h=h)
+        assert abs(got - _pde_residual_reference(chain, samples, h)) <= np.finfo(float).eps / h
 
 
 def test_pde_residual_integrates_each_time_once(demo_chain, monkeypatch):

@@ -10,6 +10,7 @@ import scipy.optimize
 from loewner import (
     DiscreteEvolutionFamily,
     HerglotzFieldSpec,
+    HomogeneousMap,
     PolyJet,
     TimeCoefficient,
     TriangularFamily,
@@ -26,7 +27,9 @@ from loewner import (
     spectral_split,
     univalence_check,
 )
+from loewner import normal_form
 from loewner.normal_form import RangeGrowthReport, _nelder_mead
+from loewner.spectral import substitution_rows
 from loewner.sampling import complex_ball_points, complex_sphere_points
 
 from conftest import koenigs_family, koenigs_oracle, random_optimal_family
@@ -163,6 +166,31 @@ def test_step_absorbs_resonant_defect_into_T():
     assert stage.recurrence_residual <= 1e-10
 
 
+def _substitute_linear_reference(N, Ainv):
+    """N o Ainv by one full jet composition, as every forcing term was built
+    before the substitution rows were shared with Gamma."""
+    lin = PolyJet.from_linear(Ainv, N.degree)
+    return compose(N.to_jet(), lin).homogeneous_part(N.degree)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_forcing_matches_full_composition_bit_for_bit(q, degree):
+    rng = np.random.default_rng(10 * q + degree)
+    # moduli a, a^2, ..., a^q: resonant monomials at degrees 2 .. q
+    a = 0.6 * np.exp(0.3j)
+    A = np.diag(a ** np.arange(1, q + 1)) + np.tril(
+        0.05 * (rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))), -1)
+    Ainv = np.linalg.inv(A)
+    rows = substitution_rows(Ainv, degree)
+    split = spectral_split(np.diag(np.diagonal(A)), degree)
+    dense = rng.normal(size=split.dimension) + 1j * rng.normal(size=split.dimension)
+    for flat in (dense, np.where(split.resonant, 0.0, dense)):
+        N = HomogeneousMap.from_flat(q, degree, flat)
+        got = normal_form._substituted(N, rows)
+        assert np.array_equal(got.coeffs, _substitute_linear_reference(N, Ainv).coeffs)
+
+
 # ---------------------------------------------------------------------- #
 # constants
 
@@ -239,7 +267,7 @@ def test_build_work_order_covers_ell():
 
 
 def test_conjugacy_identity_through_work_order(koenigs10):
-    scale = max(1.0, koenigs10.family.coefficient_bound)
+    scale = max(1.0, max(s.max_coeff for s in koenigs10.family.steps))
     for n in range(koenigs10.work_horizon):
         assert koenigs10.defect_jet(n).max_coeff <= 1e-10 * scale
 
@@ -274,6 +302,42 @@ def test_cauchy_increments_respect_certificate(koenigs10):
     assert koenigs10.convergence_log, "builder must record the probe"
     for gap, inc in koenigs10.convergence_log:
         assert inc <= max(2.0 * cs.increment_bound(gap), 1e-13)
+
+
+def _convergence_log_reference(res):
+    """The probe anchor by anchor: h_0 pushed and pulled back from scratch
+    for every m, as the probe ran before its single pull-back pass."""
+    probe = complex_ball_points(res.q, 0.5 * res.constants.r, 1)
+    vals = [res.triangular.inverse_evaluate(0, m, res.normalizers[m].evaluate_many(
+        res.family.evaluate_transition(0, m, probe))) for m in range(res.work_horizon + 1)]
+    return tuple((m - 1, float(np.linalg.norm(vals[m] - vals[m - 1])))
+                 for m in range(1, res.work_horizon + 1))
+
+
+@pytest.fixture(scope="module")
+def seed7_q4():
+    fam = random_optimal_family(np.random.default_rng(7), 4, 3, horizon=2)
+    return build_normal_form(fam, extension=8)
+
+
+@pytest.mark.parametrize("name", ["koenigs10", "seed12_q2", "seed7_q4"])
+def test_convergence_log_matches_per_anchor_loop(name, request):
+    res = request.getfixturevalue(name)
+    assert len(res.convergence_log) == res.work_horizon
+    assert res.convergence_log == _convergence_log_reference(res)
+
+
+def test_probe_pulls_back_in_one_pass(monkeypatch):
+    calls = []
+
+    def counted(f, w, _orig=normal_form.evaluate_triangular_inverse_many):
+        calls.append(w.shape[1])
+        return _orig(f, w)
+
+    monkeypatch.setattr(normal_form, "evaluate_triangular_inverse_many", counted)
+    res = build_normal_form(random_optimal_family(np.random.default_rng(12), 2, 3, horizon=3))
+    # one pass applies each T_j^{-1} once; anchor by anchor took W (W + 1) / 2
+    assert 0 < len(calls) <= res.work_horizon
 
 
 # ---------------------------------------------------------------------- #
