@@ -14,6 +14,7 @@ from loewner import (
     TimeCoefficient,
     attraction_check,
     build_chain,
+    build_normal_form,
     discretize,
     pde_residual,
     range_growth_check,
@@ -50,13 +51,15 @@ def run(field, order, save):
     fine = pde_residual(chain, samples, h=5e-4)
     print(f"pde residual: {coarse:.3e} at h=1e-3, halving ratio {coarse / fine:.2f}")
 
-    growth = range_growth_check(chain.result)
+    # the chain keeps only its jets: range growth reads a normal form
+    # rebuilt from the chain's own discretization, as `loewner verify` does
+    disc = discretize(field, chain.horizon, chain.order, tol=chain.step_tol)
+    growth = range_growth_check(build_normal_form(disc.family, horizon=chain.horizon))
     reached = (f"step {growth.achieved_step} (bound {growth.step_bound})"
                if growth.achieved_step is not None else "not reached in window")
     print(f"range growth: nondecreasing={growth.nondecreasing}, "
           f"1000x inner radius at {reached}")
 
-    disc = discretize(field, chain.horizon, chain.order)
     orbit = attraction_check(disc.family, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
     worst = max(r.steps for r in orbit.rows)
     print(f"attraction: all converged={orbit.all_converged}, "

@@ -26,7 +26,6 @@ from scipy.linalg import expm
 from .homological import TAIL_CONSTANT
 from .jets import PolyJet, _compose_arrays, _tables, compose, invert
 from .normal_form import (
-    ConjugacyResult,
     DiscreteEvolutionFamily,
     UnivalenceReport,
     _with_linear,
@@ -366,6 +365,9 @@ TRAJECTORY_TOL = 1e-11
 STEP_TOL = 1e-10
 # RK4 stage times stay this far (relative) below a segment's right end
 STAGE_CAP_SLACK = 1e-12
+# step budgets: integrate_jet's refinement, and the trajectories' doubling
+JET_MAX_STEPS = 1 << 17
+TRAJECTORY_MAX_STEPS = 1 << 18
 
 
 def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float, float]]:
@@ -407,14 +409,13 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
 
 
 def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
-                  order: int | None = None, tol: float = STEP_TOL,
-                  max_nsteps: int = 1 << 17) -> PolyJet:
+                  order: int | None = None, tol: float = STEP_TOL) -> PolyJet:
     """Jet of the transition map phi_{s,t} of the field, s <= t.
 
     The step count is refined until the map integrated over [s, t] in one go
     agrees with the composition of the two half-interval maps to within tol
-    (relative, on coefficients).  Raises when the budget of max_nsteps steps
-    cannot reach the tolerance.  The RK stages run on raw coefficient
+    (relative, on coefficients).  Raises when the budget of JET_MAX_STEPS
+    steps cannot reach the tolerance.  The RK stages run on raw coefficient
     blocks; only each pass's three integrated maps become PolyJets.
     """
     order = field.order if order is None else int(order)
@@ -448,18 +449,19 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         res = (full - split).max_coeff / max(1.0, split.max_coeff)
         if res <= tol:
             return split
-        if 2 * nsteps > max_nsteps:
+        if 2 * nsteps > JET_MAX_STEPS:
             raise ValueError(
-                f"step refinement exhausted at {nsteps} steps; "
+                f"step refinement exhausted at {nsteps} steps "
+                f"(budget {JET_MAX_STEPS}); "
                 f"split residual {res:.3e} exceeds tol {tol:.1e}"
             )
         # quartic local error: jump most of the way, then verify again
         factor = max(2.0, min(16.0, (res / tol) ** 0.25))
-        nsteps = min(max_nsteps, int(math.ceil(nsteps * factor)))
+        nsteps = min(JET_MAX_STEPS, int(math.ceil(nsteps * factor)))
 
 
 def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
-                  rhs, tol: float, max_nsteps: int) -> tuple:
+                  rhs, tol: float) -> tuple:
     """RK4 with the step count doubled until two successive runs agree.
 
     Agreement is the largest entrywise difference over all parts, relative
@@ -468,10 +470,10 @@ def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
     nsteps = _initial_steps(s, t)
     prev = _rk4(field, s, t, state, rhs, nsteps)
     while True:
-        if 2 * nsteps > max_nsteps:
+        if 2 * nsteps > TRAJECTORY_MAX_STEPS:
             raise ValueError(
                 f"trajectory integration failed to reach the tolerance "
-                f"within {max_nsteps} steps")
+                f"within {TRAJECTORY_MAX_STEPS} steps")
         nsteps *= 2
         cur = _rk4(field, s, t, state, rhs, nsteps)
         err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
@@ -482,8 +484,8 @@ def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
 
 
 def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
-                          points: np.ndarray, tol: float = TRAJECTORY_TOL,
-                          max_nsteps: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
+                          points: np.ndarray, tol: float = TRAJECTORY_TOL
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """phi_{s,t} and D phi_{s,t} at the columns of points.
 
     The Jacobian factors solve M' = DH(z(tau), tau) M along each trajectory,
@@ -502,12 +504,11 @@ def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
         z, Mc = x
         return field.values(tau, z), np.einsum("mij,mjk->mik", field.jacobians(tau, z), Mc)
 
-    return _rk4_doubling(field, s, t, (pts, M), rhs, tol, max_nsteps)
+    return _rk4_doubling(field, s, t, (pts, M), rhs, tol)
 
 
 def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
-                     points: np.ndarray, tol: float = TRAJECTORY_TOL,
-                     max_nsteps: int = 1 << 18) -> np.ndarray:
+                     points: np.ndarray, tol: float = TRAJECTORY_TOL) -> np.ndarray:
     """Trajectories z(t) of dz/dtau = H(z, tau) with z(s) = columns of points."""
     s, t = float(s), float(t)
     if t < s:
@@ -519,7 +520,7 @@ def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
     if t == s or pts.shape[1] == 0:
         return pts[:, 0] if single else np.array(pts)
     (cur,) = _rk4_doubling(field, s, t, (pts,),
-                           lambda tau, x: (field.values(tau, x[0]),), tol, max_nsteps)
+                           lambda tau, x: (field.values(tau, x[0]),), tol)
     return cur[:, 0] if single else cur
 
 
@@ -614,6 +615,8 @@ def discretize(field: HerglotzFieldSpec, horizon: int | None = None,
 # a chain time up to this far above an integer n is read as n itself, so
 # roundoff above a grid point never asks for a backwards flow
 ANCHOR_SLACK = 1e-12
+# evaluate accepts points up to this far (relative) outside the validity radius
+VALIDITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -625,10 +628,10 @@ class LoewnerChain:
     radius is the validity ball (points must stay inside the window where
     the normalizing construction converges once pushed to their anchor).
     certificate, when present, bounds sup_t sup_{|z|<=0.95 radius}
-    |exp(Lambda t) f_t(z)| over the build grid; it is attached only for
-    resonance-free spectra.  result is the discrete normalization backing a
-    freshly built chain; deserialized chains carry only the jets.  evolution
-    is derived, not passed: the field's transition maps at the chain order.
+    |exp(Lambda t) f_t(z)| over the build grid, measured on these jets; it
+    is attached only for resonance-free spectra.  A chain and its JSON
+    document evaluate identically.  evolution is derived, not passed: the
+    field's transition maps at the chain order.
     """
 
     field: HerglotzFieldSpec
@@ -641,7 +644,6 @@ class LoewnerChain:
     certificate_step: float
     step_tol: float
     constants: Mapping | None = None
-    result: ConjugacyResult | None = None
     evolution: ContinuousEvolution = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -703,21 +705,14 @@ class LoewnerChain:
         if single:
             pts = pts[:, None]
         norms = np.sqrt(np.abs(pts * pts.conj()).sum(axis=0).real)
-        if norms.size and norms.max() > self.radius * (1.0 + 1e-9):
+        if norms.size and norms.max() > self.radius * (1.0 + VALIDITY_SLACK):
             raise ValueError(
                 f"point norm {norms.max():.6g} outside the validity radius "
                 f"{self.radius:.6g}")
         a = self.anchor(t)
         w = pts if t >= a else self.evolution.point(t, a, pts)
-        out = self._at_anchor(a, w)
+        out = self.chain_jets[a].evaluate_many(w)
         return out[:, 0] if single else out
-
-    def _at_anchor(self, a: int, w: np.ndarray) -> np.ndarray:
-        """f_a at already-pushed points; no validity gate (internal use)."""
-        if self.result is not None:
-            M = self.basis_change
-            return np.linalg.solve(M, self.result.chain_point(a, M @ w))
-        return self.chain_jets[a].evaluate_many(w)
 
     def to_json_dict(self) -> dict:
         return {
@@ -743,23 +738,13 @@ class LoewnerChain:
             raise ValueError(f"not a chain document (schema {schema!r})")
         field = HerglotzFieldSpec.from_json_dict(data["field"])
         jets = tuple(PolyJet.from_json_dict(j) for j in data["jets"])
-        res = data.get("resonances") or {}
-        report = ResonanceReport(
-            mode=res.get("mode", "multiplicative"),
-            tolerance=float(res.get("tolerance", RESONANCE_TOL)),
-            p=int(res.get("p", 2)),
-            resonances=tuple(
-                (int(e["component"]) - 1, tuple(int(x) for x in e["index"]))
-                for e in res.get("resonances", ())
-            ),
-        )
         return LoewnerChain(
             field=field,
             horizon=int(data["horizon"]),
             radius=float(data["radius"]),
             basis_change=matrix_from_json(data["basis_change"]),
             chain_jets=jets,
-            resonances=report,
+            resonances=ResonanceReport.from_json_dict(data.get("resonances") or {}),
             certificate=None if data.get("certificate") is None else float(data["certificate"]),
             certificate_step=float(data.get("certificate_step", 1.0)),
             step_tol=float(data.get("step_tol", STEP_TOL)),
@@ -775,6 +760,14 @@ def _transient_growth(Lambda: np.ndarray) -> float:
     return worst
 
 
+def _certificate_grid(horizon: int, step: float) -> list[float]:
+    """Times 0, step, 2 step, .. up to the horizon, which always closes the grid."""
+    ts = [k * step for k in range(int(math.floor(horizon / step)) + 1)]
+    if ts[-1] < horizon:
+        ts.append(float(horizon))
+    return ts
+
+
 def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
                     points: np.ndarray) -> float:
     worst = 0.0
@@ -785,11 +778,16 @@ def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
 
 
 MAX_JET_ORDER_PASSES = 3  # build_chain's rebuilds until the jets cover the work order
+RADIUS_FACTOR = 0.4       # validity radius over r / (|M| x transient growth of exp(tau Lambda))
+CERTIFICATE_STEP = 0.5    # time grid of the certificate sweep
+CERTIFICATE_SAMPLES = 16  # ball points of the certificate sweep
+CERTIFICATE_BALL = 0.95   # the sweep's ball, relative to the validity radius
+CERTIFICATE_FACTOR = 1.25  # certificate over the measured sup
 
 
 def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
-                order: int | None = None, tol: float = STEP_TOL, tau: float = RESONANCE_TOL,
-                grid_step: float = 0.5, ball_samples: int = 16) -> LoewnerChain:
+                order: int | None = None, tol: float = STEP_TOL,
+                tau: float = RESONANCE_TOL) -> LoewnerChain:
     """Normalize the evolution family of the field into a Loewner chain.
 
     The field is discretized at integer times, the discrete family is brought
@@ -798,8 +796,8 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     order: the working order depends on constants measured from the
     normalized data, so the estimate is refined and the family rebuilt until
     the jets carry true flow coefficients at every order the normalization
-    touches.  A sup bound for the normalized maps on the validity ball is
-    attached only when the spectrum is resonance-free.
+    touches.  A sup bound for the normalized chain jets on the validity
+    ball is attached only when the spectrum is resonance-free.
     """
     T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
     if T < 1:
@@ -827,7 +825,7 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     jets = tuple(compose(Mij, compose(fj, Mj, W), W) for fj in discrete)
 
     growth = _transient_growth(field.Lambda)
-    radius = 0.4 * result.constants.r / (operator_norm(M) * growth)
+    radius = RADIUS_FACTOR * result.constants.r / (operator_norm(M) * growth)
     chain = LoewnerChain(
         field=field,
         horizon=T,
@@ -836,18 +834,14 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         chain_jets=jets,
         resonances=result.resonance_report,
         certificate=None,
-        certificate_step=float(grid_step),
+        certificate_step=CERTIFICATE_STEP,
         step_tol=tol,
         constants=result.constants.as_dict(),
-        result=result,
     )
     if not result.resonance_report.resonances:
-        ts = [k * grid_step for k in range(int(math.floor(T / grid_step)) + 1)]
-        if ts[-1] < T:
-            ts.append(float(T))
-        pts = complex_ball_points(field.q, 0.95 * radius, ball_samples)
-        sup = _normalized_sup(chain, ts, pts)
-        chain = dataclasses.replace(chain, certificate=1.25 * sup)
+        pts = complex_ball_points(field.q, CERTIFICATE_BALL * radius, CERTIFICATE_SAMPLES)
+        sup = _normalized_sup(chain, _certificate_grid(T, CERTIFICATE_STEP), pts)
+        chain = dataclasses.replace(chain, certificate=CERTIFICATE_FACTOR * sup)
     return chain
 
 
@@ -945,7 +939,6 @@ NORMALIZATION_FACTOR = 1.01    # sup of exp(Lambda t) f_t may pass the declared
 NORMALIZATION_SLACK = 1e-9     # bound by this factor plus this absolute slack
 UNIVALENCE_SEPARATION = 1e-3   # least sample distance compared, relative to the radius
 UNIVALENCE_COLLISION = 1e-10   # image distance read as a collision
-RADIUS_SLACK = 1e-12           # verification radius over the validity radius, relative
 
 
 @dataclass(frozen=True)
@@ -984,10 +977,9 @@ class SubordinationReport:
         }
 
 
-def verify_subordination_chain(chain, radius: float | None = None, *,
-                               grid_step: float | None = None, samples: int = 12,
+def verify_subordination_chain(chain: LoewnerChain, *, samples: int = 12,
                                start: int = 0) -> SubordinationReport:
-    """Check a chain document against its own field.
+    """Check a chain against its own field on its validity ball and certificate grid.
 
     Four checks run unconditionally and every failure is collected rather
     than raised: the linear part of f_t must match exp(-Lambda t); the
@@ -998,15 +990,8 @@ def verify_subordination_chain(chain, radius: float | None = None, *,
     declared; and the normalized maps must be injective on the mirrored
     sample set with linear part tangent to the identity.
     """
-    if isinstance(chain, Mapping):
-        chain = LoewnerChain.from_json_dict(chain)
-    R = chain.radius if radius is None else float(radius)
-    if R > chain.radius * (1.0 + RADIUS_SLACK):
-        raise ValueError("verification radius exceeds the chain validity radius")
-    step = chain.certificate_step if grid_step is None else float(grid_step)
-    ts = [k * step for k in range(int(math.floor(chain.horizon / step)) + 1)]
-    if ts[-1] < chain.horizon:
-        ts.append(float(chain.horizon))
+    R = chain.radius
+    ts = _certificate_grid(chain.horizon, chain.certificate_step)
     pts = verification_samples(chain.q, 0.9 * R, samples, start)
     failures: list[str] = []
 

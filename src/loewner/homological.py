@@ -103,7 +103,11 @@ def split_forcing(B: HomogeneousMap, split: SpectralSplit
     return tuple(parts)
 
 
-def _norm_series_bound(block: np.ndarray, max_power: int = 4096) -> float:
+# powers _norm_series_bound tries before giving up on contraction
+NORM_SERIES_MAX_POWER = 4096
+
+
+def _norm_series_bound(block: np.ndarray) -> float:
     """Rigorous upper bound for sum_{j>=0} ||block^j|| in the infinity norm.
 
     Powers are accumulated until some ||block^j0|| = eta < 1; the tail is
@@ -115,13 +119,14 @@ def _norm_series_bound(block: np.ndarray, max_power: int = 4096) -> float:
         return 0.0
     partial = 1.0  # ||I||
     P = np.eye(m, dtype=complex)
-    for _ in range(max_power):
+    for _ in range(NORM_SERIES_MAX_POWER):
         P = P @ block
         norm = float(np.linalg.norm(P, np.inf))
         if norm < 0.5:
             return partial / (1.0 - norm)
         partial += norm
-    raise ValueError("operator power norms did not contract; spectral radius is not < 1")
+    raise ValueError(f"operator power norms did not contract within "
+                     f"{NORM_SERIES_MAX_POWER} powers; spectral radius is not < 1")
 
 
 def solve_difference(gamma: np.ndarray, split: SpectralSplit,

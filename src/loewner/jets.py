@@ -23,7 +23,6 @@ read-only), so they can be shared freely between caches and threads.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -366,9 +365,6 @@ class PolyJet:
                     })
         return {"q": self.q, "order": self.order, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def from_json_dict(data: Mapping) -> "PolyJet":
         q = int(data["q"])
@@ -384,10 +380,6 @@ class PolyJet:
                 raise ValueError(f"bad multi-index {list(I)} for q={q}, order={order}")
             c[j, t.rank[I]] = complex(float(term["re"]), float(term["im"]))
         return PolyJet(q, order, c)
-
-    @staticmethod
-    def from_json(text: str) -> "PolyJet":
-        return PolyJet.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,6 +35,8 @@ from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
 _LINEAR_MATCH_TOL = 1e-8
 _LINEARIZABLE_TOL = 1e-11
 _IDENTITY_BREAK_TOL = 1e-10
+# largest linear-part deviation from the identity the univalence check accepts
+UNIVALENCE_LINEAR_TOL = 1e-8
 
 
 def _nonlinear(jet: PolyJet) -> PolyJet:
@@ -1001,7 +1003,7 @@ class UnivalenceReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations and self.linear_defect <= 1e-8
+        return not self.violations and self.linear_defect <= UNIVALENCE_LINEAR_TOL
 
 
 def univalence_check(values, samples: np.ndarray, jets: Sequence[PolyJet] = (), *,

@@ -10,9 +10,8 @@ enumerate spectral resonances.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -390,8 +389,17 @@ class ResonanceReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+    @staticmethod
+    def from_json_dict(data: Mapping) -> "ResonanceReport":
+        return ResonanceReport(
+            mode=data.get("mode", "multiplicative"),
+            tolerance=float(data.get("tolerance", RESONANCE_TOL)),
+            p=int(data.get("p", 2)),
+            resonances=tuple(
+                (int(e["component"]) - 1, tuple(int(x) for x in e["index"]))
+                for e in data.get("resonances", ())
+            ),
+        )
 
 
 def _degree_cutoff(moduli: np.ndarray) -> int:

@@ -317,3 +317,20 @@ def test_cli_chain_leaves_scipy_sparse_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, "chain", "--input", inp,
                            "--output", str(tmp_path / "chain.json")], env=env)
     assert proc.returncode == 0
+
+
+def test_chain_report_script_saves_a_verifiable_chain(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    doc = tmp_path / "chain.json"
+    report = subprocess.run([sys.executable, str(root / "scripts" / "chain_report.py"),
+                             "--save", str(doc)], env=env, capture_output=True, text=True)
+    assert report.returncode == 0, report.stderr
+    assert "range growth:" in report.stdout
+    verify = subprocess.run([sys.executable, "-m", "loewner.cli", "verify", "--input", str(doc),
+                             "--output", str(tmp_path / "verify.json")],
+                            env=env, capture_output=True, text=True)
+    assert verify.returncode == 0, verify.stderr
+    assert "verify: PASS" in verify.stdout

@@ -283,9 +283,9 @@ def test_triangular_closure_under_compose_and_invert():
 def test_json_round_trip_bit_exact():
     rng = np.random.default_rng(21)
     f = random_polyjet(rng, 3, 3, scale=0.9)
-    data = json.loads(f.to_json())
+    data = json.loads(json.dumps(f.to_json_dict()))
     assert data["q"] == 3 and data["order"] == 3
-    back = PolyJet.from_json(f.to_json())
+    back = PolyJet.from_json_dict(data)
     assert np.array_equal(back.coeffs, f.coeffs)
     keys = [(t["component"], tuple(t["index"])) for t in data["terms"]]
     assert keys == sorted(keys, key=lambda k: (k[0], sum(k[1]),
