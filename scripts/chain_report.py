@@ -20,6 +20,7 @@ from loewner import (
     range_growth_check,
     verify_subordination_chain,
 )
+from loewner.cli import report_text
 from loewner.sampling import complex_ball_points
 
 
@@ -63,11 +64,11 @@ def run(field, order, save):
     orbit = attraction_check(disc.family, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
     worst = max(r.steps for r in orbit.rows)
     print(f"attraction: all converged={orbit.all_converged}, "
-          f"slowest orbit {worst} steps to the 1e-6 ball")
+          f"slowest orbit {worst} steps to the {orbit.tol:g} ball")
 
     if save:
         with open(save, "w") as fh:
-            json.dump(chain.to_json_dict(), fh, sort_keys=True, indent=2)
+            fh.write(report_text(chain.to_json_dict()))
         print(f"chain document written to {save}")
 
 

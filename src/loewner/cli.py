@@ -66,8 +66,111 @@ def _load(path: str) -> dict:
     return doc
 
 
+_json_string = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TERM_KEYS = {"component", "im", "index", "re"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _json_text(x, nl: str) -> str:
+    """json's own text for x, indented to sit after nl; the replace is exact
+    because an encoded JSON string holds no raw newline."""
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def report_text(doc) -> str:
+    """The text of a report: exactly what json.dumps writes with sorted keys
+    and a two-space indent, plus a final newline, without the cost of the
+    pure-Python encoder json falls back to whenever it indents.
+
+    Exact str, float, int, list and dict values, None and the bools are
+    written here; everything else (float subclasses such as np.float64,
+    tuples, non-str keys, unserializable objects) is written, or rejected,
+    by json.dumps itself.  A coefficient term {component, im, index, re}
+    reuses the text around its two floats.
+    """
+    out: list[str] = []
+    put = out.append
+    terms: dict[tuple, tuple[str, str, str]] = {}
+
+    def write(x, nl: str) -> None:
+        # nl is a newline followed by the indentation of x's own line
+        t = type(x)
+        if t is str:
+            put(_json_string(x))
+        elif t is float:
+            put(_json_float(x))
+        elif t is int:
+            put(int.__repr__(x))
+        elif t is list:
+            if not x:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in x:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif t is dict:
+            if not x:
+                put("{}")
+                return
+            if x.keys() == _TERM_KEYS:
+                c, index, re, im = x["component"], x["index"], x["re"], x["im"]
+                if (type(c) is int and type(re) is float and type(im) is float
+                        and type(index) is list and all(type(i) is int for i in index)):
+                    key = (nl, c, *index)
+                    text = terms.get(key)
+                    if text is None:
+                        inner = nl + "  "
+                        listed = ("[" + "".join(f"{inner}  {i}," for i in index)[:-1]
+                                  + inner + "]") if index else "[]"
+                        text = terms[key] = (
+                            f'{{{inner}"component": {c},{inner}"im": ',
+                            f',{inner}"index": {listed},{inner}"re": ',
+                            nl + "}")
+                    put(text[0])
+                    put(_json_float(im))
+                    put(text[1])
+                    put(_json_float(re))
+                    put(text[2])
+                    return
+            if not all(type(k) is str for k in x):
+                put(_json_text(x, nl))
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k in sorted(x):
+                put(sep + _json_string(k) + ": ")
+                write(x[k], inner)
+                sep = "," + inner
+            put(nl + "}")
+        elif x is None:
+            put("null")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        else:
+            put(_json_text(x, nl))
+
+    try:
+        write(doc, "\n")
+    except RecursionError:
+        # a circular or very deeply nested document: json decides
+        return _json_text(doc, "\n") + "\n"
+    put("\n")
+    return "".join(out)
+
+
 def _dump(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = report_text(doc)
     if path:
         Path(path).write_text(text)
     else:

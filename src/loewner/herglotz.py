@@ -26,6 +26,7 @@ from scipy.linalg import expm
 from .homological import TAIL_CONSTANT
 from .jets import PolyJet, _compose_arrays, _tables, compose, invert
 from .normal_form import (
+    UNIVALENCE_COLLISION,
     DiscreteEvolutionFamily,
     UnivalenceReport,
     _with_linear,
@@ -746,7 +747,7 @@ class LoewnerChain:
             chain_jets=jets,
             resonances=ResonanceReport.from_json_dict(data.get("resonances") or {}),
             certificate=None if data.get("certificate") is None else float(data["certificate"]),
-            certificate_step=float(data.get("certificate_step", 1.0)),
+            certificate_step=float(data["certificate_step"]),
             step_tol=float(data.get("step_tol", STEP_TOL)),
             constants=data.get("constants"),
         )
@@ -938,7 +939,6 @@ FIELD_MATCH_TOL = 1e-5         # transition jets against the field's, relative
 NORMALIZATION_FACTOR = 1.01    # sup of exp(Lambda t) f_t may pass the declared
 NORMALIZATION_SLACK = 1e-9     # bound by this factor plus this absolute slack
 UNIVALENCE_SEPARATION = 1e-3   # least sample distance compared, relative to the radius
-UNIVALENCE_COLLISION = 1e-10   # image distance read as a collision
 
 
 @dataclass(frozen=True)
@@ -1089,8 +1089,12 @@ class AttractionReport:
         }
 
 
+# radius of the ball an orbit must enter to count as attracted
+ATTRACTION_BALL = 1e-6
+
+
 def attraction_check(family: DiscreteEvolutionFamily, points: np.ndarray,
-                     tol: float = 1e-6, max_steps: int = 4096,
+                     tol: float = ATTRACTION_BALL, max_steps: int = 4096,
                      start: int = 0) -> AttractionReport:
     """Iterate the evolution family on sample points until they reach the tol ball.
 

@@ -37,6 +37,12 @@ _LINEARIZABLE_TOL = 1e-11
 _IDENTITY_BREAK_TOL = 1e-10
 # largest linear-part deviation from the identity the univalence check accepts
 UNIVALENCE_LINEAR_TOL = 1e-8
+# univalence_check's defaults: least sample distance it compares, and the
+# image distance it reads as a collision
+UNIVALENCE_DELTA = 1e-4
+UNIVALENCE_COLLISION = 1e-10
+# relative gap extend_intertwining allows between the values of two anchors
+EXTENSION_ANCHOR_RTOL = 1e-10
 
 
 def _nonlinear(jet: PolyJet) -> PolyJet:
@@ -718,7 +724,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
 
 
 def extend_intertwining(result: ConjugacyResult, n: int, points: np.ndarray,
-                        radius: float | None = None, tol: float = 1e-10,
+                        radius: float | None = None, tol: float = EXTENSION_ANCHOR_RTOL,
                         max_steps: int | None = None) -> np.ndarray:
     """h_n outside the certified ball, through the forward orbit.
 
@@ -1007,7 +1013,8 @@ class UnivalenceReport:
 
 
 def univalence_check(values, samples: np.ndarray, jets: Sequence[PolyJet] = (), *,
-                     delta: float = 1e-4, eta: float = 1e-10) -> UnivalenceReport:
+                     delta: float = UNIVALENCE_DELTA,
+                     eta: float = UNIVALENCE_COLLISION) -> UnivalenceReport:
     """Check injectivity of evaluated maps on a common sample set.
 
     values is one (q, m) array or a sequence of them (one per map); any two

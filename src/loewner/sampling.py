@@ -16,6 +16,8 @@ from scipy.special import ndtri
 _MIN_BALL_ACCEPTANCE = 1e-4
 # largest batch of Halton points the ball sampler draws at once (6 MB at q = 6)
 _MAX_BATCH = 1 << 16
+# Halton coordinates are kept this far inside (0, 1), where ndtri is finite
+_NDTRI_CLIP = 1e-12
 
 
 def _first_primes(count: int) -> list[int]:
@@ -66,7 +68,7 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
     acceptance = math.pi ** q / (math.factorial(q) * 4 ** q)
     if acceptance < _MIN_BALL_ACCEPTANCE:
         u = halton(count, 2 * q + 1, start)
-        g = ndtri(np.clip(u[:, :-1], 1e-12, 1.0 - 1e-12))
+        g = ndtri(np.clip(u[:, :-1], _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
         g *= (u[:, -1] ** (1.0 / (2 * q)) / np.linalg.norm(g, axis=1))[:, None]
         return radius * (g[:, :q] + 1j * g[:, q:]).T
     pts = np.empty((q, count), dtype=complex)
@@ -91,6 +93,6 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
 def complex_sphere_points(q: int, radius: float, count: int, start: int = 0) -> np.ndarray:
     """`count` points on the euclidean sphere |z| = radius in C^q, shape (q, count)."""
     u = halton(count, 2 * q, start)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    g = ndtri(np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return radius * (g[:, :q] + 1j * g[:, q:]).T

@@ -26,6 +26,9 @@ RESONANCE_TOL = 1e-9
 # relative modulus gap under which eigenvalues join one cluster of the
 # optimal form
 CLUSTER_RTOL = 1e-9
+# coarser cluster gaps to_optimal_form retries with when the requested gap's
+# clusters cannot be decoupled or conjugate with too large a residual
+_CLUSTER_RETRY_RTOLS = (1e-6, 1e-3, 1e-1)
 
 # largest polynomial degree the package enumerates: the resonance cutoff p
 # and the contraction exponent ell must stay at or below it
@@ -216,7 +219,7 @@ def to_optimal_form(matrix: np.ndarray, target_norm: float | None = None,
                            1.0, operator_norm(A_orig))
 
     scale = max(operator_norm(A_orig), 1.0)
-    for attempt_rtol in (cluster_rtol, 1e-6, 1e-3, 1e-1):
+    for attempt_rtol in (cluster_rtol, *_CLUSTER_RETRY_RTOLS):
         T, Q = scipy.linalg.schur(A_orig, output="complex")
         _sort_schur_ascending(T, Q)
         flip = np.eye(q)[::-1]

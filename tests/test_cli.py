@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import loewner
-from loewner.cli import _build_parser, main
+from loewner.cli import _build_parser, main, report_text
 from loewner.herglotz import matrix_to_json
 from loewner.jets import PolyJet
 
@@ -170,7 +170,11 @@ def _lower_order_jet(doc):
     return {"jets": doc["jets"][:2] + [lower.to_json_dict()] + doc["jets"][3:]}
 
 
+_MISSING = object()  # a change that drops its key from the document
+
+
 @pytest.mark.parametrize("change", [
+    lambda doc: {"certificate_step": _MISSING},
     lambda doc: {"certificate_step": 0},
     lambda doc: {"certificate_step": -0.5},
     lambda doc: {"radius": float("nan")},
@@ -183,14 +187,19 @@ def _lower_order_jet(doc):
     lambda doc: {"jets": [PolyJet.identity(3, doc["order"]).to_json_dict()
                           for _ in doc["jets"]]},
     _lower_order_jet,
-], ids=["certificate-step-zero", "certificate-step-negative", "radius-nan",
+], ids=["certificate-step-missing", "certificate-step-zero", "certificate-step-negative", "radius-nan",
         "radius-inf", "radius-negative", "step-tol-negative", "horizon-zero",
         "certificate-nan", "basis-change-1x1", "q3-jets", "lower-order-jet"])
 def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
-    inp = _write(tmp_path / "chain.json", {**chain_doc, **change(chain_doc)})
+    doc = {**chain_doc, **change(chain_doc)}
+    dropped = [key for key, value in doc.items() if value is _MISSING]
+    inp = _write(tmp_path / "chain.json",
+                 {key: value for key, value in doc.items() if value is not _MISSING})
     # main returns instead of raising: no traceback reaches the user
     assert main(["verify", "--input", inp]) == 2
-    assert "malformed input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed input" in err
+    assert all(key in err for key in dropped)
 
 
 def test_empty_sample_budget_exits_3(tmp_path, chain_doc):
@@ -329,6 +338,8 @@ def test_chain_report_script_saves_a_verifiable_chain(tmp_path):
                              "--save", str(doc)], env=env, capture_output=True, text=True)
     assert report.returncode == 0, report.stderr
     assert "range growth:" in report.stdout
+    saved = doc.read_text()
+    assert saved == report_text(json.loads(saved))
     verify = subprocess.run([sys.executable, "-m", "loewner.cli", "verify", "--input", str(doc),
                              "--output", str(tmp_path / "verify.json")],
                             env=env, capture_output=True, text=True)

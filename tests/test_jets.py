@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from loewner import HomogeneousMap, PolyJet, compose, gamma_matrix, invert, is_triangular
+from loewner.cli import report_text
 from loewner.jets import (
     _monomial_values,
     _mul_plan,
@@ -295,6 +296,33 @@ def test_json_round_trip_bit_exact():
 def test_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError, TypeError)):
         PolyJet.from_json_dict({"q": 1, "order": 0, "terms": []})
+
+
+# finite floats, with signed zeros and subnormals drawn on purpose
+_parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
+
+
+@st.composite
+def sparse_jets(draw):
+    q = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 5))
+    count = PolyJet.zero(q, order).tables.count
+    c = np.zeros((q, count), dtype=complex)
+    for j, r, re, im in draw(st.lists(st.tuples(
+            st.integers(0, q - 1), st.integers(1, count - 1), _parts, _parts),
+            max_size=24)):
+        c[j, r] = complex(re, im)
+    return PolyJet(q, order, c)
+
+
+@given(sparse_jets())
+def test_json_report_round_trip_keeps_every_bit(f):
+    back = PolyJet.from_json_dict(json.loads(report_text(f.to_json_dict())))
+    # a coefficient zero in both parts is not written and comes back as +0;
+    # every written part keeps its sign and all its bits
+    want = np.where(f.coeffs == 0, 0j, f.coeffs)
+    assert back.coeffs.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------- #
