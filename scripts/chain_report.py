@@ -53,8 +53,9 @@ def run(field, order, save):
     print(f"pde residual: {coarse:.3e} at h=1e-3, halving ratio {coarse / fine:.2f}")
 
     # the chain keeps only its jets: range growth reads a normal form
-    # rebuilt from the chain's own discretization, as `loewner verify` does
-    disc = discretize(field, chain.horizon, chain.order, tol=chain.step_tol)
+    # rebuilt from the chain's own discretization, as `loewner verify` does,
+    # from the half-step jets the chain's evolution already holds
+    disc = discretize(chain.evolution, chain.horizon)
     growth = range_growth_check(build_normal_form(disc.family, horizon=chain.horizon))
     reached = (f"step {growth.achieved_step} (bound {growth.step_bound})"
                if growth.achieved_step is not None else "not reached in window")

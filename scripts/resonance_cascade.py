@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from loewner import (
+    ContinuousEvolution,
     HerglotzFieldSpec,
     TimeCoefficient,
     build_chain,
@@ -33,7 +34,7 @@ def run(cs, alpha):
     print(f"{'c':>6} {'T coeff':>10} {'predicted':>10} {'k extra':>10} {'certificate':>12}")
     for c in cs:
         field = field_for(c, alpha)
-        disc = discretize(field, 2)
+        disc = discretize(ContinuousEvolution(field, field.order), 2)
         res = build_normal_form(disc.family, horizon=2)
         t_coeff = res.triangular.step(0).coefficient(1, (2, 0))
         # unit-time integration of the forced mode: c * e^{2 alpha}

@@ -20,6 +20,7 @@ import numpy as np
 
 from .herglotz import (
     PDE_STEP,
+    ContinuousEvolution,
     HerglotzFieldSpec,
     LoewnerChain,
     PreconditionError,
@@ -215,7 +216,7 @@ def cmd_analyze(args) -> int:
     additive = detect_resonances(eigs, mode="additive", tau=args.tau)
 
     order = max(2, field.order if args.order is None else args.order)
-    disc = discretize(field, horizon=1, order=order, tol=args.tol or STEP_TOL)
+    disc = discretize(ContinuousEvolution(field, order, args.tol or STEP_TOL), horizon=1)
     A = disc.family.linear_part
     trivial = TriangularFamily(A, (PolyJet.from_linear(A, order),))
     multiplicative = detect_resonances(np.diag(A), tau=args.tau)
@@ -247,7 +248,7 @@ def cmd_normalform(args) -> int:
         field = _field_from_doc(doc)
         T = int(math.ceil(field.horizon)) if args.horizon is None else args.horizon
         order = max(2, field.order if args.order is None else args.order)
-        family = discretize(field, T, order, tol=args.tol or STEP_TOL).family
+        family = discretize(ContinuousEvolution(field, order, args.tol or STEP_TOL), T).family
     elif "steps" in doc:
         family = _family_from_doc(doc)
     else:
@@ -334,11 +335,13 @@ def cmd_verify(args) -> int:
     if residual > tol:
         failures.append("pde-residual")
 
+    # the rebuild reuses the half-step jets the checks above integrated
     rebuilt = None
     try:
-        disc = discretize(chain.field, chain.horizon, chain.order,
-                          tol=chain.step_tol)
+        disc = discretize(chain.evolution, chain.horizon)
         rebuilt = build_normal_form(disc.family, horizon=chain.horizon)
+    except PreconditionError:
+        raise
     except (ValueError, RuntimeError) as e:
         checks["rebuild"] = {"passed": False, "error": str(e)}
         failures.append("rebuild")

@@ -574,40 +574,51 @@ class DiscretizedField:
 
     family steps are psi_n = M o phi_{n,n+1} o M^{-1} with M the optimal
     basis change of exp(Lambda); the linear block of every step is snapped to
-    the optimal matrix exactly, higher orders keep the integrated values.
+    the optimal matrix exactly, higher orders keep the values composed from
+    the integrated half steps.
     """
 
     family: DiscreteEvolutionFamily
     optimal: OptimalForm
     exp_linear: np.ndarray
-    step_tol: float
 
     @property
     def q(self) -> int:
         return self.family.linear_part.shape[0]
 
 
-def discretize(field: HerglotzFieldSpec, horizon: int | None = None,
-               order: int | None = None, tol: float = STEP_TOL,
+# half a unit step: discretize composes each unit step from the transitions
+# of its two halves, and the certificate sweep and verify run on this grid,
+# so one command integrates each half-step transition once
+CERTIFICATE_STEP = 0.5
+
+
+def discretize(evolution: ContinuousEvolution, horizon: int | None = None,
                tail: str = TAIL_CONSTANT) -> DiscretizedField:
-    """Integer-time snapshots psi_n of the evolution family, ready to normalize."""
+    """Integer-time snapshots psi_n of the evolution family, ready to normalize.
+
+    The unit step is phi_{n,n+1} = phi_{n+1/2,n+1} o phi_{n,n+1/2}, composed
+    from the evolution's half-step jets at its order: for maps fixing 0 the
+    jet of a composition depends only on the jets of its factors, so the
+    composition adds no truncation error.
+    """
+    field, order = evolution.field, evolution.order
     T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
     if T < 1:
         raise ValueError("horizon must cover at least one unit step")
-    order = field.order if order is None else int(order)
     expL = expm(field.Lambda)
     opt = to_optimal_form(expL)
     A = opt.matrix
     Mj = PolyJet.from_linear(opt.basis_change, order)
     Mij = PolyJet.from_linear(opt.basis_change_inverse, order)
-    evolution = ContinuousEvolution(field, order, tol)
     steps = []
     for n in range(T):
-        J = evolution.jet(n, n + 1)
+        mid = n + CERTIFICATE_STEP
+        J = compose(evolution.jet(mid, n + 1), evolution.jet(n, mid), order)
         psi = compose(Mj, compose(J, Mij, order), order)
         steps.append(_with_linear(psi, A))
     family = DiscreteEvolutionFamily(A, tuple(steps), tail=tail)
-    return DiscretizedField(family, opt, expL, tol)
+    return DiscretizedField(family, opt, expL)
 
 
 # --------------------------------------------------------------------- #
@@ -631,8 +642,9 @@ class LoewnerChain:
     certificate, when present, bounds sup_t sup_{|z|<=0.95 radius}
     |exp(Lambda t) f_t(z)| over the build grid, measured on these jets; it
     is attached only for resonance-free spectra.  A chain and its JSON
-    document evaluate identically.  evolution is derived, not passed: the
-    field's transition maps at the chain order.
+    document evaluate identically.  evolution holds the field's transition
+    maps at the chain order and step_tol: build_chain hands over the one its
+    discretization filled, and a chain given none derives its own.
     """
 
     field: HerglotzFieldSpec
@@ -645,7 +657,8 @@ class LoewnerChain:
     certificate_step: float
     step_tol: float
     constants: Mapping | None = None
-    evolution: ContinuousEvolution = dataclasses.field(init=False)
+    evolution: ContinuousEvolution | None = dataclasses.field(default=None, repr=False,
+                                                              compare=False)
 
     def __post_init__(self):
         M = np.ascontiguousarray(np.asarray(self.basis_change, dtype=complex))
@@ -669,8 +682,14 @@ class LoewnerChain:
         if any((j.q, j.order) != (self.q, order) for j in self.chain_jets):
             raise ValueError(f"every chain jet must have the field's dimension "
                              f"q={self.q} and one common order")
-        object.__setattr__(self, "evolution",
-                           ContinuousEvolution(self.field, order, self.step_tol))
+        evolution = self.evolution
+        if evolution is None:
+            evolution = ContinuousEvolution(self.field, order, self.step_tol)
+        elif (evolution.field is not self.field or evolution.order != order
+              or evolution.tol != self.step_tol):
+            raise ValueError("evolution must be the chain field's at the chain "
+                             "order and step_tol")
+        object.__setattr__(self, "evolution", evolution)
 
     @property
     def q(self) -> int:
@@ -696,8 +715,7 @@ class LoewnerChain:
 
     def normalized_jet(self, t: float) -> PolyJet:
         """Jet of exp(Lambda t) o f_t, tangent to the identity."""
-        j = self.jet(t)
-        return compose(PolyJet.from_linear(expm(t * self.field.Lambda), j.order), j, j.order)
+        return _normalized(self.field.Lambda, t, self.jet(t))
 
     def evaluate(self, t: float, points: np.ndarray) -> np.ndarray:
         """f_t at the columns of points inside the validity ball."""
@@ -769,18 +787,25 @@ def _certificate_grid(horizon: int, step: float) -> list[float]:
     return ts
 
 
+def _normalized(Lambda: np.ndarray, t: float, jet: PolyJet) -> PolyJet:
+    """exp(Lambda t) o jet, at the jet's order."""
+    return compose(PolyJet.from_linear(expm(t * Lambda), jet.order), jet, jet.order)
+
+
+def _sup_norm(values: np.ndarray) -> float:
+    """Largest Euclidean norm over the columns of values."""
+    return float(np.sqrt((values * values.conj()).real.sum(axis=0)).max())
+
+
 def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
                     points: np.ndarray) -> float:
-    worst = 0.0
-    for t in ts:
-        vals = expm(t * chain.field.Lambda) @ chain.evaluate(t, points)
-        worst = max(worst, float(np.sqrt((vals * vals.conj()).real.sum(axis=0)).max()))
-    return worst
+    """Largest |exp(Lambda t) f_t(z)| over the times ts and the columns of
+    points, on the normalized chain jets that verify checks."""
+    return max(_sup_norm(chain.normalized_jet(t).evaluate_many(points)) for t in ts)
 
 
 MAX_JET_ORDER_PASSES = 3  # build_chain's rebuilds until the jets cover the work order
 RADIUS_FACTOR = 0.4       # validity radius over r / (|M| x transient growth of exp(tau Lambda))
-CERTIFICATE_STEP = 0.5    # time grid of the certificate sweep
 CERTIFICATE_SAMPLES = 16  # ball points of the certificate sweep
 CERTIFICATE_BALL = 0.95   # the sweep's ball, relative to the validity radius
 CERTIFICATE_FACTOR = 1.25  # certificate over the measured sup
@@ -808,9 +833,10 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     alpha0 = 0.5 * (opt0.norm_bound + 1.0)
     beta0 = float(np.abs(np.linalg.inv(opt0.matrix)).sum(axis=1).max())
     jet_order = max(base_order, _smallest_ell(alpha0, beta0))
-    disc = result = None
+    disc = result = evolution = None
     for _ in range(MAX_JET_ORDER_PASSES):
-        disc = discretize(field, T, jet_order, tol)
+        evolution = ContinuousEvolution(field, jet_order, tol)
+        disc = discretize(evolution, T)
         result = build_normal_form(disc.family, order=base_order, horizon=T, tau=tau)
         if result.work_order <= jet_order:
             break
@@ -838,6 +864,9 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         certificate_step=CERTIFICATE_STEP,
         step_tol=tol,
         constants=result.constants.as_dict(),
+        # a chain at another order integrates its own: a jet integrated at a
+        # higher order and truncated need not match the document's bits
+        evolution=evolution if evolution.order == W else None,
     )
     if not result.resonance_report.resonances:
         pts = complex_ball_points(field.q, CERTIFICATE_BALL * radius, CERTIFICATE_SAMPLES)
@@ -1011,8 +1040,7 @@ def verify_subordination_chain(chain: LoewnerChain, *, samples: int = 12,
     W = chain.order
     for (s_, js), (t_, jt) in zip(zip(ts, jets_t), zip(ts[1:], jets_t[1:])):
         psi = compose(invert(jt), js, W)
-        vals = psi.evaluate_many(pts)
-        contain = max(contain, float(np.sqrt((vals * vals.conj()).real.sum(axis=0)).max()) / R)
+        contain = max(contain, _sup_norm(psi.evaluate_many(pts)) / R)
         ref = chain.evolution.jet(s_, t_)
         match = max(match, (psi - ref).max_coeff / max(1.0, ref.max_coeff))
     if contain > 1.0 + CONTAINMENT_SLACK:
@@ -1020,14 +1048,10 @@ def verify_subordination_chain(chain: LoewnerChain, *, samples: int = 12,
     if match > FIELD_MATCH_TOL:
         failures.append("transition-field-match")
 
-    normalized = [compose(PolyJet.from_linear(expm(t * L), W), jt, W)
-                  for t, jt in zip(ts, jets_t)]
-    sup = 0.0
-    values = []
-    for g in normalized:
-        vals = g.evaluate_many(pts)
-        values.append(vals)
-        sup = max(sup, float(np.sqrt((vals * vals.conj()).real.sum(axis=0)).max()))
+    # the certificate sweep's path: chain.normalized_jet(t) at the sample points
+    normalized = [_normalized(L, t, jt) for t, jt in zip(ts, jets_t)]
+    values = [g.evaluate_many(pts) for g in normalized]
+    sup = max(_sup_norm(vals) for vals in values)
     if (chain.certificate is not None and
             sup > chain.certificate * NORMALIZATION_FACTOR + NORMALIZATION_SLACK):
         failures.append("normalization-bound")

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .jets import HomogeneousMap
-from .spectral import SpectralSplit
+from .spectral import RESONANCE_TOL, PreconditionError, SpectralSplit
 
 _RESONANT_FORCING_RTOL = 1e-12
 _BLOCK_LEAK_RTOL = 1e-12
@@ -107,12 +107,16 @@ def split_forcing(B: HomogeneousMap, split: SpectralSplit
 NORM_SERIES_MAX_POWER = 4096
 
 
-def _norm_series_bound(block: np.ndarray) -> float:
+def _norm_series_bound(block: np.ndarray, name: str) -> float:
     """Rigorous upper bound for sum_{j>=0} ||block^j|| in the infinity norm.
 
     Powers are accumulated until some ||block^j0|| = eta < 1; the tail is
     then dominated by the partial sum times 1/(1 - eta), because every
     exponent splits as j = b*j0 + r with ||block^j|| <= eta^b ||block^r||.
+    block is Gamma's stable block, or the inverse of its unstable block
+    (name "stable" or "unstable").  When the powers do not contract and an
+    eigenvalue mu of Gamma's block lies within RESONANCE_TOL of the unit
+    circle, the spectrum is out of range: PreconditionError.
     """
     m = block.shape[0]
     if m == 0:
@@ -125,6 +129,14 @@ def _norm_series_bound(block: np.ndarray) -> float:
         if norm < 0.5:
             return partial / (1.0 - norm)
         partial += norm
+    radius = float(np.abs(np.linalg.eigvals(block)).max())
+    if abs(radius - 1.0) <= RESONANCE_TOL:
+        mu = radius if name == "stable" else 1.0 / radius
+        raise PreconditionError(
+            f"the {name} block of the conjugation operator has an eigenvalue "
+            f"of modulus |mu| = {mu:.17g}, within {RESONANCE_TOL:g} of the unit "
+            f"circle; its operator powers did not contract within "
+            f"{NORM_SERIES_MAX_POWER} powers")
     raise ValueError(f"operator power norms did not contract within "
                      f"{NORM_SERIES_MAX_POWER} powers; spectral radius is not < 1")
 
@@ -203,10 +215,11 @@ def solve_difference(gamma: np.ndarray, split: SpectralSplit,
                  default=0.0) if s_idx.size else 0.0
     bu_max = max((float(np.max(np.abs(fb.flat[u_idx]))) for fb in all_terms),
                  default=0.0) if u_idx.size else 0.0
-    stable_sum = _norm_series_bound(Gs) if s_idx.size else 0.0
+    stable_sum = _norm_series_bound(Gs, "stable") if s_idx.size else 0.0
     if u_idx.size:
         Gu_inv = np.linalg.inv(Gu)
-        unstable_sum = float(np.linalg.norm(Gu_inv, np.inf)) * _norm_series_bound(Gu_inv)
+        unstable_sum = (float(np.linalg.norm(Gu_inv, np.inf))
+                        * _norm_series_bound(Gu_inv, "unstable"))
     else:
         unstable_sum = 0.0
     sup_bound = stable_sum * bs_max + unstable_sum * bu_max

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from loewner import (
+    ContinuousEvolution,
     DiscreteEvolutionFamily,
     ForcingSequence,
     HerglotzFieldSpec,
@@ -229,7 +230,7 @@ def test_criterion_06_counterexample_behavior():
     additive = detect_resonances(np.diag(field.Lambda), mode="additive")
     detected = (1, (2, 0)) in additive.resonances
 
-    disc = discretize(field, 2)
+    disc = discretize(ContinuousEvolution(field, field.order), 2)
     A = disc.family.linear_part
     order = disc.family.steps[0].order
     k = (PolyJet.identity(2, order),) * 3

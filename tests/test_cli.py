@@ -111,6 +111,45 @@ def test_spectrum_near_unit_circle_exits_3(tmp_path, capsys, command):
     assert "precondition violated" in err and "degree cap 512" in err
 
 
+def test_verify_rebuild_beyond_the_working_order_cap_exits_3(tmp_path, capsys, chain_doc):
+    # the checks run on the document's jets; the rebuilt normal form of
+    # this spectrum needs working order 122, above the cap
+    doc = json.loads(json.dumps(chain_doc))
+    doc["field"]["Lambda"] = matrix_to_json(np.diag([-0.05, -3.0]).astype(complex))
+    inp = _write(tmp_path / "chain.json", doc)
+    assert main(["verify", "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and "working order" in err
+    assert "limit 18" in err
+
+
+def test_near_unit_block_of_the_conjugation_operator_exits_3(tmp_path, capsys):
+    # Lambda = diag(a, 2a): roundoff in the resonance cutoff forces the
+    # exact resonance (2, (2, 0)) into a spectral block with |mu| = 1 + 4e-16
+    def c(re, im):
+        return {"re": re, "im": im}
+
+    def term(index, value):
+        return {"component": 2, "index": index,
+                "time": {"kind": "constant", "value": value}}
+
+    doc = {
+        "Lambda": [[c(-0.8643156622931031, 0.02149214514609113), c(0.0, 0.0)],
+                   [c(0.0, 0.0), c(-1.7286313245862062, 0.04298429029218226)]],
+        "order": 3,
+        "terms": [term([2, 0], c(0.08584352150587873, -0.25226519697531413)),
+                  term([3, 0], c(0.12430635202772108, 0.13032249480272787)),
+                  term([0, 2], c(-0.02037803342445035, 0.11831895416632712)),
+                  term([2, 1], c(0.04958534302837535, -0.037993269368648594))],
+        "horizon": 3.0,
+    }
+    inp = _write(tmp_path / "field.json", doc)
+    assert main(["chain", "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and "unstable block" in err
+    assert "|mu| = 1.0000000000000004" in err
+
+
 def _field_doc(**change):
     doc = demo_field().to_json_dict()
     doc.update(change)

@@ -28,7 +28,8 @@ from loewner import (
     verification_samples,
     verify_subordination_chain,
 )
-from loewner import herglotz
+from loewner import cli, herglotz
+from loewner.cli import report_text
 from loewner.herglotz import _difference_stencil, _rk4, _segments
 from loewner.normal_form import jacobian_points
 from loewner.sampling import complex_ball_points
@@ -382,7 +383,7 @@ def test_piecewise_evolution_does_not_reuse_across_a_node(monkeypatch):
 
 def test_discretize_linear_field():
     f = _linear_field()
-    disc = discretize(f, 2)
+    disc = discretize(ContinuousEvolution(f, f.order), 2)
     step = np.diag([math.exp(-0.5), math.exp(-0.8)])
     assert np.max(np.abs(disc.exp_linear - step)) <= 1e-12
     want = PolyJet.from_linear(disc.family.linear_part, disc.family.steps[0].order)
@@ -390,7 +391,7 @@ def test_discretize_linear_field():
 
 
 def test_discretize_autonomous_steps_repeat():
-    disc = discretize(demo_field(), 3)
+    disc = discretize(ContinuousEvolution(demo_field(), 3), 3)
     d01 = (disc.family.steps[0] - disc.family.steps[1]).max_coeff
     d12 = (disc.family.steps[1] - disc.family.steps[2]).max_coeff
     assert max(d01, d12) <= 1e-10
@@ -401,7 +402,7 @@ def test_discretize_counterexample_coefficient():
     c = 0.3
     f = counterexample_field(c=c)
     a = f.Lambda[0, 0].real
-    disc = discretize(f, 2)
+    disc = discretize(ContinuousEvolution(f, f.order), 2)
     got = disc.family.steps[0].coefficient(1, (2, 0))
     assert abs(got - c * math.exp(2 * a)) <= 1e-8
 
@@ -471,6 +472,95 @@ def test_loaded_chain_evaluates_as_built(kind, demo_chain):
     z = complex_ball_points(chain.q, 0.5 * chain.radius, 5)
     for k in range(2 * chain.horizon + 1):
         assert np.array_equal(back.evaluate(0.5 * k, z), chain.evaluate(0.5 * k, z))
+
+
+def _timevarying_field():
+    return dataclasses.replace(_piecewise_field(2, "sampled"), horizon=3.0)
+
+
+def _reloaded(chain):
+    return LoewnerChain.from_json_dict(json.loads(report_text(chain.to_json_dict())))
+
+
+def test_field_commands_integrate_each_half_step_once(tmp_path, monkeypatch):
+    calls = _counting_integrate_jet(monkeypatch)
+    pushed = []
+    points = herglotz.integrate_points
+
+    def counted_points(*args, **kwargs):
+        pushed.append(args)
+        return points(*args, **kwargs)
+
+    monkeypatch.setattr(herglotz, "integrate_points", counted_points)
+    chain = build_chain(_timevarying_field())
+    half_steps = [(k / 2, k / 2 + 0.5) for k in range(6)]
+    # unit steps are composed from the half steps, and the certificate
+    # sweep evaluates the chain's jets instead of pushing trajectories
+    assert sorted(calls) == half_steps and pushed == []
+    monkeypatch.undo()
+
+    calls = _counting_integrate_jet(monkeypatch)
+    rebuild = []
+
+    def counted_discretize(*args, **kwargs):
+        before = len(calls)
+        out = herglotz.discretize(*args, **kwargs)
+        rebuild.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(cli, "discretize", counted_discretize)
+    inp = tmp_path / "chain.json"
+    inp.write_text(report_text(chain.to_json_dict()))
+    assert cli.main(["verify", "--input", str(inp),
+                     "--output", str(tmp_path / "verdict.json")]) == 0
+    assert sorted(calls) == half_steps and rebuild == [0]
+
+
+def test_certificate_sweep_measures_what_verify_checks(monkeypatch):
+    chain = _reloaded(build_chain(_timevarying_field()))
+    grid = herglotz._certificate_grid(chain.horizon, chain.certificate_step)
+    # the certificate is the sweep over the document's own jets
+    ball = complex_ball_points(chain.q, herglotz.CERTIFICATE_BALL * chain.radius,
+                               herglotz.CERTIFICATE_SAMPLES)
+    assert chain.certificate == herglotz.CERTIFICATE_FACTOR * herglotz._normalized_sup(
+        chain, grid, ball)
+    checked = []
+    normalized = herglotz._normalized
+
+    def recorded(L, t, jet):
+        checked.append(normalized(L, t, jet))
+        return checked[-1]
+
+    monkeypatch.setattr(herglotz, "_normalized", recorded)
+    report = verify_subordination_chain(chain)
+    monkeypatch.undo()
+    assert len(checked) == len(grid) and list(report.grid) == grid
+    pts = verification_samples(chain.q, 0.9 * chain.radius, 12)
+    for t, jet in zip(grid, checked):
+        assert np.array_equal(chain.normalized_jet(t).coeffs, jet.coeffs)
+    assert herglotz._normalized_sup(chain, grid, pts) == report.normalization_sup
+
+
+@pytest.mark.parametrize("field", [demo_field, _timevarying_field])
+def test_built_and_loaded_chain_share_every_transition_bit(field):
+    chain = build_chain(field())
+    back = _reloaded(chain)
+    for t in herglotz._certificate_grid(chain.horizon, chain.certificate_step):
+        assert np.array_equal(back.jet(t).coeffs, chain.jet(t).coeffs)
+    built = discretize(chain.evolution, chain.horizon).family.steps
+    loaded = discretize(back.evolution, back.horizon).family.steps
+    for a, b in zip(built, loaded):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def test_chain_takes_only_an_evolution_of_its_own_order_and_tolerance(demo_chain):
+    own = demo_chain.evolution
+    assert own.order == demo_chain.order and own.tol == demo_chain.step_tol
+    for other in (ContinuousEvolution(demo_chain.field, demo_chain.order + 1, own.tol),
+                  ContinuousEvolution(demo_chain.field, demo_chain.order, 1e-8),
+                  ContinuousEvolution(demo_field(), demo_chain.order, own.tol)):
+        with pytest.raises(ValueError, match="evolution"):
+            dataclasses.replace(demo_chain, evolution=other)
 
 
 def test_chain_json_rejects_foreign_documents():
@@ -674,7 +764,7 @@ def test_attraction_reports_stalled_orbits():
 
 
 def test_attraction_accepts_discretized_field():
-    disc = discretize(demo_field(), 2)
+    disc = discretize(ContinuousEvolution(demo_field(), 3), 2)
     pts = complex_ball_points(2, 0.2, 3)
     rep = attraction_check(disc.family, pts, tol=1e-6)
     assert rep.all_converged

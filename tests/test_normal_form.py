@@ -8,6 +8,7 @@ import pytest
 import scipy.optimize
 
 from loewner import (
+    ContinuousEvolution,
     DiscreteEvolutionFamily,
     HerglotzFieldSpec,
     HomogeneousMap,
@@ -481,7 +482,7 @@ def _growth_field3():
              (1, (2, 0, 0), TimeCoefficient.constant(0.1 - 0.05j)),
              (2, (1, 0, 1), TimeCoefficient.constant(0.15j)))
     field = HerglotzFieldSpec(Lam, 3, terms, horizon=3.0)
-    return build_normal_form(discretize(field, 3, 3).family, horizon=3)
+    return build_normal_form(discretize(ContinuousEvolution(field, 3), 3).family, horizon=3)
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 import loewner.cli as cli
 from loewner.cli import main, report_text
-from loewner.herglotz import matrix_to_json
+from loewner.herglotz import HerglotzFieldSpec, LoewnerChain, TimeCoefficient, matrix_to_json
 from loewner.jets import PolyJet
+from loewner.spectral import ResonanceReport
 
 from conftest import counterexample_field, demo_field
 
@@ -155,3 +156,113 @@ def test_unwritable_documents_fail_as_json_dumps_does(doc):
     with pytest.raises(want.type) as got:
         report_text(doc)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------- #
+# field and chain documents: read back from the text they are written as
+
+
+# finite floats, with signed zeros and subnormals drawn on purpose
+_edges = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
+_parts = st.floats(allow_nan=False, allow_infinity=False) | _edges
+# moderate magnitudes where the field's own arithmetic must stay finite
+_moderate = st.floats(-1e6, 1e6) | _edges
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _values(n):
+    return st.lists(st.builds(complex, _moderate, _moderate), min_size=n, max_size=n)
+
+
+def _schedules(kind):
+    if kind == "constant":
+        return _values(1).map(lambda v: TimeCoefficient.constant(v[0]))
+    times = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4, unique=True).map(sorted)
+    return times.flatmap(lambda ts: _values(len(ts)).map(
+        lambda vs: TimeCoefficient(kind, tuple(ts), tuple(vs))))
+
+
+@st.composite
+def _fields(draw, kind):
+    q = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    # upper triangular, so the spectrum is the diagonal, in the left half plane
+    L = np.zeros((q, q), dtype=complex)
+    for i in range(q):
+        L[i, i] = complex(draw(st.floats(-4.0, -1e-3)), draw(_moderate))
+        for k in range(i + 1, q):
+            L[i, k] = complex(draw(st.floats(-10.0, 10.0) | _edges),
+                              draw(st.floats(-10.0, 10.0) | _edges))
+    indices = [I for I in PolyJet.zero(q, order).tables.indices if sum(I) >= 2]
+    terms = draw(st.lists(st.tuples(st.integers(0, q - 1), st.sampled_from(indices),
+                                    _schedules(kind)), max_size=4)) if indices else []
+    return HerglotzFieldSpec(L, order, tuple(terms), draw(st.floats(1e-3, 1e3)))
+
+
+def _field_times(field):
+    nodes = field.breakpoints()
+    mids = [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
+    return [0.0, field.horizon, *nodes, *mids]
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise", "sampled"])
+@given(data=st.data())
+def test_field_document_round_trip_keeps_every_bit(kind, data):
+    field = data.draw(_fields(kind))
+    text = report_text(field.to_json_dict())
+    back = HerglotzFieldSpec.from_json_dict(json.loads(text))
+    assert report_text(back.to_json_dict()) == text
+    assert back.Lambda.tobytes() == field.Lambda.tobytes()
+    for t in _field_times(field):
+        assert back.jet(t).coeffs.tobytes() == field.jet(t).coeffs.tobytes()
+
+
+@st.composite
+def _jets(draw, q, order):
+    count = PolyJet.zero(q, order).tables.count
+    c = np.zeros((q, count), dtype=complex)
+    for j, r, re, im in draw(st.lists(st.tuples(
+            st.integers(0, q - 1), st.integers(1, count - 1), _parts, _parts),
+            max_size=12)):
+        c[j, r] = complex(re, im)
+    return PolyJet(q, order, c)
+
+
+@st.composite
+def _chains(draw):
+    # a chain made directly from its parts, as a document may hold any jets
+    field = draw(_fields(draw(st.sampled_from(["constant", "piecewise", "sampled"]))))
+    q = field.q
+    order = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 3))
+    resonances = draw(st.lists(st.tuples(
+        st.integers(0, q - 1), st.sampled_from(PolyJet.zero(q, order).tables.indices[1:])),
+        max_size=2, unique=True))
+    return LoewnerChain(
+        field=field,
+        horizon=horizon,
+        radius=draw(_positive),
+        basis_change=np.array(draw(st.lists(st.builds(complex, _parts, _parts),
+                                            min_size=q * q, max_size=q * q))).reshape(q, q),
+        chain_jets=tuple(draw(_jets(q, order)) for _ in range(horizon + 1)),
+        resonances=ResonanceReport(
+            mode=draw(st.sampled_from(["multiplicative", "additive"])),
+            tolerance=draw(_positive), p=draw(st.integers(2, 9)),
+            resonances=tuple(resonances)),
+        certificate=draw(st.none() | _positive),
+        certificate_step=draw(_positive),
+        step_tol=draw(_positive),
+        constants=draw(st.none() | st.dictionaries(st.text(max_size=5),
+                                                   _parts | st.integers(), max_size=4)),
+    )
+
+
+@given(_chains())
+def test_chain_document_round_trip_keeps_every_bit(chain):
+    text = report_text(chain.to_json_dict())
+    back = LoewnerChain.from_json_dict(json.loads(text))
+    assert report_text(back.to_json_dict()) == text
+    assert back.basis_change.tobytes() == chain.basis_change.tobytes()
+    # a coefficient zero in both parts is not written and comes back as +0
+    for a, b in zip(back.chain_jets, chain.chain_jets):
+        assert a.coeffs.tobytes() == np.where(b.coeffs == 0, 0j, b.coeffs).tobytes()
