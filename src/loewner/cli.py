@@ -380,15 +380,34 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------- #
 # argument plumbing
 
+def _ranged(kind, accepts, what: str):
+    """argparse type: a `kind` value that `accepts`, else an error naming
+    the flag and `what` its values must be (exit 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" wording
+    return parse
+
+
 # every optional flag; each command registers the ones it reads
 _FLAGS = {
-    "--order": dict(type=int, default=None, help="jet truncation order"),
-    "--tol": dict(type=float, default=None, help="integration / verification tolerance"),
-    "--tau": dict(type=float, default=RESONANCE_TOL, help="resonance detection tolerance"),
+    "--order": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=None,
+                    help="jet truncation order, >= 1"),
+    "--tol": dict(type=_ranged(float, lambda v: math.isfinite(v) and v > 0,
+                               "finite and > 0"),
+                  default=None, help="integration / verification tolerance, > 0"),
+    # a negative tau would let the stable and unstable masks overlap
+    "--tau": dict(type=_ranged(float, lambda v: math.isfinite(v) and v >= 0,
+                               "finite and >= 0"),
+                  default=RESONANCE_TOL, help="resonance tolerance on the log-modulus gap, >= 0"),
     "--samples": dict(type=int, default=12, help="sample points per check"),
     "--seed": dict(type=int, default=0,
                    help="offset into the deterministic sample sequence"),
-    "--horizon": dict(type=int, default=None, help="number of unit time steps to cover"),
+    "--horizon": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=None,
+                      help="number of unit time steps to cover, >= 1"),
 }
 
 

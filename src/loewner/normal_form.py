@@ -314,7 +314,7 @@ def _substituted(N: HomogeneousMap, rows: np.ndarray) -> HomogeneousMap:
 
 
 def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
-                     T: Sequence[PolyJet], degree: int, split=None, *,
+                     T: Sequence[PolyJet], degree: int, *,
                      tau: float = RESONANCE_TOL
                      ) -> tuple[tuple[PolyJet, ...], tuple[PolyJet, ...], StageReport]:
     """Run one normalization degree, returning the updated (k, T) pair.
@@ -329,10 +329,7 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     q = family.q
     work = T[0].order
     A_opt = _as_optimal(family.linear_part)
-    if split is None:
-        split = spectral_split(A_opt, degree, tau)
-    if (split.q, split.degree) != (q, degree):
-        raise ValueError("split does not match the family and degree")
+    split = spectral_split(A_opt, degree, tau)
     rows = substitution_rows(A_opt.inverse_matrix, degree)
     gamma = gamma_from_rows(A_opt.matrix, rows)
 
@@ -630,9 +627,9 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
                       extension: int | None = None) -> ConjugacyResult:
     """Normalize a discrete evolution family degree by degree.
 
-    Stages run from degree 2 up to the working order max(order, ell), with
-    the resonant projection forced empty from the cutoff p onward, so the
-    triangular maps stabilize at degree <= p - 1.  Because ell depends on
+    Stages run from degree 2 up to the working order max(order, ell).  No
+    direction of degree p or more is resonant (spectral.ResonanceReport), so
+    the triangular maps stabilize at degree <= p - 1.  Because ell depends on
     the Lipschitz bound of the finished triangular family, the build
     re-estimates it after the stages and reruns at a larger working order
     until the estimate is covered.  The window is extended past the
@@ -676,9 +673,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
         k = tuple(PolyJet.identity(q, work_order) for _ in range(work_horizon + 1))
         stages = []
         for degree in range(2, work_order + 1):
-            split = spectral_split(A_opt, degree, tau,
-                                   force_nonresonant=degree >= report.p)
-            k, T, stage = normal_form_step(fam_w, k, T, degree, split)
+            k, T, stage = normal_form_step(fam_w, k, T, degree, tau=tau)
             stages.append(stage)
         triangular = TriangularFamily(A, T)
         constants = estimate_constants(fam_w, triangular, report, k)

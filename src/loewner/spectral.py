@@ -20,8 +20,8 @@ from .jets import MultiIndex, PolyJet, _power_rows, enumerate_indices
 
 _CONJUGATION_RTOL = 1e-10
 
-# relative tolerance under which |lambda_j| and |lambda^I| count as equal:
-# a resonance, and a monomial direction that is neither stable nor unstable
+# default tau: bound on the log-modulus gap |log|lambda_j / lambda^I|| under
+# which (j, I) is a resonance, a direction neither stable nor unstable
 RESONANCE_TOL = 1e-9
 # relative modulus gap under which eigenvalues join one cluster of the
 # optimal form
@@ -29,6 +29,12 @@ CLUSTER_RTOL = 1e-9
 # coarser cluster gaps to_optimal_form retries with when the requested gap's
 # clusters cannot be decoupled or conjugate with too large a residual
 _CLUSTER_RETRY_RTOLS = (1e-6, 1e-3, 1e-1)
+# floor on the modulus _modulus_clusters scales its relative gap by
+_CLUSTER_MODULUS_FLOOR = 1e-300
+# relative modulus excess below which _sort_schur_ascending leaves a pair
+_SCHUR_SORT_RTOL = 1e-14
+# modulus increase _already_optimal still accepts as a nonincreasing diagonal
+_SORTED_MODULI_ATOL = 1e-15
 
 # largest polynomial degree the package enumerates: the resonance cutoff p
 # and the contraction exponent ell must stay at or below it
@@ -102,7 +108,7 @@ def _modulus_clusters(moduli: Sequence[float], rtol: float) -> tuple[int, ...]:
     sizes = []
     current = 1
     for k in range(1, len(moduli)):
-        if abs(moduli[k - 1] - moduli[k]) <= rtol * max(moduli[k - 1], 1e-300):
+        if abs(moduli[k - 1] - moduli[k]) <= rtol * max(moduli[k - 1], _CLUSTER_MODULUS_FLOOR):
             current += 1
         else:
             sizes.append(current)
@@ -133,7 +139,7 @@ def _sort_schur_ascending(T: np.ndarray, Q: np.ndarray) -> None:
     for _ in range(q * q):
         swapped = False
         for k in range(q - 1):
-            if abs(T[k, k]) > abs(T[k + 1, k + 1]) * (1.0 + 1e-14):
+            if abs(T[k, k]) > abs(T[k + 1, k + 1]) * (1.0 + _SCHUR_SORT_RTOL):
                 _swap_adjacent(T, Q, k)
                 swapped = True
         if not swapped:
@@ -171,7 +177,7 @@ def _already_optimal(A: np.ndarray, cluster_rtol: float) -> tuple[int, ...] | No
     if np.any(np.triu(A, 1) != 0):
         return None
     moduli = np.abs(np.diagonal(A))
-    if np.any(moduli[:-1] < moduli[1:] - 1e-15):
+    if np.any(moduli[:-1] < moduli[1:] - _SORTED_MODULI_ATOL):
         return None
     if operator_norm(A) >= 1.0:
         return None
@@ -289,17 +295,17 @@ def gamma_matrix(matrix: np.ndarray, degree: int) -> np.ndarray:
 class SpectralSplit:
     """Classification of the monomial basis of degree-i homogeneous maps.
 
-    mu[b] = |lambda_j| / |lambda^I| for basis position b = (j, I); stable,
-    resonant and unstable are boolean masks for mu < 1 - tau, |mu - 1| <= tau
-    and mu > 1 + tau.  eig_candidates holds lambda_j lambda^{-I}, the
-    eigenvalue of the conjugation operator along that basis direction.
+    gap[b] = log|lambda_j / lambda^I| for basis position b = (j, I); resonant,
+    stable and unstable are the masks |gap| <= tau, gap < -tau and gap > tau.
+    eig_candidates holds lambda_j lambda^{-I}, the eigenvalue of the
+    conjugation operator along that basis direction.
     """
 
     q: int
     degree: int
     tau: float
     basis: tuple[tuple[int, MultiIndex], ...]
-    mu: np.ndarray
+    gap: np.ndarray
     eig_candidates: np.ndarray
     stable: np.ndarray
     resonant: np.ndarray
@@ -308,6 +314,11 @@ class SpectralSplit:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """|lambda_j / lambda^I| along each basis direction."""
+        return np.exp(self.gap)
 
     @property
     def rho_stable(self) -> float:
@@ -320,42 +331,40 @@ class SpectralSplit:
         return float((1.0 / self.mu[self.unstable]).max()) if self.unstable.any() else 0.0
 
 
-def spectral_split(linear_part: "OptimalForm | np.ndarray", degree: int,
-                   tau: float = RESONANCE_TOL, *,
-                   force_nonresonant: bool = False) -> SpectralSplit:
-    """Split the degree-`degree` monomial basis by |lambda_j / lambda^I|.
+def _log_moduli(lam: np.ndarray) -> np.ndarray:
+    """log|lambda| of a dilation spectrum, whose moduli lie in (0, 1)."""
+    moduli = np.abs(lam)
+    bad = (moduli == 0.0) | (moduli >= 1.0)
+    if bad.any():
+        raise ValueError(
+            f"eigenvalue {lam[bad][0]} has modulus outside (0, 1): not a dilation spectrum")
+    return np.log(moduli)
 
-    With force_nonresonant, directions inside the resonance tolerance are
-    reassigned by the sign of mu - 1 (used beyond the resonance-degree
-    cutoff, where exact resonances cannot occur).
-    """
+
+def _log_gaps(log_moduli: np.ndarray, indices) -> np.ndarray:
+    """g[j, i] = log|lambda_j| - sum_k I_k log|lambda_k| for I = indices[i].
+
+    The one resonance rule: (j, I) is resonant when |g| <= tau, stable when
+    g < -tau and unstable when g > tau, for the degree cutoff, the resonance
+    list and the spectral split alike."""
+    return log_moduli[:, None] - np.asarray(indices, dtype=float) @ log_moduli
+
+
+def spectral_split(linear_part: "OptimalForm | np.ndarray", degree: int,
+                   tau: float = RESONANCE_TOL) -> SpectralSplit:
+    """Split the degree-`degree` monomial basis by the log-modulus gap of
+    lambda_j / lambda^I (_log_gaps)."""
     lam = (linear_part.eigenvalues if isinstance(linear_part, OptimalForm)
            else np.diagonal(np.asarray(linear_part, dtype=complex)))
     q = len(lam)
     if degree < 2:
         raise ValueError(f"homogeneous degree must be >= 2, got {degree}")
-    moduli = np.abs(lam)
-    if np.any(moduli == 0.0) or np.any(moduli >= 1.0):
-        raise ValueError("eigenvalue moduli must lie strictly between 0 and 1")
-    basis = []
-    mu = []
-    eig = []
     indices = enumerate_indices(q, degree)
-    for j in range(q):
-        for I in indices:
-            basis.append((j, I))
-            lam_I = complex(np.prod([lam[k] ** e for k, e in enumerate(I)]))
-            eig.append(lam[j] / lam_I)
-            mu.append(moduli[j] / abs(lam_I))
-    mu = np.asarray(mu)
-    eig = np.asarray(eig)
-    resonant = np.abs(mu - 1.0) <= tau
-    if force_nonresonant:
-        resonant = np.zeros_like(resonant)
-    stable = ~resonant & (mu < 1.0)
-    unstable = ~resonant & (mu >= 1.0)
-    return SpectralSplit(q, degree, tau, tuple(basis), mu, eig,
-                         stable, resonant, unstable)
+    gap = _log_gaps(_log_moduli(lam), indices).ravel()
+    eig = (lam[:, None] / np.prod(lam ** np.array(indices), axis=1)).ravel()
+    basis = tuple((j, I) for j in range(q) for I in indices)
+    return SpectralSplit(q, degree, tau, basis, gap, eig,
+                         gap < -tau, np.abs(gap) <= tau, gap > tau)
 
 
 # ---------------------------------------------------------------------- #
@@ -367,10 +376,11 @@ class ResonanceReport:
     """Resonances of a dilation spectrum.
 
     mode is "multiplicative" (|lambda_j| = |lambda^I|) or "additive"
-    (Re <k, alpha> = Re alpha_l, detected through lambda = exp(alpha)).
-    p is the smallest integer with max|lambda|^p < min|lambda|: beyond total
-    degree p no resonance can occur, so the enumeration over 2 <= |I| <= p
-    is exhaustive.  Components in `resonances` are 0-based (j, I) pairs.
+    (Re alpha_j = Re <I, alpha>, read off Re alpha); either way |gap| <= tau
+    (_log_gaps).  p is the least integer with p max log|lambda| <
+    min log|lambda| - tau: every direction of degree >= p has gap > tau, so
+    the enumeration over 2 <= |I| <= p is exhaustive.  Components in
+    `resonances` are 0-based (j, I) pairs.
     """
 
     mode: str
@@ -405,23 +415,22 @@ class ResonanceReport:
         )
 
 
-def _degree_cutoff(moduli: np.ndarray) -> int:
-    big = float(moduli.max())
-    small = float(moduli.min())
-    p = 0
-    while big ** p >= small:
-        p += 1
-        if p > MAX_DEGREE:
-            raise PreconditionError(
-                f"resonance degree cutoff exceeds the degree cap {MAX_DEGREE}: "
-                f"eigenvalue moduli {small:.6g} and {big:.6g} are too far apart "
-                "or too close to the unit circle")
-    return p
+def _degree_cutoff(log_moduli: np.ndarray, tau: float) -> int:
+    """Least p whose smallest degree-p gap, that of (argmin, p e_argmax), exceeds tau."""
+    degrees = np.arange(1, MAX_DEGREE + 1)
+    extreme = np.outer(degrees, np.eye(len(log_moduli))[np.argmax(log_moduli)])
+    above = np.nonzero(_log_gaps(log_moduli, extreme)[np.argmin(log_moduli)] > tau)[0]
+    if not above.size:
+        raise PreconditionError(
+            f"resonance degree cutoff exceeds the degree cap {MAX_DEGREE}: "
+            f"eigenvalue log-moduli {log_moduli.min():.6g} and {log_moduli.max():.6g} "
+            "are too far apart or too close to 0 (the unit circle)")
+    return int(degrees[above[0]])
 
 
 def detect_resonances(values: Sequence[complex], mode: str = "multiplicative",
                       tau: float = RESONANCE_TOL) -> ResonanceReport:
-    """Enumerate resonances of a dilation spectrum.
+    """Enumerate resonances of a dilation spectrum, I-major and j-minor.
 
     values are the eigenvalues themselves (multiplicative mode) or the
     exponents alpha with Re alpha < 0 (additive mode); additive resonances
@@ -434,24 +443,17 @@ def detect_resonances(values: Sequence[complex], mode: str = "multiplicative",
             bad = vals[vals.real >= 0.0][0]
             raise ValueError(
                 f"additive mode needs Re(alpha) < 0 for every exponent, got {bad}")
-        lam = np.exp(vals)
+        log_moduli = vals.real
     elif mode == "multiplicative":
-        lam = vals
+        log_moduli = _log_moduli(vals)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    moduli = np.abs(lam)
-    if np.any(moduli == 0.0) or np.any(moduli >= 1.0):
-        bad = lam[(moduli == 0.0) | (moduli >= 1.0)][0]
-        raise ValueError(
-            f"eigenvalue {bad} has modulus outside (0, 1): not a dilation spectrum")
-    p = _degree_cutoff(moduli)
+    p = _degree_cutoff(log_moduli, tau)
     found = []
     for d in range(2, p + 1):
-        for I in enumerate_indices(q, d):
-            mod_I = float(np.prod(moduli ** np.asarray(I)))
-            for j in range(q):
-                if abs(moduli[j] - mod_I) <= tau * moduli[j]:
-                    found.append((j, I))
+        indices = enumerate_indices(q, d)
+        hits = np.argwhere(np.abs(_log_gaps(log_moduli, indices).T) <= tau)
+        found.extend((int(j), indices[i]) for i, j in hits)
     return ResonanceReport(mode, tau, p, tuple(found))
 
 

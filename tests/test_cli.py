@@ -123,28 +123,46 @@ def test_verify_rebuild_beyond_the_working_order_cap_exits_3(tmp_path, capsys, c
     assert "limit 18" in err
 
 
+def _c(re, im):
+    return {"re": re, "im": im}
+
+
+def _second_component_term(index, value):
+    return {"component": 2, "index": index,
+            "time": {"kind": "constant", "value": value}}
+
+
+# Lambda = diag(a, 2a) with a in the planted benchmark band: the exact
+# resonance (2, (2, 0)) sits 4e-16 off the unit circle after roundoff
+A_2A_FIELD = {
+    "Lambda": [[_c(-0.8643156622931031, 0.02149214514609113), _c(0.0, 0.0)],
+               [_c(0.0, 0.0), _c(-1.7286313245862062, 0.04298429029218226)]],
+    "order": 3,
+    "terms": [_second_component_term([2, 0], _c(0.08584352150587873, -0.25226519697531413)),
+              _second_component_term([3, 0], _c(0.12430635202772108, 0.13032249480272787)),
+              _second_component_term([0, 2], _c(-0.02037803342445035, 0.11831895416632712)),
+              _second_component_term([2, 1], _c(0.04958534302837535, -0.037993269368648594))],
+    "horizon": 3.0,
+}
+
+
+def test_a_2a_field_reports_its_resonance_and_no_certificate(tmp_path):
+    # the log-modulus gap of (2, (2, 0)) is within tau, so p = 3 and the
+    # resonance stays in the normal form instead of a spectral block
+    inp = _write(tmp_path / "field.json", A_2A_FIELD)
+    out = tmp_path / "chain.json"
+    assert main(["chain", "--input", inp, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["resonances"]["p"] == 3
+    assert doc["resonances"]["resonances"] == [{"component": 2, "index": [2, 0]}]
+    assert doc["certificate"] is None
+
+
 def test_near_unit_block_of_the_conjugation_operator_exits_3(tmp_path, capsys):
-    # Lambda = diag(a, 2a): roundoff in the resonance cutoff forces the
-    # exact resonance (2, (2, 0)) into a spectral block with |mu| = 1 + 4e-16
-    def c(re, im):
-        return {"re": re, "im": im}
-
-    def term(index, value):
-        return {"component": 2, "index": index,
-                "time": {"kind": "constant", "value": value}}
-
-    doc = {
-        "Lambda": [[c(-0.8643156622931031, 0.02149214514609113), c(0.0, 0.0)],
-                   [c(0.0, 0.0), c(-1.7286313245862062, 0.04298429029218226)]],
-        "order": 3,
-        "terms": [term([2, 0], c(0.08584352150587873, -0.25226519697531413)),
-                  term([3, 0], c(0.12430635202772108, 0.13032249480272787)),
-                  term([0, 2], c(-0.02037803342445035, 0.11831895416632712)),
-                  term([2, 1], c(0.04958534302837535, -0.037993269368648594))],
-        "horizon": 3.0,
-    }
-    inp = _write(tmp_path / "field.json", doc)
-    assert main(["chain", "--input", inp]) == 3
+    # with tau = 0 the gap 4e-16 is no resonance: (2, (2, 0)) is unstable
+    # with |mu| = 1 + 4e-16 and its block's powers cannot contract
+    inp = _write(tmp_path / "field.json", A_2A_FIELD)
+    assert main(["chain", "--input", inp, "--tau", "0"]) == 3
     err = capsys.readouterr().err
     assert "precondition violated" in err and "unstable block" in err
     assert "|mu| = 1.0000000000000004" in err
@@ -313,6 +331,26 @@ READ_FLAGS = {
 }
 
 
+# values outside each numeric flag's range
+OUT_OF_RANGE = {
+    "tau": ["nan", "inf", "-1e-12"],
+    "tol": ["nan", "inf", "0", "-1"],
+    "order": ["0", "-3"],
+    "horizon": ["0", "-1"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command in sorted(READ_FLAGS)
+    for flag, values in OUT_OF_RANGE.items() if flag in READ_FLAGS[command]
+    for value in values])
+def test_out_of_range_flag_exits_2_and_names_the_flag(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "x.json", f"--{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument --{flag}: must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["chain", "--samples", "5"], ["verify", "--order", "4"]])
 def test_parser_rejects_flags_a_command_ignores(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -331,12 +369,17 @@ def test_parser_accepts_every_flag_a_command_reads(command):
     assert {name: getattr(args, name) for name in flags} == flags
 
 
+def _env_with_package():
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(loewner.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.2 s and 15 MB per process; the package
     # needs none of it (the tests use it as a reference only)
-    src = str(Path(loewner.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_package()
     code = ("import loewner.cli, sys; "
             "sys.exit('scipy.optimize' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -355,9 +398,7 @@ README_FIELD = {
 def test_cli_chain_leaves_scipy_sparse_unloaded(tmp_path):
     # the jet products scatter with numpy alone; scipy.sparse would add
     # its import time to every chain command
-    src = str(Path(loewner.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_package()
     inp = _write(tmp_path / "field.json", README_FIELD)
     code = ("import sys; from loewner.cli import main; "
             "rc = main(sys.argv[1:]); "
@@ -369,9 +410,7 @@ def test_cli_chain_leaves_scipy_sparse_unloaded(tmp_path):
 
 def test_chain_report_script_saves_a_verifiable_chain(tmp_path):
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(loewner.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_package()
     doc = tmp_path / "chain.json"
     report = subprocess.run([sys.executable, str(root / "scripts" / "chain_report.py"),
                              "--save", str(doc)], env=env, capture_output=True, text=True)
@@ -384,3 +423,13 @@ def test_chain_report_script_saves_a_verifiable_chain(tmp_path):
                             env=env, capture_output=True, text=True)
     assert verify.returncode == 0, verify.stderr
     assert "verify: PASS" in verify.stdout
+
+
+def test_resonance_cascade_script_withholds_the_certificate():
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(root / "scripts" / "resonance_cascade.py"),
+                          "--cs", "0.3"], env=_env_with_package(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "component 2 ~ index (2, 0)" in run.stdout
+    assert "withheld" in run.stdout

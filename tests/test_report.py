@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import loewner.cli as cli
-from loewner.cli import main, report_text
+from loewner.cli import _family_from_doc, main, report_text
 from loewner.herglotz import HerglotzFieldSpec, LoewnerChain, TimeCoefficient, matrix_to_json
 from loewner.jets import PolyJet
 from loewner.spectral import ResonanceReport
@@ -217,6 +217,11 @@ def test_field_document_round_trip_keeps_every_bit(kind, data):
         assert back.jet(t).coeffs.tobytes() == field.jet(t).coeffs.tobytes()
 
 
+def _unwritten_zeros(coeffs):
+    """A coefficient zero in both parts is not written and comes back as +0."""
+    return np.where(coeffs == 0, 0j, coeffs)
+
+
 @st.composite
 def _jets(draw, q, order):
     count = PolyJet.zero(q, order).tables.count
@@ -263,6 +268,55 @@ def test_chain_document_round_trip_keeps_every_bit(chain):
     back = LoewnerChain.from_json_dict(json.loads(text))
     assert report_text(back.to_json_dict()) == text
     assert back.basis_change.tobytes() == chain.basis_change.tobytes()
-    # a coefficient zero in both parts is not written and comes back as +0
     for a, b in zip(back.chain_jets, chain.chain_jets):
-        assert a.coeffs.tobytes() == np.where(b.coeffs == 0, 0j, b.coeffs).tobytes()
+        assert a.coeffs.tobytes() == _unwritten_zeros(b.coeffs).tobytes()
+
+
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def _resonance_reports(draw):
+    q = draw(st.integers(1, 3))
+    order = draw(st.integers(2, 5))
+    return ResonanceReport(
+        mode=draw(st.sampled_from(["multiplicative", "additive"])),
+        tolerance=draw(_nonnegative | _edges.map(abs)), p=draw(st.integers(2, 512)),
+        resonances=tuple(draw(st.lists(st.tuples(
+            st.integers(0, q - 1), st.sampled_from(PolyJet.zero(q, order).tables.indices[1:])),
+            max_size=4, unique=True))))
+
+
+@given(_resonance_reports())
+def test_resonance_report_round_trip(report):
+    text = report_text(report.to_json_dict())
+    back = ResonanceReport.from_json_dict(json.loads(text))
+    assert back == report
+    assert report_text(back.to_json_dict()) == text
+
+
+@st.composite
+def _family_docs(draw):
+    q = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    A = np.array(draw(st.lists(st.builds(complex, _parts, _parts),
+                               min_size=q * q, max_size=q * q))).reshape(q, q)
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(_jets(q, order)).coeffs.copy()
+        c[:, 1:1 + q] = A                # every step shares the linear part
+        steps.append(PolyJet(q, order, c))
+    tail = draw(st.sampled_from(["constant", "zero"]))
+    return A, steps, tail
+
+
+@given(_family_docs())
+def test_family_document_round_trip_keeps_every_bit(parts):
+    A, steps, tail = parts
+    doc = {"linear_part": matrix_to_json(A),
+           "steps": [s.to_json_dict() for s in steps], "tail": tail}
+    back = _family_from_doc(json.loads(report_text(doc)))
+    assert back.linear_part.tobytes() == A.tobytes()
+    assert back.tail == tail and len(back.steps) == len(steps)
+    for a, b in zip(back.steps, steps):
+        assert a.coeffs.tobytes() == _unwritten_zeros(b.coeffs).tobytes()

@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner import (
+    HerglotzFieldSpec,
     HomogeneousMap,
     PolyJet,
+    TimeCoefficient,
+    build_chain,
     compose,
     detect_resonances,
     gamma_matrix,
@@ -193,11 +197,6 @@ def test_split_partitions_basis():
     assert split.rho_stable < 1.0 and split.rho_unstable_inverse < 1.0
 
 
-def test_split_force_nonresonant_reassigns_ties():
-    split = spectral_split(np.diag([0.4, 0.16]), 2, force_nonresonant=True)
-    assert not split.resonant.any()
-
-
 # ---------------------------------------------------------------------- #
 # resonance detection
 
@@ -275,3 +274,79 @@ def test_degree_cutoff_definition():
     # smallest p with 0.8^p < 0.3
     assert report.p == 6
     assert 0.8 ** report.p < 0.3 <= 0.8 ** (report.p - 1)
+
+
+# ---------------------------------------------------------------------- #
+# one resonance rule: the degree cutoff, the resonance list and the split
+# all decide on the log-modulus gap
+
+
+# a of a field Lambda = diag(a, 2a) whose exact resonance lies 4e-16 off the
+# unit circle once exp rounds: |e^a|^2 - |e^{2a}| = -5.6e-17
+REPRODUCER_A = -0.8643156622931031 + 0.02149214514609113j
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("m,m2", [(0.4, 0.4 * 0.4),
+                                  (np.exp(REPRODUCER_A), np.exp(2 * REPRODUCER_A))],
+                         ids=["m=0.4", "reproducer"])
+def test_a_2a_spectrum_gets_one_answer_from_every_decision(m, m2, ulps):
+    # [m, m^2], its real part moved by -1, 0 or +1 unit in the last place
+    m2 = complex(np.nextafter(m2.real, ulps * np.inf) if ulps else m2.real, m2.imag)
+    lam = np.array([m, m2])
+    report = detect_resonances(lam, "multiplicative")
+    assert report.p == 3
+    assert report.resonances == ((1, (2, 0)),)
+    split = spectral_split(np.diag(lam), 2)
+    assert [split.basis[b] for b in np.nonzero(split.resonant)[0]] == [(1, (2, 0))]
+    assert spectral_split(np.diag(lam), report.p).unstable.all()
+
+
+def test_additive_reproducer_reads_the_real_parts():
+    report = detect_resonances([REPRODUCER_A, 2 * REPRODUCER_A], "additive")
+    assert (report.p, report.resonances) == (3, ((1, (2, 0)),))
+
+
+def test_no_direction_at_or_beyond_the_cutoff_is_resonant():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        q = int(rng.integers(1, 4))
+        lam = random_spectrum(rng, q, 0.25, 0.9)
+        p = detect_resonances(lam, "multiplicative").p
+        for degree in (p, p + 1):
+            split = spectral_split(np.diag(lam), degree)
+            assert split.unstable.all() and not split.resonant.any()
+        # p is the least such degree
+        if p > 2:
+            assert not spectral_split(np.diag(lam), p - 1).unstable.all()
+
+
+def _sorted_eigenvalues(L):
+    e = np.linalg.eigvals(L)
+    return e[np.argsort(-e.real)]
+
+
+@settings(max_examples=8)
+@given(re_a=st.floats(-0.92, -0.6), im_a=st.floats(-0.2, 0.2),
+       ratio=st.none() | st.floats(1.1, 1.9), angle=st.floats(0.0, np.pi),
+       phase=st.floats(0.0, 2 * np.pi), cond=st.floats(1.0, 10.0))
+def test_resonance_decisions_survive_conjugating_lambda(re_a, im_a, ratio, angle,
+                                                        phase, cond):
+    # ratio None plants Lambda = diag(a, 2a); otherwise Re b / Re a lies
+    # strictly between 1 and 2, so no integer multiple relation holds
+    a = complex(re_a, im_a)
+    b = 2 * a if ratio is None else complex(ratio * re_a, -im_a)
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
+    M = np.diag([1.0, 1.0 / cond]) @ R            # condition number cond
+    outcomes = []
+    for L in (np.diag([a, b]), M @ np.diag([a, b]) @ np.linalg.inv(M)):
+        additive = detect_resonances(_sorted_eigenvalues(L), "additive")
+        field = HerglotzFieldSpec(
+            L, 2, ((1, (2, 0), TimeCoefficient.constant(0.1)),), horizon=1.0)
+        chain = build_chain(field)
+        outcomes.append((additive.resonances, additive.p, chain.resonances.resonances,
+                         chain.resonances.p, chain.certificate is None))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (((1, (2, 0)),) if ratio is None else ())
+    assert outcomes[0][4] == (ratio is None)
