@@ -404,8 +404,8 @@ _FLAGS = {
                                "finite and >= 0"),
                   default=RESONANCE_TOL, help="resonance tolerance on the log-modulus gap, >= 0"),
     "--samples": dict(type=int, default=12, help="sample points per check"),
-    "--seed": dict(type=int, default=0,
-                   help="offset into the deterministic sample sequence"),
+    "--seed": dict(type=_ranged(int, lambda v: v >= 0, ">= 0"), default=0,
+                   help="offset into the deterministic sample sequence, >= 0"),
     "--horizon": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=None,
                       help="number of unit time steps to cover, >= 1"),
 }

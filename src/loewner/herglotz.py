@@ -219,11 +219,8 @@ class HerglotzFieldSpec:
         if not 0.0 < float(self.horizon) < math.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         object.__setattr__(self, "horizon", float(self.horizon))
-        # per term: component, nonzero (variable, exponent) pairs, schedule
-        object.__setattr__(self, "_layout", tuple(
-            (j, tuple((i, e) for i, e in enumerate(index) if e), coeff)
-            for j, index, coeff in cleaned))
         object.__setattr__(self, "_stages", {})
+        object.__setattr__(self, "_evaluate", _FieldEval(self))
 
     @property
     def q(self) -> int:
@@ -254,30 +251,11 @@ class HerglotzFieldSpec:
 
     def values(self, t: float, points: np.ndarray) -> np.ndarray:
         """H(z, t) at the columns of points, exactly (no truncation)."""
-        pts = np.asarray(points, dtype=complex)
-        vals = self.Lambda @ pts
-        for j, powers, coeff in self._layout:
-            mono = np.ones(pts.shape[1], dtype=complex)
-            for i, e in powers:
-                mono = mono * pts[i] ** e
-            vals[j] += coeff(t) * mono
-        return vals
+        return self._evaluate(t, points, False)[0]
 
     def jacobians(self, t: float, points: np.ndarray) -> np.ndarray:
         """D_z H(z, t) at the columns of points, shape (m, q, q)."""
-        pts = np.asarray(points, dtype=complex)
-        q, m = pts.shape
-        jac = np.tile(np.asarray(self.Lambda), (m, 1, 1))
-        for j, powers, coeff in self._layout:
-            c = coeff(t)
-            for i, e in powers:
-                mono = np.full(m, e * c, dtype=complex)
-                for k, ek in powers:
-                    p = ek - 1 if k == i else ek
-                    if p:
-                        mono = mono * pts[k] ** p
-                jac[:, j, i] += mono
-        return jac
+        return self._evaluate(t, points, True)[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -355,6 +333,111 @@ class _FieldStage:
         out = self.template.copy()
         out.reshape(-1)[self.flat] = values
         return out
+
+
+class _Products:
+    """Products of power-table rows, one per nonempty factor list.
+
+    Row r of the result is seeds[r] * table[f_1] * table[f_2] * ... over
+    its factor list, multiplied left to right.  The rows run sorted by
+    factor count (stable), so stage k multiplies a leading block of them
+    and no row is multiplied by a padding 1, which can flip the sign of a
+    zero.
+    """
+
+    __slots__ = ("order", "inverse", "stages")
+
+    def __init__(self, factors: list[list[int]]):
+        order = sorted(range(len(factors)), key=lambda r: -len(factors[r]))
+        self.order = np.array(order, dtype=np.int64)
+        self.inverse = np.argsort(self.order)
+        self.stages = tuple(
+            np.array([factors[r][k] for r in order if len(factors[r]) > k], dtype=np.int64)
+            for k in range(len(factors[order[0]])))
+
+    def run(self, table: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        first, *rest = self.stages
+        out = seeds.take(self.order)[:, None] * table.take(first, axis=0)
+        for rows in rest:
+            # not *=: numpy's in-place complex product of one element
+            # rounds differently from the out-of-place one
+            n = len(rows)
+            out[:n] = out[:n] * table.take(rows, axis=0)
+        return out.take(self.inverse, axis=0)
+
+
+class _FieldEval:
+    """H(z, tau), and D_z H(z, tau) when asked, at the columns of z.
+
+    One power table P[r q + i] = z_i ** e_r over the exponents the terms
+    use serves every term.  A term's value is 1 times its factors z_i ** e_i
+    in variable order, times its coefficient c; its derivative in z_i is
+    e_i c times the same factors with z_i ** (e_i - 1) in place of
+    z_i ** e_i.  np.add.at adds the rows onto Lambda z and Lambda in term
+    order.  These are the operations of adding the terms one at a time,
+    in the same order, so the floats are that loop's bit for bit.  When
+    every schedule is constant the coefficients are computed once.
+    """
+
+    __slots__ = ("Lambda", "exponents", "comps", "slots", "derivatives", "schedules",
+                 "constant", "values_plan", "joint_plan")
+
+    def __init__(self, field: HerglotzFieldSpec):
+        q = field.q
+        self.Lambda = field.Lambda
+        value_rows = [[(i, e) for i, e in enumerate(index) if e] for _, index, _ in field.terms]
+        deriv_rows, self.derivatives, slots = [], [], []
+        for n, (j, _, _) in enumerate(field.terms):
+            for i, e in value_rows[n]:
+                deriv_rows.append([(k, p) for k, ek in value_rows[n] if (p := ek - (k == i))])
+                self.derivatives.append((n, e))
+                slots.append(j * q + i)
+        self.exponents = sorted({e for row in value_rows + deriv_rows for _, e in row})
+        rank = {e: r for r, e in enumerate(self.exponents)}
+
+        def table_rows(rows):
+            return [[rank[e] * q + i for i, e in row] for row in rows]
+
+        self.comps = np.array([j for j, _, _ in field.terms], dtype=np.int64)
+        self.slots = np.array(slots, dtype=np.int64)
+        self.values_plan = self.joint_plan = None
+        if field.terms:
+            self.values_plan = _Products(table_rows(value_rows))
+            self.joint_plan = _Products(table_rows(value_rows + deriv_rows))
+        self.schedules = tuple(coeff for _, _, coeff in field.terms)
+        self.constant = None
+        if not field.breakpoints():
+            self.constant = self._coefficients(0.0)
+
+    def _coefficients(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The terms' coefficients c, and the product seeds: 1 per value
+        row, then e_i c per derivative row (the e_i * c of Python)."""
+        if self.constant is not None:
+            return self.constant
+        cs = [coeff(tau) for coeff in self.schedules]
+        seeds = [1.0 + 0.0j] * len(cs) + [e * cs[n] for n, e in self.derivatives]
+        return np.array(cs, dtype=complex), np.array(seeds, dtype=complex)
+
+    def __call__(self, tau: float, points: np.ndarray, jacobians: bool):
+        """(H, D_z H) at the columns of points; D_z H has shape (m, q, q),
+        and is None unless asked for."""
+        pts = np.asarray(points, dtype=complex)
+        q, m = pts.shape
+        vals = self.Lambda @ pts
+        count = len(self.comps)
+        if count:
+            table = np.concatenate([pts ** e for e in self.exponents])
+            cs, seeds = self._coefficients(tau)
+            rows = (self.joint_plan if jacobians else self.values_plan).run(table, seeds)
+            np.add.at(vals, self.comps, cs[:, None] * rows[:count])
+        if not jacobians:
+            return vals, None
+        # row j q + i holds entry (j, i) of every column's Jacobian
+        jac = np.empty((q * q, m), dtype=complex)
+        jac[:] = self.Lambda.reshape(-1, 1)
+        if count:
+            np.add.at(jac, self.slots, rows[count:])
+        return vals, np.ascontiguousarray(jac.T).reshape(m, q, q)
 
 
 # --------------------------------------------------------------------- #
@@ -503,7 +586,8 @@ def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
 
     def rhs(tau, x):
         z, Mc = x
-        return field.values(tau, z), np.einsum("mij,mjk->mik", field.jacobians(tau, z), Mc)
+        H, DH = field._evaluate(tau, z, True)
+        return H, np.einsum("mij,mjk->mik", DH, Mc)
 
     return _rk4_doubling(field, s, t, (pts, M), rhs, tol)
 

@@ -37,7 +37,10 @@ def halton(count: int, dim: int, start: int = 0) -> np.ndarray:
     Coordinate d uses the radical inverse in the d-th prime base.  The digit
     loop runs over all points at once; a point whose digits have run out
     adds f * 0, so each value is the one the point-by-point loop gives.
+    A negative start would reach index -1, whose digits never run out.
     """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     out = np.empty((count, dim))
     index = np.arange(start + 1, start + count + 1, dtype=np.int64)  # skip the origin
     for d, base in enumerate(_first_primes(dim)):
@@ -65,6 +68,8 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     acceptance = math.pi ** q / (math.factorial(q) * 4 ** q)
     if acceptance < _MIN_BALL_ACCEPTANCE:
         u = halton(count, 2 * q + 1, start)
@@ -91,7 +96,9 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
 
 
 def complex_sphere_points(q: int, radius: float, count: int, start: int = 0) -> np.ndarray:
-    """`count` points on the euclidean sphere |z| = radius in C^q, shape (q, count)."""
+    """`count` points on the euclidean sphere |z| = radius in C^q, shape (q, count).
+
+    Raises ValueError for a negative start, as halton does."""
     u = halton(count, 2 * q, start)
     g = ndtri(np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
     g /= np.linalg.norm(g, axis=1, keepdims=True)

@@ -10,6 +10,7 @@ enumerate spectral resonances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -350,10 +351,18 @@ def _log_gaps(log_moduli: np.ndarray, indices) -> np.ndarray:
     return log_moduli[:, None] - np.asarray(indices, dtype=float) @ log_moduli
 
 
+def _check_tau(tau: float) -> None:
+    """A NaN tau empties every mask of the rule and a negative one lets the
+    stable and unstable masks overlap, so tau must be finite and >= 0."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
+
 def spectral_split(linear_part: "OptimalForm | np.ndarray", degree: int,
                    tau: float = RESONANCE_TOL) -> SpectralSplit:
     """Split the degree-`degree` monomial basis by the log-modulus gap of
     lambda_j / lambda^I (_log_gaps)."""
+    _check_tau(tau)
     lam = (linear_part.eigenvalues if isinstance(linear_part, OptimalForm)
            else np.diagonal(np.asarray(linear_part, dtype=complex)))
     q = len(lam)
@@ -436,6 +445,7 @@ def detect_resonances(values: Sequence[complex], mode: str = "multiplicative",
     exponents alpha with Re alpha < 0 (additive mode); additive resonances
     of alpha coincide with multiplicative resonances of exp(alpha).
     """
+    _check_tau(tau)
     vals = np.asarray(values, dtype=complex)
     q = len(vals)
     if mode == "additive":

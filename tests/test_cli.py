@@ -337,6 +337,7 @@ OUT_OF_RANGE = {
     "tol": ["nan", "inf", "0", "-1"],
     "order": ["0", "-3"],
     "horizon": ["0", "-1"],
+    "seed": ["-1", "-2"],
 }
 
 
@@ -433,3 +434,16 @@ def test_resonance_cascade_script_withholds_the_certificate():
     assert run.returncode == 0, run.stderr
     assert "component 2 ~ index (2, 0)" in run.stdout
     assert "withheld" in run.stdout
+
+
+def test_koenigs_sweep_script_matches_the_iteration_limit():
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(root / "scripts" / "koenigs_sweep.py")],
+                         env=_env_with_package(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split()[-4:] == ["jet", "gap", "ext", "gap"]
+    assert len(rows) == 6
+    for row in rows:
+        jet_gap, ext_gap = (float(v) for v in row.split()[-2:])
+        assert jet_gap <= 1e-10 and ext_gap <= 1e-7, row

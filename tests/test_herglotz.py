@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from loewner import (
@@ -116,6 +117,124 @@ def test_field_jacobians_match_finite_differences():
         bump[i] = h
         col = (f.values(0.3, z + bump) - f.values(0.3, z - bump)) / (2 * h)
         assert np.allclose(jac[:, :, i].T, col, atol=1e-7)
+
+
+# ---------------------------------------------------------------------- #
+# the field evaluator against the term-by-term loops
+
+
+def _field_values_reference(field, t, points):
+    """H(z, t) adding one term at a time, each monomial 1 * z_i ** e_i * ...
+    in variable order, times its coefficient."""
+    pts = np.asarray(points, dtype=complex)
+    vals = field.Lambda @ pts
+    for j, index, coeff in field.terms:
+        mono = np.ones(pts.shape[1], dtype=complex)
+        for i, e in enumerate(index):
+            if e:
+                mono = mono * pts[i] ** e
+        vals[j] += coeff(t) * mono
+    return vals
+
+
+def _field_jacobians_reference(field, t, points):
+    """D_z H(z, t) adding one (term, variable) derivative at a time, each
+    e_i c * z_k ** p_k * ... in variable order."""
+    pts = np.asarray(points, dtype=complex)
+    q, m = pts.shape
+    jac = np.tile(np.asarray(field.Lambda), (m, 1, 1))
+    for j, index, coeff in field.terms:
+        powers = [(i, e) for i, e in enumerate(index) if e]
+        c = coeff(t)
+        for i, e in powers:
+            mono = np.full(m, e * c, dtype=complex)
+            for k, ek in powers:
+                p = ek - 1 if k == i else ek
+                if p:
+                    mono = mono * pts[k] ** p
+            jac[:, j, i] += mono
+    return jac
+
+
+def _assert_evaluator_matches_the_loops(field, t, z):
+    want_h = _field_values_reference(field, t, z)
+    want_dh = _field_jacobians_reference(field, t, z)
+    h, dh = field._evaluate(t, z, True)
+    for got, want in ((field.values(t, z), want_h), (field.jacobians(t, z), want_dh),
+                      (h, want_h), (dh, want_dh)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+_ZEROS = st.sampled_from([0.0, -0.0])
+_PART = st.floats(-2.0, 2.0) | _ZEROS
+
+
+def _schedule(kind, nodes):
+    value = st.builds(complex, _PART, _PART)
+    if kind == "constant":
+        return value.map(TimeCoefficient.constant)
+    times = st.lists(st.sampled_from(nodes), min_size=1, max_size=4, unique=True).map(sorted)
+    return times.flatmap(lambda ts: st.lists(value, min_size=len(ts), max_size=len(ts)).map(
+        lambda vs: TimeCoefficient(kind, tuple(ts), tuple(vs))))
+
+
+@st.composite
+def _field_and_points(draw):
+    q = draw(st.integers(1, 4))
+    order = draw(st.integers(2, 5))
+    nodes = (0.0, 0.5, 1.25, 2.0, 3.0)
+    # upper triangular: the spectrum is the diagonal, in the left half plane
+    L = np.zeros((q, q), dtype=complex)
+    for i in range(q):
+        L[i, i] = complex(draw(st.floats(-2.0, -0.1)), draw(_PART))
+        for k in range(i + 1, q):
+            L[i, k] = complex(draw(_PART), draw(_PART))
+    indices = [I for I in PolyJet.zero(q, order).tables.indices if sum(I) >= 2]
+    kind = st.sampled_from(["constant", "piecewise", "sampled"])
+    term = st.tuples(st.integers(0, q - 1), st.sampled_from(indices),
+                     kind.flatmap(lambda k: _schedule(k, nodes)))
+    terms = draw(st.lists(term, max_size=6))
+    # the same (component, monomial) again, with a schedule of its own
+    for j, index, _ in draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else ():
+        terms.append((j, index, draw(kind.flatmap(lambda k: _schedule(k, nodes)))))
+    field = HerglotzFieldSpec(L, order, tuple(terms), horizon=3.0)
+    m = draw(st.sampled_from([0, 1, 7]))
+    parts = draw(st.lists(_PART, min_size=2 * q * m, max_size=2 * q * m))
+    z = (np.array(parts[:q * m]) + 1j * np.array(parts[q * m:])).reshape(q, m)
+    t = draw(st.sampled_from(nodes) | st.floats(-0.5, 3.5))
+    return field, t, z
+
+
+@settings(max_examples=50)
+@given(_field_and_points())
+def test_field_evaluator_matches_the_term_loops_bit_for_bit(case):
+    _assert_evaluator_matches_the_loops(*case)
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 13])
+def test_field_evaluator_matches_the_term_loops_on_random_fields(m):
+    # one column is where numpy's in-place complex product rounds
+    # differently from the loop's out-of-place one
+    rng = np.random.default_rng(m)
+    for q in (1, 2, 3, 4):
+        for _ in range(6):
+            terms = tuple(
+                (int(rng.integers(q)), tuple(int(e) for e in rng.multinomial(d, np.ones(q) / q)),
+                 TimeCoefficient.constant(complex(*rng.normal(size=2))))
+                for d in rng.integers(2, 5, size=rng.integers(1, 6)))
+            field = HerglotzFieldSpec(-np.eye(q, dtype=complex), 4, terms)
+            z = rng.normal(size=(q, m)) + 1j * rng.normal(size=(q, m))
+            _assert_evaluator_matches_the_loops(field, 0.5, z)
+
+
+def test_field_without_terms_is_its_linear_part():
+    L = np.array([[-0.5, 0.25j], [-0.0, -0.8 + 0.1j]])
+    field = HerglotzFieldSpec(L, 3, ())
+    z = complex_ball_points(2, 0.3, 5)
+    assert field.values(1.0, z).tobytes() == (field.Lambda @ z).tobytes()
+    assert field.jacobians(1.0, z).tobytes() == np.tile(field.Lambda, (5, 1, 1)).tobytes()
+    _assert_evaluator_matches_the_loops(field, 1.0, z)
 
 
 def test_field_json_round_trip():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loewner.sampling import complex_ball_points, halton
+from loewner.sampling import complex_ball_points, complex_sphere_points, halton
 
 
 def _halton_reference(count, dim, start=0):
@@ -47,3 +47,17 @@ def test_ball_points_in_eighteen_real_dimensions():
     assert pts.shape == (9, k)
     assert (np.linalg.norm(pts, axis=0) <= r).all()
     assert np.array_equal(pts, complex_ball_points(9, r, k))
+
+
+@pytest.mark.parametrize("start", [-1, -5])
+@pytest.mark.parametrize("sampler", [
+    lambda start: halton(3, 2, start),
+    lambda start: complex_ball_points(2, 0.5, 3, start),
+    lambda start: complex_ball_points(2, 0.5, 0, start),
+    lambda start: complex_sphere_points(2, 0.5, 3, start),
+])
+def test_samplers_reject_a_negative_start(sampler, start):
+    # from start -2 on, the Halton digit loop would reach index -1 and
+    # never end; start -1 would silently give index 0, the origin
+    with pytest.raises(ValueError, match="start must be >= 0"):
+        sampler(start)

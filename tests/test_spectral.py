@@ -197,6 +197,24 @@ def test_split_partitions_basis():
     assert split.rho_stable < 1.0 and split.rho_unstable_inverse < 1.0
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf"), -1e-9])
+def test_split_and_detection_reject_a_tau_outside_the_rule(tau):
+    # NaN empties every mask; a negative tau makes (1, (2, 0)) of
+    # diag(0.4, 0.16) both stable and unstable
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        spectral_split(np.diag([0.5, 0.3]), 2, tau)
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        detect_resonances([0.4, 0.16], tau=tau)
+
+
+def test_split_and_detection_accept_tau_zero():
+    split = spectral_split(np.diag([0.4, 0.16]), 2, 0.0)
+    total = split.stable.astype(int) + split.resonant.astype(int) \
+        + split.unstable.astype(int)
+    assert np.all(total == 1)
+    assert detect_resonances([0.5, 0.3], tau=0.0).p == 2
+
+
 # ---------------------------------------------------------------------- #
 # resonance detection
 
