@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Build the Loewner chain of a dilation field and run the whole check
-battery: subordination identity, PDE residual at two step sizes, inscribed
-range growth, and attraction of sample orbits.  Writes the chain document
-when --save is given, so the result can be re-verified with the CLI."""
+battery: subordination identity, inscribed range growth, and attraction of
+sample orbits, plus the PDE residual at two step sizes.  The chain solves
+the Loewner PDE by construction (f_t = f_a o phi_{t,a} for any jet f_a), so
+the residual and its halving ratio diagnose the integrator and the
+difference quotient, not the chain; `loewner verify` does not compute it.
+Writes the chain document when --save is given, so the result can be
+re-verified with the CLI."""
 
 import argparse
 import json

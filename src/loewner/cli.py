@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .herglotz import (
-    PDE_STEP,
+    ATTRACTION_BALL,
     ContinuousEvolution,
     HerglotzFieldSpec,
     LoewnerChain,
@@ -30,7 +30,6 @@ from .herglotz import (
     complex_to_json,
     discretize,
     matrix_from_json,
-    pde_residual,
     verify_subordination_chain,
 )
 from .jets import PolyJet
@@ -43,10 +42,6 @@ from .normal_form import (
 )
 from .sampling import complex_ball_points
 from .spectral import RESONANCE_TOL, detect_resonances
-
-
-# default --tol of verify: the PDE residual bound and the attraction ball
-VERIFY_TOL = 1e-6
 
 
 class _Malformed(Exception):
@@ -308,7 +303,6 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise _Malformed(f"bad chain document: {e}") from e
 
-    tol = VERIFY_TOL if args.tol is None else args.tol
     report = verify_subordination_chain(chain, samples=args.samples, start=args.seed)
     failures = list(report.failures)
     checks: dict[str, dict] = {
@@ -324,16 +318,6 @@ def cmd_verify(args) -> int:
         "univalence": {"passed": "univalence" not in failures,
                        "violations": len(report.univalence.violations)},
     }
-
-    ts = [a - 0.5 for a in range(1, min(chain.horizon, 4) + 1)]
-    pts = complex_ball_points(chain.q, 0.4 * chain.radius, max(1, args.samples // 2),
-                              start=args.seed)
-    pde_samples = [(t, pts[:, i]) for t in ts for i in range(pts.shape[1])]
-    residual = pde_residual(chain, pde_samples, h=PDE_STEP)
-    checks["pde-residual"] = {"passed": residual <= tol, "residual": residual,
-                              "tol": tol}
-    if residual > tol:
-        failures.append("pde-residual")
 
     # the rebuild reuses the half-step jets the checks above integrated
     rebuilt = None
@@ -354,7 +338,7 @@ def cmd_verify(args) -> int:
             failures.append("range-growth")
         ball = complex_ball_points(chain.q, 0.5 * rebuilt.constants.r,
                                    args.samples, start=args.seed)
-        attract = attraction_check(disc.family, ball, tol=tol)
+        attract = attraction_check(disc.family, ball, tol=args.tol or ATTRACTION_BALL)
         checks["attraction"] = {"passed": attract.all_converged,
                                 "max_steps_used": max(
                                     (r.steps for r in attract.rows
@@ -398,7 +382,7 @@ _FLAGS = {
                     help="jet truncation order, >= 1"),
     "--tol": dict(type=_ranged(float, lambda v: math.isfinite(v) and v > 0,
                                "finite and > 0"),
-                  default=None, help="integration / verification tolerance, > 0"),
+                  default=None, help="integration tolerance (verify: the attraction ball), > 0"),
     # a negative tau would let the stable and unstable masks overlap
     "--tau": dict(type=_ranged(float, lambda v: math.isfinite(v) and v >= 0,
                                "finite and >= 0"),

@@ -725,10 +725,12 @@ class LoewnerChain:
     the normalizing construction converges once pushed to their anchor).
     certificate, when present, bounds sup_t sup_{|z|<=0.95 radius}
     |exp(Lambda t) f_t(z)| over the build grid, measured on these jets; it
-    is attached only for resonance-free spectra.  A chain and its JSON
-    document evaluate identically.  evolution holds the field's transition
-    maps at the chain order and step_tol: build_chain hands over the one its
-    discretization filled, and a chain given none derives its own.
+    is attached only for resonance-free spectra.  certificate_step, in
+    [CERTIFICATE_STEP, 1], is the step of that grid and of verify's.  A
+    chain and its JSON document evaluate identically.  evolution holds the
+    field's transition maps at the chain order and step_tol: build_chain
+    hands over the one its discretization filled, and a chain given none
+    derives its own.
     """
 
     field: HerglotzFieldSpec
@@ -753,10 +755,16 @@ class LoewnerChain:
             raise ValueError("horizon must cover at least one unit step")
         if len(self.chain_jets) != self.horizon + 1:
             raise ValueError("need one chain jet per integer time 0..horizon")
-        for name in ("radius", "certificate_step", "step_tol"):
+        for name in ("radius", "step_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        # a step up to 1 puts a grid time in every (n - 1, n], so the checks
+        # see every f_n; a finer step than the half-step grid only costs time
+        # (NaN fails both comparisons)
+        if not CERTIFICATE_STEP <= self.certificate_step <= 1.0:
+            raise ValueError(f"certificate_step must lie in [{CERTIFICATE_STEP}, 1], "
+                             f"got {self.certificate_step}")
         # a NaN bound would pass every comparison of the normalization check
         if self.certificate is not None and not math.isfinite(self.certificate):
             raise ValueError(f"certificate must be finite, got {self.certificate}")

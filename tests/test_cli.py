@@ -234,6 +234,11 @@ _MISSING = object()  # a change that drops its key from the document
     lambda doc: {"certificate_step": _MISSING},
     lambda doc: {"certificate_step": 0},
     lambda doc: {"certificate_step": -0.5},
+    # a step above 1 skips chain jets; one far below the half-step grid
+    # asks for thousands of transition integrations
+    lambda doc: {"certificate_step": 3},
+    lambda doc: {"certificate_step": 1e-4},
+    lambda doc: {"certificate_step": float("nan")},
     lambda doc: {"radius": float("nan")},
     lambda doc: {"radius": float("inf")},
     lambda doc: {"radius": -1},
@@ -244,7 +249,8 @@ _MISSING = object()  # a change that drops its key from the document
     lambda doc: {"jets": [PolyJet.identity(3, doc["order"]).to_json_dict()
                           for _ in doc["jets"]]},
     _lower_order_jet,
-], ids=["certificate-step-missing", "certificate-step-zero", "certificate-step-negative", "radius-nan",
+], ids=["certificate-step-missing", "certificate-step-zero", "certificate-step-negative",
+        "certificate-step-3", "certificate-step-1e-4", "certificate-step-nan", "radius-nan",
         "radius-inf", "radius-negative", "step-tol-negative", "horizon-zero",
         "certificate-nan", "basis-change-1x1", "q3-jets", "lower-order-jet"])
 def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
@@ -305,6 +311,9 @@ def test_verify_passes_good_chain(tmp_path, chain_doc, capsys):
     assert main(["verify", "--input", inp, "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True and doc["failures"] == []
+    assert sorted(doc["checks"]) == [
+        "attraction", "linear-part", "normalization-bound", "range-growth",
+        "transition-containment", "transition-field-match", "univalence"]
     assert "verify: PASS" in capsys.readouterr().out
 
 
@@ -315,6 +324,84 @@ def test_verify_flags_corrupted_coefficient(tmp_path, chain_doc, capsys):
     inp = _write(tmp_path / "chain.json", doc)
     assert main(["verify", "--input", inp]) == 1
     assert "verify: FAIL" in capsys.readouterr().err
+
+
+# horizon 3, q = 2, one piecewise and one sampled coefficient, with
+# interior breakpoints off the half-step grid
+TIMEVARYING_FIELD = {
+    "Lambda": [[_c(-0.7, 0.0), _c(0.0, 0.0)], [_c(0.0, 0.0), _c(-1.1, 0.0)]],
+    "order": 3,
+    "terms": [
+        {"component": 1, "index": [0, 2],
+         "time": {"kind": "piecewise", "times": [0.0, 1.3, 2.2],
+                  "values": [_c(0.2, 0.0), _c(-0.1, 0.05), _c(0.15, 0.0)]}},
+        {"component": 2, "index": [1, 1],
+         "time": {"kind": "sampled", "times": [0.4, 1.7, 2.6],
+                  "values": [_c(0.1, -0.05), _c(0.0, 0.1), _c(-0.1, 0.0)]}},
+    ],
+    "horizon": 3.0,
+}
+
+
+@pytest.fixture(scope="module")
+def timevarying_chain_doc(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("timevarying")
+    field = _write(tmp / "field.json", TIMEVARYING_FIELD)
+    out = tmp / "chain.json"
+    assert main(["chain", "--input", field, "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _nonlinear_term(doc, n):
+    return next(term for term in doc["jets"][n]["terms"] if sum(term["index"]) >= 2)
+
+
+def _first_field_coefficient(doc):
+    time = doc["field"]["terms"][0]["time"]
+    return time["value"] if time["kind"] == "constant" else time["values"][0]
+
+
+def _shift_real_part(entry):
+    entry["re"] += 1e-3
+
+
+def _scale_every_jet_coefficient(doc):
+    for jet in doc["jets"]:
+        for term in jet["terms"]:
+            term["re"] *= 1.001
+            term["im"] *= 1.001
+
+
+# each mutation of a chain document, and a gate that must catch it
+MUTATIONS = {
+    "f1-term": (lambda doc: _shift_real_part(_nonlinear_term(doc, 1)),
+                "transition-field-match"),
+    "f3-term": (lambda doc: _shift_real_part(_nonlinear_term(doc, 3)),
+                "transition-field-match"),
+    "field-coefficient": (lambda doc: _shift_real_part(_first_field_coefficient(doc)),
+                          "transition-field-match"),
+    "lambda-11": (lambda doc: _shift_real_part(doc["field"]["Lambda"][0][0]), "linear-part"),
+    "jets-scaled": (_scale_every_jet_coefficient, "linear-part"),
+    "radius-1.5": (lambda doc: doc.update(radius=1.5 * doc["radius"]),
+                   "normalization-bound"),
+    "certificate-halved": (lambda doc: doc.update(certificate=0.5 * doc["certificate"]),
+                           "normalization-bound"),
+    "radius-1e6": (lambda doc: doc.update(radius=1e6 * doc["radius"]),
+                   "transition-containment"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("chain", ["chain_doc", "timevarying_chain_doc"])
+def test_verify_mutation_matrix(tmp_path, request, chain, mutation):
+    doc = json.loads(json.dumps(request.getfixturevalue(chain)))
+    mutate, gate = MUTATIONS[mutation]
+    mutate(doc)
+    inp = _write(tmp_path / "chain.json", doc)
+    out = tmp_path / "verdict.json"
+    assert main(["verify", "--input", inp, "--output", str(out)]) == 1
+    verdict = json.loads(out.read_text())
+    assert verdict["passed"] is False and gate in verdict["failures"]
 
 
 def test_verify_rejects_non_chain_documents(tmp_path):

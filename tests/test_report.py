@@ -255,7 +255,7 @@ def _chains(draw):
             tolerance=draw(_positive), p=draw(st.integers(2, 9)),
             resonances=tuple(resonances)),
         certificate=draw(st.none() | _positive),
-        certificate_step=draw(_positive),
+        certificate_step=draw(st.floats(0.5, 1.0)),
         step_tol=draw(_positive),
         constants=draw(st.none() | st.dictionaries(st.text(max_size=5),
                                                    _parts | st.integers(), max_size=4)),
