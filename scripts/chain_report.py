@@ -63,8 +63,14 @@ def run(field, order, save):
     growth = range_growth_check(build_normal_form(disc.family, horizon=chain.horizon))
     reached = (f"step {growth.achieved_step} (bound {growth.step_bound})"
                if growth.achieved_step is not None else "not reached in window")
+    target = growth.factor * growth.inner_radius
     print(f"range growth: nondecreasing={growth.nondecreasing}, "
-          f"1000x inner radius at {reached}")
+          f"{growth.factor:g}x inner radius at {reached}")
+    # rho_n: a ball T_{0,n} provably maps into the s ball, by the full Cauchy
+    # majorant (a) or with the linear part split off (b)
+    print("    n  rho_n         bound  rho_n/(factor s)")
+    for n, (rho, which) in enumerate(zip(growth.inradii, growth.radius_bounds)):
+        print(f"  {n:3d}  {rho:.6e}  {which:>5}  {rho / target:.4g}")
 
     orbit = attraction_check(disc.family, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
     worst = max(r.steps for r in orbit.rows)

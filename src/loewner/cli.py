@@ -25,6 +25,7 @@ from .herglotz import (
     LoewnerChain,
     PreconditionError,
     STEP_TOL,
+    STEP_TOL_FLOOR,
     attraction_check,
     build_chain,
     complex_to_json,
@@ -330,7 +331,7 @@ def cmd_verify(args) -> int:
         checks["rebuild"] = {"passed": False, "error": str(e)}
         failures.append("rebuild")
     if rebuilt is not None:
-        growth = range_growth_check(rebuilt, samples=max(8, args.samples))
+        growth = range_growth_check(rebuilt)
         checks["range-growth"] = {"passed": growth.passed,
                                   "achieved_step": growth.achieved_step,
                                   "step_bound": growth.step_bound}
@@ -380,9 +381,10 @@ def _ranged(kind, accepts, what: str):
 _FLAGS = {
     "--order": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=None,
                     help="jet truncation order, >= 1"),
-    "--tol": dict(type=_ranged(float, lambda v: math.isfinite(v) and v > 0,
-                               "finite and > 0"),
-                  default=None, help="integration tolerance (verify: the attraction ball), > 0"),
+    "--tol": dict(type=_ranged(float, lambda v: STEP_TOL_FLOOR <= v < math.inf,
+                               f"finite and >= the step tolerance floor {STEP_TOL_FLOOR:g}"),
+                  default=None,
+                  help=f"integration tolerance, >= the floor {STEP_TOL_FLOOR:g}"),
     # a negative tau would let the stable and unstable masks overlap
     "--tau": dict(type=_ranged(float, lambda v: math.isfinite(v) and v >= 0,
                                "finite and >= 0"),
@@ -393,6 +395,12 @@ _FLAGS = {
     "--horizon": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=None,
                       help="number of unit time steps to cover, >= 1"),
 }
+
+
+# verify's --tol is the attraction ball's radius, not a step tolerance
+_VERIFY_TOL = dict(type=_ranged(float, lambda v: math.isfinite(v) and v > 0,
+                                "finite and > 0"),
+                   default=None, help="radius of the attraction ball, > 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, **(_VERIFY_TOL if (name, flag) == ("verify", "--tol")
+                                    else _FLAGS[flag]))
         p.set_defaults(func=func)
     return parser
 

@@ -28,6 +28,7 @@ from .jets import PolyJet, _compose_arrays, _tables, compose, invert
 from .normal_form import (
     UNIVALENCE_COLLISION,
     DiscreteEvolutionFamily,
+    NormalFormConstants,
     UnivalenceReport,
     _with_linear,
     _smallest_ell,
@@ -447,11 +448,21 @@ class _FieldEval:
 TRAJECTORY_TOL = 1e-11
 # relative split residual every transition jet must reach (integrate_jet)
 STEP_TOL = 1e-10
+# least step tolerance a chain or evolution accepts: near the split residual's
+# roundoff the step refinement runs towards JET_MAX_STEPS (the demo chain
+# builds in 0.4 s at 1e-14 and had not built after 60 s at 1e-15)
+STEP_TOL_FLOOR = 1e-14
 # RK4 stage times stay this far (relative) below a segment's right end
 STAGE_CAP_SLACK = 1e-12
 # step budgets: integrate_jet's refinement, and the trajectories' doubling
 JET_MAX_STEPS = 1 << 17
 TRAJECTORY_MAX_STEPS = 1 << 18
+
+
+def _check_step_tol(name: str, tol: float) -> None:
+    if not STEP_TOL_FLOOR <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and at least the step tolerance "
+                         f"floor STEP_TOL_FLOOR = {STEP_TOL_FLOOR:g}, got {tol}")
 
 
 def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float, float]]:
@@ -628,6 +639,7 @@ class ContinuousEvolution:
     tol: float = STEP_TOL
 
     def __post_init__(self):
+        _check_step_tol("tol", self.tol)
         object.__setattr__(self, "_jets", {})
         object.__setattr__(self, "_autonomous", not self.field.breakpoints())
 
@@ -736,7 +748,6 @@ class LoewnerChain:
     field: HerglotzFieldSpec
     horizon: int
     radius: float
-    basis_change: np.ndarray
     chain_jets: tuple[PolyJet, ...]
     resonances: ResonanceReport
     certificate: float | None
@@ -747,18 +758,14 @@ class LoewnerChain:
                                                               compare=False)
 
     def __post_init__(self):
-        M = np.ascontiguousarray(np.asarray(self.basis_change, dtype=complex))
-        M.setflags(write=False)
-        object.__setattr__(self, "basis_change", M)
         object.__setattr__(self, "chain_jets", tuple(self.chain_jets))
         if self.horizon < 1:
             raise ValueError("horizon must cover at least one unit step")
         if len(self.chain_jets) != self.horizon + 1:
             raise ValueError("need one chain jet per integer time 0..horizon")
-        for name in ("radius", "step_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        _check_step_tol("step_tol", self.step_tol)
         # a step up to 1 puts a grid time in every (n - 1, n], so the checks
         # see every f_n; a finer step than the half-step grid only costs time
         # (NaN fails both comparisons)
@@ -766,10 +773,10 @@ class LoewnerChain:
             raise ValueError(f"certificate_step must lie in [{CERTIFICATE_STEP}, 1], "
                              f"got {self.certificate_step}")
         # a NaN bound would pass every comparison of the normalization check
-        if self.certificate is not None and not math.isfinite(self.certificate):
-            raise ValueError(f"certificate must be finite, got {self.certificate}")
-        if M.shape != (self.q, self.q):
-            raise ValueError(f"basis_change must be {self.q}x{self.q}")
+        if self.certificate is not None and not 0.0 <= self.certificate < math.inf:
+            raise ValueError(f"certificate must be finite and >= 0, got {self.certificate}")
+        if self.constants is not None:
+            NormalFormConstants(**self.constants)  # exactly the build's constants
         order = self.chain_jets[0].order
         if any((j.q, j.order) != (self.q, order) for j in self.chain_jets):
             raise ValueError(f"every chain jet must have the field's dimension "
@@ -836,7 +843,6 @@ class LoewnerChain:
             "certificate_step": self.certificate_step,
             "step_tol": self.step_tol,
             "field": self.field.to_json_dict(),
-            "basis_change": matrix_to_json(self.basis_change),
             "resonances": self.resonances.to_json_dict(),
             "constants": dict(self.constants) if self.constants is not None else None,
             "jets": [j.to_json_dict() for j in self.chain_jets],
@@ -844,23 +850,31 @@ class LoewnerChain:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "LoewnerChain":
-        schema = data.get("schema", "loewner-chain/1")
-        if not str(schema).startswith("loewner-chain/"):
+        """The chain of a document: every key to_json_dict writes is required,
+        and q and order must match the field and the jets.  A basis_change
+        key, which earlier versions wrote and nothing read, is ignored."""
+        schema = data["schema"]
+        if not (isinstance(schema, str) and schema.startswith("loewner-chain/")):
             raise ValueError(f"not a chain document (schema {schema!r})")
-        field = HerglotzFieldSpec.from_json_dict(data["field"])
-        jets = tuple(PolyJet.from_json_dict(j) for j in data["jets"])
-        return LoewnerChain(
-            field=field,
-            horizon=int(data["horizon"]),
+        horizon = data["horizon"]
+        if type(horizon) is not int:
+            raise ValueError(f"horizon must be an integer, got {horizon!r}")
+        certificate = data["certificate"]
+        chain = LoewnerChain(
+            field=HerglotzFieldSpec.from_json_dict(data["field"]),
+            horizon=horizon,
             radius=float(data["radius"]),
-            basis_change=matrix_from_json(data["basis_change"]),
-            chain_jets=jets,
-            resonances=ResonanceReport.from_json_dict(data.get("resonances") or {}),
-            certificate=None if data.get("certificate") is None else float(data["certificate"]),
+            chain_jets=tuple(PolyJet.from_json_dict(j) for j in data["jets"]),
+            resonances=ResonanceReport.from_json_dict(data["resonances"]),
+            certificate=None if certificate is None else float(certificate),
             certificate_step=float(data["certificate_step"]),
-            step_tol=float(data.get("step_tol", STEP_TOL)),
-            constants=data.get("constants"),
+            step_tol=float(data["step_tol"]),
+            constants=data["constants"],
         )
+        if data["q"] != chain.q or data["order"] != chain.order:
+            raise ValueError(f"q {data['q']!r} and order {data['order']!r} must be the "
+                             f"field's {chain.q} and the jets' {chain.order}")
+        return chain
 
 
 def _transient_growth(Lambda: np.ndarray) -> float:
@@ -949,7 +963,6 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         field=field,
         horizon=T,
         radius=radius,
-        basis_change=M,
         chain_jets=jets,
         resonances=result.resonance_report,
         certificate=None,

@@ -26,7 +26,7 @@ import numpy.polynomial.polynomial as npp
 from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_difference
 from .jets import (HomogeneousMap, PolyJet, compose, evaluate_triangular_inverse_many,
                    gradient_bound_matrix, invert, is_triangular, _monomial_values)
-from .sampling import complex_ball_points, complex_sphere_points
+from .sampling import complex_ball_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
                        detect_resonances, gamma_from_rows, operator_norm, spectral_split,
@@ -223,6 +223,22 @@ class TriangularFamily:
             for _, I, _ in _nonlinear(s).nonzero_terms():
                 out = max(out, sum(I))
         return out
+
+    @property
+    def composed_degree(self) -> int:
+        """Degree D that bounds every T_{0,n} = T_{n-1} o ... o T_0.
+
+        Component j of T_{0,n} has degree at most D_j = max(1, max over the
+        monomials z^I of any step's component j of sum_k I_k D_k): by the
+        triangular shape z^I reads only earlier variables besides z_j.
+        """
+        t = self.steps[0].tables
+        seen = np.logical_or.reduce([s.coeffs != 0 for s in self.steps])
+        exponents = np.array(t.indices, dtype=np.int64).reshape(t.count, self.q)
+        D = np.ones(self.q, dtype=np.int64)
+        for j in range(self.q):
+            D[j] = max(1, int((exponents[seen[j]] @ D).max(initial=1)))
+        return int(D.max())
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -782,7 +798,11 @@ def discrete_chain(result: ConjugacyResult, count: int | None = None
 
 @dataclass(frozen=True)
 class RangeGrowthReport:
-    """Inscribed radii r_n of T_{0,n}^{-1}(s ball) around the origin."""
+    """Certified radii rho_n: the ball B_{rho_n} lies inside T_{0,n}^{-1}(s ball).
+
+    radius_bounds[n] names the bound that gave inradii[n]: "a" the Cauchy
+    majorant of T_{0,n}, "b" the same with the linear part split off.
+    """
 
     inner_radius: float
     factor: float
@@ -791,6 +811,7 @@ class RangeGrowthReport:
     inradii: tuple[float, ...]
     achieved_step: int | None
     nondecreasing: bool
+    radius_bounds: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -798,150 +819,67 @@ class RangeGrowthReport:
                 and self.achieved_step <= self.step_bound)
 
 
-# Nelder-Mead polish of a sampled sphere minimum: scipy.optimize's method
-# with adaptive parameters off and no bounds, capped by iterations only
-_POLISH_MAXITER = 120
-_POLISH_XATOL = 1e-10            # simplex spread in the real coordinates
-_POLISH_FATOL = 1e-14            # spread of the simplex values
-# scipy's reflection, expansion, contraction and shrink coefficients, and
-# its initial simplex steps (relative, or absolute at a zero coordinate)
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 # relative drop between consecutive in-radii still read as nondecreasing
 _MONOTONE_INRADIUS_SLACK = 1e-6
 # relative excess of the inner radius over the certified image radius s
 _CERTIFIED_RADIUS_SLACK = 1e-9
 
 
-def _nelder_mead(x0: np.ndarray):
-    """scipy.optimize's Nelder-Mead loop as a generator.
+def _largest_radius(sigma: float, c: np.ndarray, s: float) -> float:
+    """Largest rho with sigma rho + |sum_d c[:, d] rho^d|_2 <= s.
 
-    It yields each array of points (k, N) it needs, receives their k
-    values, and returns the least value found.  The arithmetic, the sorts
-    and the stopping rules are scipy's own for the polish options, so a
-    caller that evaluates the points exactly as a scalar objective would
-    gets scipy's result bit for bit.
+    c holds nonnegative coefficient sums, column d for degree d (column 0
+    is not read).  Without terms of degree 2 or more the radius is
+    s / (sigma + |c[:, 1]|) in closed form.  Otherwise the left side is an
+    increasing function of rho, and bisection keeps a radius that
+    satisfies the inequality as evaluated until its neighbour above is the
+    next float.
     """
-    N = x0.size
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + _NM_NONZDELT) * y[k]
+    if not c[:, 2:].any():
+        return s / (sigma + float(np.linalg.norm(c[:, 1])))
+    rows = [[(d, x) for d, x in enumerate(row) if d and x] for row in c.tolist()]
+
+    def size(rho: float) -> float:
+        return sigma * rho + math.sqrt(sum(sum(x * rho ** d for d, x in row) ** 2
+                                           for row in rows))
+
+    # each of the at most D + 1 terms alone reaches s at its own radius: the
+    # least of those lies above the root, and the root within a factor D + 1
+    # below it
+    norms = np.linalg.norm(c, axis=0)
+    hi = min(([s / sigma] if sigma > 0.0 else [])
+             + [(s / x) ** (1.0 / d) for d, x in enumerate(norms) if d and x])
+    lo = hi / c.shape[1]
+    while size(lo) > s:
+        lo *= 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if size(mid) <= s:
+            lo = mid
         else:
-            y[k] = _NM_ZDELT
-        sim[k + 1] = y
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    fsim[:] = yield sim
-    # scipy sorts twice here; argsort is not stable, so ties may move again
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    rho, chi, psi, sigma = _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA
-    iterations = 1
-    while iterations < _POLISH_MAXITER:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _POLISH_XATOL and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= _POLISH_FATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr, = yield xr[None]
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe, = yield xe[None]
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            doshrink = False
-            if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc, = yield xc[None]
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    doshrink = True
-            else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc, = yield xcc[None]
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    doshrink = True
-            if doshrink:
-                # sim[0] stays put, so the N new vertices go out as one batch
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[1:] = yield sim[1:]
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return np.min(fsim)
-
-
-def _sphere_values(triangular: TriangularFamily, radius: float, depths: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """|T_{0,n}^{-1}(radius z / |z|)| for z = x[:q] + i x[q:] per row of x,
-    with n = depths[row]; inf where z = 0.  Every norm is the scalar
-    objective's own call, one column at a time."""
-    q = triangular.q
-    zc = x[:, :q] + 1j * x[:, q:]
-    nz = np.array([np.linalg.norm(row) for row in zc])
-    out = np.full(len(x), np.inf)
-    live = np.flatnonzero(nz != 0.0)
-    z = radius * zc[live] / nz[live, None]
-    w = triangular.inverse_from_origin(depths[live], z.T)
-    out[live] = [np.linalg.norm(w[:, c]) for c in range(live.size)]
-    return out
-
-
-def _polish(triangular: TriangularFamily, radius: float,
-            starts: Sequence[tuple[int, np.ndarray]]) -> list[float]:
-    """Nelder-Mead minima of |T_{0,n}^{-1}| over the radius sphere, one per
-    (n, start point) pair, all run in lockstep: each round evaluates the
-    pending points of every live polish in one batch."""
-    runs = [_nelder_mead(np.concatenate([z.real, z.imag])) for _, z in starts]
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    found = [0.0] * len(runs)
-    while pending:
-        live = list(pending)
-        sizes = [len(pending[i]) for i in live]
-        x = np.concatenate([pending[i] for i in live])
-        depths = np.repeat([starts[i][0] for i in live], sizes)
-        values = _sphere_values(triangular, radius, depths, x)
-        at = 0
-        for i, k in zip(live, sizes):
-            try:
-                pending[i] = runs[i].send(values[at:at + k])
-            except StopIteration as done:
-                found[i] = float(done.value)
-                del pending[i]
-            at += k
-    return found
+            hi = mid
 
 
 def range_growth_check(result: ConjugacyResult, s: float | None = None,
-                       n_max: int | None = None, *, factor: float = 1000.0,
-                       samples: int = 64, polish: bool = True) -> RangeGrowthReport:
-    """Track the inscribed radius of T_{0,n}^{-1}(s ball), the minimum of
-    |T_{0,n}^{-1}| over the s-sphere.
+                       n_max: int | None = None, *, factor: float = 1000.0
+                       ) -> RangeGrowthReport:
+    """Certified radii rho_n with T_{0,n}(B_{rho_n}) inside the closed s-ball.
+
+    With c[j, d] the sum of |coefficients| of component j of T_{0,n} in
+    degree d, |T_{0,n}(z)| <= |sum_d c[:, d] rho^d|_2 on the rho-ball (a),
+    and also <= sigma_max(L_n) rho + |sum_{d>=2} c[:, d] rho^d|_2 with L_n
+    the linear part (b).  rho_n is the larger of the largest radii keeping
+    either bound <= s, so it never exceeds the inscribed radius of
+    T_{0,n}^{-1}(s ball); for a linear T_{0,n} it is s / sigma_max(L_n),
+    the inscribed radius itself.  The jets T_{0,n} = T_{n-1} o T_{0,n-1}
+    are composed at the family's composed degree, so no term is truncated.
 
     The preimage balls nest (each T_u maps the small ball into itself), so
     the sequence must not decrease, and the slowest eigendirection expands
     by at least 1/|lambda_1| per step; the factor should be reached within
     3 log(factor) / |log lambda_1| steps.
-
-    The sphere samples of every n go through one batched pass; each n's
-    two best samples are then polished by Nelder-Mead.  Polishing only
-    lowers a minimum, so no n before the first whose sampled minimum
-    reaches factor * s can be the achieved step: the n up to that one are
-    polished as one batch, and a further batch runs only if it falls short.
     """
     cs = result.constants
     s = cs.s if s is None else s
@@ -954,32 +892,32 @@ def range_growth_check(result: ConjugacyResult, s: float | None = None,
     bound = math.ceil(3.0 * math.log(factor) / abs(math.log(lam_max)))
     last = min(bound if n_max is None else n_max, result.work_horizon)
     target = factor * s
-    pts = complex_sphere_points(result.q, s, samples)
-    # columns past the achieved step are evaluated too; far past factor * s
-    # they may overflow, which is no error here
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = result.triangular.inverse_from_origin(
-            np.repeat(np.arange(last + 1), samples), np.tile(pts, last + 1))
-    vals = [np.linalg.norm(w[:, n * samples:(n + 1) * samples], axis=0)
-            for n in range(last + 1)]
-    inradii = [float(v.min()) for v in vals]
-    start = 0
-    while polish and start <= last:
-        stop = next((n for n in range(start, last + 1) if inradii[n] >= target), last)
-        batch = [(n, pts[:, i]) for n in range(start, stop + 1)
-                 for i in np.argsort(vals[n])[:2]]
-        for (n, _), fun in zip(batch, _polish(result.triangular, s, batch)):
-            inradii[n] = min(inradii[n], fun)
-        if inradii[stop] >= target:
+    D = result.triangular.composed_degree
+    if D > MAX_WORK_ORDER:
+        raise PreconditionError(
+            f"range growth needs the triangular family's composed degree {D}, "
+            f"above the limit {MAX_WORK_ORDER}")
+    jet = PolyJet.identity(result.q, D)
+    starts = jet.tables.offsets[:-1]
+    inradii, sources = [], []
+    achieved = None
+    for n in range(last + 1):
+        if n:
+            step = result.triangular.step(n - 1).truncated(D).extended(D)
+            jet = compose(step, jet, D)
+        c = np.add.reduceat(np.abs(jet.coeffs), starts, axis=1)
+        full = _largest_radius(0.0, c, s)
+        c[:, 1] = 0.0
+        split = _largest_radius(float(np.linalg.norm(jet.linear_matrix, 2)), c, s)
+        inradii.append(max(full, split))
+        sources.append("a" if full > split else "b")
+        if inradii[-1] >= target:
+            achieved = n
             break
-        start = stop + 1
-    achieved = next((n for n in range(last + 1) if inradii[n] >= target), None)
-    if achieved is not None:
-        del inradii[achieved + 1:]
     nondecreasing = all(b >= a * (1.0 - _MONOTONE_INRADIUS_SLACK)
                         for a, b in zip(inradii, inradii[1:]))
     return RangeGrowthReport(s, factor, inradii[0], bound, tuple(inradii),
-                             achieved, nondecreasing)
+                             achieved, nondecreasing, tuple(sources))
 
 
 # ---------------------------------------------------------------------- #

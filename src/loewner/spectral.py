@@ -414,12 +414,12 @@ class ResonanceReport:
     @staticmethod
     def from_json_dict(data: Mapping) -> "ResonanceReport":
         return ResonanceReport(
-            mode=data.get("mode", "multiplicative"),
-            tolerance=float(data.get("tolerance", RESONANCE_TOL)),
-            p=int(data.get("p", 2)),
+            mode=data["mode"],
+            tolerance=float(data["tolerance"]),
+            p=int(data["p"]),
             resonances=tuple(
                 (int(e["component"]) - 1, tuple(int(x) for x in e["index"]))
-                for e in data.get("resonances", ())
+                for e in data["resonances"]
             ),
         )
 

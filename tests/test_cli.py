@@ -1,5 +1,7 @@
 """End-to-end command line behavior, driven in process through main()."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loewner
+from loewner import normal_form
 from loewner.cli import _build_parser, main, report_text
-from loewner.herglotz import matrix_to_json
+from loewner.herglotz import STEP_TOL_FLOOR, matrix_to_json
 from loewner.jets import PolyJet
 
 from conftest import counterexample_field, demo_field
@@ -121,6 +125,21 @@ def test_verify_rebuild_beyond_the_working_order_cap_exits_3(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert "precondition violated" in err and "working order" in err
     assert "limit 18" in err
+
+
+def test_verify_range_growth_beyond_the_composed_degree_cap_exits_3(
+        tmp_path, capsys, chain_doc, monkeypatch):
+    # a normal form the pipeline builds stays within the cap (each resonant
+    # monomial matches its component's modulus), so the rebuilt family is
+    # given a composed degree above it
+    cap = normal_form.MAX_WORK_ORDER
+    monkeypatch.setattr(normal_form.TriangularFamily, "composed_degree",
+                        property(lambda self: cap + 1))
+    inp = _write(tmp_path / "chain.json", chain_doc)
+    assert main(["verify", "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert "precondition violated" in err
+    assert f"composed degree {cap + 1}, above the limit {cap}" in err
 
 
 def _c(re, im):
@@ -243,16 +262,17 @@ _MISSING = object()  # a change that drops its key from the document
     lambda doc: {"radius": float("inf")},
     lambda doc: {"radius": -1},
     lambda doc: {"step_tol": -1},
+    # below the floor the step refinement runs towards its budget
+    lambda doc: {"step_tol": 1e-30},
     lambda doc: {"horizon": 0, "jets": doc["jets"][:1]},
     lambda doc: {"certificate": float("nan")},
-    lambda doc: {"basis_change": [[{"re": 1.0, "im": 0.0}]]},
     lambda doc: {"jets": [PolyJet.identity(3, doc["order"]).to_json_dict()
                           for _ in doc["jets"]]},
     _lower_order_jet,
 ], ids=["certificate-step-missing", "certificate-step-zero", "certificate-step-negative",
         "certificate-step-3", "certificate-step-1e-4", "certificate-step-nan", "radius-nan",
-        "radius-inf", "radius-negative", "step-tol-negative", "horizon-zero",
-        "certificate-nan", "basis-change-1x1", "q3-jets", "lower-order-jet"])
+        "radius-inf", "radius-negative", "step-tol-negative", "step-tol-1e-30",
+        "horizon-zero", "certificate-nan", "q3-jets", "lower-order-jet"])
 def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
     doc = {**chain_doc, **change(chain_doc)}
     dropped = [key for key, value in doc.items() if value is _MISSING]
@@ -263,6 +283,45 @@ def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
     err = capsys.readouterr().err
     assert "malformed input" in err
     assert all(key in err for key in dropped)
+
+
+def test_old_chain_document_with_basis_change_verifies(tmp_path, chain_doc):
+    # earlier versions wrote a basis_change that nothing read; the loader
+    # ignores it, whatever it holds
+    doc = {**chain_doc, "basis_change": [[{"re": 1.0, "im": 0.0}]]}
+    assert "basis_change" not in chain_doc
+    assert main(["verify", "--input", _write(tmp_path / "chain.json", doc)]) == 0
+
+
+# top-level mutations that leave a valid document: a chain may carry no
+# certificate (it then has no normalization bound to check) and no constants
+VALID_MUTATIONS = {("certificate", "null"), ("constants", "null")}
+REPLACEMENTS = {"null": None, "string": "text", "list": [1], "dict": {"x": 1},
+                "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+                "negative": -1}
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_chain_document_fuzz_exits_2_or_3(tmp_path_factory, chain_doc, data):
+    key = data.draw(st.sampled_from(sorted(chain_doc)), label="key")
+    numeric = type(chain_doc[key]) in (int, float)
+    kinds = ["drop", "null", "string", "list", "dict"] + (
+        ["nan", "inf", "-inf", "negative"] if numeric else [])
+    kind = data.draw(st.sampled_from(
+        [k for k in kinds if (key, k) not in VALID_MUTATIONS]), label="mutation")
+    doc = {k: v for k, v in chain_doc.items() if k != key}
+    if kind != "drop":
+        doc[key] = REPLACEMENTS[kind]
+    inp = _write(tmp_path_factory.mktemp("fuzz") / "chain.json", doc)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--input", inp]) in (2, 3)
+
+
+@pytest.mark.parametrize("key, kind", sorted(VALID_MUTATIONS))
+def test_chain_document_valid_mutations_verify(tmp_path, chain_doc, key, kind):
+    doc = {**chain_doc, key: REPLACEMENTS[kind]}
+    assert main(["verify", "--input", _write(tmp_path / "chain.json", doc)]) == 0
 
 
 def test_empty_sample_budget_exits_3(tmp_path, chain_doc):
@@ -439,6 +498,18 @@ def test_out_of_range_flag_exits_2_and_names_the_flag(capsys, command, flag, val
     assert f"argument --{flag}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "normalform", "chain"])
+def test_step_tolerance_below_the_floor_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "x.json", "--tol", "1e-30"])
+    assert exc.value.code == 2
+    assert f"argument --tol: must be finite and >= the step tolerance floor " \
+        f"{STEP_TOL_FLOOR:g}" in capsys.readouterr().err
+    # verify's --tol is the attraction ball, which may be that small
+    assert _build_parser().parse_args(["verify", "--input", "x.json",
+                                       "--tol", "1e-30"]).tol == 1e-30
+
+
 @pytest.mark.parametrize("argv", [["chain", "--samples", "5"], ["verify", "--order", "4"]])
 def test_parser_rejects_flags_a_command_ignores(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -466,7 +537,7 @@ def _env_with_package():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.2 s and 15 MB per process; the package
-    # needs none of it (the tests use it as a reference only)
+    # needs none of it
     env = _env_with_package()
     code = ("import loewner.cli, sys; "
             "sys.exit('scipy.optimize' in sys.modules)")

@@ -845,7 +845,7 @@ def test_verify_flags_engineered_collision():
                                   (0, (2,)): math.exp(0.7 * n) * c})
         for n in range(3))
     chain = LoewnerChain(
-        field=field, horizon=2, radius=R, basis_change=np.eye(1, dtype=complex),
+        field=field, horizon=2, radius=R,
         chain_jets=jets, certificate=None, certificate_step=1.0, step_tol=1e-10,
         resonances=ResonanceReport(mode="multiplicative", tolerance=1e-9,
                                    p=2, resonances=()))
