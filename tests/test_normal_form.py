@@ -1,6 +1,7 @@
 """Degree-by-degree normalization, its constants, and the discrete chains."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from loewner import (
     univalence_check,
 )
 from loewner import normal_form
+from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points, complex_sphere_points
 
@@ -461,8 +463,77 @@ def growth_cases():
             random_optimal_family(np.random.default_rng(31), 3, 2, horizon=3, lo=0.6,
                                   hi=0.7), extension=24),
         "squares-q3": build_normal_form(_squares_family(), extension=24),
+        "linear-q2": build_normal_form(
+            DiscreteEvolutionFamily(A, (PolyJet.from_linear(A, 3),) * 3), extension=24),
         "field-q3": _growth_field3(),
     }
+
+
+def _range_growth_reference(result, s=None, n_max=None, *, factor=1000.0):
+    """range_growth_check as a plain loop: T_{0,n} composed afresh for each
+    n from the outermost step inwards, coefficient sums term by term, and
+    both radii by bisection on [0, hi]."""
+    s = result.constants.s if s is None else s
+    lam_max = float(np.max(np.abs(np.diagonal(result.family.linear_part))))
+    bound = math.ceil(3.0 * math.log(factor) / abs(math.log(lam_max)))
+    last = min(bound if n_max is None else n_max, result.work_horizon)
+    D = result.triangular.composed_degree
+    steps = [result.triangular.step(k).truncated(D).extended(D) for k in range(last)]
+
+    def largest(size):
+        hi = s
+        while size(hi) <= s:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if size(mid) <= s else (lo, mid)
+        return lo
+
+    inradii, sources = [], []
+    achieved = None
+    for n in range(last + 1):
+        jet = PolyJet.identity(result.q, D)
+        for k in reversed(range(n)):
+            jet = compose(jet, steps[k], D)
+        c = np.zeros((result.q, D + 1))
+        for j, I, coef in jet.nonzero_terms():
+            c[j, sum(I)] += abs(coef)
+        sigma = float(np.linalg.svd(jet.linear_matrix, compute_uv=False)[0])
+        deg = np.arange(D + 1)
+        full = largest(lambda r: float(np.linalg.norm(c[:, 1:] @ r ** deg[1:])))
+        split = largest(lambda r: sigma * r + float(np.linalg.norm(c[:, 2:] @ r ** deg[2:])))
+        inradii.append(max(full, split))
+        sources.append("a" if full > split else "b")
+        if inradii[-1] >= factor * s:
+            achieved = n
+            break
+    nondecreasing = all(b >= a * (1.0 - 1e-6) for a, b in zip(inradii, inradii[1:]))
+    return RangeGrowthReport(s, factor, inradii[0], bound, tuple(inradii),
+                             achieved, nondecreasing, tuple(sources))
+
+
+@pytest.mark.parametrize("name", ["scalar-dilation", "componentwise", "koenigs",
+                                  "random-q2", "linear-q2", "field-q3"])
+@pytest.mark.parametrize("samples", [8, 12, 64])
+def test_range_growth_matches_sequential_loop(growth_cases, name, samples):
+    res = growth_cases[name]
+    rep = range_growth_check(res)
+    want = _range_growth_reference(res)
+    assert rep.inradii == pytest.approx(want.inradii, rel=1e-12)
+    assert rep == dataclasses.replace(want, inradii=rep.inradii,
+                                      base_inradius=rep.base_inradius)
+    short = range_growth_check(res, n_max=2)
+    assert short.inradii == pytest.approx(want.inradii[:3], rel=1e-12)
+    assert short.achieved_step is None and len(short.inradii) == 3
+    # the forward map itself keeps `samples` points of each rho_n-sphere in
+    # the s-ball, the definition the radii certify
+    s = rep.inner_radius
+    for n, rho in enumerate(rep.inradii):
+        w = complex_sphere_points(res.q, rho, samples, start=n)
+        for k in range(n):
+            w = res.triangular.step(k).evaluate_many(w)
+        assert float(np.linalg.norm(w, axis=0).max()) <= (1.0 + 1e-12) * s
 
 
 @pytest.mark.parametrize("name", ["scalar-dilation", "componentwise", "koenigs",
