@@ -49,6 +49,11 @@ class _Malformed(Exception):
     pass
 
 
+# what reading a document's entries raises; OverflowError is int() of an
+# infinite float, such as a component or p of Infinity
+_UNREADABLE = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
+
 def _load(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -187,7 +192,7 @@ def _field_from_doc(doc: dict) -> HerglotzFieldSpec:
         return HerglotzFieldSpec.from_json_dict(doc)
     except PreconditionError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+    except _UNREADABLE as e:
         raise _Malformed(f"bad field description: {e}") from e
 
 
@@ -198,7 +203,7 @@ def _family_from_doc(doc: dict) -> DiscreteEvolutionFamily:
         return DiscreteEvolutionFamily(linear, steps, tail=doc.get("tail", "constant"))
     except PreconditionError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+    except _UNREADABLE as e:
         raise _Malformed(f"bad family description: {e}") from e
 
 
@@ -301,7 +306,7 @@ def cmd_verify(args) -> int:
         chain = LoewnerChain.from_json_dict(doc)
     except PreconditionError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+    except _UNREADABLE as e:
         raise _Malformed(f"bad chain document: {e}") from e
 
     report = verify_subordination_chain(chain, samples=args.samples, start=args.seed)
@@ -320,17 +325,27 @@ def cmd_verify(args) -> int:
                        "violations": len(report.univalence.violations)},
     }
 
-    # the rebuild reuses the half-step jets the checks above integrated
+    # the rebuild reuses the half-step jets the checks above integrated, and
+    # runs under the document's resonance rule
     rebuilt = None
     try:
         disc = discretize(chain.evolution, chain.horizon)
-        rebuilt = build_normal_form(disc.family, horizon=chain.horizon)
+        rebuilt = build_normal_form(disc.family, horizon=chain.horizon,
+                                    tau=chain.resonances.tolerance)
     except PreconditionError:
         raise
     except (ValueError, RuntimeError) as e:
         checks["rebuild"] = {"passed": False, "error": str(e)}
         failures.append("rebuild")
     if rebuilt is not None:
+        # the declared resonances are the rebuild's, and a certificate is
+        # declared exactly when the rebuild finds none
+        found = rebuilt.resonance_report.to_json_dict()
+        agree = (found == chain.resonances.to_json_dict()
+                 and (chain.certificate is None) == bool(found["resonances"]))
+        checks["resonances"] = {"passed": agree, "rebuilt": found}
+        if not agree:
+            failures.append("resonances")
         growth = range_growth_check(rebuilt)
         checks["range-growth"] = {"passed": growth.passed,
                                   "achieved_step": growth.achieved_step,

@@ -28,7 +28,6 @@ from .jets import PolyJet, _compose_arrays, _tables, compose, invert
 from .normal_form import (
     UNIVALENCE_COLLISION,
     DiscreteEvolutionFamily,
-    NormalFormConstants,
     UnivalenceReport,
     _with_linear,
     _smallest_ell,
@@ -39,7 +38,7 @@ from .normal_form import (
 )
 from .sampling import complex_ball_points
 from .spectral import (RESONANCE_TOL, OptimalForm, PreconditionError, ResonanceReport,
-                       operator_norm, to_optimal_form)
+                       _check_tau, operator_norm, to_optimal_form)
 
 __all__ = [
     "PreconditionError",
@@ -69,12 +68,8 @@ def complex_to_json(value: complex) -> dict:
     return {"re": float(value.real), "im": float(value.imag)}
 
 
-def complex_from_json(data) -> complex:
-    if isinstance(data, Mapping):
-        return complex(float(data.get("re", 0.0)), float(data.get("im", 0.0)))
-    if isinstance(data, (list, tuple)) and len(data) == 2:
-        return complex(float(data[0]), float(data[1]))
-    return complex(data)
+def complex_from_json(data: Mapping) -> complex:
+    return complex(float(data["re"]), float(data["im"]))
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
@@ -221,7 +216,6 @@ class HerglotzFieldSpec:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "_stages", {})
-        object.__setattr__(self, "_evaluate", _FieldEval(self))
 
     @property
     def q(self) -> int:
@@ -251,12 +245,37 @@ class HerglotzFieldSpec:
         return PolyJet(self.q, order, self._stage(order).block(t))
 
     def values(self, t: float, points: np.ndarray) -> np.ndarray:
-        """H(z, t) at the columns of points, exactly (no truncation)."""
-        return self._evaluate(t, points, False)[0]
+        """H(z, t) at the columns of points, exactly (no truncation): Lambda z
+        plus one term at a time, each monomial 1 * z_i ** e_i * ... in
+        variable order times its coefficient."""
+        pts = np.asarray(points, dtype=complex)
+        vals = self.Lambda @ pts
+        for j, index, coeff in self.terms:
+            mono = np.ones(pts.shape[1], dtype=complex)
+            for i, e in enumerate(index):
+                if e:
+                    mono = mono * pts[i] ** e
+            vals[j] += coeff(t) * mono
+        return vals
 
     def jacobians(self, t: float, points: np.ndarray) -> np.ndarray:
-        """D_z H(z, t) at the columns of points, shape (m, q, q)."""
-        return self._evaluate(t, points, True)[1]
+        """D_z H(z, t) at the columns of points, shape (m, q, q): Lambda plus
+        one (term, variable) derivative at a time, each e_i c times
+        z_k ** p_k * ... in variable order."""
+        pts = np.asarray(points, dtype=complex)
+        m = pts.shape[1]
+        jac = np.tile(self.Lambda, (m, 1, 1))
+        for j, index, coeff in self.terms:
+            powers = [(i, e) for i, e in enumerate(index) if e]
+            c = coeff(t)
+            for i, e in powers:
+                mono = np.full(m, e * c, dtype=complex)
+                for k, ek in powers:
+                    p = ek - 1 if k == i else ek
+                    if p:
+                        mono = mono * pts[k] ** p
+                jac[:, j, i] += mono
+        return jac
 
     def to_json_dict(self) -> dict:
         return {
@@ -334,111 +353,6 @@ class _FieldStage:
         out = self.template.copy()
         out.reshape(-1)[self.flat] = values
         return out
-
-
-class _Products:
-    """Products of power-table rows, one per nonempty factor list.
-
-    Row r of the result is seeds[r] * table[f_1] * table[f_2] * ... over
-    its factor list, multiplied left to right.  The rows run sorted by
-    factor count (stable), so stage k multiplies a leading block of them
-    and no row is multiplied by a padding 1, which can flip the sign of a
-    zero.
-    """
-
-    __slots__ = ("order", "inverse", "stages")
-
-    def __init__(self, factors: list[list[int]]):
-        order = sorted(range(len(factors)), key=lambda r: -len(factors[r]))
-        self.order = np.array(order, dtype=np.int64)
-        self.inverse = np.argsort(self.order)
-        self.stages = tuple(
-            np.array([factors[r][k] for r in order if len(factors[r]) > k], dtype=np.int64)
-            for k in range(len(factors[order[0]])))
-
-    def run(self, table: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        first, *rest = self.stages
-        out = seeds.take(self.order)[:, None] * table.take(first, axis=0)
-        for rows in rest:
-            # not *=: numpy's in-place complex product of one element
-            # rounds differently from the out-of-place one
-            n = len(rows)
-            out[:n] = out[:n] * table.take(rows, axis=0)
-        return out.take(self.inverse, axis=0)
-
-
-class _FieldEval:
-    """H(z, tau), and D_z H(z, tau) when asked, at the columns of z.
-
-    One power table P[r q + i] = z_i ** e_r over the exponents the terms
-    use serves every term.  A term's value is 1 times its factors z_i ** e_i
-    in variable order, times its coefficient c; its derivative in z_i is
-    e_i c times the same factors with z_i ** (e_i - 1) in place of
-    z_i ** e_i.  np.add.at adds the rows onto Lambda z and Lambda in term
-    order.  These are the operations of adding the terms one at a time,
-    in the same order, so the floats are that loop's bit for bit.  When
-    every schedule is constant the coefficients are computed once.
-    """
-
-    __slots__ = ("Lambda", "exponents", "comps", "slots", "derivatives", "schedules",
-                 "constant", "values_plan", "joint_plan")
-
-    def __init__(self, field: HerglotzFieldSpec):
-        q = field.q
-        self.Lambda = field.Lambda
-        value_rows = [[(i, e) for i, e in enumerate(index) if e] for _, index, _ in field.terms]
-        deriv_rows, self.derivatives, slots = [], [], []
-        for n, (j, _, _) in enumerate(field.terms):
-            for i, e in value_rows[n]:
-                deriv_rows.append([(k, p) for k, ek in value_rows[n] if (p := ek - (k == i))])
-                self.derivatives.append((n, e))
-                slots.append(j * q + i)
-        self.exponents = sorted({e for row in value_rows + deriv_rows for _, e in row})
-        rank = {e: r for r, e in enumerate(self.exponents)}
-
-        def table_rows(rows):
-            return [[rank[e] * q + i for i, e in row] for row in rows]
-
-        self.comps = np.array([j for j, _, _ in field.terms], dtype=np.int64)
-        self.slots = np.array(slots, dtype=np.int64)
-        self.values_plan = self.joint_plan = None
-        if field.terms:
-            self.values_plan = _Products(table_rows(value_rows))
-            self.joint_plan = _Products(table_rows(value_rows + deriv_rows))
-        self.schedules = tuple(coeff for _, _, coeff in field.terms)
-        self.constant = None
-        if not field.breakpoints():
-            self.constant = self._coefficients(0.0)
-
-    def _coefficients(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """The terms' coefficients c, and the product seeds: 1 per value
-        row, then e_i c per derivative row (the e_i * c of Python)."""
-        if self.constant is not None:
-            return self.constant
-        cs = [coeff(tau) for coeff in self.schedules]
-        seeds = [1.0 + 0.0j] * len(cs) + [e * cs[n] for n, e in self.derivatives]
-        return np.array(cs, dtype=complex), np.array(seeds, dtype=complex)
-
-    def __call__(self, tau: float, points: np.ndarray, jacobians: bool):
-        """(H, D_z H) at the columns of points; D_z H has shape (m, q, q),
-        and is None unless asked for."""
-        pts = np.asarray(points, dtype=complex)
-        q, m = pts.shape
-        vals = self.Lambda @ pts
-        count = len(self.comps)
-        if count:
-            table = np.concatenate([pts ** e for e in self.exponents])
-            cs, seeds = self._coefficients(tau)
-            rows = (self.joint_plan if jacobians else self.values_plan).run(table, seeds)
-            np.add.at(vals, self.comps, cs[:, None] * rows[:count])
-        if not jacobians:
-            return vals, None
-        # row j q + i holds entry (j, i) of every column's Jacobian
-        jac = np.empty((q * q, m), dtype=complex)
-        jac[:] = self.Lambda.reshape(-1, 1)
-        if count:
-            np.add.at(jac, self.slots, rows[count:])
-        return vals, np.ascontiguousarray(jac.T).reshape(m, q, q)
 
 
 # --------------------------------------------------------------------- #
@@ -597,8 +511,8 @@ def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
 
     def rhs(tau, x):
         z, Mc = x
-        H, DH = field._evaluate(tau, z, True)
-        return H, np.einsum("mij,mjk->mik", DH, Mc)
+        return (field.values(tau, z),
+                np.einsum("mij,mjk->mik", field.jacobians(tau, z), Mc))
 
     return _rk4_doubling(field, s, t, (pts, M), rhs, tol)
 
@@ -737,7 +651,9 @@ class LoewnerChain:
     the normalizing construction converges once pushed to their anchor).
     certificate, when present, bounds sup_t sup_{|z|<=0.95 radius}
     |exp(Lambda t) f_t(z)| over the build grid, measured on these jets; it
-    is attached only for resonance-free spectra.  certificate_step, in
+    is attached only for resonance-free spectra.  resonances is the
+    spectrum's resonance report, and its tolerance the rule verify rebuilds
+    the normal form under.  certificate_step, in
     [CERTIFICATE_STEP, 1], is the step of that grid and of verify's.  A
     chain and its JSON document evaluate identically.  evolution holds the
     field's transition maps at the chain order and step_tol: build_chain
@@ -753,7 +669,6 @@ class LoewnerChain:
     certificate: float | None
     certificate_step: float
     step_tol: float
-    constants: Mapping | None = None
     evolution: ContinuousEvolution | None = dataclasses.field(default=None, repr=False,
                                                               compare=False)
 
@@ -775,8 +690,8 @@ class LoewnerChain:
         # a NaN bound would pass every comparison of the normalization check
         if self.certificate is not None and not 0.0 <= self.certificate < math.inf:
             raise ValueError(f"certificate must be finite and >= 0, got {self.certificate}")
-        if self.constants is not None:
-            NormalFormConstants(**self.constants)  # exactly the build's constants
+        # verify rebuilds the normal form under this rule
+        _check_tau(self.resonances.tolerance)
         order = self.chain_jets[0].order
         if any((j.q, j.order) != (self.q, order) for j in self.chain_jets):
             raise ValueError(f"every chain jet must have the field's dimension "
@@ -844,15 +759,15 @@ class LoewnerChain:
             "step_tol": self.step_tol,
             "field": self.field.to_json_dict(),
             "resonances": self.resonances.to_json_dict(),
-            "constants": dict(self.constants) if self.constants is not None else None,
             "jets": [j.to_json_dict() for j in self.chain_jets],
         }
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "LoewnerChain":
         """The chain of a document: every key to_json_dict writes is required,
-        and q and order must match the field and the jets.  A basis_change
-        key, which earlier versions wrote and nothing read, is ignored."""
+        and q and order must match the field and the jets.  The basis_change
+        and constants keys, which earlier versions wrote and nothing read,
+        are ignored."""
         schema = data["schema"]
         if not (isinstance(schema, str) and schema.startswith("loewner-chain/")):
             raise ValueError(f"not a chain document (schema {schema!r})")
@@ -869,7 +784,6 @@ class LoewnerChain:
             certificate=None if certificate is None else float(certificate),
             certificate_step=float(data["certificate_step"]),
             step_tol=float(data["step_tol"]),
-            constants=data["constants"],
         )
         if data["q"] != chain.q or data["order"] != chain.order:
             raise ValueError(f"q {data['q']!r} and order {data['order']!r} must be the "
@@ -968,7 +882,6 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         certificate=None,
         certificate_step=CERTIFICATE_STEP,
         step_tol=tol,
-        constants=result.constants.as_dict(),
         # a chain at another order integrates its own: a jet integrated at a
         # higher order and truncated need not match the document's bits
         evolution=evolution if evolution.order == W else None,

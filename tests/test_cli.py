@@ -193,6 +193,12 @@ def _field_doc(**change):
     return doc
 
 
+def _lambda_entry(i, k, entry):
+    doc = _field_doc()
+    doc["Lambda"][i][k] = entry
+    return doc
+
+
 def _schedule(time):
     return _field_doc(terms=[{"component": 1, "index": [0, 2], "time": time}])
 
@@ -205,7 +211,11 @@ def _schedule(time):
     _schedule({"kind": "sampled", "times": [0.0, float("nan"), 2.0],
                "values": [{"re": 0.2, "im": 0.0}, {"re": 0.1, "im": 0.0},
                           {"re": 0.0, "im": 0.0}]}),
-], ids=["value-nan", "value-inf", "horizon-inf", "sampled-time-nan"])
+    _lambda_entry(0, 0, {"x": 1}),
+    _lambda_entry(0, 1, "0"),
+    _lambda_entry(0, 1, {"re": 0.0}),
+], ids=["value-nan", "value-inf", "horizon-inf", "sampled-time-nan", "lambda-entry-dict",
+        "lambda-entry-string", "lambda-entry-without-im"])
 def test_malformed_field_exits_2(tmp_path, capsys, doc, command):
     inp = _write(tmp_path / "field.json", doc)
     assert main([command, "--input", inp]) == 2
@@ -266,13 +276,16 @@ _MISSING = object()  # a change that drops its key from the document
     lambda doc: {"step_tol": 1e-30},
     lambda doc: {"horizon": 0, "jets": doc["jets"][:1]},
     lambda doc: {"certificate": float("nan")},
+    lambda doc: {"resonances": {**doc["resonances"], "tolerance": float("nan")}},
+    lambda doc: {"resonances": {**doc["resonances"], "tolerance": -1}},
     lambda doc: {"jets": [PolyJet.identity(3, doc["order"]).to_json_dict()
                           for _ in doc["jets"]]},
     _lower_order_jet,
 ], ids=["certificate-step-missing", "certificate-step-zero", "certificate-step-negative",
         "certificate-step-3", "certificate-step-1e-4", "certificate-step-nan", "radius-nan",
         "radius-inf", "radius-negative", "step-tol-negative", "step-tol-1e-30",
-        "horizon-zero", "certificate-nan", "q3-jets", "lower-order-jet"])
+        "horizon-zero", "certificate-nan", "tolerance-nan", "tolerance-negative", "q3-jets",
+        "lower-order-jet"])
 def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
     doc = {**chain_doc, **change(chain_doc)}
     dropped = [key for key, value in doc.items() if value is _MISSING]
@@ -286,16 +299,18 @@ def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
 
 
 def test_old_chain_document_with_basis_change_verifies(tmp_path, chain_doc):
-    # earlier versions wrote a basis_change that nothing read; the loader
-    # ignores it, whatever it holds
-    doc = {**chain_doc, "basis_change": [[{"re": 1.0, "im": 0.0}]]}
-    assert "basis_change" not in chain_doc
+    # earlier versions wrote a basis_change and constants that nothing read;
+    # the loader ignores them, whatever they hold
+    doc = {**chain_doc, "basis_change": [[{"re": 1.0, "im": 0.0}]],
+           "constants": {"s": 1e6, "C": -5.0}}
+    assert "basis_change" not in chain_doc and "constants" not in chain_doc
     assert main(["verify", "--input", _write(tmp_path / "chain.json", doc)]) == 0
 
 
-# top-level mutations that leave a valid document: a chain may carry no
-# certificate (it then has no normalization bound to check) and no constants
-VALID_MUTATIONS = {("certificate", "null"), ("constants", "null")}
+# top-level mutations that leave a well-formed document: a chain may declare
+# no certificate, as a resonant one does; on these resonance-free chains the
+# resonances gate fails it (exit 1, MUTATIONS)
+GATED_MUTATIONS = {("certificate", "null")}
 REPLACEMENTS = {"null": None, "string": "text", "list": [1], "dict": {"x": 1},
                 "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
                 "negative": -1}
@@ -309,7 +324,7 @@ def test_chain_document_fuzz_exits_2_or_3(tmp_path_factory, chain_doc, data):
     kinds = ["drop", "null", "string", "list", "dict"] + (
         ["nan", "inf", "-inf", "negative"] if numeric else [])
     kind = data.draw(st.sampled_from(
-        [k for k in kinds if (key, k) not in VALID_MUTATIONS]), label="mutation")
+        [k for k in kinds if (key, k) not in GATED_MUTATIONS]), label="mutation")
     doc = {k: v for k, v in chain_doc.items() if k != key}
     if kind != "drop":
         doc[key] = REPLACEMENTS[kind]
@@ -318,10 +333,59 @@ def test_chain_document_fuzz_exits_2_or_3(tmp_path_factory, chain_doc, data):
         assert main(["verify", "--input", inp]) in (2, 3)
 
 
-@pytest.mark.parametrize("key, kind", sorted(VALID_MUTATIONS))
-def test_chain_document_valid_mutations_verify(tmp_path, chain_doc, key, kind):
-    doc = {**chain_doc, key: REPLACEMENTS[kind]}
-    assert main(["verify", "--input", _write(tmp_path / "chain.json", doc)]) == 0
+@pytest.fixture(scope="module")
+def resonant_chain_doc(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("resonant")
+    field = _write(tmp / "field.json", counterexample_field().to_json_dict())
+    out = tmp / "chain.json"
+    assert main(["chain", "--input", field, "--output", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _nested_entries(doc):
+    """Each nested entry of a chain document the nested fuzz mutates, as
+    {target: [(container, key), ...]}."""
+    lam, res = doc["field"]["Lambda"], doc["resonances"]
+    jet_terms = [term for jet in doc["jets"] for term in jet["terms"]]
+    entries = {"Lambda entry": [(row, k) for row in lam for k in range(len(row))],
+               "resonance entry": [(res["resonances"], k)
+                                   for k in range(len(res["resonances"]))]}
+    for part in ("re", "im"):
+        entries[f"Lambda {part}"] = [(entry, part) for row in lam for entry in row]
+    for key in ("component", "index", "time"):
+        entries[f"field term {key}"] = [(term, key) for term in doc["field"]["terms"]]
+    for key in ("component", "index", "re", "im"):
+        entries[f"jet term {key}"] = [(term, key) for term in jet_terms]
+    for key in ("p", "mode", "tolerance"):
+        entries[key] = [(res, key)]
+    return {target: found for target, found in entries.items() if found}
+
+
+# the nested mutations that leave a valid document are those that write the
+# value the entry already holds, such as -1 into the re of the demo field's
+# Lambda[1][1]: the document is then unchanged and must verify
+@given(data=st.data())
+@settings(max_examples=60)
+def test_nested_chain_document_fuzz_exits_1_2_or_3(tmp_path_factory, chain_doc,
+                                                   resonant_chain_doc, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from([chain_doc, resonant_chain_doc]),
+                                          label="chain")))
+    entries = _nested_entries(doc)
+    target = data.draw(st.sampled_from(sorted(entries)), label="target")
+    container, key = data.draw(st.sampled_from(entries[target]), label="entry")
+    numeric = type(container[key]) in (int, float)
+    kinds = ["drop", "null", "string", "list", "dict"] + (
+        ["nan", "inf", "-inf", "negative"] if numeric else [])
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    unchanged = kind != "drop" and container[key] == REPLACEMENTS[kind]
+    if kind == "drop":
+        del container[key]
+    else:
+        container[key] = REPLACEMENTS[kind]
+    inp = _write(tmp_path_factory.mktemp("fuzz") / "chain.json", doc)
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--input", inp])
+    assert (code == 0) if unchanged else (code in (1, 2, 3))
 
 
 def test_empty_sample_budget_exits_3(tmp_path, chain_doc):
@@ -372,7 +436,7 @@ def test_verify_passes_good_chain(tmp_path, chain_doc, capsys):
     assert doc["passed"] is True and doc["failures"] == []
     assert sorted(doc["checks"]) == [
         "attraction", "linear-part", "normalization-bound", "range-growth",
-        "transition-containment", "transition-field-match", "univalence"]
+        "resonances", "transition-containment", "transition-field-match", "univalence"]
     assert "verify: PASS" in capsys.readouterr().out
 
 
@@ -447,6 +511,9 @@ MUTATIONS = {
                            "normalization-bound"),
     "radius-1e6": (lambda doc: doc.update(radius=1e6 * doc["radius"]),
                    "transition-containment"),
+    "certificate-null": (lambda doc: doc.update(certificate=None), "resonances"),
+    "resonance-bogus": (lambda doc: doc["resonances"].update(
+        p=7, resonances=[{"component": 2, "index": [2, 0]}]), "resonances"),
 }
 
 

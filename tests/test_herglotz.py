@@ -159,9 +159,7 @@ def _field_jacobians_reference(field, t, points):
 def _assert_evaluator_matches_the_loops(field, t, z):
     want_h = _field_values_reference(field, t, z)
     want_dh = _field_jacobians_reference(field, t, z)
-    h, dh = field._evaluate(t, z, True)
-    for got, want in ((field.values(t, z), want_h), (field.jacobians(t, z), want_dh),
-                      (h, want_h), (dh, want_dh)):
+    for got, want in ((field.values(t, z), want_h), (field.jacobians(t, z), want_dh)):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -602,23 +600,23 @@ def _reloaded(chain):
 
 
 def test_field_commands_integrate_each_half_step_once(tmp_path, monkeypatch):
+    # no field command pushes trajectories or evaluates the field at points:
+    # unit steps are composed from the half steps, the certificate sweep
+    # evaluates the chain's jets, and verify checks the document's jets
+    pointwise = []
+    for owner, name in ((herglotz, "integrate_points"), (herglotz, "integrate_variational"),
+                        (HerglotzFieldSpec, "values"), (HerglotzFieldSpec, "jacobians")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            pointwise.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
     calls = _counting_integrate_jet(monkeypatch)
-    pushed = []
-    points = herglotz.integrate_points
-
-    def counted_points(*args, **kwargs):
-        pushed.append(args)
-        return points(*args, **kwargs)
-
-    monkeypatch.setattr(herglotz, "integrate_points", counted_points)
     chain = build_chain(_timevarying_field())
     half_steps = [(k / 2, k / 2 + 0.5) for k in range(6)]
-    # unit steps are composed from the half steps, and the certificate
-    # sweep evaluates the chain's jets instead of pushing trajectories
-    assert sorted(calls) == half_steps and pushed == []
-    monkeypatch.undo()
+    assert sorted(calls) == half_steps and pointwise == []
 
-    calls = _counting_integrate_jet(monkeypatch)
+    calls.clear()
     rebuild = []
 
     def counted_discretize(*args, **kwargs):
@@ -632,7 +630,7 @@ def test_field_commands_integrate_each_half_step_once(tmp_path, monkeypatch):
     inp.write_text(report_text(chain.to_json_dict()))
     assert cli.main(["verify", "--input", str(inp),
                      "--output", str(tmp_path / "verdict.json")]) == 0
-    assert sorted(calls) == half_steps and rebuild == [0]
+    assert sorted(calls) == half_steps and rebuild == [0] and pointwise == []
 
 
 def test_certificate_sweep_measures_what_verify_checks(monkeypatch):

@@ -256,9 +256,6 @@ def _chains(draw):
         certificate=draw(st.none() | _positive),
         certificate_step=draw(st.floats(0.5, 1.0)),
         step_tol=draw(st.floats(STEP_TOL_FLOOR, allow_infinity=False)),
-        constants=draw(st.none() | st.fixed_dictionaries(
-            {key: _parts for key in ("alpha", "r", "s", "beta", "C")}
-            | {key: st.integers() for key in ("ell", "p")})),
     )
 
 
