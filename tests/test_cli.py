@@ -333,6 +333,17 @@ def test_chain_document_fuzz_exits_2_or_3(tmp_path_factory, chain_doc, data):
         assert main(["verify", "--input", inp]) in (2, 3)
 
 
+# mutations that leave a document that verifies: chains without a certificate
+# used to write constants null, and the loader ignores that key
+VALID_MUTATIONS = {("constants", "null")}
+
+
+@pytest.mark.parametrize("key, kind", sorted(VALID_MUTATIONS))
+def test_chain_document_valid_mutations_verify(tmp_path, chain_doc, key, kind):
+    doc = {**chain_doc, key: REPLACEMENTS[kind]}
+    assert main(["verify", "--input", _write(tmp_path / "chain.json", doc)]) == 0
+
+
 @pytest.fixture(scope="module")
 def resonant_chain_doc(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("resonant")
