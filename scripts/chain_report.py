@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Build the Loewner chain of a dilation field and run the whole check
 battery: subordination identity, inscribed range growth, and attraction of
-sample orbits, plus the PDE residual at two step sizes.  The chain solves
+sample orbits, plus the PDE residual at two step sizes.  For each interval
+of the certificate grid it prints the split residual of the transition jet
+and the pieces and terms of its three Taylor series.  The chain solves
 the Loewner PDE by construction (f_t = f_a o phi_{t,a} for any jet f_a), so
 the residual and its halving ratio diagnose the integrator and the
 difference quotient, not the chain; `loewner verify` does not compute it.
@@ -25,6 +27,7 @@ from loewner import (
     verify_subordination_chain,
 )
 from loewner.cli import report_text
+from loewner.herglotz import _certificate_grid, _transition
 from loewner.sampling import complex_ball_points
 
 
@@ -48,6 +51,15 @@ def run(field, order, save):
           f"linear defect {rep.linear_defect:.2e}, "
           f"transition defect {rep.transition_defect:.2e}, "
           f"normalized sup {rep.normalization_sup:.4f}")
+
+    # integrate_jet's own helper: the residual it gates against the chain's
+    # step tolerance, and the work of the whole-interval and half series
+    grid = _certificate_grid(chain.horizon, chain.certificate_step)
+    print(f"transition jets (split residual gated at {chain.step_tol:g}):")
+    print("  interval      split residual  pieces  terms")
+    for s, t in zip(grid, grid[1:]):
+        _, res, pieces, terms = _transition(chain.field, s, t, chain.order)
+        print(f"  [{s:4g}, {t:4g}]  {res:14.2e}  {pieces:6d}  {terms:5d}")
 
     z = complex_ball_points(chain.q, 0.4 * chain.radius, 4)
     samples = [(t, z[:, i]) for t in (0.6, chain.horizon - 0.5)

@@ -9,7 +9,8 @@ the associated chain of maps f_t = f_n o phi_{t,n} whose linear part is
 exp(-Lambda t).  Everything time-dependent is piecewise smooth: coefficient
 schedules are constant, right-open piecewise constant, or piecewise linear
 interpolants, and the integrators split every interval at the schedule
-breakpoints so each Runge-Kutta step sees smooth data.
+breakpoints, so each Runge-Kutta step sees smooth data and each piece of
+the transition series an affine field.
 """
 from __future__ import annotations
 
@@ -18,13 +19,14 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .homological import TAIL_CONSTANT
-from .jets import PolyJet, _compose_arrays, _tables, compose, invert
+from .jets import PolyJet, _mul_table, _tables, compose, invert
 from .normal_form import (
     UNIVALENCE_COLLISION,
     DiscreteEvolutionFamily,
@@ -308,18 +310,46 @@ class HerglotzFieldSpec:
         )
 
 
+@lru_cache(maxsize=None)
+def _lie_table(q: int, order: int) -> tuple[np.ndarray, ...]:
+    """Entries (row, col, component, source, multiplicity) of the Lie matrix.
+
+    The Lie matrix M(B) of a field block B is the matrix of
+    g -> sum_i d_i g * H_i on scalar jet coefficients: (M g)[row] sums
+    multiplicity * B[component, source] * g[col] over the entries.  A
+    monomial z^J of g (col) meets the monomial z^I of H_i (source) as
+    J_i z^(J - e_i + I) (row), so the entries come from _mul_table's
+    triples I + (J - e_i).  H has no constant term, so M never lowers a
+    degree and is exact on jets: the truncation drops only rows above the
+    order.
+    """
+    t = _tables(q, order)
+    ri, rj, rk = _mul_table(q, order)
+    # up[r, i]: the rank of indices[r] + e_i (e_i has rank 1 + i), -1 above the order
+    linear = t.degrees[ri] == 1
+    up = np.full((t.count, q), -1, dtype=np.int64)
+    up[rj[linear], ri[linear] - 1] = rk[linear]
+    m, i = np.nonzero((t.degrees[ri] >= 1)[:, None] & (up[rj] >= 0))
+    exps = np.array(t.indices, dtype=float).reshape(t.count, q)
+    return rk[m], up[rj[m], i], i, ri[m], exps[rj[m], i] + 1.0
+
+
 class _FieldStage:
-    """Coefficient block of z -> H(z, tau) at one jet order, for any tau.
+    """Coefficient block of z -> H(z, tau) at one jet order, for any tau,
+    and the Lie matrix of a block.
 
     The block is the linear part Lambda as a template plus one slot per
     distinct (component, monomial) of the terms that fit the order.  A slot
     holds 0.0 + c_1(tau) + c_2(tau) + ... over its terms in term order.
     With a slot, the block is the sum of Lambda's block and the terms'
     block, and that sum turns a -0.0 of Lambda into +0.0.  When every slot
-    is constant in time, the template is the whole block.
+    is constant in time, the template is the whole block.  The lie_* arrays
+    are the entries of _lie_table whose (component, source) the block can
+    hold nonzero: Lambda's and the slots'.
     """
 
-    __slots__ = ("template", "flat", "schedules")
+    __slots__ = ("template", "flat", "schedules", "count", "lie_take", "lie_mult",
+                 "lie_row", "lie_col", "lie_gap", "lie_dense", "lie_scatter")
 
     def __init__(self, field: HerglotzFieldSpec, order: int):
         q = field.q
@@ -341,6 +371,23 @@ class _FieldStage:
             self.schedules = ()
         self.template.setflags(write=False)
 
+        self.count = n = t.count
+        row, col, comp, src, mult = _lie_table(q, order)
+        support = np.zeros((q, n), dtype=bool)
+        support[:, 1:1 + q] = True
+        support.reshape(-1)[self.flat] = True
+        take = comp * n + src
+        keep = support.reshape(-1)[take]
+        self.lie_take, self.lie_mult, self.lie_gap = take[keep], mult[keep], t.degrees[src[keep]] - 1
+        self.lie_row, self.lie_col = row, col = row[keep], col[keep]
+        # real and imaginary slots in the float view of M, or of M x
+        reim = np.array([0, 1])
+        self.lie_dense = self.lie_scatter = None
+        if n <= LIE_DENSE_MAX:
+            self.lie_dense = (2 * (row * n + col)[:, None] + reim).reshape(-1)
+        else:
+            self.lie_scatter = (2 * (row[:, None] * q + np.arange(q))[:, :, None] + reim).reshape(-1)
+
     def block(self, tau: float) -> np.ndarray:
         if not self.schedules:
             return self.template
@@ -354,6 +401,64 @@ class _FieldStage:
         out.reshape(-1)[self.flat] = values
         return out
 
+    def affine(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """(B(a), S) with B(tau) = B(a) + (tau - a) S on a segment [a, b]
+        that holds no node inside: there every schedule is affine, and
+        piecewise ones are constant.  S is None where it vanishes."""
+        base = self.block(a)
+        if not self.schedules:
+            return base, None
+        c = 0.5 * (a + b)
+        slope = (self.block(c) - base) / (c - a)
+        return base, (slope if slope.any() else None)
+
+    def lie_weights(self, block: np.ndarray) -> np.ndarray:
+        """The entries of the Lie matrix M(block), linear in the block."""
+        return self.lie_mult * block.reshape(-1)[self.lie_take]
+
+    def lie_operator(self, weights: np.ndarray):
+        """x -> M x, x of shape (count, q), for the Lie matrix with these
+        entries: a dense product up to LIE_DENSE_MAX monomials, above it a
+        scatter over the entries, whose memory follows the entries rather
+        than count^2."""
+        n = self.count
+        if self.lie_dense is not None:
+            return np.bincount(self.lie_dense, weights=weights.view(float),
+                               minlength=2 * n * n).view(complex).reshape(n, n).__matmul__
+        col, bins = self.lie_col, self.lie_scatter
+
+        def apply(x):
+            prod = weights[:, None] * x[col]
+            return np.bincount(bins, weights=prod.view(float).reshape(-1),
+                               minlength=2 * x.size).view(complex).reshape(x.shape)
+        return apply
+
+    def lie_norms(self, base: np.ndarray, slope: np.ndarray | None,
+                  h: float) -> tuple[float, float]:
+        """Bounds of ||M(base + u slope)|| for 0 <= u <= h and of
+        ||M(slope)||, in one degree-scaled max-row-sum norm.
+
+        The norm is that of D M D^-1 with D = diag(2^(-e deg)), the change
+        of coordinates z -> 2^-e z, which multiplies an entry read from a
+        degree-d source by 2^(-e (d - 1)).  The least e >= 0 that brings the
+        nonlinear part's bound down to the linear part's keeps the norm near
+        Lambda's however large the coefficients grow.  Powers of two scale
+        exactly, so a series run in the plain coordinates rounds as it would
+        in the scaled ones.
+        """
+        n, row, gap = self.count, self.lie_row, self.lie_gap
+        w = self.lie_weights(np.abs(base) if slope is None else np.abs(base) + h * np.abs(slope))
+        linear, rest = np.bincount(2 * row + (gap > 0), w, 2 * n).reshape(n, 2).max(axis=0)
+        if not math.isfinite(rest):
+            raise ValueError("transition jet coefficients must be finite: the field's "
+                             "coefficients overflow its Lie matrix")
+        e = math.ceil(math.log2(rest / linear)) if rest > linear else 0
+        scale = np.ldexp(1.0, -e * gap)
+        alpha = float(np.bincount(row, w * scale, n).max())
+        if slope is None:
+            return alpha, 0.0
+        return alpha, float(np.bincount(row, self.lie_weights(np.abs(slope)) * scale, n).max())
+
 
 # --------------------------------------------------------------------- #
 # transition integrators
@@ -362,15 +467,21 @@ class _FieldStage:
 TRAJECTORY_TOL = 1e-11
 # relative split residual every transition jet must reach (integrate_jet)
 STEP_TOL = 1e-10
-# least step tolerance a chain or evolution accepts: near the split residual's
-# roundoff the step refinement runs towards JET_MAX_STEPS (the demo chain
-# builds in 0.4 s at 1e-14 and had not built after 60 s at 1e-15)
+# least step tolerance a chain or evolution accepts.  The transition series
+# runs to roundoff at any tolerance (the demo chain builds in 0.04 s at
+# 1e-10 and at 1e-14), so the split residual it gates is roundoff: 1e-16 to
+# 6e-16 on the seed-11 benchmark fields, some 20 times below the floor
 STEP_TOL_FLOOR = 1e-14
 # RK4 stage times stay this far (relative) below a segment's right end
 STAGE_CAP_SLACK = 1e-12
-# step budgets: integrate_jet's refinement, and the trajectories' doubling
-JET_MAX_STEPS = 1 << 17
+# step budget of the trajectories' doubling
 TRAJECTORY_MAX_STEPS = 1 << 18
+# the transition series: h ||M|| per piece, in the scaled norm, and the
+# tail bound every piece's truncation reaches
+SERIES_PIECE_NORM = 2.0
+SERIES_TAIL = 2.0 ** -53
+# jet spaces up to this many monomials run the series on a dense Lie matrix
+LIE_DENSE_MAX = 256
 
 
 def _check_step_tol(name: str, tol: float) -> None:
@@ -392,8 +503,8 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
          rhs, nsteps: int) -> tuple:
     """Fixed-grid RK4 for x' = rhs(tau, x) from x(s) = state to time t.
 
-    The state is a tuple of parts (coefficient blocks or point arrays)
-    that support + and scalar *, and rhs returns one derivative per part.  Steps are
+    The state is a tuple of parts (point arrays, Jacobian stacks) that
+    support + and scalar *, and rhs returns one derivative per part.  Steps are
     distributed over the breakpoint segments proportionally to length;
     inside a segment the stage times are capped just below the right
     endpoint so right-open piecewise schedules never leak the next value in.
@@ -417,15 +528,94 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
     return x
 
 
+def _series_terms(x: float, y: float) -> int:
+    """Least K whose Taylor tail past u^K is below SERIES_TAIL.
+
+    For W' = (A_0 - u A_1) W on a piece of length delta, with
+    x >= delta ||A_0|| and y >= delta^2 ||A_1||, Gronwall on the complex
+    disc of radius r delta bounds the solution by exp(r x + r^2 y / 2), so
+    Cauchy's estimate bounds the tail past u^K by
+    exp(r x + r^2 y / 2) r^-(K + 1) r / (r - 1) for every r > 1; r is the
+    minimizer of the first two factors.
+    """
+    K = 1
+    while True:
+        r = 2.0 * (K + 1) / (x + math.sqrt(x * x + 4.0 * y * (K + 1)))
+        if r > 1.0 and (r * x + 0.5 * r * r * y - (K + 1) * math.log(r)
+                        + math.log(r / (r - 1.0))) <= math.log(SERIES_TAIL):
+            return K
+        K += 1
+
+
+def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float
+            ) -> tuple[np.ndarray, int, int]:
+    """Coefficients of phi_{s,t} by a Taylor series in time, with the counts
+    of its pieces and terms.
+
+    Column j of Z holds the jet of component j of phi_{sigma,t}; on jets it
+    solves the linear equation dZ/dsigma = -M(sigma) Z with Z = id at
+    sigma = t, M(sigma) the Lie matrix of H(., sigma).  The walk runs the
+    breakpoint segments backwards from t.  On a segment M is affine, so in
+    u = r - sigma, from a piece's right end r, W_k = delta^k Z_k obeys
+    k W_k = delta M(r) W_{k-1} - delta^2 M' W_{k-2}.  Pieces keep
+    delta ||M|| <= SERIES_PIECE_NORM and each runs _series_terms terms.
+    For a field without breakpoints the run reads only t - s.
+    """
+    z = np.zeros((stage.count, field.q), dtype=complex)
+    z[1:1 + field.q] = np.eye(field.q)
+    pieces = terms = 0
+    for a, b in reversed(_segments(field, s, t)):
+        h = b - a
+        base, slope = stage.affine(a, b)
+        alpha, beta = stage.lie_norms(base, slope, h)
+        m = max(1, math.ceil(alpha * h / SERIES_PIECE_NORM))
+        delta = h / m
+        K = _series_terms(alpha * delta, beta * delta * delta)
+        pieces, terms = pieces + m, terms + m * K
+        lie = stage.lie_weights(base)
+        P, Q = stage.lie_operator(delta * lie), None
+        if slope is not None:
+            lie_slope = stage.lie_weights(slope)
+            Q = stage.lie_operator((-delta * delta) * lie_slope)
+        for i in range(m):
+            if Q is not None:
+                P = stage.lie_operator(delta * (lie + (b - i * delta - a) * lie_slope))
+            prev, cur, z = None, z, z.copy()
+            for k in range(1, K + 1):
+                nxt = P(cur)
+                if Q is not None and prev is not None:
+                    nxt += Q(prev)
+                nxt /= k
+                z += nxt
+                prev, cur = cur, nxt
+    return z, pieces, terms
+
+
+def _transition(field: HerglotzFieldSpec, s: float, t: float, order: int
+                ) -> tuple[PolyJet, float, int, int]:
+    """phi_{s,t} as the composition of its two half-interval series, with
+    its split residual against the series over [s, t] in one go (relative,
+    on coefficients) and the three series' piece and term counts."""
+    stage = field._stage(order)
+    mid = 0.5 * (s + t)
+    runs = [_series(field, stage, a, b) for a, b in ((s, t), (s, mid), (mid, t))]
+    # an overflowing field: inf * 0 would also put NaN in the constant row
+    if not all(np.isfinite(z).all() for z, _, _ in runs):
+        raise ValueError("transition jet coefficients must be finite")
+    full, left, right = (PolyJet(field.q, order, z.T) for z, _, _ in runs)
+    split = compose(right, left, order)
+    res = (full - split).max_coeff / max(1.0, split.max_coeff)
+    return split, res, sum(r[1] for r in runs), sum(r[2] for r in runs)
+
+
 def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
                   order: int | None = None, tol: float = STEP_TOL) -> PolyJet:
     """Jet of the transition map phi_{s,t} of the field, s <= t.
 
-    The step count is refined until the map integrated over [s, t] in one go
-    agrees with the composition of the two half-interval maps to within tol
-    (relative, on coefficients).  Raises when the budget of JET_MAX_STEPS
-    steps cannot reach the tolerance.  The RK stages run on raw coefficient
-    blocks; only each pass's three integrated maps become PolyJets.
+    The map is the composition of the half-interval maps, each a Taylor
+    series of the linear Loewner PDE (_series).  Raises when the map over
+    [s, t] in one go differs from that composition by more than tol
+    (relative, on coefficients).
     """
     order = field.order if order is None else int(order)
     s, t = float(s), float(t)
@@ -433,40 +623,10 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
         raise ValueError("reversed time interval")
     if t == s:
         return PolyJet.identity(field.q, order)
-    q = field.q
-    stage = field._stage(order)
-    identity = (PolyJet.identity(q, order).coeffs,)
-
-    def rhs(tau, x):
-        return (_compose_arrays(q, order, stage.block(tau), x[0]),)
-
-    def flow(a, b):
-        # the PolyJet rejects non-finite coefficients; an overflow would
-        # otherwise surface as a NaN residual, refined up to the step budget
-        (x,) = _rk4(field, a, b, identity, rhs, nsteps)
-        return PolyJet(q, order, x)
-
-    nsteps = _initial_steps(s, t)
-    while True:
-        full = flow(s, t)
-        mid = 0.5 * (s + t)
-        # each half gets the full step count, so the composed map runs at
-        # half the step size and the residual measures the actual error
-        left = flow(s, mid)
-        right = flow(mid, t)
-        split = compose(right, left, order)
-        res = (full - split).max_coeff / max(1.0, split.max_coeff)
-        if res <= tol:
-            return split
-        if 2 * nsteps > JET_MAX_STEPS:
-            raise ValueError(
-                f"step refinement exhausted at {nsteps} steps "
-                f"(budget {JET_MAX_STEPS}); "
-                f"split residual {res:.3e} exceeds tol {tol:.1e}"
-            )
-        # quartic local error: jump most of the way, then verify again
-        factor = max(2.0, min(16.0, (res / tol) ** 0.25))
-        nsteps = min(JET_MAX_STEPS, int(math.ceil(nsteps * factor)))
+    split, res, _, _ = _transition(field, s, t, order)
+    if not res <= tol:
+        raise ValueError(f"split residual {res:.3e} exceeds tol {tol:.1e}")
+    return split
 
 
 def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,

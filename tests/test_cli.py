@@ -653,6 +653,13 @@ def test_chain_report_script_saves_a_verifiable_chain(tmp_path):
                              "--save", str(doc)], env=env, capture_output=True, text=True)
     assert report.returncode == 0, report.stderr
     assert "range growth:" in report.stdout
+    # one row per half-step interval of the demo chain's grid [0, 3]
+    lines = report.stdout.splitlines()
+    first = lines.index("  interval      split residual  pieces  terms") + 1
+    rows = [line.split("]")[1].split() for line in lines[first:first + 6]]
+    assert all(float(res) <= 1e-10 and int(pieces) >= 3 and int(terms) > int(pieces)
+               for res, pieces, terms in rows)
+    assert lines[first + 6].startswith("pde residual")
     saved = doc.read_text()
     assert saved == report_text(json.loads(saved))
     verify = subprocess.run([sys.executable, "-m", "loewner.cli", "verify", "--input", str(doc),
@@ -660,6 +667,29 @@ def test_chain_report_script_saves_a_verifiable_chain(tmp_path):
                             env=env, capture_output=True, text=True)
     assert verify.returncode == 0, verify.stderr
     assert "verify: PASS" in verify.stdout
+
+
+def test_report_drift_script_lists_changed_flags_and_drift(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    report = {"passed": True, "checks": {"linear-part": {"passed": True, "defect": 1e-12}},
+              "certificate": 0.25}
+    for name, defect, passed in (("base", 1e-12, True), ("new", 3e-12, False)):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "exits.json").write_text(json.dumps({"fields-q-s11-r0-0.verify": int(not passed)}))
+        report["checks"]["linear-part"].update(defect=defect, passed=passed)
+        (d / "fields-q-s11-r0-0.verify.json").write_text(report_text(report))
+        (d / "fields-q-s11-r0-0.chain.json").write_text(report_text({"certificate": 0.25}))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "report_drift.py"), "compare",
+                          str(tmp_path / "base"), str(tmp_path / "new")],
+                         capture_output=True, text=True)
+    assert run.returncode == 1, run.stderr
+    out = run.stdout
+    assert "exit code changed: fields-q-s11-r0-0.verify: 0 -> 1" in out
+    assert "passed changed: fields-q-s11-r0-0.verify.json checks.linear-part: True -> False" in out
+    assert "fields-q chain: 1 reports, 1 byte-identical" in out
+    assert "checks                       rel 6.67e-01" in out
+    assert "verify checks.linear-part.defect: rose 1, fell 0" in out
 
 
 def test_resonance_cascade_script_withholds_the_certificate():
