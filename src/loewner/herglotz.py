@@ -19,7 +19,6 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -310,30 +309,6 @@ class HerglotzFieldSpec:
         )
 
 
-@lru_cache(maxsize=None)
-def _lie_table(q: int, order: int) -> tuple[np.ndarray, ...]:
-    """Entries (row, col, component, source, multiplicity) of the Lie matrix.
-
-    The Lie matrix M(B) of a field block B is the matrix of
-    g -> sum_i d_i g * H_i on scalar jet coefficients: (M g)[row] sums
-    multiplicity * B[component, source] * g[col] over the entries.  A
-    monomial z^J of g (col) meets the monomial z^I of H_i (source) as
-    J_i z^(J - e_i + I) (row), so the entries come from _mul_table's
-    triples I + (J - e_i).  H has no constant term, so M never lowers a
-    degree and is exact on jets: the truncation drops only rows above the
-    order.
-    """
-    t = _tables(q, order)
-    ri, rj, rk = _mul_table(q, order)
-    # up[r, i]: the rank of indices[r] + e_i (e_i has rank 1 + i), -1 above the order
-    linear = t.degrees[ri] == 1
-    up = np.full((t.count, q), -1, dtype=np.int64)
-    up[rj[linear], ri[linear] - 1] = rk[linear]
-    m, i = np.nonzero((t.degrees[ri] >= 1)[:, None] & (up[rj] >= 0))
-    exps = np.array(t.indices, dtype=float).reshape(t.count, q)
-    return rk[m], up[rj[m], i], i, ri[m], exps[rj[m], i] + 1.0
-
-
 class _FieldStage:
     """Coefficient block of z -> H(z, tau) at one jet order, for any tau,
     and the Lie matrix of a block.
@@ -343,13 +318,21 @@ class _FieldStage:
     holds 0.0 + c_1(tau) + c_2(tau) + ... over its terms in term order.
     With a slot, the block is the sum of Lambda's block and the terms'
     block, and that sum turns a -0.0 of Lambda into +0.0.  When every slot
-    is constant in time, the template is the whole block.  The lie_* arrays
-    are the entries of _lie_table whose (component, source) the block can
-    hold nonzero: Lambda's and the slots'.
+    is constant in time, the template is the whole block.
+
+    The Lie matrix M(B) of a block B is the matrix of
+    g -> sum_i d_i g * H_i on scalar jet coefficients: (M g)[lie_row] sums
+    lie_mult * B.flat[lie_take] * g[lie_col] over its entries.  A monomial
+    z^J of g (col) meets the monomial z^I of H_i (source) as
+    J_i z^(J - e_i + I) (row), so the entries come from _mul_table's
+    triples I + (J - e_i), kept only for the (i, I) the block can hold
+    nonzero: Lambda's and the slots'.  H has no constant term, so M never
+    lowers a degree and is exact on jets: the truncation drops only rows
+    above the order.
     """
 
     __slots__ = ("template", "flat", "schedules", "count", "lie_take", "lie_mult",
-                 "lie_row", "lie_col", "lie_gap", "lie_dense", "lie_scatter")
+                 "lie_row", "lie_col", "lie_gap", "lie_bins")
 
     def __init__(self, field: HerglotzFieldSpec, order: int):
         q = field.q
@@ -372,21 +355,26 @@ class _FieldStage:
         self.template.setflags(write=False)
 
         self.count = n = t.count
-        row, col, comp, src, mult = _lie_table(q, order)
         support = np.zeros((q, n), dtype=bool)
         support[:, 1:1 + q] = True
         support.reshape(-1)[self.flat] = True
-        take = comp * n + src
-        keep = support.reshape(-1)[take]
-        self.lie_take, self.lie_mult, self.lie_gap = take[keep], mult[keep], t.degrees[src[keep]] - 1
-        self.lie_row, self.lie_col = row, col = row[keep], col[keep]
-        # real and imaginary slots in the float view of M, or of M x
-        reim = np.array([0, 1])
-        self.lie_dense = self.lie_scatter = None
-        if n <= LIE_DENSE_MAX:
-            self.lie_dense = (2 * (row * n + col)[:, None] + reim).reshape(-1)
-        else:
-            self.lie_scatter = (2 * (row[:, None] * q + np.arange(q))[:, :, None] + reim).reshape(-1)
+        ri, rj, rk = _mul_table(q, order)
+        # up[r, i]: the rank of indices[r] + e_i (e_i has rank 1 + i), -1 above the order
+        linear = np.flatnonzero(t.degrees[ri] == 1)
+        up = np.full((n, q), -1, dtype=np.int64)
+        up[rj[linear], ri[linear] - 1] = rk[linear]
+        # the triples whose I the block holds, then each component i holding it
+        m = np.flatnonzero(support.any(axis=0)[ri])
+        ri, rj, rk = ri[m], rj[m], rk[m]
+        m, i = np.nonzero(support[:, ri].T & (up[rj] >= 0))
+        src = ri[m]
+        exps = np.array(t.indices, dtype=float).reshape(n, q)
+        self.lie_take, self.lie_mult = i * n + src, exps[rj[m], i] + 1.0
+        self.lie_row = row = rk[m]
+        self.lie_col, self.lie_gap = up[rj[m], i], t.degrees[src] - 1
+        # real and imaginary slots of M x in its float view
+        self.lie_bins = (2 * (row[:, None] * q + np.arange(q))[:, :, None]
+                         + np.array([0, 1])).reshape(-1)
 
     def block(self, tau: float) -> np.ndarray:
         if not self.schedules:
@@ -418,14 +406,9 @@ class _FieldStage:
 
     def lie_operator(self, weights: np.ndarray):
         """x -> M x, x of shape (count, q), for the Lie matrix with these
-        entries: a dense product up to LIE_DENSE_MAX monomials, above it a
-        scatter over the entries, whose memory follows the entries rather
-        than count^2."""
-        n = self.count
-        if self.lie_dense is not None:
-            return np.bincount(self.lie_dense, weights=weights.view(float),
-                               minlength=2 * n * n).view(complex).reshape(n, n).__matmul__
-        col, bins = self.lie_col, self.lie_scatter
+        entries: a scatter over the entries, so memory follows the entries
+        rather than count^2."""
+        col, bins = self.lie_col, self.lie_bins
 
         def apply(x):
             prod = weights[:, None] * x[col]
@@ -468,7 +451,7 @@ TRAJECTORY_TOL = 1e-11
 # relative split residual every transition jet must reach (integrate_jet)
 STEP_TOL = 1e-10
 # least step tolerance a chain or evolution accepts.  The transition series
-# runs to roundoff at any tolerance (the demo chain builds in 0.04 s at
+# runs to roundoff at any tolerance (the demo chain builds in 0.05 s at
 # 1e-10 and at 1e-14), so the split residual it gates is roundoff: 1e-16 to
 # 6e-16 on the seed-11 benchmark fields, some 20 times below the floor
 STEP_TOL_FLOOR = 1e-14
@@ -480,8 +463,6 @@ TRAJECTORY_MAX_STEPS = 1 << 18
 # tail bound every piece's truncation reaches
 SERIES_PIECE_NORM = 2.0
 SERIES_TAIL = 2.0 ** -53
-# jet spaces up to this many monomials run the series on a dense Lie matrix
-LIE_DENSE_MAX = 256
 
 
 def _check_step_tol(name: str, tol: float) -> None:
@@ -573,8 +554,9 @@ def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float
         K = _series_terms(alpha * delta, beta * delta * delta)
         pieces, terms = pieces + m, terms + m * K
         lie = stage.lie_weights(base)
-        P, Q = stage.lie_operator(delta * lie), None
-        if slope is not None:
+        if slope is None:
+            P, Q = stage.lie_operator(delta * lie), None
+        else:
             lie_slope = stage.lie_weights(slope)
             Q = stage.lie_operator((-delta * delta) * lie_slope)
         for i in range(m):
