@@ -24,8 +24,6 @@ from .herglotz import (
     HerglotzFieldSpec,
     LoewnerChain,
     PreconditionError,
-    STEP_TOL,
-    STEP_TOL_FLOOR,
     attraction_check,
     build_chain,
     complex_to_json,
@@ -217,7 +215,7 @@ def cmd_analyze(args) -> int:
     additive = detect_resonances(eigs, mode="additive", tau=args.tau)
 
     order = max(2, field.order if args.order is None else args.order)
-    disc = discretize(ContinuousEvolution(field, order, args.tol or STEP_TOL), horizon=1)
+    disc = discretize(ContinuousEvolution(field, order), horizon=1)
     A = disc.family.linear_part
     trivial = TriangularFamily(A, (PolyJet.from_linear(A, order),))
     multiplicative = detect_resonances(np.diag(A), tau=args.tau)
@@ -249,7 +247,7 @@ def cmd_normalform(args) -> int:
         field = _field_from_doc(doc)
         T = int(math.ceil(field.horizon)) if args.horizon is None else args.horizon
         order = max(2, field.order if args.order is None else args.order)
-        family = discretize(ContinuousEvolution(field, order, args.tol or STEP_TOL), T).family
+        family = discretize(ContinuousEvolution(field, order), T).family
     elif "steps" in doc:
         family = _family_from_doc(doc)
     else:
@@ -286,8 +284,7 @@ def cmd_normalform(args) -> int:
 def cmd_chain(args) -> int:
     doc = _load(args.input)
     field = _field_from_doc(doc)
-    chain = build_chain(field, horizon=args.horizon, order=args.order,
-                        tol=args.tol or STEP_TOL, tau=args.tau)
+    chain = build_chain(field, horizon=args.horizon, order=args.order, tau=args.tau)
     _dump(chain.to_json_dict(), args.output)
     cert = "none (resonances present)" if chain.certificate is None \
         else f"{chain.certificate:.6g}"
@@ -354,7 +351,7 @@ def cmd_verify(args) -> int:
             failures.append("range-growth")
         ball = complex_ball_points(chain.q, 0.5 * rebuilt.constants.r,
                                    args.samples, start=args.seed)
-        attract = attraction_check(disc.family, ball, tol=args.tol or ATTRACTION_BALL)
+        attract = attraction_check(disc.family, ball, tol=args.tol)
         checks["attraction"] = {"passed": attract.all_converged,
                                 "max_steps_used": max(
                                     (r.steps for r in attract.rows
@@ -396,10 +393,9 @@ def _ranged(kind, accepts, what: str):
 _FLAGS = {
     "--order": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=None,
                     help="jet truncation order, >= 1"),
-    "--tol": dict(type=_ranged(float, lambda v: STEP_TOL_FLOOR <= v < math.inf,
-                               f"finite and >= the step tolerance floor {STEP_TOL_FLOOR:g}"),
-                  default=None,
-                  help=f"integration tolerance, >= the floor {STEP_TOL_FLOOR:g}"),
+    "--tol": dict(type=_ranged(float, lambda v: math.isfinite(v) and v > 0,
+                               "finite and > 0"),
+                  default=ATTRACTION_BALL, help="radius of the attraction ball, > 0"),
     # a negative tau would let the stable and unstable masks overlap
     "--tau": dict(type=_ranged(float, lambda v: math.isfinite(v) and v >= 0,
                                "finite and >= 0"),
@@ -412,12 +408,6 @@ _FLAGS = {
 }
 
 
-# verify's --tol is the attraction ball's radius, not a step tolerance
-_VERIFY_TOL = dict(type=_ranged(float, lambda v: math.isfinite(v) and v > 0,
-                                "finite and > 0"),
-                   default=None, help="radius of the attraction ball, > 0")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loewner",
@@ -426,11 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
         ("analyze", cmd_analyze, "resonances and convergence constants of a field",
-         ("--order", "--tol", "--tau")),
+         ("--order", "--tau")),
         ("normalform", cmd_normalform, "normalize a field or discrete family",
-         ("--order", "--tol", "--tau", "--horizon")),
+         ("--order", "--tau", "--horizon")),
         ("chain", cmd_chain, "build the Loewner chain of a field",
-         ("--order", "--tol", "--tau", "--horizon")),
+         ("--order", "--tau", "--horizon")),
         ("verify", cmd_verify, "check a chain document against its field",
          ("--tol", "--samples", "--seed")),
     ]
@@ -439,8 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         for flag in flags:
-            p.add_argument(flag, **(_VERIFY_TOL if (name, flag) == ("verify", "--tol")
-                                    else _FLAGS[flag]))
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

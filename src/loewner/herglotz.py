@@ -30,8 +30,9 @@ from .normal_form import (
     UNIVALENCE_COLLISION,
     DiscreteEvolutionFamily,
     UnivalenceReport,
-    _with_linear,
+    _check_work_order,
     _smallest_ell,
+    _with_linear,
     build_normal_form,
     discrete_chain,
     jacobian_points,
@@ -448,27 +449,14 @@ class _FieldStage:
 
 # relative tolerance of point and variational trajectories (step doubling)
 TRAJECTORY_TOL = 1e-11
-# relative split residual every transition jet must reach (integrate_jet)
-STEP_TOL = 1e-10
-# least step tolerance a chain or evolution accepts.  The transition series
-# runs to roundoff at any tolerance (the demo chain builds in 0.05 s at
-# 1e-10 and at 1e-14), so the split residual it gates is roundoff: 1e-16 to
-# 6e-16 on the seed-11 benchmark fields, some 20 times below the floor
-STEP_TOL_FLOOR = 1e-14
 # RK4 stage times stay this far (relative) below a segment's right end
 STAGE_CAP_SLACK = 1e-12
 # step budget of the trajectories' doubling
 TRAJECTORY_MAX_STEPS = 1 << 18
 # the transition series: h ||M|| per piece, in the scaled norm, and the
-# tail bound every piece's truncation reaches
+# default tail bound every piece's truncation reaches
 SERIES_PIECE_NORM = 2.0
 SERIES_TAIL = 2.0 ** -53
-
-
-def _check_step_tol(name: str, tol: float) -> None:
-    if not STEP_TOL_FLOOR <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"{name} must be finite and at least the step tolerance "
-                         f"floor STEP_TOL_FLOOR = {STEP_TOL_FLOOR:g}, got {tol}")
 
 
 def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float, float]]:
@@ -509,8 +497,8 @@ def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
     return x
 
 
-def _series_terms(x: float, y: float) -> int:
-    """Least K whose Taylor tail past u^K is below SERIES_TAIL.
+def _series_terms(x: float, y: float, tail: float) -> int:
+    """Least K whose Taylor tail past u^K is below tail.
 
     For W' = (A_0 - u A_1) W on a piece of length delta, with
     x >= delta ||A_0|| and y >= delta^2 ||A_1||, Gronwall on the complex
@@ -523,13 +511,13 @@ def _series_terms(x: float, y: float) -> int:
     while True:
         r = 2.0 * (K + 1) / (x + math.sqrt(x * x + 4.0 * y * (K + 1)))
         if r > 1.0 and (r * x + 0.5 * r * r * y - (K + 1) * math.log(r)
-                        + math.log(r / (r - 1.0))) <= math.log(SERIES_TAIL):
+                        + math.log(r / (r - 1.0))) <= math.log(tail):
             return K
         K += 1
 
 
-def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float
-            ) -> tuple[np.ndarray, int, int]:
+def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float,
+            tail: float) -> tuple[np.ndarray, int, int]:
     """Coefficients of phi_{s,t} by a Taylor series in time, with the counts
     of its pieces and terms.
 
@@ -539,7 +527,8 @@ def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float
     breakpoint segments backwards from t.  On a segment M is affine, so in
     u = r - sigma, from a piece's right end r, W_k = delta^k Z_k obeys
     k W_k = delta M(r) W_{k-1} - delta^2 M' W_{k-2}.  Pieces keep
-    delta ||M|| <= SERIES_PIECE_NORM and each runs _series_terms terms.
+    delta ||M|| <= SERIES_PIECE_NORM and each runs the _series_terms terms
+    whose tail bound is below tail.
     For a field without breakpoints the run reads only t - s.
     """
     z = np.zeros((stage.count, field.q), dtype=complex)
@@ -551,7 +540,7 @@ def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float
         alpha, beta = stage.lie_norms(base, slope, h)
         m = max(1, math.ceil(alpha * h / SERIES_PIECE_NORM))
         delta = h / m
-        K = _series_terms(alpha * delta, beta * delta * delta)
+        K = _series_terms(alpha * delta, beta * delta * delta, tail)
         pieces, terms = pieces + m, terms + m * K
         lie = stage.lie_weights(base)
         if slope is None:
@@ -573,42 +562,38 @@ def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float
     return z, pieces, terms
 
 
-def _transition(field: HerglotzFieldSpec, s: float, t: float, order: int
-                ) -> tuple[PolyJet, float, int, int]:
+def _transition(field: HerglotzFieldSpec, s: float, t: float, order: int,
+                tail: float = SERIES_TAIL) -> tuple[PolyJet, int, int]:
     """phi_{s,t} as the composition of its two half-interval series, with
-    its split residual against the series over [s, t] in one go (relative,
-    on coefficients) and the three series' piece and term counts."""
+    the two series' piece and term counts."""
     stage = field._stage(order)
     mid = 0.5 * (s + t)
-    runs = [_series(field, stage, a, b) for a, b in ((s, t), (s, mid), (mid, t))]
+    runs = [_series(field, stage, a, b, tail) for a, b in ((s, mid), (mid, t))]
     # an overflowing field: inf * 0 would also put NaN in the constant row
     if not all(np.isfinite(z).all() for z, _, _ in runs):
         raise ValueError("transition jet coefficients must be finite")
-    full, left, right = (PolyJet(field.q, order, z.T) for z, _, _ in runs)
-    split = compose(right, left, order)
-    res = (full - split).max_coeff / max(1.0, split.max_coeff)
-    return split, res, sum(r[1] for r in runs), sum(r[2] for r in runs)
+    left, right = (PolyJet(field.q, order, z.T) for z, _, _ in runs)
+    return (compose(right, left, order), sum(r[1] for r in runs),
+            sum(r[2] for r in runs))
 
 
 def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
-                  order: int | None = None, tol: float = STEP_TOL) -> PolyJet:
+                  order: int | None = None, tol: float = SERIES_TAIL) -> PolyJet:
     """Jet of the transition map phi_{s,t} of the field, s <= t.
 
     The map is the composition of the half-interval maps, each a Taylor
-    series of the linear Loewner PDE (_series).  Raises when the map over
-    [s, t] in one go differs from that composition by more than tol
-    (relative, on coefficients).
+    series of the linear Loewner PDE (_series) truncated where its tail
+    bound falls below tol, in (0, 1).
     """
+    if not 0.0 < tol < 1.0:  # NaN fails too: the term count would never stop
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     order = field.order if order is None else int(order)
     s, t = float(s), float(t)
     if t < s:
         raise ValueError("reversed time interval")
     if t == s:
         return PolyJet.identity(field.q, order)
-    split, res, _, _ = _transition(field, s, t, order)
-    if not res <= tol:
-        raise ValueError(f"split residual {res:.3e} exceeds tol {tol:.1e}")
-    return split
+    return _transition(field, s, t, order, tol)[0]
 
 
 def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
@@ -684,18 +669,16 @@ class ContinuousEvolution:
     interval is integrated once and kept for the life of the evolution, so
     the cache holds at most one jet per distinct interval of one command.
     For a field without breakpoints (every coefficient constant) the map
-    depends on the interval only through t - s, and integrate_jet reads
-    exactly the floats t - s, mid - s and t - mid with mid = (s + t) / 2;
+    depends on the interval only through its two halves, and integrate_jet
+    reads exactly the floats mid - s and t - mid with mid = (s + t) / 2;
     keying by those makes a hit bit-identical to a fresh integration.
     Other fields key by (s, t).
     """
 
     field: HerglotzFieldSpec
     order: int
-    tol: float = STEP_TOL
 
     def __post_init__(self):
-        _check_step_tol("tol", self.tol)
         object.__setattr__(self, "_jets", {})
         object.__setattr__(self, "_autonomous", not self.field.breakpoints())
 
@@ -703,18 +686,18 @@ class ContinuousEvolution:
         if not self._autonomous:
             return (s, t)
         mid = 0.5 * (s + t)
-        return (t - s, mid - s, t - mid)
+        return (mid - s, t - mid)
 
     def jet(self, s: float, t: float) -> PolyJet:
         s, t = float(s), float(t)
         key = self._key(s, t)
         cache = self._jets
         if key not in cache:
-            cache[key] = integrate_jet(self.field, s, t, self.order, self.tol)
+            cache[key] = integrate_jet(self.field, s, t, self.order)
         return cache[key]
 
     def point(self, s: float, t: float, points: np.ndarray) -> np.ndarray:
-        return integrate_points(self.field, s, t, points, tol=min(self.tol, TRAJECTORY_TOL))
+        return integrate_points(self.field, s, t, points)
 
 
 # --------------------------------------------------------------------- #
@@ -798,9 +781,8 @@ class LoewnerChain:
     the normal form under.  certificate_step, in
     [CERTIFICATE_STEP, 1], is the step of that grid and of verify's.  A
     chain and its JSON document evaluate identically.  evolution holds the
-    field's transition maps at the chain order and step_tol: build_chain
-    hands over the one its discretization filled, and a chain given none
-    derives its own.
+    field's transition maps at the chain order: build_chain hands over the
+    one its discretization filled, and a chain given none derives its own.
     """
 
     field: HerglotzFieldSpec
@@ -810,7 +792,6 @@ class LoewnerChain:
     resonances: ResonanceReport
     certificate: float | None
     certificate_step: float
-    step_tol: float
     evolution: ContinuousEvolution | None = dataclasses.field(default=None, repr=False,
                                                               compare=False)
 
@@ -822,7 +803,6 @@ class LoewnerChain:
             raise ValueError("need one chain jet per integer time 0..horizon")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
-        _check_step_tol("step_tol", self.step_tol)
         # a step up to 1 puts a grid time in every (n - 1, n], so the checks
         # see every f_n; a finer step than the half-step grid only costs time
         # (NaN fails both comparisons)
@@ -840,11 +820,9 @@ class LoewnerChain:
                              f"q={self.q} and one common order")
         evolution = self.evolution
         if evolution is None:
-            evolution = ContinuousEvolution(self.field, order, self.step_tol)
-        elif (evolution.field is not self.field or evolution.order != order
-              or evolution.tol != self.step_tol):
-            raise ValueError("evolution must be the chain field's at the chain "
-                             "order and step_tol")
+            evolution = ContinuousEvolution(self.field, order)
+        elif evolution.field is not self.field or evolution.order != order:
+            raise ValueError("evolution must be the chain field's at the chain order")
         object.__setattr__(self, "evolution", evolution)
 
     @property
@@ -898,7 +876,6 @@ class LoewnerChain:
             "radius": self.radius,
             "certificate": self.certificate,
             "certificate_step": self.certificate_step,
-            "step_tol": self.step_tol,
             "field": self.field.to_json_dict(),
             "resonances": self.resonances.to_json_dict(),
             "jets": [j.to_json_dict() for j in self.chain_jets],
@@ -907,9 +884,9 @@ class LoewnerChain:
     @staticmethod
     def from_json_dict(data: Mapping) -> "LoewnerChain":
         """The chain of a document: every key to_json_dict writes is required,
-        and q and order must match the field and the jets.  The basis_change
-        and constants keys, which earlier versions wrote and nothing read,
-        are ignored."""
+        and q and order must match the field and the jets.  The basis_change,
+        constants and step_tol keys, which earlier versions wrote and no
+        computation reads, are ignored."""
         schema = data["schema"]
         if not (isinstance(schema, str) and schema.startswith("loewner-chain/")):
             raise ValueError(f"not a chain document (schema {schema!r})")
@@ -925,7 +902,6 @@ class LoewnerChain:
             resonances=ResonanceReport.from_json_dict(data["resonances"]),
             certificate=None if certificate is None else float(certificate),
             certificate_step=float(data["certificate_step"]),
-            step_tol=float(data["step_tol"]),
         )
         if data["q"] != chain.q or data["order"] != chain.order:
             raise ValueError(f"q {data['q']!r} and order {data['order']!r} must be the "
@@ -974,8 +950,7 @@ CERTIFICATE_FACTOR = 1.25  # certificate over the measured sup
 
 
 def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
-                order: int | None = None, tol: float = STEP_TOL,
-                tau: float = RESONANCE_TOL) -> LoewnerChain:
+                order: int | None = None, tau: float = RESONANCE_TOL) -> LoewnerChain:
     """Normalize the evolution family of the field into a Loewner chain.
 
     The field is discretized at integer times, the discrete family is brought
@@ -997,7 +972,10 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     jet_order = max(base_order, _smallest_ell(alpha0, beta0))
     disc = result = evolution = None
     for _ in range(MAX_JET_ORDER_PASSES):
-        evolution = ContinuousEvolution(field, jet_order, tol)
+        # build_normal_form would refuse this order only after the
+        # integration, which above the cap can run for minutes
+        _check_work_order(jet_order)
+        evolution = ContinuousEvolution(field, jet_order)
         disc = discretize(evolution, T)
         result = build_normal_form(disc.family, order=base_order, horizon=T, tau=tau)
         if result.work_order <= jet_order:
@@ -1023,7 +1001,6 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
         resonances=result.resonance_report,
         certificate=None,
         certificate_step=CERTIFICATE_STEP,
-        step_tol=tol,
         # a chain at another order integrates its own: a jet integrated at a
         # higher order and truncated need not match the document's bits
         evolution=evolution if evolution.order == W else None,

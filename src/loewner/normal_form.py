@@ -638,6 +638,13 @@ class ConjugacyResult:
         }
 
 
+def _check_work_order(work_order: int) -> None:
+    if work_order > MAX_WORK_ORDER:
+        raise PreconditionError(
+            f"normalization needs working order {work_order} above the "
+            f"limit {MAX_WORK_ORDER}; the spectrum is too spread out")
+
+
 def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
                       horizon: int | None = None, tau: float = RESONANCE_TOL,
                       extension: int | None = None) -> ConjugacyResult:
@@ -671,10 +678,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
     work_order = max(order, _smallest_ell(alpha, beta))
 
     for _ in range(MAX_ELL_PASSES):
-        if work_order > MAX_WORK_ORDER:
-            raise PreconditionError(
-                f"normalization needs working order {work_order} above the "
-                f"limit {MAX_WORK_ORDER}; the spectrum is too spread out")
+        _check_work_order(work_order)
         rate = min(0.9, beta * alpha ** (work_order + 1))
         if extension is None:
             ext = math.ceil(math.log(_EXTENSION_TARGET) / math.log(rate))

@@ -375,7 +375,7 @@ def test_criterion_10_verify_harness(tmp_path):
         for n in range(3))
     collide = LoewnerChain(
         field=field, horizon=2, radius=R,
-        chain_jets=jets, certificate=None, certificate_step=1.0, step_tol=1e-10,
+        chain_jets=jets, certificate=None, certificate_step=1.0,
         resonances=ResonanceReport(mode="multiplicative", tolerance=1e-9,
                                    p=2, resonances=()))
     rc3, rep3 = _run_cli(tmp_path, "collide", collide.to_json_dict())

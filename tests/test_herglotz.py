@@ -512,10 +512,19 @@ def test_integrate_jet_overflow_names_finiteness():
     f = HerglotzFieldSpec(np.diag([-0.6, -1.0]).astype(complex), 3,
                           ((0, (2, 0), TimeCoefficient.constant(1e160)),), horizon=2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, pieces, terms = herglotz._series(f, f._stage(3), 0.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
             integrate_jet(f, 0.0, 1.0)
-    assert pieces <= 4 and terms <= 100
+        # the pieces and terms _transition's two half series run
+        halves = [herglotz._series(f, f._stage(3), a, b, herglotz.SERIES_TAIL)
+                  for a, b in ((0.0, 0.5), (0.5, 1.0))]
+    assert sum(h[1] for h in halves) <= 4 and sum(h[2] for h in halves) <= 100
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, 1.0])
+def test_integrate_jet_takes_a_tail_bound_in_the_open_unit_interval(tol):
+    # a NaN tail bound would never end the term count
+    with pytest.raises(ValueError, match="tol"):
+        integrate_jet(demo_field(), 0.0, 0.5, tol=tol)
 
 
 # ---------------------------------------------------------------------- #
@@ -737,12 +746,11 @@ def test_built_and_loaded_chain_share_every_transition_bit(field):
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
 
-def test_chain_takes_only_an_evolution_of_its_own_order_and_tolerance(demo_chain):
+def test_chain_takes_only_an_evolution_of_its_own_order_and_field(demo_chain):
     own = demo_chain.evolution
-    assert own.order == demo_chain.order and own.tol == demo_chain.step_tol
-    for other in (ContinuousEvolution(demo_chain.field, demo_chain.order + 1, own.tol),
-                  ContinuousEvolution(demo_chain.field, demo_chain.order, 1e-8),
-                  ContinuousEvolution(demo_field(), demo_chain.order, own.tol)):
+    assert own.order == demo_chain.order and own.field is demo_chain.field
+    for other in (ContinuousEvolution(demo_chain.field, demo_chain.order + 1),
+                  ContinuousEvolution(demo_field(), demo_chain.order)):
         with pytest.raises(ValueError, match="evolution"):
             dataclasses.replace(demo_chain, evolution=other)
 
@@ -911,7 +919,7 @@ def test_verify_flags_engineered_collision():
         for n in range(3))
     chain = LoewnerChain(
         field=field, horizon=2, radius=R,
-        chain_jets=jets, certificate=None, certificate_step=1.0, step_tol=1e-10,
+        chain_jets=jets, certificate=None, certificate_step=1.0,
         resonances=ResonanceReport(mode="multiplicative", tolerance=1e-9,
                                    p=2, resonances=()))
     rep = verify_subordination_chain(chain)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import loewner.cli as cli
 from loewner.cli import _family_from_doc, main, report_text
-from loewner.herglotz import (STEP_TOL_FLOOR, HerglotzFieldSpec, LoewnerChain, TimeCoefficient,
+from loewner.herglotz import (HerglotzFieldSpec, LoewnerChain, TimeCoefficient,
                               matrix_to_json)
 from loewner.jets import PolyJet
 from loewner.spectral import ResonanceReport
@@ -255,7 +255,6 @@ def _chains(draw):
             resonances=tuple(resonances)),
         certificate=draw(st.none() | _positive),
         certificate_step=draw(st.floats(0.5, 1.0)),
-        step_tol=draw(st.floats(STEP_TOL_FLOOR, allow_infinity=False)),
     )
 
 

@@ -1,11 +1,24 @@
 """The benchmark's tracer patches package functions by name; each name it
-lists must still resolve, or a traced run breaks."""
+lists must still resolve, and each span attribute it computes from a traced
+call's arguments must still bind, or a traced run breaks."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
+from loewner import cli
+
+from conftest import demo_field
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def _resolves(module_name: str, attr: str) -> bool:
@@ -18,10 +31,23 @@ def _resolves(module_name: str, attr: str) -> bool:
 
 
 def test_traced_names_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans_module()
     assert spans.TRACED
     missing = [f"{module_name}.{attr}" for module_name, attr, _ in spans.TRACED
                if not _resolves(module_name, attr)]
     assert not missing, missing
+
+
+def test_traced_chain_binds_every_span_attribute(tmp_path):
+    # the tracer binds integrate_jet's arguments by name (field, s, t,
+    # order, tol) for its reuse key; a failed bind raises out of the call
+    spans = _spans_module()
+    inp = tmp_path / "field.json"
+    inp.write_text(json.dumps(demo_field().to_json_dict()))
+    with spans.Tracer() as tracer:
+        assert cli.main(["chain", "--input", str(inp),
+                         "--output", str(tmp_path / "chain.json")]) == 0
+    flow = [span for span in tracer.spans if span[0] == "herglotz.integrate_jet"]
+    assert flow
+    # the demo field's coefficients are constant, so every key is computed
+    assert all(span[5] is not None for span in flow)
