@@ -9,7 +9,9 @@ are imported read-only from `perfbench/`) for the given seeds and rounds,
 exactly as `perfbench/run.py` draws them, and drives `loewner.cli.main` in
 process from the `src/` next to this script: `analyze`, `normalform`,
 `chain` and `verify` (on the chain) for a field, `normalform` for a family.
-DIR receives every report and `exits.json`, the exit code of each command.
+Like `perfbench/run.py`, it pins BLAS to one thread before numpy loads:
+report bytes depend on the BLAS thread count.  DIR receives every report
+and `exits.json`, the exit code of each command.
 
 `compare` reads two such directories and prints, per workload and command:
 how many reports are byte-identical, every changed exit code or `passed`
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -38,6 +41,10 @@ def _commands(family: bool) -> tuple[str, ...]:
 
 def run(out: Path, seeds, rounds: int) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from run import BLAS_VARS
+    # BLAS reads these when numpy is first imported
+    for var in BLAS_VARS:
+        os.environ[var] = "1"
     import numpy as np
     import inputs
     import workloads

@@ -35,6 +35,7 @@ from .jets import PolyJet
 from .normal_form import (
     DiscreteEvolutionFamily,
     TriangularFamily,
+    _check_work_order,
     build_normal_form,
     estimate_constants,
     range_growth_check,
@@ -241,12 +242,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _check_order_flag(args) -> None:
+    # before any integration, which above the cap can run for minutes
+    if args.order is not None:
+        _check_work_order(args.order, "--order")
+
+
 def cmd_normalform(args) -> int:
     doc = _load(args.input)
+    _check_order_flag(args)
     if "Lambda" in doc:
         field = _field_from_doc(doc)
         T = int(math.ceil(field.horizon)) if args.horizon is None else args.horizon
         order = max(2, field.order if args.order is None else args.order)
+        _check_work_order(order, "the field's order")
         family = discretize(ContinuousEvolution(field, order), T).family
     elif "steps" in doc:
         family = _family_from_doc(doc)
@@ -284,6 +293,7 @@ def cmd_normalform(args) -> int:
 def cmd_chain(args) -> int:
     doc = _load(args.input)
     field = _field_from_doc(doc)
+    _check_order_flag(args)
     chain = build_chain(field, horizon=args.horizon, order=args.order, tau=args.tau)
     _dump(chain.to_json_dict(), args.output)
     cert = "none (resonances present)" if chain.certificate is None \

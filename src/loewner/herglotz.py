@@ -974,7 +974,7 @@ def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
     for _ in range(MAX_JET_ORDER_PASSES):
         # build_normal_form would refuse this order only after the
         # integration, which above the cap can run for minutes
-        _check_work_order(jet_order)
+        _check_work_order(jet_order, "the requested order" if jet_order == base_order else None)
         evolution = ContinuousEvolution(field, jet_order)
         disc = discretize(evolution, T)
         result = build_normal_form(disc.family, order=base_order, horizon=T, tau=tau)

@@ -190,7 +190,8 @@ def solve_difference(gamma: np.ndarray, split: SpectralSplit,
             hs = Gs @ hs + b[n][s_idx]
             H[n + 1][s_idx] = hs
 
-    # unstable block: backward from the tail-determined terminal value
+    # unstable block: backward from the tail-determined terminal value,
+    # through one factorization of Gamma_u that the sup bound reuses
     if u_idx.size:
         if forcing.tail == TAIL_CONSTANT:
             bu_inf = forcing.tail_value.flat[u_idx]
@@ -217,7 +218,7 @@ def solve_difference(gamma: np.ndarray, split: SpectralSplit,
                  default=0.0) if u_idx.size else 0.0
     stable_sum = _norm_series_bound(Gs, "stable") if s_idx.size else 0.0
     if u_idx.size:
-        Gu_inv = np.linalg.inv(Gu)
+        Gu_inv = scipy.linalg.lu_solve(lu, np.eye(u_idx.size))
         unstable_sum = (float(np.linalg.norm(Gu_inv, np.inf))
                         * _norm_series_bound(Gu_inv, "unstable"))
     else:

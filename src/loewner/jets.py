@@ -66,7 +66,7 @@ class _Tables:
     """Index bookkeeping shared by every jet of a given (q, order)."""
 
     __slots__ = ("q", "order", "indices", "rank", "offsets", "degrees",
-                 "parent_rank", "parent_var", "count")
+                 "exponents", "parent_rank", "parent_var", "count")
 
     def __init__(self, q: int, order: int):
         self.q = q
@@ -81,6 +81,8 @@ class _Tables:
         self.offsets = tuple(offsets)
         self.rank = {I: r for r, I in enumerate(indices)}
         self.degrees = np.array([sum(I) for I in indices], dtype=np.int64)
+        # row r holds the exponent tuple of rank r
+        self.exponents = np.array(indices, dtype=np.int64).reshape(self.count, q)
         # parent of I is I - e_k for the first k with I_k > 0: used to build
         # monomial values/powers incrementally.
         parent_rank = np.zeros(self.count, dtype=np.int64)
@@ -509,14 +511,32 @@ def _power_rows(t: _Tables, gc: np.ndarray, rows: np.ndarray
     return pos, table
 
 
+def _support(fc: np.ndarray) -> np.ndarray:
+    """Ranks of the monomials a coefficient block uses."""
+    # rank 0 is the constant monomial, which never has a power row
+    return (fc[:, 1:] != 0).any(axis=0).nonzero()[0] + 1
+
+
+def _substitute(fc: np.ndarray, support: np.ndarray, pos: np.ndarray,
+                table: np.ndarray) -> np.ndarray:
+    """f o g from f's block and a power table of g (see _power_rows).
+
+    The table may run past f's order: its rows are cut to f's columns.  A
+    row computed at a higher order and cut to degree <= d equals, bit for
+    bit, the row computed at order d, because _mul_plan keeps the same
+    triples in the same order for every output of degree <= d and bincount
+    sums them in that order.
+    """
+    return fc[:, support] @ table[pos[support], :fc.shape[1]]
+
+
 def _compose_arrays(q: int, order: int, fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
     """Core composition on raw coefficient blocks already cut to `order`."""
-    # rank 0 is the constant monomial, which never has a power row
-    support = (fc[:, 1:] != 0).any(axis=0).nonzero()[0] + 1
+    support = _support(fc)
     if support.size == 0:
         return np.zeros(fc.shape, dtype=complex)
     pos, table = _power_rows(_tables(q, order), gc, support)
-    return fc[:, support] @ table[pos[support]]
+    return _substitute(fc, support, pos, table)
 
 
 def compose(f: PolyJet, g: PolyJet, order: int | None = None) -> PolyJet:
@@ -533,6 +553,34 @@ def compose(f: PolyJet, g: PolyJet, order: int | None = None) -> PolyJet:
         n = min(n, order)
     k = _tables(f.q, n).count
     return PolyJet(f.q, n, _compose_arrays(f.q, n, f.coeffs[:, :k], g.coeffs[:, :k]))
+
+
+class PowerTable:
+    """Every power g^I of one jet g through its order, built once.
+
+    Composing many outer maps with the same inner map g repeats g's power
+    table, the part of a composition that grows with the order.
+    `table.compose(f, order)` reads the rows from here and equals
+    `compose(f, g, order)` bit for bit.
+    """
+
+    __slots__ = ("q", "order", "pos", "table")
+
+    def __init__(self, g: PolyJet):
+        t = g.tables
+        self.q = g.q
+        self.order = g.order
+        self.pos, self.table = _power_rows(t, g.coeffs, np.arange(1, t.count))
+
+    def compose(self, f: PolyJet, order: int | None = None) -> PolyJet:
+        """Jet of f o g through min(order, f.order, g.order)."""
+        if f.q != self.q:
+            raise ValueError(f"dimension mismatch: {f.q} vs {self.q}")
+        n = min(f.order, self.order)
+        if order is not None:
+            n = min(n, order)
+        fc = f.coeffs[:, :_tables(f.q, n).count]
+        return PolyJet(f.q, n, _substitute(fc, _support(fc), self.pos, self.table))
 
 
 def invert(f: PolyJet, order: int | None = None) -> PolyJet:
@@ -671,10 +719,12 @@ def gradient_bound_matrix(f: PolyJet, radius: float) -> np.ndarray:
     returned nonnegative matrix dominates the euclidean Lipschitz constant.
     """
     t = f.tables
-    out = np.zeros((f.q, f.q))
-    for j, I, c in f.nonzero_terms():
-        d = sum(I)
-        for k, e in enumerate(I):
-            if e > 0:
-                out[j, k] += abs(c) * e * radius ** (d - 1)
-    return out
+    c = f.coeffs[:, 1:]
+    e = t.exponents[1:]
+    # the terms |c| e r^(d-1) as the term loop forms them: np.hypot rounds
+    # like abs(complex), and the powers are Python's own
+    powers = np.array([radius ** (d - 1) for d in t.degrees[1:].tolist()])
+    terms = np.hypot(c.real, c.imag)[:, :, None] * e[None] * powers[None, :, None]
+    terms = np.where((c != 0)[:, :, None] & (e > 0)[None], terms, 0.0)
+    # accumulate sums in rank order, as the loop does (reduce sums pairwise)
+    return np.add.accumulate(terms, axis=1)[:, -1]

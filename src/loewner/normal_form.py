@@ -24,8 +24,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_difference
-from .jets import (HomogeneousMap, PolyJet, compose, evaluate_triangular_inverse_many,
-                   gradient_bound_matrix, invert, is_triangular, _monomial_values)
+from .jets import (HomogeneousMap, PolyJet, PowerTable, compose,
+                   evaluate_triangular_inverse_many, gradient_bound_matrix, invert,
+                   is_triangular, _monomial_values)
 from .sampling import complex_ball_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
@@ -234,10 +235,9 @@ class TriangularFamily:
         """
         t = self.steps[0].tables
         seen = np.logical_or.reduce([s.coeffs != 0 for s in self.steps])
-        exponents = np.array(t.indices, dtype=np.int64).reshape(t.count, self.q)
         D = np.ones(self.q, dtype=np.int64)
         for j in range(self.q):
-            D[j] = max(1, int((exponents[seen[j]] @ D).max(initial=1)))
+            D[j] = max(1, int((t.exponents[seen[j]] @ D).max(initial=1)))
         return int(D.max())
 
     def __len__(self) -> int:
@@ -282,19 +282,30 @@ class TriangularFamily:
 
 
 def _conjugacy_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
-                     T: Sequence[PolyJet], n: int, order: int) -> tuple[PolyJet, PolyJet]:
-    """k_{n+1} o phi_n and T_n o k_n through the given order."""
-    return compose(k[n + 1], family.step(n), order), compose(T[n], k[n], order)
+                     T: Sequence[PolyJet], n: int, order: int,
+                     tables: dict[tuple, PowerTable]) -> tuple[PolyJet, PolyJet]:
+    """k_{n+1} o phi_n and T_n o k_n through the given order.
+
+    phi_n's power table comes from `tables`, keyed by the step's value and
+    filled on first use, so a family with few distinct steps builds few.
+    """
+    step = family.step(n)
+    key = _value_key(step)
+    if key not in tables:
+        tables[key] = PowerTable(step)
+    return tables[key].compose(k[n + 1], order), compose(T[n], k[n], order)
 
 
 def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
-           T: Sequence[PolyJet], n: int, degree: int) -> HomogeneousMap:
+           T: Sequence[PolyJet], n: int, degree: int,
+           tables: dict[tuple, PowerTable] | None = None) -> HomogeneousMap:
     """Degree-`degree` part of k_{n+1} o phi_n - T_n o k_n.
 
     The conjugacy identity must already hold below the requested degree;
-    a violation there means the stages ran out of order.
+    a violation there means the stages ran out of order.  `tables` holds
+    the steps' power tables across calls (see _conjugacy_sides).
     """
-    lhs, rhs = _conjugacy_sides(family, k, T, n, degree)
+    lhs, rhs = _conjugacy_sides(family, k, T, n, degree, {} if tables is None else tables)
     diff = lhs - rhs
     t = diff.tables
     cut = t.offsets[degree]
@@ -331,13 +342,15 @@ def _substituted(N: HomogeneousMap, rows: np.ndarray) -> HomogeneousMap:
 
 def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                      T: Sequence[PolyJet], degree: int, *,
-                     tau: float = RESONANCE_TOL
+                     tau: float = RESONANCE_TOL,
+                     tables: dict[tuple, PowerTable] | None = None
                      ) -> tuple[tuple[PolyJet, ...], tuple[PolyJet, ...], StageReport]:
     """Run one normalization degree, returning the updated (k, T) pair.
 
     The degree-`degree` defect splits into a resonant part, absorbed into
     T_n, and a nonresonant part, cancelled by the bounded solution of
-    H_{n+1} = Gamma(H_n) - N_n o A^{-1}.
+    H_{n+1} = Gamma(H_n) - N_n o A^{-1}.  `tables` holds the steps' power
+    tables across degrees (see _conjugacy_sides).
     """
     window = len(T)
     if len(k) != window + 1:
@@ -349,12 +362,13 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     rows = substitution_rows(A_opt.inverse_matrix, degree)
     gamma = gamma_from_rows(A_opt.matrix, rows)
 
+    tables = {} if tables is None else tables
     new_T = list(T)
     forcing = []
     resonant_norm = 0.0
     forcing_norm = 0.0
     for n in range(window):
-        P = defect(family, k, T, n, degree)
+        P = defect(family, k, T, n, degree, tables)
         flat = P.flat
         R = HomogeneousMap.from_flat(q, degree, np.where(split.resonant, flat, 0.0))
         N = HomogeneousMap.from_flat(q, degree, np.where(split.resonant, 0.0, flat))
@@ -597,7 +611,7 @@ class ConjugacyResult:
     def defect_jet(self, n: int, order: int | None = None) -> PolyJet:
         """k_{n+1} o phi_n - T_n o k_n at the given order."""
         lhs, rhs = _conjugacy_sides(self.family, self.normalizers, self.triangular.steps,
-                                    n, order or self.work_order)
+                                    n, order or self.work_order, {})
         return lhs - rhs
 
     def intertwining_jet(self, n: int) -> PolyJet:
@@ -638,11 +652,14 @@ class ConjugacyResult:
         }
 
 
-def _check_work_order(work_order: int) -> None:
+def _check_work_order(work_order: int, source: str | None = None) -> None:
+    """Refuse a working order above MAX_WORK_ORDER.  source names what set
+    the order, such as "--order"; without it the spectrum did."""
     if work_order > MAX_WORK_ORDER:
+        cause = f"{source} sets it" if source else "the spectrum is too spread out"
         raise PreconditionError(
             f"normalization needs working order {work_order} above the "
-            f"limit {MAX_WORK_ORDER}; the spectrum is too spread out")
+            f"limit {MAX_WORK_ORDER}; {cause}")
 
 
 def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
@@ -678,7 +695,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
     work_order = max(order, _smallest_ell(alpha, beta))
 
     for _ in range(MAX_ELL_PASSES):
-        _check_work_order(work_order)
+        _check_work_order(work_order, "the requested order" if work_order == order else None)
         rate = min(0.9, beta * alpha ** (work_order + 1))
         if extension is None:
             ext = math.ceil(math.log(_EXTENSION_TARGET) / math.log(rate))
@@ -691,9 +708,11 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
         lin = PolyJet.from_linear(A, work_order)
         T = tuple(lin for _ in range(work_horizon))
         k = tuple(PolyJet.identity(q, work_order) for _ in range(work_horizon + 1))
+        # one power table per distinct step of this pass, freed on return
+        tables: dict[tuple, PowerTable] = {}
         stages = []
         for degree in range(2, work_order + 1):
-            k, T, stage = normal_form_step(fam_w, k, T, degree, tau=tau)
+            k, T, stage = normal_form_step(fam_w, k, T, degree, tau=tau, tables=tables)
             stages.append(stage)
         triangular = TriangularFamily(A, T)
         constants = estimate_constants(fam_w, triangular, report, k)
@@ -707,7 +726,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
 
     defect_sup = 0.0
     for n in range(work_horizon):
-        lhs, rhs = _conjugacy_sides(fam_w, k, T, n, work_order)
+        lhs, rhs = _conjugacy_sides(fam_w, k, T, n, work_order, tables)
         defect_sup = max(defect_sup, (lhs - rhs).max_coeff)
 
     # probe the guaranteed rate once, recording the Cauchy increments of h_0

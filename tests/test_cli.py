@@ -136,6 +136,41 @@ def test_chain_beyond_the_working_order_cap_exits_3_before_integrating(
     assert calls == []
 
 
+def _counting_integrate_jet(monkeypatch):
+    calls = []
+    integrate_jet = herglotz.integrate_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_jet(*args, **kwargs)
+
+    monkeypatch.setattr(herglotz, "integrate_jet", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["normalform", "chain"])
+def test_order_flag_beyond_the_cap_exits_3_before_integrating(
+        tmp_path, capsys, monkeypatch, command):
+    # the demo field's own order is 3; --order alone asks for too much
+    calls = _counting_integrate_jet(monkeypatch)
+    inp = _write(tmp_path / "field.json", demo_field().to_json_dict())
+    assert main([command, "--input", inp, "--order", "40"]) == 3
+    err = capsys.readouterr().err
+    assert "working order 40 above the limit 18; --order sets it" in err
+    assert "spectrum" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["normalform", "chain"])
+def test_spread_spectrum_beyond_the_cap_names_the_spectrum(tmp_path, capsys, command):
+    doc = demo_field().to_json_dict()
+    doc["Lambda"] = matrix_to_json(np.diag([-100.0, -1.0]).astype(complex))
+    assert main([command, "--input", _write(tmp_path / "field.json", doc)]) == 3
+    err = capsys.readouterr().err
+    assert "working order 264 above the limit 18; the spectrum is too spread out" in err
+    assert "--order" not in err
+
+
 def test_verify_rebuild_beyond_the_working_order_cap_exits_3(tmp_path, capsys, chain_doc):
     # the checks run on the document's jets; the rebuilt normal form of
     # this spectrum needs working order 122, above the cap

@@ -12,7 +12,7 @@ from loewner import (
     solve_difference,
     spectral_split,
 )
-from loewner.homological import fixed_point_solution, split_forcing
+from loewner.homological import _norm_series_bound, fixed_point_solution, split_forcing
 
 
 def _setup(lam, degree=2, tau=1e-9):
@@ -91,6 +91,21 @@ def test_sup_bound_dominates_realized_norms():
     realized = max(H.norm for H in sol.terms)
     assert realized <= sol.sup_bound
     assert np.isfinite(sol.sup_bound)
+
+
+def test_unstable_sum_matches_dense_inverse():
+    # the sup bound reads Gamma_u^{-1} off the factors of the backward sweep
+    rng = np.random.default_rng(21)
+    for lam, degree in (([0.7, 0.3], 2), ([0.6, 0.35], 3), ([0.5, 0.45, 0.8], 3)):
+        gamma, split = _setup(lam, degree=degree)
+        u = np.nonzero(split.unstable)[0]
+        assert u.size
+        terms = tuple(_random_nonresonant(rng, split) for _ in range(4))
+        sol = solve_difference(gamma, split,
+                               ForcingSequence(degree, len(lam), terms, TAIL_CONSTANT, terms[-1]))
+        inv = np.linalg.inv(gamma[np.ix_(u, u)])
+        assert sol.unstable_sum == (float(np.linalg.norm(inv, np.inf))
+                                    * _norm_series_bound(inv, "unstable"))
 
 
 def test_autonomous_matches_fixed_point():

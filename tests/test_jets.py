@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from loewner import HomogeneousMap, PolyJet, compose, gamma_matrix, invert, is_triangular
 from loewner.cli import report_text
 from loewner.jets import (
+    PowerTable,
     _monomial_values,
     _mul_plan,
     _vec_mul,
@@ -339,6 +340,30 @@ def test_majorant_bound_dominates_samples():
         assert vals <= bound + 1e-12
 
 
+def _gradient_bound_reference(f, radius):
+    """The term loop gradient_bound_matrix replaced, term by term."""
+    out = np.zeros((f.q, f.q))
+    for j, I, c in f.nonzero_terms():
+        d = sum(I)
+        for k, e in enumerate(I):
+            if e > 0:
+                out[j, k] += abs(c) * e * radius ** (d - 1)
+    return out
+
+
+@pytest.mark.parametrize("q,order", [(1, 5), (2, 8), (3, 6), (4, 6)])
+def test_gradient_bound_matches_term_loop(q, order):
+    rng = np.random.default_rng(40 + 10 * q + order)
+    jets = [random_polyjet(rng, q, order, linear=rng.normal(size=(q, q)),
+                           scale=10.0 ** rng.uniform(-3, 3)) for _ in range(4)]
+    jets.append(_sparse_outer(rng, q, order))
+    jets.append(PolyJet.zero(q, order))
+    for f in jets:
+        for radius in (0.5, 0.37, 0.123, 1e-200, 0.0):
+            assert np.array_equal(gradient_bound_matrix(f, radius),
+                                  _gradient_bound_reference(f, radius))
+
+
 def test_gradient_bound_linear_case():
     A = np.array([[0.5, 0.25], [0.0, 0.3]], dtype=complex)
     g = gradient_bound_matrix(PolyJet.from_linear(A, 3), 0.5)
@@ -436,6 +461,25 @@ def test_compose_matches_dense_power_table(q, order):
               PolyJet.zero(q, order)]
     for f in outers:
         assert np.array_equal(compose(f, g).coeffs, _dense_compose(f, g))
+
+
+@pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])
+def test_power_table_compose_matches_compose_at_every_order(q, order):
+    # one table at the inner map's order serves every lower order, bit for bit
+    rng = np.random.default_rng(300 * q + order)
+    g = random_polyjet(rng, q, order, linear=rng.normal(size=(q, q)))
+    table = PowerTable(g)
+    outers = [_sparse_outer(rng, q, order),
+              random_polyjet(rng, q, order, linear=rng.normal(size=(q, q))),
+              PolyJet.zero(q, order)]
+    for f in outers:
+        for d in range(1, order + 1):
+            got = table.compose(f, d)
+            assert got.order == d
+            assert np.array_equal(got.coeffs, compose(f, g, d).coeffs)
+    low = random_polyjet(rng, q, order - 1)
+    assert table.compose(low).order == order - 1
+    assert np.array_equal(table.compose(low).coeffs, compose(low, g).coeffs)
 
 
 @pytest.mark.parametrize("q,degree", [(1, 4), (2, 5), (3, 3), (4, 3)])

@@ -33,7 +33,7 @@ from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points, complex_sphere_points
 
-from conftest import koenigs_family, koenigs_oracle, random_optimal_family
+from conftest import demo_field, koenigs_family, koenigs_oracle, random_optimal_family
 
 
 @pytest.fixture(scope="module")
@@ -646,3 +646,64 @@ def test_univalence_check_outcomes(koenigs10):
     grid = complex_ball_points(1, 0.45, 100)
     rep = univalence_check(h.evaluate_many(grid), grid, jets=[h])
     assert rep.passed and rep.linear_defect <= 1e-12
+
+
+
+# ---------------------------------------------------------------------- #
+# one power table per distinct family step
+
+
+def _tabled_family(name):
+    if name == "demo-field":
+        return discretize(ContinuousEvolution(demo_field(), 4), 3).family
+    q = {"q3": 3, "q4": 4}[name]
+    return random_optimal_family(np.random.default_rng(11), q, 3, horizon=4)
+
+
+@pytest.mark.parametrize("name", ["q3", "q4", "demo-field"])
+def test_step_tables_compose_like_compose_at_every_degree(name):
+    # the build's last pass, replayed: before each degree's stage and at the
+    # working order after the last, k_{n+1} o phi_n from the step's table
+    # (built at the working order) is compose's jet bit for bit
+    family = _tabled_family(name)
+    res = build_normal_form(family)
+    W, window = res.work_order, res.work_horizon
+    fam = family.with_order(W)
+    k = tuple(PolyJet.identity(fam.q, W) for _ in range(window + 1))
+    T = tuple(PolyJet.from_linear(fam.linear_part, W) for _ in range(window))
+    tables = {}
+
+    def check(order):
+        for n in range(window):
+            lhs, _ = normal_form._conjugacy_sides(fam, k, T, n, order, tables)
+            assert np.array_equal(lhs.coeffs, compose(k[n + 1], fam.step(n), order).coeffs)
+
+    for degree in range(2, W + 1):
+        check(degree)
+        k, T, _ = normal_form_step(fam, k, T, degree, tables=tables)
+    check(W)
+    assert k == res.normalizers
+
+
+@pytest.mark.parametrize("name,distinct", [("q3", 4), ("demo-field", 1)])
+def test_one_power_table_per_distinct_step_per_pass(monkeypatch, name, distinct):
+    built, passes = [], []
+
+    class Counted(normal_form.PowerTable):
+        def __init__(self, g):
+            built.append(normal_form._value_key(g))
+            super().__init__(g)
+
+    def step(family, k, T, degree, **kwargs):
+        if degree == 2:
+            passes.append(kwargs["tables"])
+        return normal_form_step(family, k, T, degree, **kwargs)
+
+    monkeypatch.setattr(normal_form, "PowerTable", Counted)
+    monkeypatch.setattr(normal_form, "normal_form_step", step)
+    family = _tabled_family(name)
+    res = build_normal_form(family)
+    steps = {normal_form._value_key(res.family.step(n)) for n in range(res.work_horizon)}
+    assert len(steps) == distinct
+    assert len(built) == distinct * len(passes)
+    assert set(built[-distinct:]) == steps
