@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .herglotz import (
     matrix_from_json,
     verify_subordination_chain,
 )
-from .jets import PolyJet
+from .jets import PolyJet, _tables
 from .normal_form import (
     DiscreteEvolutionFamily,
     TriangularFamily,
@@ -69,7 +70,6 @@ def _load(path: str) -> dict:
 
 _json_string = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_TERM_KEYS = {"component", "im", "index", "re"}
 
 
 def _json_float(x: float) -> str:
@@ -77,10 +77,53 @@ def _json_float(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
+def _json_default(x):
+    # json.dumps' own refusal, for everything but a jet
+    if type(x) is PolyJet:
+        return x.to_json_dict()
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
 def _json_text(x, nl: str) -> str:
     """json's own text for x, indented to sit after nl; the replace is exact
     because an encoded JSON string holds no raw newline."""
-    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
+    return json.dumps(x, sort_keys=True, indent=2,
+                      default=_json_default).replace("\n", nl)
+
+
+@lru_cache(maxsize=64)
+def _term_texts(q: int, order: int, nl: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The text of a (q, order) jet's terms around their two floats, by flat
+    position j * count + rank: what json writes before "im" and between
+    "im" and "re" for a jet whose own line is indented as nl."""
+    t = _tables(q, order)
+    inner = nl + "      "
+    heads, mids = [], []
+    for j in range(q):
+        head = f'{{{inner}"component": {j + 1},{inner}"im": '
+        for index in t.indices:
+            heads.append(head)
+            listed = "".join(f"{inner}  {i}," for i in index)[:-1]
+            mids.append(f',{inner}"index": [{listed}{inner}],{inner}"re": ')
+    return tuple(heads), tuple(mids)
+
+
+def _jet_text(jet: PolyJet, nl: str) -> str:
+    """json's text for jet.to_json_dict() on a line indented as nl; the
+    coefficients are finite, so float.__repr__ is json's float."""
+    inner = nl + "  "
+    flat, values = jet.flat_terms()
+    if flat:
+        heads, mids = _term_texts(jet.q, jet.order, nl)
+        term_nl = inner + "  "
+        end = term_nl + "}"
+        terms = ("[" + term_nl + ("," + term_nl).join([
+            f"{heads[k]}{c.imag!r}{mids[k]}{c.real!r}{end}"
+            for k, c in zip(flat, values)]) + inner + "]")
+    else:
+        terms = "[]"
+    return (f'{{{inner}"order": {jet.order},{inner}"q": {jet.q},'
+            f'{inner}"terms": {terms}{nl}}}')
 
 
 def report_text(doc) -> str:
@@ -89,14 +132,13 @@ def report_text(doc) -> str:
     pure-Python encoder json falls back to whenever it indents.
 
     Exact str, float, int, list and dict values, None and the bools are
-    written here; everything else (float subclasses such as np.float64,
+    written here, and a PolyJet as its to_json_dict(), straight from its
+    coefficients; everything else (float subclasses such as np.float64,
     tuples, non-str keys, unserializable objects) is written, or rejected,
-    by json.dumps itself.  A coefficient term {component, im, index, re}
-    reuses the text around its two floats.
+    by json.dumps itself.
     """
     out: list[str] = []
     put = out.append
-    terms: dict[tuple, tuple[str, str, str]] = {}
 
     def write(x, nl: str) -> None:
         # nl is a newline followed by the indentation of x's own line
@@ -122,26 +164,6 @@ def report_text(doc) -> str:
             if not x:
                 put("{}")
                 return
-            if x.keys() == _TERM_KEYS:
-                c, index, re, im = x["component"], x["index"], x["re"], x["im"]
-                if (type(c) is int and type(re) is float and type(im) is float
-                        and type(index) is list and all(type(i) is int for i in index)):
-                    key = (nl, c, *index)
-                    text = terms.get(key)
-                    if text is None:
-                        inner = nl + "  "
-                        listed = ("[" + "".join(f"{inner}  {i}," for i in index)[:-1]
-                                  + inner + "]") if index else "[]"
-                        text = terms[key] = (
-                            f'{{{inner}"component": {c},{inner}"im": ',
-                            f',{inner}"index": {listed},{inner}"re": ',
-                            nl + "}")
-                    put(text[0])
-                    put(_json_float(im))
-                    put(text[1])
-                    put(_json_float(re))
-                    put(text[2])
-                    return
             if not all(type(k) is str for k in x):
                 put(_json_text(x, nl))
                 return
@@ -152,6 +174,8 @@ def report_text(doc) -> str:
                 write(x[k], inner)
                 sep = "," + inner
             put(nl + "}")
+        elif t is PolyJet:
+            put(_jet_text(x, nl))
         elif x is None:
             put("null")
         elif x is True:

@@ -90,19 +90,6 @@ class SolutionSequence:
         return len(self.terms)
 
 
-def split_forcing(B: HomogeneousMap, split: SpectralSplit
-                  ) -> tuple[HomogeneousMap, HomogeneousMap, HomogeneousMap]:
-    """Project one forcing term onto the resonant/stable/unstable families."""
-    if (B.q, B.degree) != (split.q, split.degree):
-        raise ValueError("forcing does not match the split")
-    flat = B.flat
-    parts = []
-    for mask in (split.resonant, split.stable, split.unstable):
-        vec = np.where(mask, flat, 0.0)
-        parts.append(HomogeneousMap.from_flat(B.q, B.degree, vec))
-    return tuple(parts)
-
-
 # powers _norm_series_bound tries before giving up on contraction
 NORM_SERIES_MAX_POWER = 4096
 
@@ -230,14 +217,3 @@ def solve_difference(gamma: np.ndarray, split: SpectralSplit,
     return SolutionSequence(split.degree, split.q, terms, tuple(residuals),
                             sup_bound, stable_sum, unstable_sum)
 
-
-def fixed_point_solution(gamma: np.ndarray, split: SpectralSplit,
-                         B: HomogeneousMap) -> HomogeneousMap:
-    """Autonomous cross-check: the solution of H = Gamma(H) + B on the
-    nonresonant families, by one dense linear solve."""
-    idx = np.nonzero(split.stable | split.unstable)[0]
-    flat = np.zeros(split.dimension, dtype=complex)
-    if idx.size:
-        sub = gamma[np.ix_(idx, idx)]
-        flat[idx] = np.linalg.solve(np.eye(idx.size) - sub, B.flat[idx])
-    return HomogeneousMap.from_flat(split.q, split.degree, flat)

@@ -265,13 +265,16 @@ class PolyJet:
             raise ValueError(f"component {j} out of range for q={self.q}")
         return complex(self.coeffs[j, self.tables.rank[I]])
 
+    def flat_terms(self) -> tuple[list[int], list[complex]]:
+        """The nonzero coefficients, component-major and rank ascending: their
+        flat positions j * count + rank in coeffs, and their values."""
+        flat = np.flatnonzero(self.coeffs)
+        return flat.tolist(), self.coeffs.ravel()[flat].tolist()
+
     def nonzero_terms(self) -> list[tuple[int, MultiIndex, complex]]:
         t = self.tables
-        out = []
-        for j in range(self.q):
-            for r in np.nonzero(self.coeffs[j])[0]:
-                out.append((j, t.indices[r], complex(self.coeffs[j, r])))
-        return out
+        flat, values = self.flat_terms()
+        return [(k // t.count, t.indices[k % t.count], c) for k, c in zip(flat, values)]
 
     def homogeneous_part(self, degree: int) -> "HomogeneousMap":
         """The degree-`degree` homogeneous block, 1 <= degree <= order."""
@@ -354,17 +357,9 @@ class PolyJet:
 
     def to_json_dict(self) -> dict:
         t = self.tables
-        terms = []
-        for j in range(self.q):
-            for r in range(1, t.count):
-                c = self.coeffs[j, r]
-                if c != 0:
-                    terms.append({
-                        "component": j + 1,
-                        "index": list(t.indices[r]),
-                        "re": float(c.real),
-                        "im": float(c.imag),
-                    })
+        flat, values = self.flat_terms()
+        terms = [{"component": k // t.count + 1, "index": list(t.indices[k % t.count]),
+                  "re": c.real, "im": c.imag} for k, c in zip(flat, values)]
         return {"q": self.q, "order": self.order, "terms": terms}
 
     @staticmethod

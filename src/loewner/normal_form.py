@@ -621,7 +621,8 @@ class ConjugacyResult:
     def intertwining_point(self, n: int, points: np.ndarray) -> np.ndarray:
         """h_n at the columns of points (q, count): push with phi_{n,m},
         apply k_m, pull back with T_{n,m}^{-1}, anchored at the end m of the
-        working window."""
+        working window.  No command calls it, but perfbench/spans.py traces
+        it by name, so `perfbench/run.py --trace 1` needs it to exist."""
         m = self.work_horizon
         if not n <= m:
             raise ValueError("n must not pass the working horizon")
@@ -633,6 +634,9 @@ class ConjugacyResult:
         return self.triangular.inverse_evaluate(0, n, self.intertwining_point(n, points))
 
     def to_json_dict(self) -> dict:
+        """The normalform report's entries; normalizers and triangular hold
+        the jets themselves, which cli.report_text writes as their
+        to_json_dict()."""
         return {
             "q": self.q,
             "order": self.order,
@@ -645,8 +649,8 @@ class ConjugacyResult:
             "defect_sup": self.defect_sup,
             "constants": self.constants.as_dict(),
             "resonances": self.resonance_report.to_json_dict(),
-            "normalizers": [kn.to_json_dict() for kn in self.normalizers],
-            "triangular": [tn.to_json_dict() for tn in self.triangular.steps],
+            "normalizers": list(self.normalizers),
+            "triangular": list(self.triangular.steps),
             "convergence_log": [{"m": m, "increment": inc}
                                 for m, inc in self.convergence_log],
         }

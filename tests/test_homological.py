@@ -12,7 +12,27 @@ from loewner import (
     solve_difference,
     spectral_split,
 )
-from loewner.homological import _norm_series_bound, fixed_point_solution, split_forcing
+from loewner.homological import _norm_series_bound
+
+
+def split_forcing(B, split):
+    """Reference projection of one forcing term onto the resonant, stable
+    and unstable families."""
+    if (B.q, B.degree) != (split.q, split.degree):
+        raise ValueError("forcing does not match the split")
+    return tuple(HomogeneousMap.from_flat(B.q, B.degree, np.where(mask, B.flat, 0.0))
+                 for mask in (split.resonant, split.stable, split.unstable))
+
+
+def fixed_point_solution(gamma, split, B):
+    """Reference solution of the autonomous H = Gamma(H) + B on the
+    nonresonant families, by one dense linear solve."""
+    idx = np.nonzero(split.stable | split.unstable)[0]
+    flat = np.zeros(split.dimension, dtype=complex)
+    if idx.size:
+        sub = gamma[np.ix_(idx, idx)]
+        flat[idx] = np.linalg.solve(np.eye(idx.size) - sub, B.flat[idx])
+    return HomogeneousMap.from_flat(split.q, split.degree, flat)
 
 
 def _setup(lam, degree=2, tau=1e-9):

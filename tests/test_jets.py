@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from loewner import HomogeneousMap, PolyJet, compose, gamma_matrix, invert, is_triangular
 from loewner.cli import report_text
@@ -299,9 +299,11 @@ def test_json_rejects_garbage():
         PolyJet.from_json_dict({"q": 1, "order": 0, "terms": []})
 
 
-# finite floats, with signed zeros and subnormals drawn on purpose
+# finite floats, with signed zeros, subnormals and extreme magnitudes drawn
+# on purpose
 _parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310])
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+     1e300, -1e300, 1e-300, -1e-300])
 
 
 @st.composite
@@ -315,6 +317,45 @@ def sparse_jets(draw):
             max_size=24)):
         c[j, r] = complex(re, im)
     return PolyJet(q, order, c)
+
+
+def _per_element_document(f):
+    """PolyJet.to_json_dict as a loop over numpy scalars, the reference for
+    the flat nonzero walk."""
+    t = f.tables
+    terms = []
+    for j in range(f.q):
+        for r in range(1, t.count):
+            c = f.coeffs[j, r]
+            if c != 0:
+                terms.append({"component": j + 1, "index": list(t.indices[r]),
+                              "re": float(c.real), "im": float(c.imag)})
+    return {"q": f.q, "order": f.order, "terms": terms}
+
+
+def _per_element_terms(f):
+    """PolyJet.nonzero_terms as a loop over numpy scalars."""
+    return [(j, f.tables.indices[r], complex(f.coeffs[j, r]))
+            for j in range(f.q) for r in np.nonzero(f.coeffs[j])[0]]
+
+
+_WALK_EDGES = PolyJet(2, 2, np.array([
+    [0, -0.0 + 1e300j, 5e-324 - 0.0j, 0j, -1e-300 + 0j, -0.0 - 0.0j],
+    [0, 0j, 0.0 - 5e-324j, 1e-300 - 1e300j, -0.0 + 0j, 2.5 - 0.0j]]))
+
+
+@example(PolyJet.zero(3, 4))
+@example(_WALK_EDGES)
+@given(sparse_jets())
+def test_nonzero_walk_matches_the_per_element_loop(f):
+    # json.dumps without sort_keys keeps the dict order, and repr tells
+    # -0.0 from 0.0
+    doc = f.to_json_dict()
+    assert json.dumps(doc) == json.dumps(_per_element_document(f))
+    assert all(type(t[part]) is float for t in doc["terms"] for part in ("re", "im"))
+    terms = f.nonzero_terms()
+    assert repr(terms) == repr(_per_element_terms(f))
+    assert all(type(j) is int and type(c) is complex for j, _, c in terms)
 
 
 @given(sparse_jets())

@@ -16,13 +16,31 @@ from loewner.spectral import ResonanceReport
 from conftest import counterexample_field, demo_field
 
 
+def _jet_or_refuse(x):
+    # a jet is written as its document; anything else is refused in json's words
+    if isinstance(x, PolyJet):
+        return x.to_json_dict()
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
 def _reference(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_jet_or_refuse) + "\n"
 
 
 def _koenigs_family_doc():
     step = PolyJet.from_terms(1, 3, {(0, (1,)): 0.5, (0, (2,)): 0.1})
     return {"linear_part": matrix_to_json(np.array([[0.5]], dtype=complex)),
+            "steps": [step.to_json_dict() for _ in range(2)]}
+
+
+def _three_component_family_doc():
+    """q = 3, resonance free, with nonlinear terms in every component."""
+    lam = (0.6, 0.5, 0.45)
+    terms = {(0, (0, 1, 1)): 0.2, (1, (2, 0, 0)): -0.3j, (2, (1, 1, 0)): 0.25,
+             (2, (0, 0, 3)): 0.05}
+    terms.update({(j, tuple(int(k == j) for k in range(3))): v for j, v in enumerate(lam)})
+    step = PolyJet.from_terms(3, 3, terms)
+    return {"linear_part": matrix_to_json(np.diag(lam).astype(complex)),
             "steps": [step.to_json_dict() for _ in range(2)]}
 
 
@@ -33,6 +51,7 @@ COMMANDS = [
     ("analyze", "analyze", demo_field().to_json_dict(), 0),
     ("normalform-linearizable", "normalform", _koenigs_family_doc(), 0),
     ("normalform-resonant", "normalform", counterexample_field().to_json_dict(), 0),
+    ("normalform-three-components", "normalform", _three_component_family_doc(), 0),
     ("chain-resonance-free", "chain", demo_field().to_json_dict(), 0),
     ("chain-planted", "chain", counterexample_field().to_json_dict(), 0),
     ("verify-pass", "verify", "chain-resonance-free", 0),
@@ -78,10 +97,22 @@ def test_report_cases_cover_what_they_name(reports):
         return json.loads(reports[label][1])
     assert load("normalform-linearizable")["certificate"] == "linearizable"
     assert load("normalform-resonant")["certificate"] == "resonant-normal-form"
+    assert {t["component"] for k in load("normalform-three-components")["normalizers"]
+            for t in k["terms"] if sum(t["index"]) > 1} == {1, 2, 3}
     assert load("chain-resonance-free")["certificate"] is not None
     assert load("chain-planted")["certificate"] is None
     assert load("verify-pass")["passed"] is True
     assert load("verify-fail")["passed"] is False
+
+
+@pytest.mark.parametrize("label", [c[0] for c in COMMANDS if c[1] == "normalform"])
+def test_normalform_jets_load_back_bit_for_bit(reports, label):
+    doc, written = reports[label]
+    back = json.loads(written)
+    for key in ("normalizers", "triangular"):
+        assert len(back[key]) == len(doc[key])
+        for loaded, built in zip(back[key], doc[key]):
+            assert PolyJet.from_json_dict(loaded).coeffs.tobytes() == built.coeffs.tobytes()
 
 
 _TERM = {"component": 2, "index": [2, 0], "re": 0.25, "im": -0.0}
@@ -232,6 +263,25 @@ def _jets(draw, q, order):
             max_size=12)):
         c[j, r] = complex(re, im)
     return PolyJet(q, order, c)
+
+
+@st.composite
+def _nested_jets(draw):
+    """A sparse jet, alone or 1 to 3 lists and dicts deep, with siblings."""
+    doc = draw(st.integers(1, 4).flatmap(
+        lambda q: st.integers(1, 6).flatmap(lambda order: _jets(q, order))))
+    for _ in range(draw(st.integers(0, 3))):
+        sibling = draw(st.none() | st.floats() | st.text(max_size=3))
+        if draw(st.booleans()):
+            doc = draw(st.permutations([doc, sibling]))
+        else:
+            doc = {draw(st.text(max_size=3)): doc, "terms": sibling}
+    return doc
+
+
+@given(_nested_jets())
+def test_jets_are_written_as_their_documents(doc):
+    assert report_text(doc) == _reference(doc)
 
 
 @st.composite
