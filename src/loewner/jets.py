@@ -145,20 +145,6 @@ def _mul_plan(q: int, order: int, lval_a: int, lval_b: int):
     return ri[keep], rj[keep], bins
 
 
-def _vec_mul(a: np.ndarray, b: np.ndarray, q: int, order: int,
-             lval_a: int = 0, lval_b: int = 0) -> np.ndarray:
-    """Truncated product of two dense scalar coefficient vectors.
-
-    lval_a / lval_b declare known valuations (all coefficients below that
-    degree are zero), which prunes the multiplication table.  One bincount
-    over the float view scatters real and imaginary parts apart; each
-    output part sums its products from 0.0 in table order.
-    """
-    ri, rj, bins = _mul_plan(q, order, lval_a, lval_b)
-    prod = a[ri] * b[rj]
-    return np.bincount(bins, weights=prod.view(float), minlength=2 * a.shape[0]).view(complex)
-
-
 def _monomial_values(t: _Tables, points: np.ndarray) -> np.ndarray:
     """Values of every monomial z^I at the given points, shape (count, m)."""
     m = points.shape[1]
@@ -459,33 +445,65 @@ class HomogeneousMap:
 # composition and inversion
 
 
+# triples one product of _power_rows covers at most.  4096 keeps each of
+# its temporaries at 64 KB, in cache and below malloc's mmap threshold.  One
+# product per degree (temporaries up to 0.8 MB each at q = 4, order 6)
+# page-faults them afresh on every call: on 2 vCPUs the power tables of the
+# `families` benchmark documents then took 1.5 to 2 times as long
+_PRODUCT_TRIPLES = 4096
+
+
 @lru_cache(maxsize=1024)
-def _power_plan(q: int, order: int, rows: bytes) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Parent closure of the monomials `rows` and the order to fill it in.
+def _power_plan(q: int, order: int, rows: bytes) -> tuple[np.ndarray, int, np.ndarray, tuple]:
+    """Parent closure of the monomials `rows`, how far each row is read,
+    and the groups of rows to fill it in.
 
     rows holds int64 ranks as bytes, so plans are keyed by the support
-    pattern's value.  Table rows follow ascending rank, so the linear
-    monomials come first.  Returns (pos, linear, steps): pos maps a rank to
-    its table row (-1 outside the closure), linear[i] is the variable of
-    linear row i, and steps lists (parent row, variable, degree) for each
-    later row.
+    pattern's value.  A requested row is read through `order`.  A row that
+    only feeds its children is read one degree less far than its farthest
+    child, because a coordinate of g has no constant term: a degree-e row
+    whose nearest requested descendant has degree D is read through degree
+    order - (D - e), the row's reach.
+
+    The linear rows come first, in ascending rank; the later rows follow
+    by degree, then reach, then rank.  A group is a run of consecutive rows
+    of one degree and one reach, at most _PRODUCT_TRIPLES triples of
+    _mul_plan together (one row at least).  Returns (pos, size, linear,
+    groups): pos maps a rank to its table row (-1 outside the closure),
+    size counts the rows, linear[i] is the variable of linear row i, and
+    groups lists (first row, parent rows, variables, bin shifts, degree,
+    reach) per group.
     """
     t = _tables(q, order)
-    need = np.zeros(t.count, dtype=bool)
-    need[np.frombuffer(rows, dtype=np.int64)] = True
-    for d in range(t.order, 1, -1):
+    reach = np.zeros(t.count, dtype=np.int64)
+    reach[np.frombuffer(rows, dtype=np.int64)] = order
+    for d in range(order, 1, -1):
         lo, hi = t.offsets[d], t.offsets[d + 1]
-        need[t.parent_rank[lo:hi][need[lo:hi]]] = True
-    ranks = np.flatnonzero(need)
+        live = np.flatnonzero(reach[lo:hi]) + lo
+        np.maximum.at(reach, t.parent_rank[live], reach[live] - 1)
+    ranks = np.flatnonzero(reach)
+    ranks = ranks[np.lexsort((ranks, reach[ranks], t.degrees[ranks]))]
     pos = np.full(t.count, -1, dtype=np.int64)
     pos[ranks] = np.arange(ranks.size)
     pos.setflags(write=False)
     lin = int(np.count_nonzero(t.degrees[ranks] == 1))
     linear = t.parent_var[ranks[:lin]]
     linear.setflags(write=False)
-    steps = tuple((int(pos[t.parent_rank[r]]), int(t.parent_var[r]), int(t.degrees[r]))
-                  for r in ranks[lin:])
-    return pos, linear, steps
+    groups = []
+    start = lin
+    while start < ranks.size:
+        deg, far = int(t.degrees[ranks[start]]), int(reach[ranks[start]])
+        cap = max(1, _PRODUCT_TRIPLES // _mul_plan(q, far, deg - 1, 1)[0].size)
+        r = ranks[start:start + cap]
+        r = r[(t.degrees[r] == deg) & (reach[r] == far)]
+        # bins of row i of a group start 2 * (its width) * i floats further
+        shift = (2 * t.offsets[far + 1]) * np.arange(r.size)[:, None]
+        parents, var = pos[t.parent_rank[r]], t.parent_var[r]
+        for a in (parents, var, shift):
+            a.setflags(write=False)
+        groups.append((start, parents, var, shift, deg, far))
+        start += r.size
+    return pos, ranks.size, linear, tuple(groups)
 
 
 def _power_rows(t: _Tables, gc: np.ndarray, rows: np.ndarray
@@ -494,15 +512,33 @@ def _power_rows(t: _Tables, gc: np.ndarray, rows: np.ndarray
 
     gc holds the coefficient block of g cut to t.order.  Returns (pos, table):
     table[pos[r]] is the coefficient row of g^{indices[r]} for every rank r in
-    the parent closure of `rows`, and pos is -1 elsewhere.  Each power is one
-    truncated multiplication of its parent's power by a coordinate of g, so
-    the cost follows the closure of `rows`, not the number of monomials.
+    the parent closure of `rows`, and pos is -1 elsewhere.  The rows of
+    `rows` are complete; every other row holds its coefficients only through
+    its reach (see _power_plan), which is all its children read, and is
+    undefined past it.  Each power is a truncated product of its parent's
+    power and a coordinate of g, and the rows of one group share one
+    product and one bincount, so the cost follows the closure of `rows` and
+    how far each row is read, not the number of monomials.
     """
-    pos, linear, steps = _power_plan(t.q, t.order, np.asarray(rows, dtype=np.int64).tobytes())
-    table = np.empty((linear.size + len(steps), gc.shape[1]), dtype=complex)
+    pos, size, linear, groups = _power_plan(t.q, t.order,
+                                            np.asarray(rows, dtype=np.int64).tobytes())
+    table = np.empty((size, gc.shape[1]), dtype=complex)
     table[:linear.size] = gc[linear]
-    for i, (parent, k, deg) in enumerate(steps, linear.size):
-        table[i] = _vec_mul(table[parent], gc[k], t.q, t.order, lval_a=deg - 1, lval_b=1)
+    for start, parents, var, shift, deg, reach in groups:
+        ri, rj, bins = _mul_plan(t.q, reach, deg - 1, 1)
+        width = t.offsets[reach + 1]
+        m = parents.size
+        if m == 1:
+            prod = table[parents[0]][ri] * gc[var[0]][rj]
+        else:
+            # the group's triples row by row, each row's bins shifted past
+            # the rows before it (out of place: numpy's in-place complex
+            # product rounds a one-element array differently)
+            prod = (np.take(np.take(table, parents, axis=0), ri, axis=1)
+                    * np.take(np.take(gc, var, axis=0), rj, axis=1))
+            bins = (shift + bins).reshape(-1)
+        sums = np.bincount(bins, weights=prod.view(float).reshape(-1), minlength=2 * width * m)
+        table[start:start + m, :width] = sums.view(complex).reshape(m, width)
     return pos, table
 
 
@@ -516,11 +552,14 @@ def _substitute(fc: np.ndarray, support: np.ndarray, pos: np.ndarray,
                 table: np.ndarray) -> np.ndarray:
     """f o g from f's block and a power table of g (see _power_rows).
 
-    The table may run past f's order: its rows are cut to f's columns.  A
-    row computed at a higher order and cut to degree <= d equals, bit for
-    bit, the row computed at order d, because _mul_plan keeps the same
-    triples in the same order for every output of degree <= d and bincount
-    sums them in that order.
+    The table may run past f's order: its rows are cut to f's columns.
+    Invariant: every coefficient of a power row is the sum, from 0.0, of
+    its products in _mul_table order, whatever the plan's order, a row's
+    reach or the group it is filled in.  _mul_plan keeps each output's
+    triples in that order at every order, and bincount adds them in that
+    order, bin by bin.  So a row computed at a higher order and cut to
+    degree <= d equals, bit for bit, the row computed at order d: PowerTable
+    reuse and the truncated rows of _power_plan both rely on it.
     """
     return fc[:, support] @ table[pos[support], :fc.shape[1]]
 

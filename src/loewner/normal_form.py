@@ -448,11 +448,31 @@ def _majorant_series(jet: PolyJet) -> np.ndarray:
     return out
 
 
+def _trim(series: np.ndarray) -> np.ndarray:
+    """series without its trailing zeros, keeping one coefficient at least,
+    as numpy.polynomial trims its results."""
+    nonzero = np.flatnonzero(series)
+    return series[:nonzero[-1] + 1] if nonzero.size else series[:1]
+
+
+def _series_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a + b, both ascending, trimmed."""
+    if a.size < b.size:
+        a, b = b, a
+    out = np.array(a, dtype=float)
+    out[:b.size] += b
+    return _trim(out)
+
+
 def _poly_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Coefficients of outer(inner(t)), both ascending."""
+    """Coefficients of outer(inner(t)), both ascending, by Horner's rule,
+    with numpy.polynomial's products, sums and trimmed lengths."""
+    inner = _trim(np.asarray(inner, dtype=float))
     out = np.zeros(1)
     for c in outer[::-1]:
-        out = npp.polyadd(npp.polymul(out, inner), [c])
+        out = np.convolve(out, inner)
+        out[0] += c
+        out = _trim(out)
     return out
 
 
@@ -479,7 +499,7 @@ def _defect_sup_majorant(family: DiscreteEvolutionFamily,
     for n in range(len(normalizers) - 1):
         phihat = series(family.step(n))
         that = series(triangular.step(min(n, len(triangular) - 1)))
-        total = npp.polyadd(_poly_compose(kmaj[n + 1], phihat),
+        total = _series_add(_poly_compose(kmaj[n + 1], phihat),
                             _poly_compose(that, kmaj[n]))
         tail = total[L:]
         if tail.size:
@@ -628,10 +648,6 @@ class ConjugacyResult:
             raise ValueError("n must not pass the working horizon")
         w = self.normalizers[m].evaluate_many(self.family.evaluate_transition(n, m, points))
         return self.triangular.inverse_evaluate(n, m, w)
-
-    def chain_point(self, n: int, points: np.ndarray) -> np.ndarray:
-        """f_n = T_{0,n}^{-1} o h_n at the columns of points (q, count)."""
-        return self.triangular.inverse_evaluate(0, n, self.intertwining_point(n, points))
 
     def to_json_dict(self) -> dict:
         """The normalform report's entries; normalizers and triangular hold

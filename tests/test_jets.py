@@ -12,16 +12,20 @@ from hypothesis import example, given, strategies as st
 from loewner import HomogeneousMap, PolyJet, compose, gamma_matrix, invert, is_triangular
 from loewner.cli import report_text
 from loewner.jets import (
+    _PRODUCT_TRIPLES,
     PowerTable,
     _monomial_values,
     _mul_plan,
-    _vec_mul,
+    _power_plan,
+    _power_rows,
+    _tables,
     enumerate_indices,
     evaluate_triangular_inverse_many,
     gradient_bound_matrix,
     index_count,
     majorant_bound,
 )
+from loewner.spectral import substitution_rows
 
 from conftest import random_polyjet
 
@@ -411,6 +415,16 @@ def test_gradient_bound_linear_case():
     assert np.allclose(g, np.abs(A))
 
 
+def _vec_mul(a, b, q, order, lval_a=0, lval_b=0):
+    """One truncated product of two coefficient rows, the per-row reference
+    for the power table's grouped products: one bincount over the float
+    view, each output part summing its products from 0.0 in _mul_table
+    order."""
+    ri, rj, bins = _mul_plan(q, order, lval_a, lval_b)
+    prod = a[ri] * b[rj]
+    return np.bincount(bins, weights=prod.view(float), minlength=2 * a.shape[0]).view(complex)
+
+
 def test_valuation_filtered_multiply_matches_full():
     q, order = 2, 5
     rng = np.random.default_rng(17)
@@ -493,15 +507,107 @@ def _sparse_outer(rng, q, order):
     return PolyJet.from_linear(lin, order) + PolyJet.from_terms(q, order, terms)
 
 
+def _k_update_outers(rng, q, order):
+    """The normal form's k-update outer maps: the identity plus one
+    homogeneous degree, for every degree."""
+    outers = []
+    for d in range(2, order + 1):
+        m = HomogeneousMap.zero(q, d).flat.size
+        H = HomogeneousMap.from_flat(q, d, rng.normal(size=m) + 1j * rng.normal(size=m))
+        outers.append(PolyJet.identity(q, order) + H.to_jet(order))
+    return outers
+
+
+def _signed_zeros(jet):
+    """jet with signed zeros in its nonlinear terms, as real fields produce:
+    -0.0 imaginary parts, -0.0 real parts and whole -0.0 coefficients."""
+    c = np.array(jet.coeffs)
+    lo = 1 + jet.q
+    c.imag[:, lo::3] = -0.0
+    c.real[:, lo + 1::4] = -0.0
+    c[:, lo + 2::5] = -0.0
+    return PolyJet(jet.q, jet.order, c)
+
+
+def _invert_reference(f):
+    """invert's degree-by-degree solve over the dense power table."""
+    q, t = f.q, f.tables
+    Linv = np.linalg.inv(f.linear_matrix)
+    g = np.zeros((q, t.count), dtype=complex)
+    g[:, 1:1 + q] = Linv
+    for d in range(2, f.order + 1):
+        lo, hi = t.offsets[d], t.offsets[d + 1]
+        h = _dense_compose(f.truncated(d), PolyJet(q, d, g[:, :hi]))
+        g[:, lo:hi] = -Linv @ h[:, lo:hi]
+    return g
+
+
 @pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])
 def test_compose_matches_dense_power_table(q, order):
+    # whatever rows a plan truncates and batches, every coefficient is the
+    # one the full table, filled one row at a time, gives: byte for byte
     rng = np.random.default_rng(100 * q + order)
     g = random_polyjet(rng, q, order, linear=rng.normal(size=(q, q)))
     outers = [_sparse_outer(rng, q, order),
               random_polyjet(rng, q, order, linear=rng.normal(size=(q, q))),
-              PolyJet.zero(q, order)]
-    for f in outers:
-        assert np.array_equal(compose(f, g).coeffs, _dense_compose(f, g))
+              PolyJet.zero(q, order),
+              *_k_update_outers(rng, q, order)]
+    outers += [_signed_zeros(f) for f in outers]
+    # complex linear parts: with a real one, q = 1 products of linear powers
+    # are real and round alike however they are formed (numpy's in-place
+    # product of one-element arrays rounds differently, for one)
+    spun = [random_polyjet(rng, q, order, linear=np.exp(1j * rng.uniform(0, 6, size=(q, q))))
+            for _ in range(3)]
+    for inner in (g, _signed_zeros(g), *spun):
+        for f in outers:
+            assert compose(f, inner).coeffs.tobytes() == _dense_compose(f, inner).tobytes()
+        assert invert(inner).coeffs.tobytes() == _invert_reference(inner).tobytes()
+    # the substitution rows request one degree of a linear inner map
+    Ainv = np.linalg.inv(g.linear_matrix)
+    for degree in range(2, order + 1):
+        lin = PolyJet.from_linear(Ainv, degree)
+        t = lin.tables
+        dense = _dense_power_table(t, lin.coeffs)[t.offsets[degree]:]
+        assert substitution_rows(Ainv, degree).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])
+def test_power_plan_computes_each_row_only_as_far_as_it_is_read(q, order):
+    # support = linear monomials and degree d, the k-update's shape: a
+    # degree-e row feeding only degree d is read through order - (d - e)
+    rng = np.random.default_rng(500 * q + order)
+    t = _tables(q, order)
+    gc = random_polyjet(rng, q, order, linear=rng.normal(size=(q, q))).coeffs
+    dense = _dense_power_table(t, gc)
+    products = 0
+    for d in range(2, order + 1):
+        rows = np.concatenate([np.arange(1, 1 + q), np.arange(t.offsets[d], t.offsets[d + 1])])
+        pos, size, linear, groups = _power_plan(q, order, rows.tobytes())
+        _, table = _power_rows(t, gc, rows)
+        rank_of = np.argsort(pos)[-size:]
+        filled = [rank_of[:linear.size]]
+        for start, parents, var, shift, deg, reach in groups:
+            ranks = rank_of[start:start + parents.size]
+            filled.append(ranks)
+            assert np.all(t.degrees[ranks] == deg)
+            assert np.all(parents < start)
+            assert np.array_equal(rank_of[parents], t.parent_rank[ranks])
+            assert np.array_equal(var, t.parent_var[ranks])
+            assert reach == (order if deg == d else order - (d - deg))
+            width = t.offsets[reach + 1]
+            assert table[pos[ranks], :width].tobytes() == dense[ranks, :width].tobytes()
+            triples = _mul_plan(q, reach, deg - 1, 1)[0].size
+            assert parents.size == 1 or parents.size * triples <= _PRODUCT_TRIPLES
+            products += parents.size * triples
+        # every row of the parent closure is filled once, parents first
+        closure = {int(r) for r in rows}
+        for e in range(d, 1, -1):
+            closure |= {int(t.parent_rank[r]) for r in closure if t.degrees[r] == e}
+        assert sorted(np.concatenate(filled).tolist()) == sorted(closure)
+        requested = pos[np.arange(t.offsets[d], t.offsets[d + 1])]
+        assert table[requested].tobytes() == dense[t.offsets[d]:t.offsets[d + 1]].tobytes()
+    if (q, order) == (4, 6):
+        assert products == 235_890   # 541_074 with every row at the full order
 
 
 @pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])

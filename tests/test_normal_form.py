@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from loewner import (
@@ -365,6 +366,11 @@ def test_extension_reports_stuck_orbits(koenigs10):
         extend_intertwining(koenigs10, 0, np.array([[0.9]]), max_steps=1)
 
 
+def _chain_point(res, n, points):
+    """f_n = T_{0,n}^{-1} o h_n at the columns of points (q, count)."""
+    return res.triangular.inverse_evaluate(0, n, res.intertwining_point(n, points))
+
+
 def _chain_gap(res, k0_shift=0.0):
     """Largest gap between the chain jets f_n and the pointwise chain
     T_{0,n}^{-1} o h_n on ball samples of radius r/2, with k_0's first
@@ -379,7 +385,7 @@ def _chain_gap(res, k0_shift=0.0):
     res = dataclasses.replace(
         res, normalizers=(PolyJet(k0.q, k0.order, coeffs),) + res.normalizers[1:])
     pts = complex_ball_points(res.q, 0.5 * res.constants.r, 8)
-    return max(float(np.abs(f.evaluate_many(pts) - res.chain_point(n, pts)).max())
+    return max(float(np.abs(f.evaluate_many(pts) - _chain_point(res, n, pts)).max())
                for n, f in enumerate(discrete_chain(res)))
 
 
@@ -707,3 +713,35 @@ def test_one_power_table_per_distinct_step_per_pass(monkeypatch, name, distinct)
     assert len(steps) == distinct
     assert len(built) == distinct * len(passes)
     assert set(built[-distinct:]) == steps
+
+
+# ---------------------------------------------------------------------- #
+# majorant series arithmetic against numpy.polynomial
+
+
+def _poly_compose_reference(outer, inner):
+    out = np.zeros(1)
+    for c in outer[::-1]:
+        out = npp.polyadd(npp.polymul(out, inner), [c])
+    return out
+
+
+def test_majorant_series_arithmetic_matches_numpy_polynomial():
+    # same coefficients and same lengths: trailing zeros are trimmed as
+    # numpy.polynomial trims them, so `tail @ powers` reads the same terms
+    rng = np.random.default_rng(41)
+    series = [np.zeros(1), np.zeros(4), np.array([0.0, 1.0]), np.array([0.0, 0.0, 2.0, 0.0, 0.0]),
+              np.array([0.0, 0.5, -0.0])]
+    for _ in range(120):
+        n = int(rng.integers(1, 8))
+        s = rng.uniform(size=n) * (rng.uniform(size=n) < 0.7)
+        if rng.uniform() < 0.4:
+            s = np.concatenate([s, np.zeros(int(rng.integers(1, 4)))])
+        series.append(s)
+    for i, a in enumerate(series):
+        for b in [series[j] for j in rng.integers(len(series), size=4)] + series[:5]:
+            got = normal_form._poly_compose(a, b)
+            assert got.tobytes() == _poly_compose_reference(a, b).tobytes(), (i, a, b)
+            total = normal_form._series_add(got, a)
+            assert total.tobytes() == npp.polyadd(got, a).tobytes()
+            assert normal_form._series_add(a, got).tobytes() == npp.polyadd(a, got).tobytes()
