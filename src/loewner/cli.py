@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .herglotz import (
     matrix_from_json,
     verify_subordination_chain,
 )
-from .jets import PolyJet, _tables
+from .jets import PolyJet
 from .normal_form import (
     DiscreteEvolutionFamily,
     TriangularFamily,
@@ -68,130 +67,10 @@ def _load(path: str) -> dict:
     return doc
 
 
-_json_string = json.encoder.encode_basestring_ascii
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _json_default(x):
-    # json.dumps' own refusal, for everything but a jet
-    if type(x) is PolyJet:
-        return x.to_json_dict()
-    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-
-def _json_text(x, nl: str) -> str:
-    """json's own text for x, indented to sit after nl; the replace is exact
-    because an encoded JSON string holds no raw newline."""
-    return json.dumps(x, sort_keys=True, indent=2,
-                      default=_json_default).replace("\n", nl)
-
-
-@lru_cache(maxsize=64)
-def _term_texts(q: int, order: int, nl: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The text of a (q, order) jet's terms around their two floats, by flat
-    position j * count + rank: what json writes before "im" and between
-    "im" and "re" for a jet whose own line is indented as nl."""
-    t = _tables(q, order)
-    inner = nl + "      "
-    heads, mids = [], []
-    for j in range(q):
-        head = f'{{{inner}"component": {j + 1},{inner}"im": '
-        for index in t.indices:
-            heads.append(head)
-            listed = "".join(f"{inner}  {i}," for i in index)[:-1]
-            mids.append(f',{inner}"index": [{listed}{inner}],{inner}"re": ')
-    return tuple(heads), tuple(mids)
-
-
-def _jet_text(jet: PolyJet, nl: str) -> str:
-    """json's text for jet.to_json_dict() on a line indented as nl; the
-    coefficients are finite, so float.__repr__ is json's float."""
-    inner = nl + "  "
-    flat, values = jet.flat_terms()
-    if flat:
-        heads, mids = _term_texts(jet.q, jet.order, nl)
-        term_nl = inner + "  "
-        end = term_nl + "}"
-        terms = ("[" + term_nl + ("," + term_nl).join([
-            f"{heads[k]}{c.imag!r}{mids[k]}{c.real!r}{end}"
-            for k, c in zip(flat, values)]) + inner + "]")
-    else:
-        terms = "[]"
-    return (f'{{{inner}"order": {jet.order},{inner}"q": {jet.q},'
-            f'{inner}"terms": {terms}{nl}}}')
-
-
 def report_text(doc) -> str:
-    """The text of a report: exactly what json.dumps writes with sorted keys
-    and a two-space indent, plus a final newline, without the cost of the
-    pure-Python encoder json falls back to whenever it indents.
-
-    Exact str, float, int, list and dict values, None and the bools are
-    written here, and a PolyJet as its to_json_dict(), straight from its
-    coefficients; everything else (float subclasses such as np.float64,
-    tuples, non-str keys, unserializable objects) is written, or rejected,
-    by json.dumps itself.
-    """
-    out: list[str] = []
-    put = out.append
-
-    def write(x, nl: str) -> None:
-        # nl is a newline followed by the indentation of x's own line
-        t = type(x)
-        if t is str:
-            put(_json_string(x))
-        elif t is float:
-            put(_json_float(x))
-        elif t is int:
-            put(int.__repr__(x))
-        elif t is list:
-            if not x:
-                put("[]")
-                return
-            inner = nl + "  "
-            sep = "[" + inner
-            for item in x:
-                put(sep)
-                write(item, inner)
-                sep = "," + inner
-            put(nl + "]")
-        elif t is dict:
-            if not x:
-                put("{}")
-                return
-            if not all(type(k) is str for k in x):
-                put(_json_text(x, nl))
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for k in sorted(x):
-                put(sep + _json_string(k) + ": ")
-                write(x[k], inner)
-                sep = "," + inner
-            put(nl + "}")
-        elif t is PolyJet:
-            put(_jet_text(x, nl))
-        elif x is None:
-            put("null")
-        elif x is True:
-            put("true")
-        elif x is False:
-            put("false")
-        else:
-            put(_json_text(x, nl))
-
-    try:
-        write(doc, "\n")
-    except RecursionError:
-        # a circular or very deeply nested document: json decides
-        return _json_text(doc, "\n") + "\n"
-    put("\n")
-    return "".join(out)
+    """The text of a report: json.dumps with sorted keys and a two-space
+    indent, plus a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _dump(doc: dict, path: str | None) -> None:
@@ -236,10 +115,12 @@ def _family_from_doc(doc: dict) -> DiscreteEvolutionFamily:
 def cmd_analyze(args) -> int:
     doc = _load(args.input)
     field = _field_from_doc(doc)
+    _check_order_flag(args)
     eigs = np.linalg.eigvals(field.Lambda)
     additive = detect_resonances(eigs, mode="additive", tau=args.tau)
 
     order = max(2, field.order if args.order is None else args.order)
+    _check_work_order(order, "the field's order")
     disc = discretize(ContinuousEvolution(field, order), horizon=1)
     A = disc.family.linear_part
     trivial = TriangularFamily(A, (PolyJet.from_linear(A, order),))

@@ -326,9 +326,6 @@ class StageReport:
 
     degree: int
     resonant_norm: float        # largest coefficient kept in the T_n
-    forcing_norm: float         # largest nonresonant forcing coefficient
-    correction_norm: float      # sup_n |H_n| actually realized
-    sup_bound: float            # a-priori bound for sup_n |H_n|
     recurrence_residual: float
 
 
@@ -366,7 +363,6 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     new_T = list(T)
     forcing = []
     resonant_norm = 0.0
-    forcing_norm = 0.0
     for n in range(window):
         P = defect(family, k, T, n, degree, tables)
         flat = P.flat
@@ -379,7 +375,6 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                     f"resonant defect at step {n}, degree {degree} falls off "
                     "the triangular shape; resonance classification conflict")
         resonant_norm = max(resonant_norm, R.norm)
-        forcing_norm = max(forcing_norm, N.norm)
         forcing.append(-_substituted(N, rows))
 
     tail = forcing[-1] if family.tail == TAIL_CONSTANT else None
@@ -388,14 +383,11 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
 
     identity = PolyJet.identity(q, work)
     new_k = list(k)
-    correction = 0.0
     for n in range(window + 1):
         H = sol.terms[n]
-        correction = max(correction, H.norm)
         if not H.is_zero():
             new_k[n] = compose(identity + H.to_jet(work), k[n], work)
-    report = StageReport(degree, resonant_norm, forcing_norm, correction,
-                         sol.sup_bound, max(sol.residuals, default=0.0))
+    report = StageReport(degree, resonant_norm, max(sol.residuals, default=0.0))
     return tuple(new_k), tuple(new_T), report
 
 
@@ -650,9 +642,9 @@ class ConjugacyResult:
         return self.triangular.inverse_evaluate(n, m, w)
 
     def to_json_dict(self) -> dict:
-        """The normalform report's entries; normalizers and triangular hold
-        the jets themselves, which cli.report_text writes as their
-        to_json_dict()."""
+        """The normalform report's entries: normalizers holds k_0 .. k_horizon
+        through order, the normal form the report states; triangular holds
+        every T_n of the working window as built."""
         return {
             "q": self.q,
             "order": self.order,
@@ -665,8 +657,9 @@ class ConjugacyResult:
             "defect_sup": self.defect_sup,
             "constants": self.constants.as_dict(),
             "resonances": self.resonance_report.to_json_dict(),
-            "normalizers": list(self.normalizers),
-            "triangular": list(self.triangular.steps),
+            "normalizers": [k.truncated(self.order).to_json_dict()
+                            for k in self.normalizers[:self.horizon + 1]],
+            "triangular": [t.to_json_dict() for t in self.triangular.steps],
             "convergence_log": [{"m": m, "increment": inc}
                                 for m, inc in self.convergence_log],
         }

@@ -148,7 +148,7 @@ def _counting_integrate_jet(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command", ["normalform", "chain"])
+@pytest.mark.parametrize("command", ["analyze", "normalform", "chain"])
 def test_order_flag_beyond_the_cap_exits_3_before_integrating(
         tmp_path, capsys, monkeypatch, command):
     # the demo field's own order is 3; --order alone asks for too much
@@ -158,6 +158,18 @@ def test_order_flag_beyond_the_cap_exits_3_before_integrating(
     err = capsys.readouterr().err
     assert "working order 40 above the limit 18; --order sets it" in err
     assert "spectrum" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "normalform"])
+def test_field_order_beyond_the_cap_exits_3_before_integrating(
+        tmp_path, capsys, monkeypatch, command):
+    calls = _counting_integrate_jet(monkeypatch)
+    doc = demo_field().to_json_dict()
+    doc["order"] = 19
+    assert main([command, "--input", _write(tmp_path / "field.json", doc)]) == 3
+    assert "working order 19 above the limit 18; the field's order sets it" \
+        in capsys.readouterr().err
     assert calls == []
 
 
