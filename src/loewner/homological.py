@@ -14,20 +14,26 @@ computation stable; in exact arithmetic they reproduce the textbook sums
 
     H_n^s = sum_{j=0}^{n-1} Gamma^j B^s_{n-1-j},
     H_n^u = -sum_{j>=n}    Gamma^{n-1-j} B^u_j.
+
+Gamma = kron(A, S) is never formed: A is the optimal form and S the
+substitution matrix of A^{-1} on the degree's monomials, so on a (q, M)
+coefficient array Gamma is X -> A X S^T and its inverse X -> A^{-1} X S^{-T}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .jets import HomogeneousMap
-from .spectral import RESONANCE_TOL, PreconditionError, SpectralSplit
+from .spectral import PreconditionError, SpectralSplit
 
 _RESONANT_FORCING_RTOL = 1e-12
 _BLOCK_LEAK_RTOL = 1e-12
+# smallest |log|mu|| accepted on a stable or unstable direction, mu its
+# Gamma eigenvalue: mu^j then halves within 4096 powers
+MIN_LOG_MODULUS_GAP = math.log(2.0) / 4096
 
 TAIL_ZERO = "zero"
 TAIL_CONSTANT = "constant"
@@ -70,150 +76,141 @@ class ForcingSequence:
 
 @dataclass(frozen=True)
 class SolutionSequence:
-    """H_0 .. H_T together with certification data.
+    """H_0 .. H_T with their recurrence residuals.
 
     residuals[n] is ||H_{n+1} - Gamma(H_n) - B_n|| / (1 + ||B_n||) in the
-    max-coefficient norm; sup_bound is an a-priori bound C + C' on every
-    ||H_n|| over the infinite horizon, computed from rigorously truncated
-    operator-norm series of the stable block and the inverse unstable block.
+    max-coefficient norm.
     """
 
     degree: int
     q: int
     terms: tuple[HomogeneousMap, ...]
     residuals: tuple[float, ...]
-    sup_bound: float
-    stable_sum: float
-    unstable_sum: float
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-# powers _norm_series_bound tries before giving up on contraction
-NORM_SERIES_MAX_POWER = 4096
+def _check_unit_gap(split: SpectralSplit) -> None:
+    """Refuse a stable or unstable direction whose eigenvalue mu of Gamma
+    lies within MIN_LOG_MODULUS_GAP of the unit circle in log-modulus."""
+    near = np.abs(split.gap) <= MIN_LOG_MODULUS_GAP
+    for name, mask in (("stable", split.stable), ("unstable", split.unstable)):
+        hits = np.nonzero(mask & near)[0]
+        if hits.size:
+            b = hits[np.argmin(np.abs(split.gap[hits]))]
+            raise PreconditionError(
+                f"the {name} block of the conjugation operator at degree "
+                f"{split.degree} has an eigenvalue of modulus |mu| = {split.mu[b]:.17g}, "
+                f"within log-modulus {MIN_LOG_MODULUS_GAP:.3g} of the unit circle")
 
 
-def _norm_series_bound(block: np.ndarray, name: str) -> float:
-    """Rigorous upper bound for sum_{j>=0} ||block^j|| in the infinity norm.
+def _block_leak(absA: np.ndarray, absS: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray) -> float:
+    """Largest |Gamma| entry from the (q, M) mask cols into the mask rows:
+    the max of |A[j, i]| |S[K, I]| over rows[j, K] and cols[i, I]."""
+    reach = np.array([np.where(c, absS, 0.0).max(axis=1) for c in cols])  # [i, K]
+    return float((absA * np.where(rows[:, None, :], reach, 0.0).max(axis=2)).max())
 
-    Powers are accumulated until some ||block^j0|| = eta < 1; the tail is
-    then dominated by the partial sum times 1/(1 - eta), because every
-    exponent splits as j = b*j0 + r with ||block^j|| <= eta^b ||block^r||.
-    block is Gamma's stable block, or the inverse of its unstable block
-    (name "stable" or "unstable").  When the powers do not contract and an
-    eigenvalue mu of Gamma's block lies within RESONANCE_TOL of the unit
-    circle, the spectrum is out of range: PreconditionError.
+
+def _unstable_fixed_point(A: np.ndarray, S: np.ndarray, unstable: np.ndarray,
+                          B: np.ndarray, degree: int) -> np.ndarray:
+    """(I - Gamma_u)^{-1} B on the unstable mask, zero elsewhere.
+
+    With A lower and S upper triangular, Gamma = D + N: D is its diagonal
+    outer(diag A, diag S), and N moves a coefficient to a later component
+    (A's strict lower part) or to a monomial earlier in graded-lex order
+    (S's strict upper part, which lowers sum_k k I_k).  A chain of N-steps
+    is at most (q - 1)(degree + 1) long, so the Jacobi iteration
+    X <- (B + N X) / (1 - D) is exact after that many sweeps plus one, and
+    after one sweep when A is diagonal.
     """
-    m = block.shape[0]
-    if m == 0:
-        return 0.0
-    partial = 1.0  # ||I||
-    P = np.eye(m, dtype=complex)
-    for _ in range(NORM_SERIES_MAX_POWER):
-        P = P @ block
-        norm = float(np.linalg.norm(P, np.inf))
-        if norm < 0.5:
-            return partial / (1.0 - norm)
-        partial += norm
-    radius = float(np.abs(np.linalg.eigvals(block)).max())
-    if abs(radius - 1.0) <= RESONANCE_TOL:
-        mu = radius if name == "stable" else 1.0 / radius
-        raise PreconditionError(
-            f"the {name} block of the conjugation operator has an eigenvalue "
-            f"of modulus |mu| = {mu:.17g}, within {RESONANCE_TOL:g} of the unit "
-            f"circle; its operator powers did not contract within "
-            f"{NORM_SERIES_MAX_POWER} powers")
-    raise ValueError(f"operator power norms did not contract within "
-                     f"{NORM_SERIES_MAX_POWER} powers; spectral radius is not < 1")
+    q = A.shape[0]
+    dA, dS = np.diagonal(A), np.diagonal(S)
+    NA, NS = A - np.diag(dA), S - np.diag(dS)
+    denom = 1.0 - np.outer(dA, dS)
+    X = np.zeros_like(B)
+    for _ in range((q - 1) * (degree + 1) + 2):
+        new = np.divide(B + NA @ X @ S.T + dA[:, None] * (X @ NS.T), denom,
+                        out=np.zeros_like(B), where=unstable)
+        if np.array_equal(new, X):
+            break
+        X = new
+    return X
 
 
-def solve_difference(gamma: np.ndarray, split: SpectralSplit,
-                     forcing: ForcingSequence, horizon: int | None = None
-                     ) -> SolutionSequence:
+def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
+                     split: SpectralSplit, forcing: ForcingSequence,
+                     horizon: int | None = None) -> SolutionSequence:
     """Solve the difference equation over n = 0 .. horizon.
 
-    The forcing must vanish on the resonant family; the gamma matrix must
-    leave the stable and unstable coordinate families invariant (guaranteed
-    by optimal-form linear parts, asserted here).  Under a constant tail the
-    unstable terminal value is the autonomous fixed point
-    (I - Gamma_u)^{-1} B^u_inf of the tail equation.
+    Gamma = kron(A, S): A is the optimal form's lower-triangular matrix,
+    S the substitution matrix of A^{-1} (S[K, I] the coefficient of z^K in
+    (A^{-1} z)^I, spectral.substitution_matrix) and S_inv that of A.  A must
+    be exactly lower and S exactly upper triangular, as they are when S is
+    built on OptimalForm.inverse_matrix.  The forcing must vanish on the
+    resonant family; Gamma must leave the stable and unstable coordinate
+    families invariant (guaranteed by optimal-form linear parts, asserted
+    here).  Under a constant tail the unstable terminal value is the
+    autonomous fixed point (I - Gamma_u)^{-1} B^u_inf of the tail equation.
     """
     T = len(forcing) if horizon is None else horizon
-    m = split.dimension
-    if gamma.shape != (m, m):
-        raise ValueError(f"gamma must be {m}x{m}, got {gamma.shape}")
-    s_idx = np.nonzero(split.stable)[0]
-    u_idx = np.nonzero(split.unstable)[0]
-    r_idx = np.nonzero(split.resonant)[0]
-    gscale = max(float(np.max(np.abs(gamma))), 1.0)
-    for rows, cols in ((s_idx, u_idx), (u_idx, s_idx), (s_idx, r_idx), (u_idx, r_idx)):
-        if rows.size and cols.size:
-            leak = float(np.max(np.abs(gamma[np.ix_(rows, cols)])))
-            if leak > _BLOCK_LEAK_RTOL * gscale:
-                raise ValueError(
-                    "gamma mixes the stable/resonant/unstable families "
-                    f"(leak {leak:.3g}); the linear part is not in optimal form")
+    q, degree = split.q, split.degree
+    M = split.dimension // q
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (q, q) or S.shape != (M, M) or S_inv.shape != (M, M):
+        raise ValueError(f"A must be {q}x{q} and S, S_inv {M}x{M}, got "
+                         f"{A.shape}, {S.shape}, {S_inv.shape}")
+    if np.any(np.triu(A, 1) != 0) or np.any(np.tril(S, -1) != 0):
+        raise ValueError("A must be lower and S upper triangular: "
+                         "the linear part is not in optimal form")
+    if (forcing.q, forcing.degree) != (q, degree):
+        raise ValueError("forcing does not match the split")
+    _check_unit_gap(split)
+    stable, unstable, resonant = (mask.reshape(q, M) for mask in
+                                  (split.stable, split.unstable, split.resonant))
+    absA, absS = np.abs(A), np.abs(S)
+    gscale = max(float(absA.max() * absS.max()), 1.0)
+    for rows, cols in ((stable, unstable), (unstable, stable),
+                       (stable, resonant), (unstable, resonant)):
+        leak = _block_leak(absA, absS, rows, cols)
+        if leak > _BLOCK_LEAK_RTOL * gscale:
+            raise ValueError(
+                "gamma mixes the stable/resonant/unstable families "
+                f"(leak {leak:.3g}); the linear part is not in optimal form")
 
-    b = np.zeros((T, m), dtype=complex)
-    for n in range(T):
-        B = forcing.term(n)
-        if (B.q, B.degree) != (split.q, split.degree):
-            raise ValueError("forcing does not match the split")
-        b[n] = B.flat
-        scale = max(float(np.max(np.abs(b[n]))), 1.0)
-        if r_idx.size and float(np.max(np.abs(b[n][r_idx]))) > _RESONANT_FORCING_RTOL * scale:
-            raise ValueError(f"forcing term {n} has a resonant component")
+    b = np.array([forcing.term(n).coeffs for n in range(T)]).reshape(T, q, M)
+    b_max = np.abs(b).max(axis=(1, 2), initial=0.0)
+    leaked = np.where(resonant, np.abs(b), 0.0).max(axis=(1, 2), initial=0.0)
+    bad = np.nonzero(leaked > _RESONANT_FORCING_RTOL * np.maximum(b_max, 1.0))[0]
+    if bad.size:
+        raise ValueError(f"forcing term {bad[0]} has a resonant component")
 
-    Gs = gamma[np.ix_(s_idx, s_idx)]
-    Gu = gamma[np.ix_(u_idx, u_idx)]
-
-    H = np.zeros((T + 1, m), dtype=complex)
+    St = S.T
+    H = np.zeros((T + 1, q, M), dtype=complex)
 
     # stable block: forward accumulation from a zero seed
-    if s_idx.size:
-        hs = np.zeros(s_idx.size, dtype=complex)
+    if stable.any():
+        bs = np.where(stable, b, 0.0)
+        h = H[0]
         for n in range(T):
-            hs = Gs @ hs + b[n][s_idx]
-            H[n + 1][s_idx] = hs
+            h = np.where(stable, A @ h @ St, 0.0) + bs[n]
+            H[n + 1] = h
 
-    # unstable block: backward from the tail-determined terminal value,
-    # through one factorization of Gamma_u that the sup bound reuses
-    if u_idx.size:
+    # unstable block: backward from the tail-determined terminal value
+    if unstable.any():
         if forcing.tail == TAIL_CONSTANT:
-            bu_inf = forcing.tail_value.flat[u_idx]
-            hu = np.linalg.solve(np.eye(u_idx.size) - Gu, bu_inf)
+            h = _unstable_fixed_point(A, S, unstable, forcing.tail_value.coeffs, degree)
         else:
-            hu = np.zeros(u_idx.size, dtype=complex)
-        H[T][u_idx] = hu
-        lu = scipy.linalg.lu_factor(Gu)
+            h = np.zeros((q, M), dtype=complex)
+        H[T] += h
+        bu = np.where(unstable, b, 0.0)
+        Ainv, Sinv_t = np.tril(np.linalg.inv(A)), S_inv.T
         for n in range(T - 1, -1, -1):
-            hu = scipy.linalg.lu_solve(lu, hu - b[n][u_idx])
-            H[n][u_idx] = hu
+            h = np.where(unstable, Ainv @ (h - bu[n]) @ Sinv_t, 0.0)
+            H[n] += h
 
-    residuals = []
-    for n in range(T):
-        r = H[n + 1] - gamma @ H[n] - b[n]
-        residuals.append(float(np.max(np.abs(r))) / (1.0 + float(np.max(np.abs(b[n])))))
-
-    # a-priori sup bound: geometric envelopes of the two one-sided sums
-    all_terms = [forcing.term(n) for n in range(T)] + (
-        [forcing.tail_value] if forcing.tail == TAIL_CONSTANT else [])
-    bs_max = max((float(np.max(np.abs(fb.flat[s_idx]))) for fb in all_terms),
-                 default=0.0) if s_idx.size else 0.0
-    bu_max = max((float(np.max(np.abs(fb.flat[u_idx]))) for fb in all_terms),
-                 default=0.0) if u_idx.size else 0.0
-    stable_sum = _norm_series_bound(Gs, "stable") if s_idx.size else 0.0
-    if u_idx.size:
-        Gu_inv = scipy.linalg.lu_solve(lu, np.eye(u_idx.size))
-        unstable_sum = (float(np.linalg.norm(Gu_inv, np.inf))
-                        * _norm_series_bound(Gu_inv, "unstable"))
-    else:
-        unstable_sum = 0.0
-    sup_bound = stable_sum * bs_max + unstable_sum * bu_max
-
-    terms = tuple(HomogeneousMap.from_flat(split.q, split.degree, H[n])
-                  for n in range(T + 1))
-    return SolutionSequence(split.degree, split.q, terms, tuple(residuals),
-                            sup_bound, stable_sum, unstable_sum)
-
+    r = H[1:] - A @ H[:-1] @ St - b
+    residuals = np.abs(r).max(axis=(1, 2), initial=0.0) / (1.0 + b_max)
+    terms = tuple(HomogeneousMap(q, degree, H[n]) for n in range(T + 1))
+    return SolutionSequence(degree, q, terms, tuple(residuals.tolist()))

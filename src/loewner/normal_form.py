@@ -30,8 +30,9 @@ from .jets import (HomogeneousMap, PolyJet, PowerTable, compose,
 from .sampling import complex_ball_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
-                       detect_resonances, gamma_from_rows, operator_norm, spectral_split,
-                       substitution_rows, triangular_compatibility_violations)
+                       detect_resonances, operator_norm, spectral_split,
+                       substitution_matrix, substitution_rows,
+                       triangular_compatibility_violations)
 
 _LINEAR_MATCH_TOL = 1e-8
 _LINEARIZABLE_TOL = 1e-11
@@ -357,7 +358,8 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     A_opt = _as_optimal(family.linear_part)
     split = spectral_split(A_opt, degree, tau)
     rows = substitution_rows(A_opt.inverse_matrix, degree)
-    gamma = gamma_from_rows(A_opt.matrix, rows)
+    S = substitution_matrix(rows)
+    S_inv = substitution_matrix(substitution_rows(A_opt.matrix, degree))
 
     tables = {} if tables is None else tables
     new_T = list(T)
@@ -378,8 +380,8 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
         forcing.append(-_substituted(N, rows))
 
     tail = forcing[-1] if family.tail == TAIL_CONSTANT else None
-    sol = solve_difference(gamma, split, ForcingSequence(degree, q, tuple(forcing),
-                                                         family.tail, tail))
+    sol = solve_difference(A_opt.matrix, S, S_inv, split,
+                           ForcingSequence(degree, q, tuple(forcing), family.tail, tail))
 
     identity = PolyJet.identity(q, work)
     new_k = list(k)

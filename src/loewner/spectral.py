@@ -89,13 +89,15 @@ class OptimalForm:
     @property
     def inverse_matrix(self) -> np.ndarray:
         """Inverse computed cluster block by cluster block, so entries across
-        distinct-modulus clusters are exactly zero."""
+        distinct-modulus clusters are exactly zero; np.tril drops the roundoff
+        a pivoted block inversion leaves above the diagonal, so the inverse is
+        exactly lower triangular like the matrix."""
         q = self.q
         inv = np.zeros((q, q), dtype=complex)
         lo = 0
         for size in self.cluster_sizes:
             block = self.matrix[lo:lo + size, lo:lo + size]
-            inv[lo:lo + size, lo:lo + size] = np.linalg.inv(block)
+            inv[lo:lo + size, lo:lo + size] = np.tril(np.linalg.inv(block))
             lo += size
         return inv
 
@@ -273,9 +275,10 @@ def substitution_rows(Ainv: np.ndarray, degree: int) -> np.ndarray:
     return table[pos[lo:hi]]
 
 
-def gamma_from_rows(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """kron(A, S) for the substitution rows of A^{-1} (substitution_rows)."""
-    return np.kron(A, np.ascontiguousarray(rows[:, -len(rows):].T))
+def substitution_matrix(rows: np.ndarray) -> np.ndarray:
+    """S from substitution_rows(Ainv, degree): S[K, I] = coefficient of z^K
+    in (Ainv z)^I, the transpose of the rows' last square block."""
+    return rows[:, -len(rows):].T
 
 
 def gamma_matrix(matrix: np.ndarray, degree: int) -> np.ndarray:
@@ -289,7 +292,8 @@ def gamma_matrix(matrix: np.ndarray, degree: int) -> np.ndarray:
     if degree < 2:
         raise ValueError(f"homogeneous degree must be >= 2, got {degree}")
     A = np.asarray(matrix, dtype=complex)
-    return gamma_from_rows(A, substitution_rows(np.linalg.inv(A), degree))
+    S = substitution_matrix(substitution_rows(np.linalg.inv(A), degree))
+    return np.kron(A, np.ascontiguousarray(S))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from loewner import (
     compose,
     to_optimal_form,
 )
+from loewner.spectral import substitution_matrix, substitution_rows
 
 settings.register_profile(
     "suite",
@@ -69,6 +70,55 @@ def random_optimal_family(rng, q, degree, horizon=3, lo=0.45, hi=0.8,
         raw = random_polyjet(rng, q, degree, A_orig, scale)
         steps.append(compose(Mj, compose(raw, Mij, degree), degree))
     return DiscreteEvolutionFamily(opt.matrix, tuple(steps), tail)
+
+
+def gamma_factors(A, degree):
+    """(A, S, S^{-1}) as solve_difference takes them: Gamma = kron(A, S) on
+    degree-`degree` maps, S the substitution matrix of A^{-1}, S^{-1} that of A.
+    A^{-1} is cut to its lower triangle, as OptimalForm.inverse_matrix is."""
+    A = np.asarray(A, dtype=complex)
+    return A, *(substitution_matrix(substitution_rows(X, degree))
+                for X in (np.tril(np.linalg.inv(A)), A))
+
+
+def norm_series_bound(block):
+    """Upper bound for sum_{j>=0} ||block^j|| in the infinity norm, by dense
+    powers: once some ||block^j0|| = eta < 1/2, every exponent splits as
+    j = b*j0 + r with ||block^j|| <= eta^b ||block^r||, so the tail is the
+    partial sum times 1/(1 - eta)."""
+    partial = 1.0  # ||I||
+    P = np.eye(block.shape[0], dtype=complex)
+    for _ in range(4096):
+        P = P @ block
+        norm = float(np.linalg.norm(P, np.inf))
+        if norm < 0.5:
+            return partial / (1.0 - norm)
+        partial += norm
+    raise ValueError("operator powers did not contract within 4096 powers")
+
+
+def dense_sup_bound(gamma, split, forcing, horizon):
+    """A-priori bound on every ||H_n|| of the bounded solution of
+    H_{n+1} = Gamma(H_n) + B_n over the infinite horizon, from the dense
+    gamma: sum_j ||Gamma_s^j|| sup |B^s| plus ||Gamma_u^{-1}||
+    sum_j ||Gamma_u^{-j}|| sup |B^u|, the sups over B_0 .. B_{horizon-1}
+    and the constant tail."""
+    bound = 0.0
+    terms = [forcing.term(n) for n in range(horizon)]
+    if forcing.tail_value is not None:
+        terms.append(forcing.tail_value)
+    for mask, inverse in ((split.stable, False), (split.unstable, True)):
+        idx = np.nonzero(mask)[0]
+        if not idx.size:
+            continue
+        block = gamma[np.ix_(idx, idx)]
+        lead = 1.0  # the unstable sum starts at Gamma_u^{-1}
+        if inverse:
+            block = np.linalg.inv(block)
+            lead = float(np.linalg.norm(block, np.inf))
+        sup = max(float(np.max(np.abs(B.flat[idx]))) for B in terms)
+        bound += lead * norm_series_bound(block) * sup
+    return bound
 
 
 def koenigs_family(lam, c, order=3, horizon=2):

@@ -42,6 +42,8 @@ from loewner.sampling import complex_ball_points
 
 from conftest import (
     counterexample_field,
+    dense_sup_bound,
+    gamma_factors,
     koenigs_family,
     koenigs_oracle,
     random_optimal_family,
@@ -205,17 +207,19 @@ def test_criterion_05_homological_solver():
             if not split.resonant.any() and np.min(np.abs(split.mu - 1.0)) >= 0.3:
                 break
         G = gamma_matrix(A, degree)
+        factors = gamma_factors(A, degree)
         vecs = [rng.normal(size=split.dimension)
                 + 1j * rng.normal(size=split.dimension) for _ in range(6)]
         terms = tuple(HomogeneousMap.from_flat(2, degree, v) for v in vecs)
         forcing = ForcingSequence(degree, 2, terms, TAIL_CONSTANT, terms[-1])
-        sol = solve_difference(G, split, forcing, horizon=40)
+        sol = solve_difference(*factors, split, forcing, horizon=40)
+        sup_bound = dense_sup_bound(G, split, forcing, 40)
         worst_res = max(worst_res, max(sol.residuals))
-        bounded &= max(H.norm for H in sol.terms) <= sol.sup_bound
+        bounded &= max(H.norm for H in sol.terms) <= sup_bound
         # autonomous: constant forcing must settle on (I - Gamma)^{-1} B
         B = terms[0]
         flat = ForcingSequence(degree, 2, (B,) * 3, TAIL_CONSTANT, B)
-        sol2 = solve_difference(G, split, flat, horizon=220)
+        sol2 = solve_difference(*factors, split, flat, horizon=220)
         star = np.linalg.solve(np.eye(split.dimension) - G, B.flat)
         gap = np.max(np.abs(sol2.terms[110].flat - star))
         worst_fix = max(worst_fix, gap / max(1.0, float(np.max(np.abs(star)))))

@@ -247,12 +247,29 @@ def test_a_2a_field_reports_its_resonance_and_no_certificate(tmp_path):
 
 def test_near_unit_block_of_the_conjugation_operator_exits_3(tmp_path, capsys):
     # with tau = 0 the gap 4e-16 is no resonance: (2, (2, 0)) is unstable
-    # with |mu| = 1 + 4e-16 and its block's powers cannot contract
+    # and its |mu|, which rounds to 1 + 2e-16, sits on the unit circle
     inp = _write(tmp_path / "field.json", A_2A_FIELD)
     assert main(["chain", "--input", inp, "--tau", "0"]) == 3
     err = capsys.readouterr().err
     assert "precondition violated" in err and "unstable block" in err
-    assert "|mu| = 1.0000000000000004" in err
+    assert "|mu| = 1.0000000000000002" in err
+
+
+@pytest.mark.parametrize("eps,code", [(1e-6, 3), (3e-4, 0)])
+def test_near_unit_family_direction_exits_3_inside_the_gap(tmp_path, capsys, eps, code):
+    # 0.25 (1 + eps) / 0.5^2 puts the unstable direction (2, (0, 2, 0)) at
+    # log-modulus eps, refused below log(2) / 4096 = 1.7e-4
+    A = np.diag([0.7, 0.5, 0.25 * (1 + eps)]).astype(complex)
+    step = PolyJet.from_linear(A, 2) + PolyJet.from_terms(
+        3, 2, {(0, (1, 1, 0)): 0.1, (2, (0, 1, 1)): 0.05})
+    inp = _write(tmp_path / "family.json", {"linear_part": matrix_to_json(A),
+                                            "steps": [step.to_json_dict()] * 2})
+    assert main(["normalform", "--input", inp,
+                 "--output", str(tmp_path / "nf.json")]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert "precondition violated: the unstable block" in err
+        assert "at degree 2" in err and "|mu| = 1.0000009999999999" in err
 
 
 def _field_doc(**change):
@@ -504,6 +521,19 @@ def test_normalform_koenigs_family(tmp_path, capsys):
           for t in doc["normalizers"][0]["terms"]}
     assert abs(k0[(2,)] - 0.4) < 1e-10
     assert "no resonances" in capsys.readouterr().out
+
+
+def test_normalform_cluster_whose_inverse_pivots(tmp_path):
+    # |0.5| > |0.3| makes the block inversion of the linear part swap rows;
+    # the normal form must still see an exactly lower-triangular inverse
+    A = np.array([[0.3, 0.0], [0.5, 0.3 * np.exp(0.7j)]])
+    step = PolyJet.from_linear(A, 3) + PolyJet.from_terms(
+        2, 3, {(0, (1, 1)): 0.1, (1, (2, 0)): 0.05, (1, (0, 3)): 0.02j})
+    inp = _write(tmp_path / "family.json", {"linear_part": matrix_to_json(A),
+                                            "steps": [step.to_json_dict()] * 2})
+    out = tmp_path / "nf.json"
+    assert main(["normalform", "--input", inp, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"] == "linearizable"
 
 
 def test_normalform_field_input(tmp_path, capsys):

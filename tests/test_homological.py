@@ -6,13 +6,15 @@ import pytest
 from loewner import (
     ForcingSequence,
     HomogeneousMap,
+    OptimalForm,
     TAIL_CONSTANT,
     TAIL_ZERO,
     gamma_matrix,
     solve_difference,
     spectral_split,
 )
-from loewner.homological import _norm_series_bound
+
+from conftest import dense_sup_bound, gamma_factors
 
 
 def split_forcing(B, split):
@@ -35,10 +37,32 @@ def fixed_point_solution(gamma, split, B):
     return HomogeneousMap.from_flat(split.q, split.degree, flat)
 
 
+def dense_solution(gamma, split, forcing, horizon):
+    """Reference bounded solution on the dense gamma, as an array of flat
+    H_0 .. H_horizon: the stable block forward from zero, the unstable
+    block backward from its tail value, one np.linalg.solve per step."""
+    s, u = np.nonzero(split.stable)[0], np.nonzero(split.unstable)[0]
+    b = [forcing.term(n).flat for n in range(horizon)]
+    H = np.zeros((horizon + 1, split.dimension), dtype=complex)
+    Gs, Gu = gamma[np.ix_(s, s)], gamma[np.ix_(u, u)]
+    h = np.zeros(s.size, dtype=complex)
+    for n in range(horizon):
+        h = Gs @ h + b[n][s]
+        H[n + 1, s] = h
+    h = np.zeros(u.size, dtype=complex)
+    if forcing.tail == TAIL_CONSTANT:
+        h = np.linalg.solve(np.eye(u.size) - Gu, forcing.tail_value.flat[u])
+    H[horizon, u] = h
+    for n in range(horizon - 1, -1, -1):
+        h = np.linalg.solve(Gu, h - b[n][u])
+        H[n, u] = h
+    return H
+
+
 def _setup(lam, degree=2, tau=1e-9):
+    """Gamma's factors for diag(lam) and the split."""
     A = np.diag(np.asarray(lam, dtype=complex))
-    split = spectral_split(A, degree, tau)
-    return gamma_matrix(A, degree), split
+    return gamma_factors(A, degree), spectral_split(A, degree, tau)
 
 
 def _random_nonresonant(rng, split, scale=1.0):
@@ -53,7 +77,7 @@ def _random_nonresonant(rng, split, scale=1.0):
 
 
 def test_split_forcing_single_stable_vector():
-    gamma, split = _setup([0.9, 0.3])  # 0.3 < 0.81 puts X2_(2,0) in the stable set
+    _, split = _setup([0.9, 0.3])  # 0.3 < 0.81 puts X2_(2,0) in the stable set
     s = np.nonzero(split.stable)[0][0]
     vec = np.zeros(split.dimension, dtype=complex)
     vec[s] = 1.5j
@@ -65,7 +89,7 @@ def test_split_forcing_single_stable_vector():
 
 def test_split_forcing_zero_and_reassembly():
     rng = np.random.default_rng(1)
-    gamma, split = _setup([0.4, 0.16])
+    _, split = _setup([0.4, 0.16])
     zero = HomogeneousMap.zero(2, 2)
     assert all(part.is_zero() for part in split_forcing(zero, split))
     B = HomogeneousMap.from_flat(2, 2, rng.normal(size=split.dimension) + 0j)
@@ -74,7 +98,7 @@ def test_split_forcing_zero_and_reassembly():
 
 
 def test_split_forcing_degree_mismatch():
-    gamma, split = _setup([0.5, 0.3])
+    _, split = _setup([0.5, 0.3])
     with pytest.raises(ValueError):
         split_forcing(HomogeneousMap.zero(2, 3), split)
 
@@ -84,19 +108,19 @@ def test_split_forcing_degree_mismatch():
 
 
 def test_zero_forcing_gives_zero_solution():
-    gamma, split = _setup([0.5, 0.3])
+    factors, split = _setup([0.5, 0.3])
     forcing = ForcingSequence(2, 2, (HomogeneousMap.zero(2, 2),) * 4, TAIL_ZERO)
-    sol = solve_difference(gamma, split, forcing)
+    sol = solve_difference(*factors, split, forcing)
     assert all(H.is_zero() for H in sol.terms)
     assert max(sol.residuals) == 0.0
 
 
 def test_recurrence_residuals_below_tolerance():
     rng = np.random.default_rng(7)
-    gamma, split = _setup([0.6, 0.35], degree=3)
+    factors, split = _setup([0.6, 0.35], degree=3)
     terms = tuple(_random_nonresonant(rng, split) for _ in range(6))
     forcing = ForcingSequence(3, 2, terms, TAIL_CONSTANT, terms[-1])
-    sol = solve_difference(gamma, split, forcing, horizon=12)
+    sol = solve_difference(*factors, split, forcing, horizon=12)
     assert len(sol.terms) == 13
     for n, res in enumerate(sol.residuals):
         assert res <= 1e-10, f"step {n} residual {res}"
@@ -104,37 +128,24 @@ def test_recurrence_residuals_below_tolerance():
 
 def test_sup_bound_dominates_realized_norms():
     rng = np.random.default_rng(9)
-    gamma, split = _setup([0.7, 0.3], degree=2)
+    factors, split = _setup([0.7, 0.3], degree=2)
     terms = tuple(_random_nonresonant(rng, split) for _ in range(5))
     forcing = ForcingSequence(2, 2, terms, TAIL_CONSTANT, terms[-1])
-    sol = solve_difference(gamma, split, forcing, horizon=40)
+    sol = solve_difference(*factors, split, forcing, horizon=40)
+    sup_bound = dense_sup_bound(gamma_matrix(factors[0], 2), split, forcing, 40)
     realized = max(H.norm for H in sol.terms)
-    assert realized <= sol.sup_bound
-    assert np.isfinite(sol.sup_bound)
-
-
-def test_unstable_sum_matches_dense_inverse():
-    # the sup bound reads Gamma_u^{-1} off the factors of the backward sweep
-    rng = np.random.default_rng(21)
-    for lam, degree in (([0.7, 0.3], 2), ([0.6, 0.35], 3), ([0.5, 0.45, 0.8], 3)):
-        gamma, split = _setup(lam, degree=degree)
-        u = np.nonzero(split.unstable)[0]
-        assert u.size
-        terms = tuple(_random_nonresonant(rng, split) for _ in range(4))
-        sol = solve_difference(gamma, split,
-                               ForcingSequence(degree, len(lam), terms, TAIL_CONSTANT, terms[-1]))
-        inv = np.linalg.inv(gamma[np.ix_(u, u)])
-        assert sol.unstable_sum == (float(np.linalg.norm(inv, np.inf))
-                                    * _norm_series_bound(inv, "unstable"))
+    assert realized <= sup_bound
+    assert np.isfinite(sup_bound)
 
 
 def test_autonomous_matches_fixed_point():
     rng = np.random.default_rng(3)
     for lam, degree in [([0.5, 0.3], 2), ([0.6, 0.45], 3), ([0.8], 2)]:
-        gamma, split = _setup(lam, degree)
+        factors, split = _setup(lam, degree)
+        gamma = gamma_matrix(factors[0], degree)
         B = _random_nonresonant(rng, split)
         forcing = ForcingSequence(degree, split.q, (B,) * 3, TAIL_CONSTANT, B)
-        sol = solve_difference(gamma, split, forcing, horizon=60)
+        sol = solve_difference(*factors, split, forcing, horizon=60)
         star = fixed_point_solution(gamma, split, B)
         # away from the seam both ends sit on the fixed point
         assert (sol.terms[30] - star).norm <= 1e-10 * max(1.0, star.norm)
@@ -144,21 +155,21 @@ def test_autonomous_matches_fixed_point():
 
 def test_scalar_unstable_fixed_point():
     # q=1, lambda=0.5: Gamma = [2] at degree 2, so H = b / (1 - 2) = -b
-    gamma, split = _setup([0.5])
-    assert abs(gamma[0, 0] - 2.0) < 1e-14
+    factors, split = _setup([0.5])
+    assert abs(np.kron(*factors[:2])[0, 0] - 2.0) < 1e-14
     b = HomogeneousMap.from_flat(1, 2, np.array([0.7 - 0.2j]))
     forcing = ForcingSequence(2, 1, (b,) * 2, TAIL_CONSTANT, b)
-    sol = solve_difference(gamma, split, forcing, horizon=10)
+    sol = solve_difference(*factors, split, forcing, horizon=10)
     for H in sol.terms[:8]:
         assert np.allclose(H.flat, -b.flat, atol=1e-12)
 
 
 def test_zero_tail_returns_to_zero():
     rng = np.random.default_rng(5)
-    gamma, split = _setup([0.5, 0.3])
+    factors, split = _setup([0.5, 0.3])
     B = _random_nonresonant(rng, split)
     forcing = ForcingSequence(2, 2, (B,), TAIL_ZERO)
-    sol = solve_difference(gamma, split, forcing, horizon=80)
+    sol = solve_difference(*factors, split, forcing, horizon=80)
     # unstable content vanishes once the forcing stops; stable content decays
     assert sol.terms[-1].norm <= 1e-10 * max(1.0, B.norm)
 
@@ -166,7 +177,8 @@ def test_zero_tail_returns_to_zero():
 def test_forward_only_divergence_witness():
     # seeding the unstable block with zero instead of the backward sum makes
     # the iteration blow up at the smallest unstable eigenvalue rate
-    gamma, split = _setup([0.5, 0.4])
+    factors, split = _setup([0.5, 0.4])
+    gamma = gamma_matrix(factors[0], 2)
     u = np.nonzero(split.unstable)[0]
     growth = np.min(np.abs(np.linalg.eigvals(gamma[np.ix_(u, u)])))
     assert growth > 1
@@ -183,24 +195,27 @@ def test_forward_only_divergence_witness():
 
 
 def test_resonant_forcing_is_rejected():
-    gamma, split = _setup([0.4, 0.16])
+    factors, split = _setup([0.4, 0.16])
     r = np.nonzero(split.resonant)[0][0]
     vec = np.zeros(split.dimension, dtype=complex)
     vec[r] = 1.0
     forcing = ForcingSequence(2, 2, (HomogeneousMap.from_flat(2, 2, vec),),
                               TAIL_ZERO)
     with pytest.raises(ValueError, match="resonant"):
-        solve_difference(gamma, split, forcing)
+        solve_difference(*factors, split, forcing)
 
 
 def test_block_mixing_gamma_is_rejected():
-    gamma, split = _setup([0.9, 0.3])
-    bad = gamma.copy()
-    s, u = np.nonzero(split.stable)[0][0], np.nonzero(split.unstable)[0][0]
-    bad[s, u] = 1.0
+    # A couples the distinct moduli 0.9 and 0.3, so Gamma maps the unstable
+    # direction (0, (2, 0)) into the stable (1, (2, 0))
+    A = np.array([[0.9, 0.0], [0.5, 0.3]], dtype=complex)
+    split = spectral_split(A, 2)
     forcing = ForcingSequence(2, 2, (HomogeneousMap.zero(2, 2),), TAIL_ZERO)
     with pytest.raises(ValueError, match="optimal form"):
-        solve_difference(bad, split, forcing)
+        solve_difference(*gamma_factors(A, 2), split, forcing)
+    # and an upper-triangular A is no optimal form either
+    with pytest.raises(ValueError, match="optimal form"):
+        solve_difference(*gamma_factors(A.T, 2), split, forcing)
 
 
 def test_constant_tail_requires_value():
@@ -208,3 +223,60 @@ def test_constant_tail_requires_value():
         ForcingSequence(2, 2, (HomogeneousMap.zero(2, 2),), TAIL_CONSTANT)
     with pytest.raises(ValueError):
         ForcingSequence(2, 2, (HomogeneousMap.zero(2, 2),), "periodic")
+
+
+# ---------------------------------------------------------------------- #
+# the structured solve against the dense reference
+
+OPTIMAL_FORMS = {
+    "diagonal": np.diag([0.9, 0.6 * np.exp(0.3j), 0.3]),
+    "(2,)": np.array([[0.6, 0.0], [0.2, 0.6 * np.exp(0.7j)]]),
+    # |0.5| > |0.3|: inverting this block pivots
+    "(2,) pivoted": np.array([[0.3, 0.0], [0.5, 0.3 * np.exp(0.7j)]]),
+    "(2,1)": np.array([[0.9, 0.0, 0.0], [0.15, 0.9 * np.exp(0.7j), 0.0],
+                       [0.0, 0.0, 0.3]]),
+    "(1,2,1)": np.array([[0.95, 0.0, 0.0, 0.0], [0.0, 0.75, 0.0, 0.0],
+                         [0.0, 0.1, 0.75 * np.exp(-1.1j), 0.0], [0.0, 0.0, 0.0, 0.3]]),
+}
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("name", OPTIMAL_FORMS)
+def test_gamma_is_lower_triangular_in_reversed_monomial_order(name, degree):
+    # the tail fixed point's finite Jacobi iteration rests on this shape, held
+    # exactly by the factors solve_difference takes
+    A, S, _ = gamma_factors(OPTIMAL_FORMS[name], degree)
+    G = np.kron(A, S)
+    dense = gamma_matrix(A, degree)
+    assert np.max(np.abs(G - dense)) <= 1e-14 * np.max(np.abs(dense))
+    q, M = len(A), len(S)
+    order = np.concatenate([j * M + np.arange(M)[::-1] for j in range(q)])
+    assert not np.triu(G[np.ix_(order, order)], 1).any()
+
+
+def test_optimal_form_inverse_is_exactly_lower_triangular():
+    A = OPTIMAL_FORMS["(2,) pivoted"]
+    opt = OptimalForm(A, np.eye(2), (2,), 1.0, float(np.linalg.norm(A, 2)))
+    assert np.linalg.inv(A)[0, 1] != 0  # the pivoted inversion's roundoff
+    assert opt.inverse_matrix[0, 1] == 0
+    assert np.allclose(opt.inverse_matrix @ A, np.eye(2), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("tail", [TAIL_ZERO, TAIL_CONSTANT])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("name", OPTIMAL_FORMS)
+def test_structured_solve_matches_dense_reference(name, degree, tail):
+    A = OPTIMAL_FORMS[name].astype(complex)
+    split = spectral_split(A, degree)
+    # one equal-modulus cluster has only unstable directions
+    assert split.unstable.any() and (split.stable.any() or name.startswith("(2,)"))
+    rng = np.random.default_rng(degree)
+    terms = tuple(_random_nonresonant(rng, split) for _ in range(5))
+    forcing = ForcingSequence(degree, len(A), terms, tail,
+                              terms[-1] if tail == TAIL_CONSTANT else None)
+    sol = solve_difference(*gamma_factors(A, degree), split, forcing, horizon=12)
+    ref = dense_solution(gamma_matrix(A, degree), split, forcing, 12)
+    got = np.array([H.flat for H in sol.terms])
+    # roundoff bound: measured at most 3.3e-15 of max |H|
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert max(sol.residuals) <= 1e-13

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -29,7 +31,7 @@ from loewner import (
     spectral_split,
     univalence_check,
 )
-from loewner import normal_form
+from loewner import homological, normal_form
 from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points, complex_sphere_points
@@ -191,6 +193,33 @@ def test_forcing_matches_full_composition_bit_for_bit(q, degree):
         N = HomogeneousMap.from_flat(q, degree, flat)
         got = normal_form._substituted(N, rows)
         assert np.array_equal(got.coeffs, _substitute_linear_reference(N, Ainv).coeffs)
+
+
+def test_q5_order6_family_within_its_wall_and_memory_bounds(monkeypatch):
+    # degree 6 at q = 5 has m = 5 * 210 = 1050 coefficients: a dense Gamma
+    # alone is 1050^2 * 16 B = 17.6 MB.  The build took 1.6-2.6 s with the
+    # dense Gamma and its LU solve, 0.78-1.0 s on Gamma's Kronecker factors
+    # (2 vCPUs); the bound leaves room for a loaded machine.
+    calls = {}
+
+    def recorded(*args, _solve=normal_form.solve_difference):
+        calls[args[3].degree] = args
+        return _solve(*args)
+
+    monkeypatch.setattr(normal_form, "solve_difference", recorded)
+    family = random_optimal_family(np.random.default_rng(7), 5, 3, horizon=4)
+    start = time.perf_counter()
+    res = build_normal_form(family, order=6)
+    assert time.perf_counter() - start < 8.0
+    assert res.defect_sup <= 1e-10
+    assert calls[6][3].dimension == 1050
+    tracemalloc.start()
+    try:
+        homological.solve_difference(*calls[6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1050 ** 2 * 16
 
 
 # ---------------------------------------------------------------------- #
