@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import HomogeneousMap
+from .jets import index_count
 from .spectral import PreconditionError, SpectralSplit
 
 _RESONANT_FORCING_RTOL = 1e-12
@@ -43,40 +43,47 @@ TAIL_CONSTANT = "constant"
 class ForcingSequence:
     """Forcing terms B_0 .. B_{T-1} plus the behaviour beyond the horizon.
 
-    tail "zero" means B_n = 0 for n >= T; tail "constant" means
-    B_n = tail_value for n >= T.
+    terms is one (T, q, M) array, B_n = terms[n] the (q, M) coefficient
+    block of a degree-`degree` map.  tail "zero" means B_n = 0 for n >= T;
+    tail "constant" means B_n = tail_value, a (q, M) block, for n >= T.
     """
 
     degree: int
     q: int
-    terms: tuple[HomogeneousMap, ...]
+    terms: np.ndarray
     tail: str = TAIL_ZERO
-    tail_value: HomogeneousMap | None = None
+    tail_value: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tail not in (TAIL_ZERO, TAIL_CONSTANT):
             raise ValueError(f"unknown tail policy {self.tail!r}")
         if self.tail == TAIL_CONSTANT and self.tail_value is None:
             raise ValueError("constant tail needs a tail_value")
-        for B in list(self.terms) + ([self.tail_value] if self.tail_value else []):
-            if (B.q, B.degree) != (self.q, self.degree):
-                raise ValueError("forcing terms must share one dimension and degree")
-        object.__setattr__(self, "terms", tuple(self.terms))
+        shape = (self.q, index_count(self.q, self.degree))
+        terms = np.asarray(self.terms, dtype=complex)
+        tail = None if self.tail_value is None else np.asarray(self.tail_value, dtype=complex)
+        if terms.ndim != 3 or terms.shape[1:] != shape or (
+                tail is not None and tail.shape != shape):
+            raise ValueError("forcing terms must share one dimension and degree")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "tail_value", tail)
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def term(self, n: int) -> HomogeneousMap:
-        if n < len(self.terms):
-            return self.terms[n]
+    def window(self, count: int) -> np.ndarray:
+        """B_0 .. B_{count-1} as one (count, q, M) array."""
+        out = np.zeros((count,) + self.terms.shape[1:], dtype=complex)
+        stored = min(count, len(self.terms))
+        out[:stored] = self.terms[:stored]
         if self.tail == TAIL_CONSTANT:
-            return self.tail_value
-        return HomogeneousMap.zero(self.q, self.degree)
+            out[stored:] = self.tail_value
+        return out
 
 
 @dataclass(frozen=True)
 class SolutionSequence:
-    """H_0 .. H_T with their recurrence residuals.
+    """H_0 .. H_T as one (T + 1, q, M) array, with the recurrence residuals.
 
     residuals[n] is ||H_{n+1} - Gamma(H_n) - B_n|| / (1 + ||B_n||) in the
     max-coefficient norm.
@@ -84,7 +91,7 @@ class SolutionSequence:
 
     degree: int
     q: int
-    terms: tuple[HomogeneousMap, ...]
+    terms: np.ndarray
     residuals: tuple[float, ...]
 
     def __len__(self) -> int:
@@ -179,7 +186,7 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
                 "gamma mixes the stable/resonant/unstable families "
                 f"(leak {leak:.3g}); the linear part is not in optimal form")
 
-    b = np.array([forcing.term(n).coeffs for n in range(T)]).reshape(T, q, M)
+    b = forcing.window(T)
     b_max = np.abs(b).max(axis=(1, 2), initial=0.0)
     leaked = np.where(resonant, np.abs(b), 0.0).max(axis=(1, 2), initial=0.0)
     bad = np.nonzero(leaked > _RESONANT_FORCING_RTOL * np.maximum(b_max, 1.0))[0]
@@ -200,7 +207,7 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
     # unstable block: backward from the tail-determined terminal value
     if unstable.any():
         if forcing.tail == TAIL_CONSTANT:
-            h = _unstable_fixed_point(A, S, unstable, forcing.tail_value.coeffs, degree)
+            h = _unstable_fixed_point(A, S, unstable, forcing.tail_value, degree)
         else:
             h = np.zeros((q, M), dtype=complex)
         H[T] += h
@@ -212,5 +219,4 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
 
     r = H[1:] - A @ H[:-1] @ St - b
     residuals = np.abs(r).max(axis=(1, 2), initial=0.0) / (1.0 + b_max)
-    terms = tuple(HomogeneousMap(q, degree, H[n]) for n in range(T + 1))
-    return SolutionSequence(degree, q, terms, tuple(residuals.tolist()))
+    return SolutionSequence(degree, q, H, tuple(residuals.tolist()))

@@ -146,12 +146,16 @@ def _mul_plan(q: int, order: int, lval_a: int, lval_b: int):
 
 
 def _monomial_values(t: _Tables, points: np.ndarray) -> np.ndarray:
-    """Values of every monomial z^I at the given points, shape (count, m)."""
+    """Values of every monomial z^I at the given points, shape (count, m).
+
+    Each value is its parent's times one coordinate, and the parents of a
+    degree lie in the degree below, so one product fills a whole degree."""
     m = points.shape[1]
     vals = np.empty((t.count, m), dtype=complex)
     vals[0] = 1.0
-    for r in range(1, t.count):
-        vals[r] = vals[t.parent_rank[r]] * points[t.parent_var[r]]
+    for d in range(1, t.order + 1):
+        lo, hi = t.offsets[d], t.offsets[d + 1]
+        vals[lo:hi] = vals[t.parent_rank[lo:hi]] * points[t.parent_var[lo:hi]]
     return vals
 
 

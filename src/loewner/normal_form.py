@@ -24,9 +24,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_difference
-from .jets import (HomogeneousMap, PolyJet, PowerTable, compose,
-                   evaluate_triangular_inverse_many, gradient_bound_matrix, invert,
-                   is_triangular, _monomial_values)
+from .jets import (PolyJet, PowerTable, compose, evaluate_triangular_inverse_many,
+                   gradient_bound_matrix, invert, is_triangular, _compose_arrays,
+                   _monomial_values, _support, _tables)
 from .sampling import complex_ball_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
@@ -282,43 +282,110 @@ class TriangularFamily:
         return out
 
 
-def _conjugacy_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
-                     T: Sequence[PolyJet], n: int, order: int,
-                     tables: dict[tuple, PowerTable]) -> tuple[PolyJet, PolyJet]:
-    """k_{n+1} o phi_n and T_n o k_n through the given order.
+# coefficients one stacked (steps, q, count) array of _window_sides holds at
+# most (one step at least): 64 KB, so a group's stacks and the temporaries
+# reduced from them stay small beside the steps' power tables
+_STACK_COEFFS = 4096
 
-    phi_n's power table comes from `tables`, keyed by the step's value and
-    filled on first use, so a family with few distinct steps builds few.
+
+def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
+                  T: Sequence[PolyJet], order: int, tables: dict[tuple, PowerTable],
+                  steps: Sequence[int]):
+    """k_{n+1} o phi_n and T_n o k_n through `order` for the steps n, a
+    group of steps at a time.
+
+    Yields (ns, lhs, rhs) with lhs[i], rhs[i] the (q, count) coefficient
+    blocks of the two sides at step ns[i].  A group shares phi_n's power
+    table (from `tables`, keyed by the step's value and filled on first
+    use), the monomials k_{n+1} uses and those T_n uses, so each side is
+    one batched matmul: numpy runs one gemm per step, of the shapes
+    compose uses, and every block equals compose's bit for bit.  T_n o k_n
+    reads only the coordinates of k_n when T_n is linear; a T_n with
+    nonlinear terms is composed step by step.  A group runs in chunks of at
+    most _STACK_COEFFS coefficients per stack.
     """
-    step = family.step(n)
-    key = _value_key(step)
-    if key not in tables:
-        tables[key] = PowerTable(step)
-    return tables[key].compose(k[n + 1], order), compose(T[n], k[n], order)
+    t = _tables(family.q, order)
+    width = t.count
+    groups: dict[tuple, tuple] = {}
+    for n in steps:
+        step = family.step(n)
+        key = _value_key(step)
+        if key not in tables:
+            tables[key] = PowerTable(step)
+        ks = _support(k[n + 1].coeffs[:, :width])
+        ts = _support(T[n].coeffs[:, :width])
+        gkey = (id(tables[key]), ks.tobytes(), ts.tobytes())
+        groups.setdefault(gkey, (tables[key], ks, ts, []))[3].append(n)
+    chunk = max(1, _STACK_COEFFS // (family.q * width))
+    for table, ks, ts, members in groups.values():
+        for start in range(0, len(members), chunk):
+            ns = members[start:start + chunk]
+            outer = np.stack([k[n + 1].coeffs[:, ks] for n in ns])
+            lhs = np.matmul(outer, table.table[table.pos[ks], :width])
+            if ts.size and t.degrees[ts[-1]] > 1:
+                rhs = np.stack([_compose_arrays(t.q, order, T[n].coeffs[:, :width],
+                                                k[n].coeffs[:, :width]) for n in ns])
+            else:
+                coords = t.parent_var[ts]
+                rhs = np.matmul(np.stack([T[n].coeffs[:, ts] for n in ns]),
+                                np.stack([k[n].coeffs[coords, :width] for n in ns]))
+            yield ns, lhs, rhs
+
+
+def _window_shape(k: Sequence[PolyJet], T: Sequence[PolyJet]) -> tuple[int, int]:
+    """The (q, order) every k_n and T_n shares; refuse an empty window, a
+    k count other than len(T) + 1, and jets of mixed shape."""
+    if not T:
+        raise ValueError("the window is empty: need at least one one-step map T_n")
+    if len(k) != len(T) + 1:
+        raise ValueError("need one more conjugator than one-step maps")
+    q, order = k[0].q, k[0].order
+    for name, jets in (("k", k), ("T", T)):
+        for n, jet in enumerate(jets):
+            if (jet.q, jet.order) != (q, order):
+                raise ValueError(
+                    f"{name}_{n} has q={jet.q}, order {jet.order} but k_0 has "
+                    f"q={q}, order {order}: every k_n and T_n must share one "
+                    "dimension and order")
+    return q, order
 
 
 def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
-           T: Sequence[PolyJet], n: int, degree: int,
-           tables: dict[tuple, PowerTable] | None = None) -> HomogeneousMap:
-    """Degree-`degree` part of k_{n+1} o phi_n - T_n o k_n.
+           T: Sequence[PolyJet], degree: int,
+           tables: dict[tuple, PowerTable] | None = None) -> np.ndarray:
+    """Degree-`degree` part of k_{n+1} o phi_n - T_n o k_n for every step n
+    of the window, as one (len(T), q, M) array of coefficient blocks.
 
     The conjugacy identity must already hold below the requested degree;
-    a violation there means the stages ran out of order.  `tables` holds
-    the steps' power tables across calls (see _conjugacy_sides).
+    a violation there means the stages ran out of order, and the error
+    names the first step it holds at.  `tables` holds the steps' power
+    tables across calls (see _window_sides).
     """
-    lhs, rhs = _conjugacy_sides(family, k, T, n, degree, {} if tables is None else tables)
-    diff = lhs - rhs
-    t = diff.tables
+    q, order = _window_shape(k, T)
+    if not 1 <= degree <= min(order, family.order):
+        raise ValueError(f"homogeneous part of degree {degree} not available at "
+                         f"order {min(order, family.order)}")
+    t = _tables(q, degree)
     cut = t.offsets[degree]
-    low = float(np.max(np.abs(diff.coeffs[:, :cut]))) if cut else 0.0
-    # roundoff in the compositions scales with their own coefficients,
-    # which grow with the degree far beyond the family's coefficients
-    scale = max(1.0, lhs.max_coeff, rhs.max_coeff)
-    if low > _IDENTITY_BREAK_TOL * scale:
+    window = len(T)
+    out = np.empty((window, q, t.count - cut), dtype=complex)
+    low = np.empty(window)
+    scale = np.empty(window)
+    for ns, lhs, rhs in _window_sides(family, k, T, degree,
+                                      {} if tables is None else tables, range(window)):
+        # roundoff in the compositions scales with their own coefficients,
+        # which grow with the degree far beyond the family's coefficients
+        scale[ns] = np.maximum(np.abs(lhs).max(axis=(1, 2)), np.abs(rhs).max(axis=(1, 2)))
+        lhs -= rhs
+        low[ns] = np.abs(lhs[:, :, :cut]).max(axis=(1, 2))
+        out[ns] = lhs[:, :, cut:]
+    bad = np.flatnonzero(low > _IDENTITY_BREAK_TOL * np.maximum(scale, 1.0))
+    if bad.size:
+        n = int(bad[0])
         raise ValueError(
             f"conjugacy identity violated below degree {degree} at step {n} "
-            f"(coefficient {low:.3g}); run the stages in increasing degree")
-    return diff.homogeneous_part(degree)
+            f"(coefficient {low[n]:.3g}); run the stages in increasing degree")
+    return out
 
 
 @dataclass(frozen=True)
@@ -330,12 +397,48 @@ class StageReport:
     recurrence_residual: float
 
 
-def _substituted(N: HomogeneousMap, rows: np.ndarray) -> HomogeneousMap:
-    """N o A^{-1} as compose forms it: N's nonzero columns times their
-    full-width substitution rows of A^{-1}, cut to the degree afterwards."""
-    support = (N.coeffs != 0).any(axis=0).nonzero()[0]
-    prod = N.coeffs[:, support] @ rows[support]
-    return HomogeneousMap(N.q, N.degree, prod[:, -len(rows):])
+def _substituted(N: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """N_n o A^{-1} for every block of the (window, q, M) stack N, as
+    compose forms it: each block's nonzero columns times their full-width
+    substitution rows of A^{-1}, cut to the degree afterwards.  Blocks with
+    the same nonzero columns share one batched matmul, one gemm per block."""
+    M = len(rows)
+    out = np.empty_like(N)
+    used = (N != 0).any(axis=1)
+    groups: dict[bytes, list[int]] = {}
+    for n, row in enumerate(used):
+        groups.setdefault(row.tobytes(), []).append(n)
+    for ns in groups.values():
+        support = np.flatnonzero(used[ns[0]])
+        out[ns] = np.matmul(N[ns][:, :, support], rows[support])[:, :, -M:]
+    return out
+
+
+def _split_defect(T: Sequence[PolyJet], P: np.ndarray, resonant: np.ndarray,
+                  rows: np.ndarray, degree: int
+                  ) -> tuple[tuple[PolyJet, ...], np.ndarray, float]:
+    """Absorb the resonant part of the window's defect P into the T_n.
+
+    Returns the new T_n, the forcing -N_n o A^{-1} of the nonresonant part
+    N_n as one (window, q, M) array, and the largest resonant coefficient.
+    P is overwritten with N.
+    """
+    q, work = T[0].q, T[0].order
+    lo, hi = _tables(q, work).offsets[degree:degree + 2]
+    kept = P[:, resonant]
+    new_T = list(T)
+    for n in np.flatnonzero(kept.any(axis=1)):
+        c = np.array(T[n].coeffs)
+        c[:, lo:hi] += np.where(resonant, P[n], 0.0)
+        new_T[n] = PolyJet(q, work, c)
+        if not is_triangular(new_T[n]):
+            raise ValueError(
+                f"resonant defect at step {n}, degree {degree} falls off "
+                "the triangular shape; resonance classification conflict")
+    P[:, resonant] = 0.0
+    forcing = _substituted(P, rows)
+    np.negative(forcing, out=forcing)
+    return tuple(new_T), forcing, float(np.abs(kept).max(initial=0.0))
 
 
 def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
@@ -347,50 +450,34 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
 
     The degree-`degree` defect splits into a resonant part, absorbed into
     T_n, and a nonresonant part, cancelled by the bounded solution of
-    H_{n+1} = Gamma(H_n) - N_n o A^{-1}.  `tables` holds the steps' power
-    tables across degrees (see _conjugacy_sides).
+    H_{n+1} = Gamma(H_n) - N_n o A^{-1}.  The degree runs over the whole
+    window at once, on (window, q, M) stacks of coefficient blocks; only
+    the k-updates compose one n at a time.  `tables` holds the steps'
+    power tables across degrees (see _window_sides).
     """
-    window = len(T)
-    if len(k) != window + 1:
-        raise ValueError("need one more conjugator than one-step maps")
-    q = family.q
-    work = T[0].order
+    q, work = _window_shape(k, T)
     A_opt = _as_optimal(family.linear_part)
     split = spectral_split(A_opt, degree, tau)
     rows = substitution_rows(A_opt.inverse_matrix, degree)
     S = substitution_matrix(rows)
     S_inv = substitution_matrix(substitution_rows(A_opt.matrix, degree))
 
-    tables = {} if tables is None else tables
-    new_T = list(T)
-    forcing = []
-    resonant_norm = 0.0
-    for n in range(window):
-        P = defect(family, k, T, n, degree, tables)
-        flat = P.flat
-        R = HomogeneousMap.from_flat(q, degree, np.where(split.resonant, flat, 0.0))
-        N = HomogeneousMap.from_flat(q, degree, np.where(split.resonant, 0.0, flat))
-        if not R.is_zero():
-            new_T[n] = new_T[n] + R.to_jet(work)
-            if not is_triangular(new_T[n]):
-                raise ValueError(
-                    f"resonant defect at step {n}, degree {degree} falls off "
-                    "the triangular shape; resonance classification conflict")
-        resonant_norm = max(resonant_norm, R.norm)
-        forcing.append(-_substituted(N, rows))
-
+    new_T, forcing, resonant_norm = _split_defect(
+        T, defect(family, k, T, degree, {} if tables is None else tables),
+        split.resonant.reshape(q, -1), rows, degree)
     tail = forcing[-1] if family.tail == TAIL_CONSTANT else None
     sol = solve_difference(A_opt.matrix, S, S_inv, split,
-                           ForcingSequence(degree, q, tuple(forcing), family.tail, tail))
+                           ForcingSequence(degree, q, forcing, family.tail, tail))
 
-    identity = PolyJet.identity(q, work)
+    lo, hi = _tables(q, work).offsets[degree:degree + 2]
+    identity = PolyJet.identity(q, work).coeffs
     new_k = list(k)
-    for n in range(window + 1):
-        H = sol.terms[n]
-        if not H.is_zero():
-            new_k[n] = compose(identity + H.to_jet(work), k[n], work)
+    for n in np.flatnonzero(sol.terms.any(axis=(1, 2))):
+        c = np.array(identity)
+        c[:, lo:hi] = sol.terms[n]
+        new_k[n] = compose(PolyJet(q, work, c), k[n], work)
     report = StageReport(degree, resonant_norm, max(sol.residuals, default=0.0))
-    return tuple(new_k), tuple(new_T), report
+    return tuple(new_k), new_T, report
 
 
 # ---------------------------------------------------------------------- #
@@ -624,9 +711,10 @@ class ConjugacyResult:
 
     def defect_jet(self, n: int, order: int | None = None) -> PolyJet:
         """k_{n+1} o phi_n - T_n o k_n at the given order."""
-        lhs, rhs = _conjugacy_sides(self.family, self.normalizers, self.triangular.steps,
-                                    n, order or self.work_order, {})
-        return lhs - rhs
+        order = min(order or self.work_order, self.work_order)
+        [(_, lhs, rhs)] = _window_sides(self.family, self.normalizers,
+                                        self.triangular.steps, order, {}, [n])
+        return PolyJet(self.q, order, lhs[0] - rhs[0])
 
     def intertwining_jet(self, n: int) -> PolyJet:
         """h_n as a jet; the anchored limit stabilizes on k_n itself."""
@@ -740,9 +828,9 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
                          "working-order passes; constants do not stabilize")
 
     defect_sup = 0.0
-    for n in range(work_horizon):
-        lhs, rhs = _conjugacy_sides(fam_w, k, T, n, work_order, tables)
-        defect_sup = max(defect_sup, (lhs - rhs).max_coeff)
+    for _, lhs, rhs in _window_sides(fam_w, k, T, work_order, tables, range(work_horizon)):
+        lhs -= rhs
+        defect_sup = max(defect_sup, float(np.abs(lhs).max()))
 
     # probe the guaranteed rate once, recording the Cauchy increments of h_0
     # anchored at m = 0 .. work_horizon: push once, pull back in one pass

@@ -104,7 +104,7 @@ def dense_sup_bound(gamma, split, forcing, horizon):
     sum_j ||Gamma_u^{-j}|| sup |B^u|, the sups over B_0 .. B_{horizon-1}
     and the constant tail."""
     bound = 0.0
-    terms = [forcing.term(n) for n in range(horizon)]
+    terms = list(forcing.window(horizon))
     if forcing.tail_value is not None:
         terms.append(forcing.tail_value)
     for mask, inverse in ((split.stable, False), (split.unstable, True)):
@@ -116,7 +116,7 @@ def dense_sup_bound(gamma, split, forcing, horizon):
         if inverse:
             block = np.linalg.inv(block)
             lead = float(np.linalg.norm(block, np.inf))
-        sup = max(float(np.max(np.abs(B.flat[idx]))) for B in terms)
+        sup = max(float(np.max(np.abs(B.reshape(-1)[idx]))) for B in terms)
         bound += lead * norm_series_bound(block) * sup
     return bound
 

@@ -666,6 +666,23 @@ def _triangular_inverse_reference(f, w):
     return z
 
 
+def _monomial_values_per_row(t, points):
+    """Reference for _monomial_values: one row per product, in rank order."""
+    vals = np.empty((t.count, points.shape[1]), dtype=complex)
+    vals[0] = 1.0
+    for r in range(1, t.count):
+        vals[r] = vals[t.parent_rank[r]] * points[t.parent_var[r]]
+    return vals
+
+
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 100), st.integers(0, 2 ** 32 - 1))
+def test_monomial_values_match_the_per_row_loop(q, order, m, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(q, m)) + 1j * rng.normal(size=(q, m))
+    t = _tables(q, order)
+    assert _monomial_values(t, points).tobytes() == _monomial_values_per_row(t, points).tobytes()
+
+
 def _random_triangular(rng, q, order, leak=False):
     """Lower-triangular linear part, component j nonlinear in z_0..z_{j-1};
     with leak, one extra monomial per component in the unsolved variables."""

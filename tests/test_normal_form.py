@@ -112,24 +112,25 @@ def test_defect_zero_for_linear_family():
     k = tuple(PolyJet.identity(2, 4) for _ in range(4))
     T = tuple(PolyJet.from_linear(A, 4) for _ in range(3))
     for degree in range(2, 5):
-        assert defect(fam, k, T, 0, degree).is_zero()
+        assert not defect(fam, k, T, degree).any()
 
 
 def test_defect_scalar_example():
     fam = koenigs_family(0.5, 0.1)
     k = (PolyJet.identity(1, 3),) * 3
     T = (PolyJet.from_linear(fam.linear_part, 3),) * 2
-    P = defect(fam, k, T, 0, 2)
-    assert np.allclose(P.flat, [0.1])
+    P = defect(fam, k, T, 2)
+    assert P.shape == (2, 1, 1)
+    assert np.allclose(P.reshape(-1), [0.1, 0.1])
 
 
 def test_defect_counterexample_is_resonant():
     fam = _resonant_family(c=0.07)
     k = (PolyJet.identity(2, 3),) * 3
     T = (PolyJet.from_linear(fam.linear_part, 3),) * 2
-    P = defect(fam, k, T, 0, 2)
+    P = defect(fam, k, T, 2)[0]
     split = spectral_split(fam.linear_part, 2)
-    flat = P.flat
+    flat = P.reshape(-1)
     assert abs(flat[split.basis.index((1, (2, 0)))] - 0.07) < 1e-14
     assert np.max(np.abs(flat[~split.resonant])) < 1e-14
 
@@ -139,7 +140,49 @@ def test_defect_requires_lower_degrees_clean():
     k = (PolyJet.identity(1, 3),) * 3
     T = (PolyJet.from_linear(fam.linear_part, 3),) * 2
     with pytest.raises(ValueError, match="degree"):
-        defect(fam, k, T, 0, 3)  # the degree-2 defect was never removed
+        defect(fam, k, T, 3)  # the degree-2 defect was never removed
+
+
+def test_defect_names_the_first_failing_step():
+    # degree 2 normalized over a window of 4, then step 2's T picks up a
+    # degree-2 term no conjugator accounts for: only step 2 breaks
+    fam = koenigs_family(0.5, 0.1, horizon=4)
+    k = (PolyJet.identity(1, 3),) * 5
+    T = (PolyJet.from_linear(fam.linear_part, 3),) * 4
+    k, T, _ = normal_form_step(fam, k, T, 2)
+    defect(fam, k, T, 3)  # the clean window passes the check
+    bad = T[2] + PolyJet.from_terms(1, 3, {(0, (2,)): 0.01})
+    T = T[:2] + (bad,) + T[3:]
+    with pytest.raises(ValueError, match="below degree 3 at step 2 "):
+        defect(fam, k, T, 3)
+
+
+def test_step_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="window is empty"):
+        normal_form_step(koenigs_family(0.5, 0.1), (PolyJet.identity(1, 3),), (), 2)
+
+
+@pytest.mark.parametrize("k_shape,T_shape,message", [
+    ((1, 3), (1, 4), "T_0 has q=1, order 4 but k_0 has q=1, order 3"),
+    ((1, 4), (1, 3), "T_0 has q=1, order 3 but k_0 has q=1, order 4"),
+], ids=["T-above-k", "k-above-T"])
+def test_step_refuses_mixed_orders(k_shape, T_shape, message):
+    # order-3 conjugators with order-4 one-step maps used to run degrees 2
+    # and 3 and fail only at degree 4
+    fam = koenigs_family(0.5, 0.1, order=4)
+    k = (PolyJet.identity(*k_shape),) * 3
+    T = (PolyJet.from_linear(np.eye(T_shape[0]) * 0.5, T_shape[1]),) * 2
+    with pytest.raises(ValueError, match=message):
+        normal_form_step(fam, k, T, 2)
+
+
+def test_step_refuses_mixed_dimensions():
+    A = np.diag([0.5, 0.3]).astype(complex)
+    fam = _linear_family(A)
+    k = (PolyJet.identity(2, 3), PolyJet.identity(1, 3), PolyJet.identity(2, 3))
+    T = (PolyJet.from_linear(A, 3),) * 2
+    with pytest.raises(ValueError, match="k_1 has q=1, order 3 but k_0 has q=2, order 3"):
+        normal_form_step(fam, k, T, 2)
 
 
 # ---------------------------------------------------------------------- #
@@ -189,10 +232,12 @@ def test_forcing_matches_full_composition_bit_for_bit(q, degree):
     rows = substitution_rows(Ainv, degree)
     split = spectral_split(np.diag(np.diagonal(A)), degree)
     dense = rng.normal(size=split.dimension) + 1j * rng.normal(size=split.dimension)
-    for flat in (dense, np.where(split.resonant, 0.0, dense)):
+    # one window of blocks with different nonzero columns, and a zero block
+    flats = (dense, np.where(split.resonant, 0.0, dense), np.zeros_like(dense), dense)
+    got = normal_form._substituted(np.array([f.reshape(q, -1) for f in flats]), rows)
+    for flat, block in zip(flats, got):
         N = HomogeneousMap.from_flat(q, degree, flat)
-        got = normal_form._substituted(N, rows)
-        assert np.array_equal(got.coeffs, _substitute_linear_reference(N, Ainv).coeffs)
+        assert np.array_equal(block, _substitute_linear_reference(N, Ainv).coeffs)
 
 
 def test_q5_order6_family_within_its_wall_and_memory_bounds(monkeypatch):
@@ -691,33 +736,82 @@ def test_univalence_check_outcomes(koenigs10):
 def _tabled_family(name):
     if name == "demo-field":
         return discretize(ContinuousEvolution(demo_field(), 4), 3).family
+    if name == "planted":
+        return _resonant_family(horizon=4)
     q = {"q3": 3, "q4": 4}[name]
     return random_optimal_family(np.random.default_rng(11), q, 3, horizon=4)
 
 
-@pytest.mark.parametrize("name", ["q3", "q4", "demo-field"])
-def test_step_tables_compose_like_compose_at_every_degree(name):
-    # the build's last pass, replayed: before each degree's stage and at the
-    # working order after the last, k_{n+1} o phi_n from the step's table
-    # (built at the working order) is compose's jet bit for bit
-    family = _tabled_family(name)
-    res = build_normal_form(family)
+def _last_pass(family, res):
+    """The last pass of res = build_normal_form(family), replayed: yields
+    (fam, k, T, degree, tables) before each degree's stage, then
+    (fam, k, T, None, tables) at its end, where k must be res's normalizers."""
     W, window = res.work_order, res.work_horizon
     fam = family.with_order(W)
     k = tuple(PolyJet.identity(fam.q, W) for _ in range(window + 1))
     T = tuple(PolyJet.from_linear(fam.linear_part, W) for _ in range(window))
     tables = {}
-
-    def check(order):
-        for n in range(window):
-            lhs, _ = normal_form._conjugacy_sides(fam, k, T, n, order, tables)
-            assert np.array_equal(lhs.coeffs, compose(k[n + 1], fam.step(n), order).coeffs)
-
     for degree in range(2, W + 1):
-        check(degree)
+        yield fam, k, T, degree, tables
         k, T, _ = normal_form_step(fam, k, T, degree, tables=tables)
-    check(W)
     assert k == res.normalizers
+    yield fam, k, T, None, tables
+
+
+def _window_lhs(fam, k, T, order, tables):
+    """k_{n+1} o phi_n for every step, from normal_form._window_sides."""
+    out = {}
+    for ns, lhs, _ in normal_form._window_sides(fam, k, T, order, tables, range(len(T))):
+        out.update(zip(ns, lhs))
+    return [out[n] for n in range(len(T))]
+
+
+@pytest.mark.parametrize("name", ["q3", "q4", "demo-field"])
+def test_step_tables_compose_like_compose_at_every_degree(name):
+    # before each degree's stage and at the working order after the last,
+    # k_{n+1} o phi_n from the step's table (built at the working order) is
+    # compose's jet bit for bit
+    family = _tabled_family(name)
+    for fam, k, T, degree, tables in _last_pass(family, build_normal_form(family)):
+        order = degree or fam.order
+        for n, lhs in enumerate(_window_lhs(fam, k, T, order, tables)):
+            assert np.array_equal(lhs, compose(k[n + 1], fam.step(n), order).coeffs)
+
+
+def _conjugacy_sides(family, k, T, n, order, tables):
+    """Per-step reference: k_{n+1} o phi_n from phi_n's power table and
+    T_n o k_n by compose, both through `order`."""
+    step = family.step(n)
+    key = normal_form._value_key(step)
+    if key not in tables:
+        tables[key] = normal_form.PowerTable(step)
+    return tables[key].compose(k[n + 1], order), compose(T[n], k[n], order)
+
+
+@pytest.mark.parametrize("name", ["q3", "q4", "demo-field", "planted"])
+def test_window_defect_matches_the_per_step_reference(name):
+    # every degree of the build's last pass: the window-wide defect block
+    # equals k_{n+1} o phi_n - T_n o k_n formed one step at a time, and the
+    # build's defect_sup is the per-step sup at the working order
+    nonlinear = False
+    family = _tabled_family(name)
+    res = build_normal_form(family)
+    for fam, k, T, degree, tables in _last_pass(family, res):
+        if degree is None:
+            ref = max((lhs - rhs).max_coeff for lhs, rhs in
+                      (_conjugacy_sides(fam, k, T, n, fam.order, {}) for n in range(len(T))))
+            assert res.defect_sup == ref
+            continue
+        got = defect(fam, k, T, degree, tables)
+        assert got.shape == (len(T), fam.q, HomogeneousMap.zero(fam.q, degree).coeffs.shape[1])
+        for n in range(len(T)):
+            lhs, rhs = _conjugacy_sides(fam, k, T, n, degree, {})
+            ref = (lhs - rhs).homogeneous_part(degree).coeffs
+            assert np.array_equal(got[n], ref), (degree, n)
+            nonlinear |= normal_form._nonlinear(T[n].truncated(degree)).coeffs.any()
+    # the planted resonance puts z_0^2 into every T_n: T_n o k_n takes the
+    # step-by-step fallback from degree 3 on
+    assert nonlinear == (name == "planted")
 
 
 @pytest.mark.parametrize("name,distinct", [("q3", 4), ("demo-field", 1)])

@@ -51,3 +51,19 @@ def test_traced_chain_binds_every_span_attribute(tmp_path):
     assert flow
     # the demo field's coefficients are constant, so every key is computed
     assert all(span[5] is not None for span in flow)
+
+
+def test_traced_chain_runs_one_defect_per_normal_form_step(tmp_path):
+    # a degree's defect is one window-wide call, made inside its stage: the
+    # benchmark's normal_form.defect layer counts stages, not steps n
+    spans = _spans_module()
+    inp = tmp_path / "field.json"
+    inp.write_text(json.dumps(demo_field().to_json_dict()))
+    with spans.Tracer() as tracer:
+        assert cli.main(["chain", "--input", str(inp),
+                         "--output", str(tmp_path / "chain.json")]) == 0
+    stages = [i for i, span in enumerate(tracer.spans)
+              if span[0] == "normal_form.normal_form_step"]
+    parents = [span[3] for span in tracer.spans if span[0] == "normal_form.defect"]
+    assert stages
+    assert sorted(parents) == stages
