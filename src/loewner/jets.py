@@ -756,13 +756,18 @@ def gradient_bound_matrix(f: PolyJet, radius: float) -> np.ndarray:
     Entry (j, k) dominates |d f_j / d z_k| there; the spectral norm of the
     returned nonnegative matrix dominates the euclidean Lipschitz constant.
     """
-    t = f.tables
-    c = f.coeffs[:, 1:]
+    return _gradient_bounds(f.coeffs, f.tables, radius)
+
+
+def _gradient_bounds(coeffs: np.ndarray, t: _Tables, radius: float) -> np.ndarray:
+    """gradient_bound_matrix of every coefficient block in a (..., q, count)
+    stack, as a (..., q, q) stack; each block's bound is the one jet's."""
+    c = coeffs[..., 1:]
     e = t.exponents[1:]
     # the terms |c| e r^(d-1) as the term loop forms them: np.hypot rounds
     # like abs(complex), and the powers are Python's own
     powers = np.array([radius ** (d - 1) for d in t.degrees[1:].tolist()])
-    terms = np.hypot(c.real, c.imag)[:, :, None] * e[None] * powers[None, :, None]
-    terms = np.where((c != 0)[:, :, None] & (e > 0)[None], terms, 0.0)
+    terms = np.hypot(c.real, c.imag)[..., None] * e * powers[:, None]
+    terms = np.where((c != 0)[..., None] & (e > 0), terms, 0.0)
     # accumulate sums in rank order, as the loop does (reduce sums pairwise)
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]

@@ -26,7 +26,7 @@ import numpy.polynomial.polynomial as npp
 from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_difference
 from .jets import (PolyJet, PowerTable, compose, evaluate_triangular_inverse_many,
                    gradient_bound_matrix, invert, is_triangular, _compose_arrays,
-                   _monomial_values, _support, _tables)
+                   _gradient_bounds, _monomial_values, _support, _tables)
 from .sampling import complex_ball_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
@@ -452,8 +452,8 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     T_n, and a nonresonant part, cancelled by the bounded solution of
     H_{n+1} = Gamma(H_n) - N_n o A^{-1}.  The degree runs over the whole
     window at once, on (window, q, M) stacks of coefficient blocks; only
-    the k-updates compose one n at a time.  `tables` holds the steps'
-    power tables across degrees (see _window_sides).
+    the k-updates compose, once per distinct (H_n, k_n).  `tables` holds
+    the steps' power tables across degrees (see _window_sides).
     """
     q, work = _window_shape(k, T)
     A_opt = _as_optimal(family.linear_part)
@@ -469,13 +469,25 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     sol = solve_difference(A_opt.matrix, S, S_inv, split,
                            ForcingSequence(degree, q, forcing, family.tail, tail))
 
-    lo, hi = _tables(q, work).offsets[degree:degree + 2]
-    identity = PolyJet.identity(q, work).coeffs
+    t = _tables(q, work)
+    lo, hi = t.offsets[degree:degree + 2]
+    identity = np.zeros((q, t.count), dtype=complex)
+    identity[:, 1:1 + q] = np.eye(q)
     new_k = list(k)
+    # fields repeat (H_n, k_n): k holds every k_n alive, so a shared id is
+    # a shared jet, and H_n is compared bit for bit with the earlier H_m
+    # of that jet only, which keeps no copies of the window's blocks
+    updated: dict[int, list[int]] = {}
     for n in np.flatnonzero(sol.terms.any(axis=(1, 2))):
-        c = np.array(identity)
-        c[:, lo:hi] = sol.terms[n]
-        new_k[n] = compose(PolyJet(q, work, c), k[n], work)
+        same = updated.setdefault(id(k[n]), [])
+        h = sol.terms[n].tobytes()
+        m = next((m for m in same if sol.terms[m].tobytes() == h), n)
+        if m == n:
+            c = np.array(identity)
+            c[:, lo:hi] = sol.terms[n]
+            new_k[n] = compose(PolyJet(q, work, c), k[n], work)
+            same.append(n)
+        new_k[n] = new_k[m]
     report = StageReport(degree, resonant_norm, max(sol.residuals, default=0.0))
     return tuple(new_k), new_T, report
 
@@ -564,24 +576,24 @@ def _defect_sup_majorant(family: DiscreteEvolutionFamily,
 
     The exact polynomials k_{n+1} o phi_n and T_n o k_n agree through the
     working order, so the true defect is dominated by the degree >= L tail
-    of kappa_{n+1}(phihat_n) + That_n(kappa_n), L = order + 1.
+    of kappa_{n+1}(phihat_n) + That_n(kappa_n), L = order + 1.  Each
+    distinct (k_{n+1}, phi_n, T_n, k_n) is bounded once.
     """
     L = normalizers[0].order + 1
-    worst = 0.0
-    kmaj = [_majorant_series(kn) for kn in normalizers]
-    cache: dict[tuple, np.ndarray] = {}
-
-    def series(jet: PolyJet) -> np.ndarray:
-        key = _value_key(jet)
-        if key not in cache:
-            cache[key] = _majorant_series(jet)
-        return cache[key]
-
+    keys = [_value_key(kn) for kn in normalizers]
+    sides: dict[tuple, tuple] = {}
     for n in range(len(normalizers) - 1):
-        phihat = series(family.step(n))
-        that = series(triangular.step(min(n, len(triangular) - 1)))
-        total = _series_add(_poly_compose(kmaj[n + 1], phihat),
-                            _poly_compose(that, kmaj[n]))
+        step, tn = family.step(n), triangular.step(min(n, len(triangular) - 1))
+        sides.setdefault((keys[n + 1], _value_key(step), _value_key(tn), keys[n]),
+                         (normalizers[n + 1], step, tn, normalizers[n]))
+    majorants: dict[tuple, np.ndarray] = {}
+    worst = 0.0
+    for side_keys, jets in sides.items():
+        for key, jet in zip(side_keys, jets):
+            if key not in majorants:
+                majorants[key] = _majorant_series(jet)
+        k_next, phihat, that, k_n = (majorants[key] for key in side_keys)
+        total = _series_add(_poly_compose(k_next, phihat), _poly_compose(that, k_n))
         tail = total[L:]
         if tail.size:
             powers = radius ** (L + np.arange(tail.size))
@@ -604,6 +616,8 @@ def estimate_constants(family: DiscreteEvolutionFamily,
     quotient sup |residual| / r^ell fed into the increment bound.  The
     image radius s comes from the conjugators' deviation from the identity
     when they are supplied, else a conservative half of r is recorded.
+    Every bound is a max over the window, and windows repeat few values,
+    so each distinct jet (by _value_key), or tuple of them, is bounded once.
     """
     A_opt = _as_optimal(family.linear_part)
     if report is None:
@@ -614,14 +628,12 @@ def estimate_constants(family: DiscreteEvolutionFamily,
 
     # |phi(z) - Az| <= C2 |z|^2 uniformly on the unit ball
     c2 = 0.0
-    for s_jet in family.steps:
+    for s_jet in {_value_key(s_jet): s_jet for s_jet in family.steps}.values():
         series = _majorant_series(s_jet)
         c2 = max(c2, math.sqrt(q) * float(series[2:].sum()))
     r = 0.5 if c2 == 0.0 else min(0.5, (alpha - norm_a) / c2)
 
     beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
-    # keyed by value: resonance-free builds share one linear jet across the
-    # whole window, so the inversion runs once
     inverses: dict[tuple, PolyJet] = {}
     for tn in triangular.steps:
         key = _value_key(tn)
@@ -632,11 +644,20 @@ def estimate_constants(family: DiscreteEvolutionFamily,
     ell = _smallest_ell(alpha, beta)
 
     if normalizers is not None:
+        # the operator norms of the distinct deviations k_n - id at a trial
+        # radius: one stack of gradient bounds and one stacked SVD per chunk,
+        # the chunk's (chunk, q, count, q) terms within _STACK_COEFFS
+        distinct = list({_value_key(kn): kn for kn in normalizers}.values())
+        chunk = max(1, _STACK_COEFFS // (q * distinct[0].coeffs.size))
+        tables = distinct[0].tables
         rs = r
-        dev = math.inf
         for _ in range(60):
-            dev = max(operator_norm(gradient_bound_matrix(_nonlinear(kn), rs))
-                      for kn in normalizers)
+            dev = 0.0
+            for start in range(0, len(distinct), chunk):
+                stack = np.stack([_nonlinear(kn).coeffs
+                                  for kn in distinct[start:start + chunk]])
+                g = _gradient_bounds(stack, tables, rs).astype(complex)
+                dev = max(dev, float(np.linalg.norm(g, 2, axis=(1, 2)).max()))
             if dev < 1.0:
                 break
             rs *= 0.5
@@ -647,11 +668,15 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         C = beta * M / r ** ell
     else:
         s = 0.5 * r
-        worst = 0.0
+        pairs: dict[tuple, PolyJet] = {}
         for n in range(len(family.steps)):
             last = triangular.step(min(n, len(triangular) - 1))
-            ti = _majorant_series(inverses[_value_key(last)])
-            total = _poly_compose(ti, _majorant_series(family.step(n)))
+            step = family.step(n)
+            pairs.setdefault((_value_key(last), _value_key(step)), step)
+        worst = 0.0
+        for (last_key, _), step in pairs.items():
+            ti = _majorant_series(inverses[last_key])
+            total = _poly_compose(ti, _majorant_series(step))
             total[1] = max(0.0, total[1] - 1.0)  # one round trip against the identity
             worst = max(worst, float(npp.polyval(r, total)))
         C = math.sqrt(q) * worst / r ** ell
@@ -810,7 +835,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
         fam_w = family.with_order(work_order)
         lin = PolyJet.from_linear(A, work_order)
         T = tuple(lin for _ in range(work_horizon))
-        k = tuple(PolyJet.identity(q, work_order) for _ in range(work_horizon + 1))
+        k = (PolyJet.identity(q, work_order),) * (work_horizon + 1)
         # one power table per distinct step of this pass, freed on return
         tables: dict[tuple, PowerTable] = {}
         stages = []

@@ -5,7 +5,10 @@ so the contraction exponent ell (and with it the working jet order) stays
 small; the acceptance budget is one core and sixty seconds per suite.
 """
 
+import math
+
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -18,8 +21,13 @@ from loewner import (
     build_chain,
     build_normal_form,
     compose,
+    gradient_bound_matrix,
+    invert,
+    operator_norm,
     to_optimal_form,
 )
+from loewner.normal_form import (NormalFormConstants, _as_optimal, _majorant_series,
+                                 _nonlinear, _poly_compose, _series_add, _smallest_ell)
 from loewner.spectral import substitution_matrix, substitution_rows
 
 settings.register_profile(
@@ -119,6 +127,55 @@ def dense_sup_bound(gamma, split, forcing, horizon):
         sup = max(float(np.max(np.abs(B.reshape(-1)[idx]))) for B in terms)
         bound += lead * norm_series_bound(block) * sup
     return bound
+
+
+def constants_reference(family, triangular, report, normalizers=None):
+    """estimate_constants one window step and one normalizer at a time:
+    every step's majorant, every T_n's inverse, every normalizer's gradient
+    bound and operator norm at each trial radius, both majorant sides of
+    every defect."""
+    A_opt = _as_optimal(family.linear_part)
+    q = family.q
+    alpha = 0.5 * (A_opt.norm_bound + 1.0)
+    c2 = max(math.sqrt(q) * float(_majorant_series(s)[2:].sum()) for s in family.steps)
+    r = 0.5 if c2 == 0.0 else min(0.5, (alpha - A_opt.norm_bound) / c2)
+    beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
+    inverses = [invert(tn) for tn in triangular.steps]
+    for inv in inverses:
+        beta = max(beta, float(gradient_bound_matrix(inv, 0.5).sum(axis=1).max()))
+    ell = _smallest_ell(alpha, beta)
+    last = len(triangular) - 1
+    if normalizers is not None:
+        rs = r
+        for _ in range(60):
+            dev = max(operator_norm(gradient_bound_matrix(_nonlinear(kn), rs))
+                      for kn in normalizers)
+            if dev < 1.0:
+                break
+            rs *= 0.5
+        s = rs * max(0.0, 1.0 - dev)
+        L = normalizers[0].order + 1
+        worst = 0.0
+        for n in range(len(normalizers) - 1):
+            total = _series_add(
+                _poly_compose(_majorant_series(normalizers[n + 1]),
+                              _majorant_series(family.step(n))),
+                _poly_compose(_majorant_series(triangular.step(min(n, last))),
+                              _majorant_series(normalizers[n])))
+            tail = total[L:]
+            if tail.size:
+                worst = max(worst, float(tail @ r ** (L + np.arange(tail.size))))
+        C = beta * (math.sqrt(q) * worst) / r ** ell
+    else:
+        s = 0.5 * r
+        worst = 0.0
+        for n in range(len(family.steps)):
+            total = _poly_compose(_majorant_series(inverses[min(n, last)]),
+                                  _majorant_series(family.step(n)))
+            total[1] = max(0.0, total[1] - 1.0)
+            worst = max(worst, float(npp.polyval(r, total)))
+        C = math.sqrt(q) * worst / r ** ell
+    return NormalFormConstants(alpha, r, s, beta, ell, report.p, C)
 
 
 def koenigs_family(lam, c, order=3, horizon=2):

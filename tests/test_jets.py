@@ -14,6 +14,7 @@ from loewner.cli import report_text
 from loewner.jets import (
     _PRODUCT_TRIPLES,
     PowerTable,
+    _gradient_bounds,
     _monomial_values,
     _mul_plan,
     _power_plan,
@@ -403,10 +404,13 @@ def test_gradient_bound_matches_term_loop(q, order):
                            scale=10.0 ** rng.uniform(-3, 3)) for _ in range(4)]
     jets.append(_sparse_outer(rng, q, order))
     jets.append(PolyJet.zero(q, order))
-    for f in jets:
-        for radius in (0.5, 0.37, 0.123, 1e-200, 0.0):
+    stack = np.stack([f.coeffs for f in jets])
+    for radius in (0.5, 0.37, 0.123, 1e-200, 0.0):
+        stacked = _gradient_bounds(stack, jets[0].tables, radius)
+        for f, g in zip(jets, stacked):
             assert np.array_equal(gradient_bound_matrix(f, radius),
                                   _gradient_bound_reference(f, radius))
+            assert np.array_equal(g, gradient_bound_matrix(f, radius))
 
 
 def test_gradient_bound_linear_case():

@@ -36,7 +36,8 @@ from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points, complex_sphere_points
 
-from conftest import demo_field, koenigs_family, koenigs_oracle, random_optimal_family
+from conftest import (constants_reference, demo_field, koenigs_family, koenigs_oracle,
+                      random_optimal_family)
 
 
 @pytest.fixture(scope="module")
@@ -836,6 +837,85 @@ def test_one_power_table_per_distinct_step_per_pass(monkeypatch, name, distinct)
     assert len(steps) == distinct
     assert len(built) == distinct * len(passes)
     assert set(built[-distinct:]) == steps
+
+
+def test_k_updates_compose_each_distinct_pair_once(monkeypatch):
+    # a constant-coefficient field repeats (H_n, k_n) across its window:
+    # each degree composes identity + H_n with k_n once per distinct pair
+    composed = []
+
+    def counted(outer, inner, order=None):
+        composed.append((normal_form._value_key(outer), normal_form._value_key(inner)))
+        return compose(outer, inner, order)
+
+    monkeypatch.setattr(normal_form, "compose", counted)
+    res = build_normal_form(_tabled_family("demo-field"))
+    assert len(set(composed)) == len(composed) < res.work_horizon
+
+
+# ---------------------------------------------------------------------- #
+# certificate constants once per distinct value
+
+
+def _distinct_normalizers(res):
+    return {normal_form._value_key(kn) for kn in res.normalizers}
+
+
+@pytest.mark.parametrize("name", ["demo-field", "q3", "planted"])
+def test_constants_match_the_per_step_reference(name):
+    # both branches, bit for bit: with the normalizers (build, chain,
+    # verify) and without (analyze, which passes one linear T)
+    res = build_normal_form(_tabled_family(name))
+    repeats = len(_distinct_normalizers(res)) < len(res.normalizers)
+    assert repeats == (name != "q3")
+    fam, tri = res.family, res.triangular
+    trivial = TriangularFamily(fam.linear_part,
+                               (PolyJet.from_linear(fam.linear_part, fam.order),))
+    report = res.resonance_report
+    for args in ((tri, report, res.normalizers), (tri, report), (trivial, report)):
+        got = estimate_constants(fam, *args)
+        assert repr(got) == repr(constants_reference(fam, *args)), args[1:2]
+    assert repr(res.constants) == repr(constants_reference(fam, tri, report, res.normalizers))
+
+
+def test_constants_bound_each_distinct_value_once(monkeypatch):
+    # a constant-coefficient field repeats its steps and most normalizers:
+    # one pair of majorant compositions per distinct (k_{n+1}, phi_n, T_n,
+    # k_n), one SVD per distinct normalizer and trial radius
+    res = build_normal_form(_tabled_family("demo-field"))
+    fam, tri, k = res.family, res.triangular, res.normalizers
+    key = normal_form._value_key
+    sides = {(key(k[n + 1]), key(fam.step(n)), key(tri.step(n)), key(k[n]))
+             for n in range(res.work_horizon)}
+    distinct = _distinct_normalizers(res)
+    assert len(sides) < res.work_horizon and len(distinct) < len(k)
+
+    composed, radii, svds = [], [], []
+    poly_compose, bounds = normal_form._poly_compose, normal_form._gradient_bounds
+    norm = np.linalg.norm
+
+    def counted_compose(outer, inner):
+        composed.append(1)
+        return poly_compose(outer, inner)
+
+    def counted_bounds(coeffs, tables, radius):
+        radii.append(radius)
+        return bounds(coeffs, tables, radius)
+
+    def counted_norm(x, *args, **kwargs):
+        x = np.asarray(x)
+        svds.append(x.size // (x.shape[-2] * x.shape[-1]))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(normal_form, "_poly_compose", counted_compose)
+    monkeypatch.setattr(normal_form, "_gradient_bounds", counted_bounds)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    estimate_constants(fam, tri, res.resonance_report)
+    outside = sum(svds)  # both branches: _as_optimal's two norms of A
+    del svds[:], composed[:]
+    assert estimate_constants(fam, tri, res.resonance_report, k) == res.constants
+    assert len(composed) <= 2 * len(sides)
+    assert sum(svds) - outside <= len(distinct) * len(set(radii))
 
 
 # ---------------------------------------------------------------------- #
