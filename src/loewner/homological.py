@@ -158,8 +158,10 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
     built on OptimalForm.inverse_matrix.  The forcing must vanish on the
     resonant family; Gamma must leave the stable and unstable coordinate
     families invariant (guaranteed by optimal-form linear parts, asserted
-    here).  Under a constant tail the unstable terminal value is the
-    autonomous fixed point (I - Gamma_u)^{-1} B^u_inf of the tail equation.
+    here).  Under a constant tail the unstable block is the autonomous
+    fixed point (I - Gamma_u)^{-1} B^u_inf of the tail equation on the
+    trailing run of steps whose unstable forcing equals B^u_inf, through
+    H_T, and the backward sweep covers only the steps before that run.
     """
     T = len(forcing) if horizon is None else horizon
     q, degree = split.q, split.degree
@@ -204,16 +206,21 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
             h = np.where(stable, A @ h @ St, 0.0) + bs[n]
             H[n + 1] = h
 
-    # unstable block: backward from the tail-determined terminal value
+    # unstable block: the tail equation's fixed point X = Gamma_u X + B^u_inf
+    # (zero under a zero tail) solves every step of the trailing run of rows
+    # forced by B^u_inf, since Gamma_u^{-1}(X - B^u_inf) = X; the backward
+    # sweep starts below that run
     if unstable.any():
-        if forcing.tail == TAIL_CONSTANT:
-            h = _unstable_fixed_point(A, S, unstable, forcing.tail_value, degree)
-        else:
-            h = np.zeros((q, M), dtype=complex)
-        H[T] += h
-        bu = np.where(unstable, b, 0.0)
+        tail = (forcing.tail_value if forcing.tail == TAIL_CONSTANT
+                else np.zeros((q, M), dtype=complex))
+        h = _unstable_fixed_point(A, S, unstable, tail, degree)
+        bu, bu_inf = np.where(unstable, b, 0.0), np.where(unstable, tail, 0.0)
+        start = T
+        while start and np.array_equal(bu[start - 1], bu_inf):
+            start -= 1
+        H[start:] += h
         Ainv, Sinv_t = np.tril(np.linalg.inv(A)), S_inv.T
-        for n in range(T - 1, -1, -1):
+        for n in range(start - 1, -1, -1):
             h = np.where(unstable, Ainv @ (h - bu[n]) @ Sinv_t, 0.0)
             H[n] += h
 

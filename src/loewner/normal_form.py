@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +75,16 @@ def _with_linear(jet: PolyJet, matrix: np.ndarray) -> PolyJet:
 
 
 def _as_optimal(matrix: np.ndarray) -> OptimalForm:
+    """matrix as an OptimalForm with the identity basis change, refused
+    unless it is in optimal form already.  Every degree and the constants
+    ask for the same linear part, so each value is checked once."""
     A = np.asarray(matrix, dtype=complex)
+    return _optimal_form(A.shape, A.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _optimal_form(shape: tuple[int, ...], raw: bytes) -> OptimalForm:
+    A = np.frombuffer(raw, dtype=complex).reshape(shape).copy()
     sizes = _already_optimal(A, CLUSTER_RTOL)
     if sizes is None:
         raise ValueError(
@@ -282,8 +292,8 @@ class TriangularFamily:
         return out
 
 
-# coefficients one stacked (steps, q, count) array of _window_sides holds at
-# most (one step at least): 64 KB, so a group's stacks and the temporaries
+# coefficients one stacked (blocks, q, count) array of _window_sides holds at
+# most (one block at least): 64 KB, so a group's stacks and the temporaries
 # reduced from them stay small beside the steps' power tables
 _STACK_COEFFS = 4096
 
@@ -291,35 +301,50 @@ _STACK_COEFFS = 4096
 def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                   T: Sequence[PolyJet], order: int, tables: dict[tuple, PowerTable],
                   steps: Sequence[int]):
-    """k_{n+1} o phi_n and T_n o k_n through `order` for the steps n, a
-    group of steps at a time.
+    """k_{n+1} o phi_n and T_n o k_n through `order` for the steps n, once
+    per distinct (k_{n+1}, phi_n, T_n, k_n), a group of those at a time.
 
-    Yields (ns, lhs, rhs) with lhs[i], rhs[i] the (q, count) coefficient
-    blocks of the two sides at step ns[i].  A group shares phi_n's power
-    table (from `tables`, keyed by the step's value and filled on first
-    use), the monomials k_{n+1} uses and those T_n uses, so each side is
-    one batched matmul: numpy runs one gemm per step, of the shapes
-    compose uses, and every block equals compose's bit for bit.  T_n o k_n
-    reads only the coordinates of k_n when T_n is linear; a T_n with
-    nonlinear terms is composed step by step.  A group runs in chunks of at
-    most _STACK_COEFFS coefficients per stack.
+    Yields (blocks, lhs, rhs) with lhs[i], rhs[i] the (q, count) coefficient
+    blocks of the two sides at every step of the list blocks[i].  Steps
+    share a block when they share the k_{n+1} and k_n jets (k holds every
+    k_n alive, so a shared id is a shared jet), phi_n's power table (from
+    `tables`, keyed by the step's value and filled on first use) and T_n
+    bit for bit, compared only with the earlier T_m of those three.  A
+    group of blocks shares the power table, the monomials k_{n+1} uses and
+    those T_n uses, so each side is one batched matmul: numpy runs one gemm
+    per block, of the shapes compose uses, and every block equals
+    compose's bit for bit.  T_n o k_n reads only the coordinates of k_n
+    when T_n is linear; a T_n with nonlinear terms is composed block by
+    block.  A group runs in chunks of at most _STACK_COEFFS coefficients
+    per stack.
     """
     t = _tables(family.q, order)
     width = t.count
+    shared: dict[tuple, list[list[int]]] = {}
     groups: dict[tuple, tuple] = {}
     for n in steps:
         step = family.step(n)
         key = _value_key(step)
         if key not in tables:
             tables[key] = PowerTable(step)
+        table = tables[key]
+        same = shared.setdefault((id(k[n + 1]), id(table), id(k[n])), [])
+        tn = T[n].coeffs[:, :width]
+        block = next((b for b in same
+                      if np.array_equal(T[b[0]].coeffs[:, :width], tn)), None)
+        if block is not None:
+            block.append(n)
+            continue
+        same.append([n])
         ks = _support(k[n + 1].coeffs[:, :width])
-        ts = _support(T[n].coeffs[:, :width])
-        gkey = (id(tables[key]), ks.tobytes(), ts.tobytes())
-        groups.setdefault(gkey, (tables[key], ks, ts, []))[3].append(n)
+        ts = _support(tn)
+        gkey = (id(table), ks.tobytes(), ts.tobytes())
+        groups.setdefault(gkey, (table, ks, ts, []))[3].append(same[-1])
     chunk = max(1, _STACK_COEFFS // (family.q * width))
     for table, ks, ts, members in groups.values():
         for start in range(0, len(members), chunk):
-            ns = members[start:start + chunk]
+            blocks = members[start:start + chunk]
+            ns = [b[0] for b in blocks]
             outer = np.stack([k[n + 1].coeffs[:, ks] for n in ns])
             lhs = np.matmul(outer, table.table[table.pos[ks], :width])
             if ts.size and t.degrees[ts[-1]] > 1:
@@ -329,7 +354,7 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
                 coords = t.parent_var[ts]
                 rhs = np.matmul(np.stack([T[n].coeffs[:, ts] for n in ns]),
                                 np.stack([k[n].coeffs[coords, :width] for n in ns]))
-            yield ns, lhs, rhs
+            yield blocks, lhs, rhs
 
 
 def _window_shape(k: Sequence[PolyJet], T: Sequence[PolyJet]) -> tuple[int, int]:
@@ -371,14 +396,16 @@ def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     out = np.empty((window, q, t.count - cut), dtype=complex)
     low = np.empty(window)
     scale = np.empty(window)
-    for ns, lhs, rhs in _window_sides(family, k, T, degree,
-                                      {} if tables is None else tables, range(window)):
+    for blocks, lhs, rhs in _window_sides(family, k, T, degree,
+                                          {} if tables is None else tables, range(window)):
         # roundoff in the compositions scales with their own coefficients,
         # which grow with the degree far beyond the family's coefficients
-        scale[ns] = np.maximum(np.abs(lhs).max(axis=(1, 2)), np.abs(rhs).max(axis=(1, 2)))
+        sizes = np.maximum(np.abs(lhs).max(axis=(1, 2)), np.abs(rhs).max(axis=(1, 2)))
         lhs -= rhs
-        low[ns] = np.abs(lhs[:, :, :cut]).max(axis=(1, 2))
-        out[ns] = lhs[:, :, cut:]
+        lows = np.abs(lhs[:, :, :cut]).max(axis=(1, 2))
+        # each block is written in place to every step that shares it
+        for i, ns in enumerate(blocks):
+            scale[ns], low[ns], out[ns] = sizes[i], lows[i], lhs[i, :, cut:]
     bad = np.flatnonzero(low > _IDENTITY_BREAK_TOL * np.maximum(scale, 1.0))
     if bad.size:
         n = int(bad[0])
@@ -544,8 +571,10 @@ def _majorant_series(jet: PolyJet) -> np.ndarray:
 def _trim(series: np.ndarray) -> np.ndarray:
     """series without its trailing zeros, keeping one coefficient at least,
     as numpy.polynomial trims its results."""
-    nonzero = np.flatnonzero(series)
-    return series[:nonzero[-1] + 1] if nonzero.size else series[:1]
+    end = series.size
+    while end > 1 and series[end - 1] == 0:
+        end -= 1
+    return series[:end]
 
 
 def _series_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

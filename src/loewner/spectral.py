@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,12 +87,12 @@ class OptimalForm:
     def eigenvalues(self) -> np.ndarray:
         return np.diagonal(self.matrix).copy()
 
-    @property
+    @cached_property
     def inverse_matrix(self) -> np.ndarray:
         """Inverse computed cluster block by cluster block, so entries across
         distinct-modulus clusters are exactly zero; np.tril drops the roundoff
         a pivoted block inversion leaves above the diagonal, so the inverse is
-        exactly lower triangular like the matrix."""
+        exactly lower triangular like the matrix.  Computed once, read-only."""
         q = self.q
         inv = np.zeros((q, q), dtype=complex)
         lo = 0
@@ -99,6 +100,7 @@ class OptimalForm:
             block = self.matrix[lo:lo + size, lo:lo + size]
             inv[lo:lo + size, lo:lo + size] = np.tril(np.linalg.inv(block))
             lo += size
+        inv.setflags(write=False)
         return inv
 
     @property

@@ -14,6 +14,8 @@ from loewner import (
     spectral_split,
 )
 
+from loewner import homological
+
 from conftest import dense_sup_bound, gamma_factors
 
 
@@ -274,9 +276,18 @@ def test_structured_solve_matches_dense_reference(name, degree, tail):
     terms = np.array([_random_nonresonant(rng, split) for _ in range(5)])
     forcing = ForcingSequence(degree, len(A), terms, tail,
                               terms[-1] if tail == TAIL_CONSTANT else None)
-    sol = solve_difference(*gamma_factors(A, degree), split, forcing, horizon=12)
+    factors = gamma_factors(A, degree)
+    sol = solve_difference(*factors, split, forcing, horizon=12)
     ref = dense_solution(gamma_matrix(A, degree), split, forcing, 12)
     got = sol.terms.reshape(13, -1)
     # roundoff bound: measured at most 3.3e-15 of max |H|
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert max(sol.residuals) <= 1e-13
+    if tail == TAIL_CONSTANT:
+        # B_4 .. B_11 equal the tail value, so H_4 .. H_12 solve the tail
+        # equation: their unstable blocks are its fixed point bit for bit
+        unstable = split.unstable.reshape(terms.shape[1:])
+        X = homological._unstable_fixed_point(*factors[:2], unstable, terms[-1], degree)
+        for n in range(4, 13):
+            assert np.array_equal(np.where(unstable, sol.terms[n], 0.0), X), n
+

@@ -739,6 +739,10 @@ def _tabled_family(name):
         return discretize(ContinuousEvolution(demo_field(), 4), 3).family
     if name == "planted":
         return _resonant_family(horizon=4)
+    if name == "q3-stable":
+        # |lambda_2|, |lambda_3| < |lambda_1|^2: z_1^2 is a stable direction
+        # of components 2 and 3 at degree 2
+        return random_optimal_family(np.random.default_rng(12), 3, 3, horizon=4, lo=0.55)
     q = {"q3": 3, "q4": 4}[name]
     return random_optimal_family(np.random.default_rng(11), q, 3, horizon=4)
 
@@ -749,8 +753,9 @@ def _last_pass(family, res):
     (fam, k, T, None, tables) at its end, where k must be res's normalizers."""
     W, window = res.work_order, res.work_horizon
     fam = family.with_order(W)
-    k = tuple(PolyJet.identity(fam.q, W) for _ in range(window + 1))
-    T = tuple(PolyJet.from_linear(fam.linear_part, W) for _ in range(window))
+    # one shared identity and one shared linear T, as the build starts
+    k = (PolyJet.identity(fam.q, W),) * (window + 1)
+    T = (PolyJet.from_linear(fam.linear_part, W),) * window
     tables = {}
     for degree in range(2, W + 1):
         yield fam, k, T, degree, tables
@@ -762,8 +767,9 @@ def _last_pass(family, res):
 def _window_lhs(fam, k, T, order, tables):
     """k_{n+1} o phi_n for every step, from normal_form._window_sides."""
     out = {}
-    for ns, lhs, _ in normal_form._window_sides(fam, k, T, order, tables, range(len(T))):
-        out.update(zip(ns, lhs))
+    for blocks, lhs, _ in normal_form._window_sides(fam, k, T, order, tables, range(len(T))):
+        for ns, block in zip(blocks, lhs):
+            out.update(dict.fromkeys(ns, block))
     return [out[n] for n in range(len(T))]
 
 
@@ -853,6 +859,54 @@ def test_k_updates_compose_each_distinct_pair_once(monkeypatch):
     assert len(set(composed)) == len(composed) < res.work_horizon
 
 
+def test_window_defect_forms_each_distinct_side_once(monkeypatch):
+    # every degree of the demo field's last pass, and the working order
+    # after it: the window's sides are formed once per distinct
+    # (k_{n+1}, phi_n, T_n, k_n) and shared by every step that repeats it
+    family = _tabled_family("demo-field")
+    res = build_normal_form(family)
+    formed = []
+    sides = normal_form._window_sides
+
+    def counted(*args):
+        for blocks, lhs, rhs in sides(*args):
+            formed.append(len(lhs))
+            yield blocks, lhs, rhs
+
+    monkeypatch.setattr(normal_form, "_window_sides", counted)
+    key = normal_form._value_key
+    for fam, k, T, degree, tables in _last_pass(family, res):
+        distinct = {(key(k[n + 1]), key(fam.step(n)), key(T[n]), key(k[n]))
+                    for n in range(len(T))}
+        formed.clear()
+        if degree is None:
+            list(counted(fam, k, T, fam.order, tables, range(len(T))))
+        else:
+            defect(fam, k, T, degree, tables)
+        assert sum(formed) == len(distinct) < len(T), degree
+
+
+def test_unstable_tail_normalizers_share_one_value(monkeypatch):
+    # no direction is stable at any degree, so past the stored steps the
+    # forcing repeats its tail value and every tail H_n sits on the tail's
+    # fixed point: k_n for n >= horizon - 1 is one jet, and a degree's
+    # k-updates compose once per distinct (H_n, k_n), at most horizon of them
+    composed = []
+
+    def counted(outer, inner, order=None):
+        composed.append((normal_form._value_key(outer), normal_form._value_key(inner)))
+        return compose(outer, inner, order)
+
+    monkeypatch.setattr(normal_form, "compose", counted)
+    family = _tabled_family("q4")
+    res = build_normal_form(family)
+    for degree in range(2, res.work_order + 1):
+        assert not spectral_split(family.linear_part, degree).stable.any()
+    tail = {normal_form._value_key(kn) for kn in res.normalizers[res.horizon - 1:]}
+    assert len(tail) == 1
+    assert len(set(composed)) == len(composed) <= (res.work_order - 1) * res.horizon
+
+
 # ---------------------------------------------------------------------- #
 # certificate constants once per distinct value
 
@@ -861,13 +915,19 @@ def _distinct_normalizers(res):
     return {normal_form._value_key(kn) for kn in res.normalizers}
 
 
-@pytest.mark.parametrize("name", ["demo-field", "q3", "planted"])
+@pytest.mark.parametrize("name", ["demo-field", "q3", "q3-stable", "planted"])
 def test_constants_match_the_per_step_reference(name):
     # both branches, bit for bit: with the normalizers (build, chain,
-    # verify) and without (analyze, which passes one linear T)
+    # verify) and without (analyze, which passes one linear T); the q3
+    # family's normalizers repeat along its unstable tail, while the stable
+    # sweep gives the q3-stable family 37 distinct ones, which the s search
+    # takes in several chunks
     res = build_normal_form(_tabled_family(name))
-    repeats = len(_distinct_normalizers(res)) < len(res.normalizers)
-    assert repeats == (name != "q3")
+    distinct = len(_distinct_normalizers(res))
+    assert (distinct < len(res.normalizers)) == (name != "q3-stable")
+    if name == "q3-stable":
+        chunk = normal_form._STACK_COEFFS // (res.q * res.normalizers[0].coeffs.size)
+        assert distinct > chunk >= 1
     fam, tri = res.family, res.triangular
     trivial = TriangularFamily(fam.linear_part,
                                (PolyJet.from_linear(fam.linear_part, fam.order),))
