@@ -4,9 +4,9 @@ All commands read a JSON document from --input and write a JSON report,
 either to --output or to stdout.  Reports are serialized with sorted keys so
 identical inputs produce identical bytes.  Exit codes: 0 success, 1 a check
 or computation failed (the first failing check is named on stderr), 2 the
-input could not be parsed, 3 the input is well formed but violates a
-precondition (such as a spectrum off the open left half plane, or an empty
-sample budget).
+input could not be parsed or the report could not be written, 3 the input is
+well formed but violates a precondition (such as a spectrum off the open
+left half plane, or an empty sample budget).
 """
 from __future__ import annotations
 
@@ -48,6 +48,10 @@ class _Malformed(Exception):
     pass
 
 
+class _Unwritable(Exception):
+    pass
+
+
 # what reading a document's entries raises; OverflowError is int() of an
 # infinite float, such as a component or p of Infinity
 _UNREADABLE = (KeyError, TypeError, IndexError, ValueError, OverflowError)
@@ -67,16 +71,112 @@ def _load(path: str) -> dict:
     return doc
 
 
+_string = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TERM_KEYS = {"component", "im", "index", "re"}
+_INT = {int}
+
+
 def report_text(doc) -> str:
-    """The text of a report: json.dumps with sorted keys and a two-space
-    indent, plus a final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The text of a report: byte for byte json.dumps(doc, sort_keys=True,
+    indent=2), plus a final newline.
+
+    Before Python 3.13 json's C encoder ignores indent, so json.dumps would
+    run its pure-Python encoder.  This writer dispatches in json's own
+    isinstance order, so subclasses (np.float64) are written as json writes
+    them, and raises json's TypeError for an object json cannot write.  Dict
+    keys must be str; json would write int keys as strings, reports have
+    none.  A coefficient term, a dict of exactly an int component, an index
+    list of ints and float re and im, is written by filling a frame built
+    once per (indentation, component, index) with its two floats.  Frames
+    are kept for one call only.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out.append, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _term_text(x, nl: str, frames: dict) -> str | None:
+    """A term's text on a line indented as nl, or None if x is not a term.
+    frames maps (nl, component, *index) to the text around its two floats."""
+    if type(x) is not dict or x.keys() != _TERM_KEYS:
+        return None
+    c, index, re, im = x["component"], x["index"], x["re"], x["im"]
+    if (type(c) is not int or type(index) is not list or type(re) is not float
+            or type(im) is not float or set(map(type, index)) != _INT):
+        return None
+    key = (nl, c, *index)
+    frame = frames.get(key)
+    if frame is None:
+        inner = nl + "  "
+        listed = f",{inner}  ".join(map(str, index))
+        # no "%" in a frame but its two slots: the rest is keys and ints
+        frame = frames[key] = (
+            f'{{{inner}"component": {c},{inner}"im": %s,{inner}"index": '
+            f'[{inner}  {listed}{inner}],{inner}"re": %s{nl}}}')
+    return frame % (_float_text(im), _float_text(re))
+
+
+def _write(x, nl: str, put, frames: dict) -> None:
+    """Put x's text on a line indented as nl: nl is a newline and the
+    indentation.  Module functions, not closures, so that no reference
+    cycle keeps the written pieces alive after report_text returns."""
+    if isinstance(x, str):
+        put(_string(x))
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    elif isinstance(x, float):
+        put(_float_text(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in x:
+            put(sep)
+            text = _term_text(item, inner, frames)
+            if text is None:
+                _write(item, inner, put, frames)
+            else:
+                put(text)
+            sep = comma
+        put(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(x):
+            # _string raises TypeError for a key that is not a str
+            put(sep + _string(key) + ": ")
+            _write(x[key], inner, put, frames)
+            sep = comma
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
 
 
 def _dump(doc: dict, path: str | None) -> None:
     text = report_text(doc)
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as e:
+            raise _Unwritable(f"cannot write {path}: {e.strerror or e}") from e
     else:
         sys.stdout.write(text)
 
@@ -358,6 +458,9 @@ def main(argv=None) -> int:
         return 3
     except _Malformed as e:
         print(f"malformed input: {e}", file=sys.stderr)
+        return 2
+    except _Unwritable as e:
+        print(e, file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:
         print(f"check failed: {e}", file=sys.stderr)

@@ -93,6 +93,17 @@ def test_missing_lambda_exits_2(tmp_path):
     assert main(["analyze", "--input", inp]) == 2
 
 
+@pytest.mark.parametrize("command", ["normalform", "chain"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command):
+    inp = _write(tmp_path / "field.json", demo_field().to_json_dict())
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert main([command, "--input", inp, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(target) in captured.err
+    assert not target.exists()
+
+
 def test_unstable_spectrum_exits_3(tmp_path, capsys):
     doc = demo_field().to_json_dict()
     doc["Lambda"] = matrix_to_json(np.diag([-1.0, 0.25]).astype(complex))

@@ -1,11 +1,13 @@
 """Every report is the text of json.dumps(doc, sort_keys=True, indent=2), and
 what it holds loads back bit for bit."""
 
+import gc
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import loewner.cli as cli
 from loewner.cli import _family_from_doc, main, report_text
@@ -14,7 +16,7 @@ from loewner.herglotz import (HerglotzFieldSpec, LoewnerChain, TimeCoefficient,
 from loewner.jets import PolyJet
 from loewner.spectral import ResonanceReport
 
-from conftest import counterexample_field, demo_field
+from conftest import counterexample_field, demo_field, random_optimal_family
 
 
 def _reference(doc) -> str:
@@ -279,3 +281,121 @@ def test_family_document_round_trip_keeps_every_bit(parts):
     assert back.tail == tail and len(back.steps) == len(steps)
     for a, b in zip(back.steps, steps):
         assert a.coeffs.tobytes() == _unwritten_zeros(b.coeffs).tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# the writer itself: json.dumps' text for every tree it is handed
+
+
+class _Int(int):
+    """An int whose repr json must not use."""
+    def __repr__(self):
+        return "_Int"
+
+
+_strings = st.text(max_size=6) | st.sampled_from(
+    ["", "\u00e9t\u00e9", "\x00\x1f\x7f\n\t", "\u2028\ud800", "\U0001f600", '"\\/'])
+_floats = st.floats() | _edges | st.sampled_from([math.nan, math.inf, -math.inf])
+_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2**300, 2**300)
+           | st.integers().map(_Int) | _floats | _floats.map(np.float64) | _strings)
+# what turns a term into a near miss, which only the generic path may write
+_MISSES = {
+    "extra key": lambda t: {**t, "q": 2},
+    "float component": lambda t: {**t, "component": float(t["component"])},
+    "bool component": lambda t: {**t, "component": True},
+    "bool in index": lambda t: {**t, "index": [*t["index"], True]},
+    "float in index": lambda t: {**t, "index": [*t["index"], 1.0]},
+    "tuple index": lambda t: {**t, "index": tuple(t["index"])},
+    "int re": lambda t: {**t, "re": 1},
+    "np.float64 im": lambda t: {**t, "im": np.float64(t["im"])},
+    "no im": lambda t: {k: v for k, v in t.items() if k != "im"},
+}
+
+
+@st.composite
+def _terms(draw):
+    term = {"component": draw(st.integers(-2, 5)),
+            "index": draw(st.lists(st.integers(0, 3), max_size=3)),
+            "re": draw(_floats), "im": draw(_floats)}
+    miss = draw(st.none() | st.sampled_from(sorted(_MISSES)))
+    return term if miss is None else _MISSES[miss](term)
+
+
+def _containers(children):
+    items = st.lists(children, max_size=4)
+    return items | items.map(tuple) | st.dictionaries(_strings, children, max_size=4)
+
+
+_trees = st.recursive(_leaves | _terms(), _containers, max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(_trees)
+def test_writer_is_json_dumps_on_any_tree(tree):
+    assert report_text(tree) == _reference(tree)
+
+
+@pytest.mark.parametrize("miss", sorted(_MISSES))
+def test_near_miss_next_to_its_term_is_written_as_json_does(miss):
+    # the near miss has the term's component and index, so a frame the term
+    # left behind would fit it if the writer keyed frames by value alone; the
+    # last tree has the term at two indentations, which need two frames
+    term = {"component": 1, "index": [1, 0], "re": 0.5, "im": -0.0}
+    trees = [[term, _MISSES[miss](term)], {"jets": [[term], [_MISSES[miss](term)]]},
+             [[term], _MISSES[miss](term), term]]
+    for tree in trees:
+        assert report_text(tree) == _reference(tree)
+
+
+@pytest.mark.parametrize("tree", [object(), [1, {"a": 2j}], np.int64(3), {"a": {1, 2}},
+                                  np.array([1.0])])
+def test_writer_refuses_what_json_refuses(tree):
+    with pytest.raises(TypeError) as ours:
+        report_text(tree)
+    with pytest.raises(TypeError) as theirs:
+        _reference(tree)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": {None: 0}}, [{2.5: 1.0}], {"a": 1, 2: "b"}])
+def test_writer_refuses_keys_that_are_not_str(tree):
+    # json.dumps would write these keys as strings; no report has them
+    with pytest.raises(TypeError):
+        report_text(tree)
+
+
+def test_writer_leaves_no_reference_cycle(reports):
+    # a cycle would keep every written piece alive until the collector ran,
+    # which raised the peak memory of later commands
+    doc = reports["normalform-three-components"][0]
+    gc.collect()
+    gc.disable()
+    try:
+        report_text(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_reports_never_reach_json_pure_python_encoder(tmp_path):
+    fam = random_optimal_family(np.random.default_rng(5), 4, 3, horizon=2)
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"linear_part": matrix_to_json(fam.linear_part),
+                                  "steps": [s.to_json_dict() for s in fam.steps]}))
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(demo_field().to_json_dict()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report went through json's pure-Python encoder")
+
+    written = {}
+    with pytest.MonkeyPatch.context() as mp:
+        # json.dumps calls this for every indented text before Python 3.13
+        mp.setattr(json.encoder, "_make_iterencode", refuse)
+        for command, source in [("normalform", family), ("chain", field)]:
+            out = tmp_path / f"{command}.out.json"
+            assert main([command, "--input", str(source), "--output", str(out)]) == 0
+            written[command] = out.read_text()
+    assert json.loads(written["normalform"])["q"] == 4
+    for text in written.values():
+        assert text == _reference(json.loads(text))
