@@ -9,8 +9,8 @@ the associated chain of maps f_t = f_n o phi_{t,n} whose linear part is
 exp(-Lambda t).  Everything time-dependent is piecewise smooth: coefficient
 schedules are constant, right-open piecewise constant, or piecewise linear
 interpolants, and the integrators split every interval at the schedule
-breakpoints, so each Runge-Kutta step sees smooth data and each piece of
-the transition series an affine field.
+breakpoints, so each piece of their Taylor series in time, for jets and
+for trajectories alike, sees an affine field.
 """
 from __future__ import annotations
 
@@ -447,12 +447,6 @@ class _FieldStage:
 # --------------------------------------------------------------------- #
 # transition integrators
 
-# relative tolerance of point and variational trajectories (step doubling)
-TRAJECTORY_TOL = 1e-11
-# RK4 stage times stay this far (relative) below a segment's right end
-STAGE_CAP_SLACK = 1e-12
-# step budget of the trajectories' doubling
-TRAJECTORY_MAX_STEPS = 1 << 18
 # the transition series: h ||M|| per piece, in the scaled norm, and the
 # default tail bound every piece's truncation reaches
 SERIES_PIECE_NORM = 2.0
@@ -462,39 +456,6 @@ SERIES_TAIL = 2.0 ** -53
 def _segments(field: HerglotzFieldSpec, s: float, t: float) -> list[tuple[float, float]]:
     cuts = [s] + [b for b in field.breakpoints() if s < b < t] + [t]
     return list(zip(cuts, cuts[1:]))
-
-
-def _initial_steps(s: float, t: float) -> int:
-    return max(12, int(math.ceil(6.0 * (t - s))))
-
-
-def _rk4(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
-         rhs, nsteps: int) -> tuple:
-    """Fixed-grid RK4 for x' = rhs(tau, x) from x(s) = state to time t.
-
-    The state is a tuple of parts (point arrays, Jacobian stacks) that
-    support + and scalar *, and rhs returns one derivative per part.  Steps are
-    distributed over the breakpoint segments proportionally to length;
-    inside a segment the stage times are capped just below the right
-    endpoint so right-open piecewise schedules never leak the next value in.
-    """
-    x = state
-    span = t - s
-    for a, b in _segments(field, s, t):
-        n = max(1, int(round(nsteps * (b - a) / span)))
-        h = (b - a) / n
-        cap = b - STAGE_CAP_SLACK * max(1.0, abs(b))
-        for i in range(n):
-            t0 = a + i * h
-            k1 = rhs(min(t0, cap), x)
-            k2 = rhs(min(t0 + h / 2.0, cap),
-                     tuple(xp + kp * (h / 2.0) for xp, kp in zip(x, k1)))
-            k3 = rhs(min(t0 + h / 2.0, cap),
-                     tuple(xp + kp * (h / 2.0) for xp, kp in zip(x, k2)))
-            k4 = rhs(min(t0 + h, cap), tuple(xp + kp * h for xp, kp in zip(x, k3)))
-            x = tuple(xp + (p1 + p2 * 2.0 + p3 * 2.0 + p4) * (h / 6.0)
-                      for xp, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4))
-    return x
 
 
 def _series_terms(x: float, y: float, tail: float) -> int:
@@ -596,56 +557,87 @@ def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
     return _transition(field, s, t, order, tol)[0]
 
 
-def _rk4_doubling(field: HerglotzFieldSpec, s: float, t: float, state: tuple,
-                  rhs, tol: float) -> tuple:
-    """RK4 with the step count doubled until two successive runs agree.
+# terms of each trajectory step: Jorba and Zou's order for a tolerance of
+# 2^-53, ceil(-ln(2^-53) / 2) + 1, so that their step leaves the last term
+# near e^-40 of the state
+TRAJECTORY_TERMS = 20
 
-    Agreement is the largest entrywise difference over all parts, relative
-    to max(1, largest entry of the finer run).
+
+def _dual_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for dual numbers stacked on axis -2, the value first and then
+    its tangents: (x0 + eps x1)(y0 + eps y1) = x0 y0 + eps (x1 y0 + x0 y1)."""
+    out = x * y[..., :1, :]
+    out[..., 1:, :] += x[..., :1, :] * y[..., 1:, :]
+    return out
+
+
+def _trajectory(field: HerglotzFieldSpec, s: float, t: float, x: np.ndarray) -> np.ndarray:
+    """phi_{s,t} at the columns of x[:, 0], with D phi_{s,t} applied to the
+    tangents x[:, 1:]; x has shape (q, 1 + tangents, points).
+
+    A Taylor series in time, over the breakpoint segments forwards from s.
+    On a segment the field is B(tau) V(z), V(z) the monomials through the
+    field's order and B(tau) = B(a) + (tau - a) S its affine block
+    (_FieldStage.affine).  In u = tau - tau_0 each monomial's series is its
+    parent's times one coordinate's, as in _monomial_values, and
+    (k + 1) z_{k+1} = B(tau_0) V_k + S V_{k-1}, all on dual numbers
+    z + eps v.  Each step sums TRAJECTORY_TERMS terms out to e^-2 times the
+    radius the last two give, relative to each column's size (Jorba and
+    Zou), and stops at the segment's end.
     """
-    nsteps = _initial_steps(s, t)
-    prev = _rk4(field, s, t, state, rhs, nsteps)
-    while True:
-        if 2 * nsteps > TRAJECTORY_MAX_STEPS:
-            raise ValueError(
-                f"trajectory integration failed to reach the tolerance "
-                f"within {TRAJECTORY_MAX_STEPS} steps")
-        nsteps *= 2
-        cur = _rk4(field, s, t, state, rhs, nsteps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
-        scale = max(1.0, *(float(np.abs(c).max()) for c in cur))
-        if err <= tol * scale:
-            return cur
-        prev = cur
+    stage, tab = field._stage(field.order), _tables(field.q, field.order)
+    K, n, q = TRAJECTORY_TERMS, tab.count, field.q
+    degrees = [(slice(lo, hi), tab.parent_rank[lo:hi], tab.parent_var[lo:hi])
+               for lo, hi in zip(tab.offsets[2:-1], tab.offsets[3:])]
+    X = np.zeros((K + 1,) + x.shape, dtype=complex)
+    V = np.zeros((K + 1, n) + x.shape[1:], dtype=complex)
+    tau = s
+    # a blow-up overflows the series; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in _segments(field, s, t):
+            base, slope = stage.affine(a, b)
+            while tau < b:
+                B = base if slope is None else base + (tau - a) * slope
+                X[0] = x
+                for k in range(K):
+                    V[k, 1:1 + q] = X[k]
+                    for rows, par, var in degrees:
+                        V[k, rows] = _dual_product(V[:k + 1, par], X[k::-1, var]).sum(axis=0)
+                    step = B @ V[k].reshape(n, -1)
+                    if slope is not None and k:
+                        step += slope @ V[k - 1].reshape(n, -1)
+                    X[k + 1] = step.reshape(x.shape) / (k + 1)
+                size = np.abs(X).max(axis=(1, 2))
+                scale = np.maximum(size[0], np.finfo(float).tiny)
+                inv = max(float(((size[j] / scale) ** (1.0 / j)).max()) for j in (K - 1, K))
+                h = b - tau if inv == 0.0 else min(b - tau, math.exp(-2.0) / inv)
+                if not (inv < math.inf and tau + h > tau):
+                    raise ValueError(f"trajectory blows up at tau = {tau!r}: its state is not "
+                                     f"finite or its step no longer moves tau")
+                x = X[K]
+                for j in range(K - 1, -1, -1):
+                    x = x * h + X[j]
+                tau = b if h == b - tau else tau + h
+    return x
 
 
 def integrate_variational(field: HerglotzFieldSpec, s: float, t: float,
-                          points: np.ndarray, tol: float = TRAJECTORY_TOL
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """phi_{s,t} and D phi_{s,t} at the columns of points.
-
-    The Jacobian factors solve M' = DH(z(tau), tau) M along each trajectory,
-    started at the identity.
-    """
+                          points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi_{s,t} and D phi_{s,t} at the columns of points, the Jacobians
+    stacked as (m, q, q): the unit tangents ride along each trajectory."""
     s, t = float(s), float(t)
     if t < s:
         raise ValueError("reversed time interval")
     pts = np.asarray(points, dtype=complex)
     q, m = pts.shape
-    M = np.tile(np.eye(q, dtype=complex), (m, 1, 1))
-    if t == s or m == 0:
-        return np.array(pts), M
-
-    def rhs(tau, x):
-        z, Mc = x
-        return (field.values(tau, z),
-                np.einsum("mij,mjk->mik", field.jacobians(tau, z), Mc))
-
-    return _rk4_doubling(field, s, t, (pts, M), rhs, tol)
+    x = np.concatenate([pts[:, None], np.tile(np.eye(q, dtype=complex)[:, :, None], m)], axis=1)
+    if t > s and m:
+        x = _trajectory(field, s, t, x)
+    return x[:, 0], x[:, 1:].transpose(2, 0, 1).copy()
 
 
 def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
-                     points: np.ndarray, tol: float = TRAJECTORY_TOL) -> np.ndarray:
+                     points: np.ndarray) -> np.ndarray:
     """Trajectories z(t) of dz/dtau = H(z, tau) with z(s) = columns of points."""
     s, t = float(s), float(t)
     if t < s:
@@ -656,9 +648,8 @@ def integrate_points(field: HerglotzFieldSpec, s: float, t: float,
         pts = pts[:, None]
     if t == s or pts.shape[1] == 0:
         return pts[:, 0] if single else np.array(pts)
-    (cur,) = _rk4_doubling(field, s, t, (pts,),
-                           lambda tau, x: (field.values(tau, x[0]),), tol)
-    return cur[:, 0] if single else cur
+    z = _trajectory(field, s, t, pts[:, None])[:, 0]
+    return z[:, 0] if single else z
 
 
 @dataclass(frozen=True)

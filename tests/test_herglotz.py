@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from loewner import (
 )
 from loewner import cli, herglotz
 from loewner.cli import report_text
-from loewner.herglotz import _difference_stencil, _rk4, _segments
+from loewner.herglotz import _difference_stencil, _segments
 from loewner.normal_form import jacobian_points
 from loewner.sampling import complex_ball_points
 
@@ -296,51 +297,54 @@ def test_variational_jacobian_matches_finite_differences():
         assert np.allclose(Dw[:, :, i].T, col, atol=2e-6)
 
 
-def _rk4_points_reference(field, s, t, points, nsteps):
-    """The point-trajectory RK4 loop the generic stepper replaced."""
-    z = np.array(points, dtype=complex)
-    span = t - s
-    for a, b in _segments(field, s, t):
-        n = max(1, int(round(nsteps * (b - a) / span)))
-        h = (b - a) / n
-        cap = b - 1e-12 * max(1.0, abs(b))
-        for i in range(n):
-            t0 = a + i * h
-            k1 = field.values(min(t0, cap), z)
-            k2 = field.values(min(t0 + h / 2.0, cap), z + k1 * (h / 2.0))
-            k3 = field.values(min(t0 + h / 2.0, cap), z + k2 * (h / 2.0))
-            k4 = field.values(min(t0 + h, cap), z + k3 * h)
-            z = z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
-    return z
+def _bernoulli_flow(a, c, z0, t):
+    """The flow of z' = a z + c z^2 and its derivative in z0:
+    a z0 e^(at) / D and a^2 e^(at) / D^2 with D = a + c z0 (1 - e^(at))."""
+    e = np.exp(a * t)
+    D = a + c * z0 * (1.0 - e)
+    return a * z0 * e / D, a * a * e / D ** 2
 
 
-def test_rk4_stepper_matches_point_loop_across_breakpoint():
-    sched = TimeCoefficient("piecewise", (0.0, 0.9, 1.3), (0.2, -0.1 + 0.05j, 0.3j))
-    f = HerglotzFieldSpec(np.diag([-0.6, -1.0]).astype(complex), 3,
-                          ((0, (0, 2), sched), (1, (2, 0), sched)), horizon=2.0)
-    z = complex_ball_points(2, 0.4, 5)
-    for nsteps in (12, 25):
-        (got,) = _rk4(f, 0.25, 1.75, (z,), lambda tau, x: (f.values(tau, x[0]),), nsteps)
-        assert np.array_equal(got, _rk4_points_reference(f, 0.25, 1.75, z, nsteps))
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
-def _doubling_reference(field, s, t, state, rhs, tol=1e-11):
-    """The joint step-doubling controller, written out loop by loop."""
-    nsteps = herglotz._initial_steps(s, t)
-    prev = _rk4(field, s, t, state, rhs, nsteps)
-    while True:
-        nsteps *= 2
-        cur = _rk4(field, s, t, state, rhs, nsteps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
-        scale = max(1.0, *(float(np.abs(c).max()) for c in cur))
-        if err <= tol * scale:
-            return cur
-        prev = cur
+@pytest.mark.parametrize("kind", ["constant", "piecewise"])
+def test_trajectories_match_the_bernoulli_closed_form(kind):
+    # piecewise: c1 on [0, 0.9), c2 from the node on, so the flow over
+    # [0.25, 1.75] is the c2 flow of the c1 flow; a right-open schedule
+    # must not leak c2 into the first segment
+    a, c1, c2 = -0.8 + 0.3j, 0.5 - 0.2j, -0.3 + 0.4j
+    coeff = (TimeCoefficient.constant(c1) if kind == "constant"
+             else TimeCoefficient("piecewise", (0.0, 0.9), (c1, c2)))
+    f = HerglotzFieldSpec(np.array([[a]]), 2, ((0, (2,), coeff),), horizon=2.0)
+    z0 = np.array([0.3 + 0.2j, -0.6 + 0.1j, 0.05j, 1.1])
+    if kind == "constant":
+        want, dwant = _bernoulli_flow(a, c1, z0, 1.5)
+    else:
+        z1, d1 = _bernoulli_flow(a, c1, z0, 0.65)
+        want, d2 = _bernoulli_flow(a, c2, z1, 0.85)
+        dwant = d2 * d1
+    w, Dw = integrate_variational(f, 0.25, 1.75, z0[None, :])
+    assert _relative_gap(w[0], want) <= 1e-14
+    assert _relative_gap(Dw[:, 0, 0], dwant) <= 1e-14
+    assert _relative_gap(integrate_points(f, 0.25, 1.75, z0[None, :])[0], want) <= 1e-14
+
+
+def test_trajectory_blow_up_fails_fast():
+    # z' = -z + z^2 from z = 3 reaches its pole at t = ln 1.5 = 0.40546510810816...
+    f = HerglotzFieldSpec(np.array([[-1.0]]), 2, ((0, (2,), 1.0),), horizon=1.0)
+    for run in (lambda: integrate_points(f, 0.0, 1.0, np.array([3.0])),
+                lambda: integrate_variational(f, 0.0, 1.0, np.array([[3.0]]))):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"blows up at tau = 0\.405465108108"):
+            run()
+        assert time.perf_counter() - t0 < 5.0
 
 
 def _spread_points(q, radius, count=6):
     """Ball points rescaled to radii spread over two decades, so the
-    trajectories reach the tolerance at different doubling levels."""
+    columns of one batch differ in scale."""
     z = complex_ball_points(q, 1.0, count)
     z = z / np.sqrt((np.abs(z) ** 2).sum(axis=0))
     return z * (radius * np.geomspace(0.01, 1.0, count))
@@ -362,21 +366,24 @@ def _piecewise_field(q=2, kind="piecewise", nodes=(0.0, 0.7, 1.8)):
     return HerglotzFieldSpec(Lam, 3, tuple(terms), horizon=2.0)
 
 
-def test_joint_integration_matches_reference_controller():
+def test_trajectories_match_fine_rk4_on_a_coupled_field():
+    # q = 3 with a node at 0.7 inside [0.6, 1.2] and columns two decades
+    # apart; RK4 at 256 steps is good to about 2e-13 (it gains 16x per
+    # doubling from 64 steps on)
     f = _piecewise_field(3)
     z = _spread_points(3, 0.3, 4)
-    got = integrate_points(f, 0.6, 1.2, z)
-    (ref,) = _doubling_reference(f, 0.6, 1.2, (z,), lambda tau, x: (f.values(tau, x[0]),))
-    assert np.array_equal(got, ref)
-    w, Dw = integrate_variational(f, 0.6, 1.2, z)
+    eye = np.tile(np.eye(3, dtype=complex), (z.shape[1], 1, 1))
 
-    def var_rhs(tau, x):
+    def rhs(tau, x):
         return (f.values(tau, x[0]),
                 np.einsum("mij,mjk->mik", f.jacobians(tau, x[0]), x[1]))
 
-    eye = np.tile(np.eye(3, dtype=complex), (z.shape[1], 1, 1))
-    ref_w, ref_Dw = _doubling_reference(f, 0.6, 1.2, (z, eye), var_rhs)
-    assert np.array_equal(w, ref_w) and np.array_equal(Dw, ref_Dw)
+    ref_w, ref_Dw = _rk4(f, 0.6, 1.2, (z, eye), rhs, 256)
+    scale = np.abs(ref_w).max(axis=0)
+    w, Dw = integrate_variational(f, 0.6, 1.2, z)
+    assert np.max(np.abs(w - ref_w) / scale) <= 1e-12
+    assert np.max(np.abs(Dw - ref_Dw)) <= 1e-12
+    assert np.max(np.abs(integrate_points(f, 0.6, 1.2, z) - ref_w) / scale) <= 1e-12
 
 
 def _field_jet_reference(field, t, order):
@@ -392,6 +399,34 @@ def _field_jet_reference(field, t, order):
     return jet
 
 
+def _rk4(field, s, t, state, rhs, nsteps):
+    """Fixed-grid RK4 for x' = rhs(tau, x) from x(s) = state to time t.
+
+    The state is a tuple of parts that support + and scalar *, and rhs
+    returns one derivative per part.  Steps are distributed over the
+    breakpoint segments proportionally to length; inside a segment the stage
+    times are capped just below the right endpoint so right-open piecewise
+    schedules never leak the next value in.
+    """
+    x = state
+    span = t - s
+    for a, b in _segments(field, s, t):
+        n = max(1, int(round(nsteps * (b - a) / span)))
+        h = (b - a) / n
+        cap = b - 1e-12 * max(1.0, abs(b))
+        for i in range(n):
+            t0 = a + i * h
+            k1 = rhs(min(t0, cap), x)
+            k2 = rhs(min(t0 + h / 2.0, cap),
+                     tuple(xp + kp * (h / 2.0) for xp, kp in zip(x, k1)))
+            k3 = rhs(min(t0 + h / 2.0, cap),
+                     tuple(xp + kp * (h / 2.0) for xp, kp in zip(x, k2)))
+            k4 = rhs(min(t0 + h, cap), tuple(xp + kp * h for xp, kp in zip(x, k3)))
+            x = tuple(xp + (p1 + p2 * 2.0 + p3 * 2.0 + p4) * (h / 6.0)
+                      for xp, p1, p2, p3, p4 in zip(x, k1, k2, k3, k4))
+    return x
+
+
 def _integrate_jet_reference(field, s, t, order, tol=1e-10, max_nsteps=1 << 17):
     """Transition jet by RK4 step refinement on PolyJet stages, an oracle
     independent of integrate_jet's series."""
@@ -400,7 +435,7 @@ def _integrate_jet_reference(field, s, t, order, tol=1e-10, max_nsteps=1 << 17):
     def rhs(tau, x):
         return (compose(_field_jet_reference(field, tau, order), x[0], order),)
 
-    nsteps = herglotz._initial_steps(s, t)
+    nsteps = max(12, int(math.ceil(6.0 * (t - s))))
     while True:
         (full,) = _rk4(field, s, t, identity, rhs, nsteps)
         mid = 0.5 * (s + t)
