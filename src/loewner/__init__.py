@@ -20,13 +20,7 @@ from .spectral import (
     spectral_split,
     to_optimal_form,
 )
-from .homological import (
-    TAIL_CONSTANT,
-    TAIL_ZERO,
-    ForcingSequence,
-    SolutionSequence,
-    solve_difference,
-)
+from .homological import solve_difference
 from .normal_form import (
     ConjugacyResult,
     DiscreteEvolutionFamily,

@@ -199,10 +199,14 @@ def _field_from_doc(doc: dict) -> HerglotzFieldSpec:
 
 
 def _family_from_doc(doc: dict) -> DiscreteEvolutionFamily:
+    tail = doc.get("tail", "constant")
+    if tail != "constant":
+        raise _Malformed(f"unknown tail {tail!r}: a family has the constant "
+                         "tail, its steps past the window repeat the last one")
     try:
         linear = matrix_from_json(doc["linear_part"])
         steps = tuple(PolyJet.from_json_dict(s) for s in doc["steps"])
-        return DiscreteEvolutionFamily(linear, steps, tail=doc.get("tail", "constant"))
+        return DiscreteEvolutionFamily(linear, steps)
     except PreconditionError:
         raise
     except _UNREADABLE as e:

@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .homological import TAIL_CONSTANT
 from .jets import PolyJet, _mul_table, _tables, compose, invert
 from .normal_form import (
     UNIVALENCE_COLLISION,
@@ -719,8 +718,8 @@ class DiscretizedField:
 CERTIFICATE_STEP = 0.5
 
 
-def discretize(evolution: ContinuousEvolution, horizon: int | None = None,
-               tail: str = TAIL_CONSTANT) -> DiscretizedField:
+def discretize(evolution: ContinuousEvolution,
+               horizon: int | None = None) -> DiscretizedField:
     """Integer-time snapshots psi_n of the evolution family, ready to normalize.
 
     The unit step is phi_{n,n+1} = phi_{n+1/2,n+1} o phi_{n,n+1/2}, composed
@@ -743,7 +742,7 @@ def discretize(evolution: ContinuousEvolution, horizon: int | None = None,
         J = compose(evolution.jet(mid, n + 1), evolution.jet(n, mid), order)
         psi = compose(Mj, compose(J, Mij, order), order)
         steps.append(_with_linear(psi, A))
-    family = DiscreteEvolutionFamily(A, tuple(steps), tail=tail)
+    family = DiscreteEvolutionFamily(A, tuple(steps))
     return DiscretizedField(family, opt, expL)
 
 

@@ -1,16 +1,17 @@
 """Bounded solutions of the homological difference equation.
 
 Given the conjugation operator Gamma on a space of degree-i homogeneous
-maps and a forcing sequence B_n with no resonant component, solve
+maps and a forcing sequence B_0 .. B_{T-1} with no resonant component,
+continued past the window by its last row (B_n = B_{T-1} for n >= T), solve
 
     H_{n+1} = Gamma(H_n) + B_n,        n = 0, 1, ..., T-1,
 
 with the solution that stays bounded on the infinite horizon: the stable
 component accumulates the past forward (seed zero), the unstable component
 is pinned by its tail sum, equivalently by running the inverse recurrence
-backward from the terminal value determined by the tail policy.  Both
-evaluation orders only ever apply contractions, which is what makes the
-computation stable; in exact arithmetic they reproduce the textbook sums
+backward from the fixed point of the tail equation H = Gamma(H) + B_{T-1}.
+Both evaluation orders only ever apply contractions, which is what makes
+the computation stable; in exact arithmetic they reproduce the textbook sums
 
     H_n^s = sum_{j=0}^{n-1} Gamma^j B^s_{n-1-j},
     H_n^u = -sum_{j>=n}    Gamma^{n-1-j} B^u_j.
@@ -22,11 +23,9 @@ coefficient array Gamma is X -> A X S^T and its inverse X -> A^{-1} X S^{-T}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import index_count
 from .spectral import PreconditionError, SpectralSplit
 
 _RESONANT_FORCING_RTOL = 1e-12
@@ -34,69 +33,6 @@ _BLOCK_LEAK_RTOL = 1e-12
 # smallest |log|mu|| accepted on a stable or unstable direction, mu its
 # Gamma eigenvalue: mu^j then halves within 4096 powers
 MIN_LOG_MODULUS_GAP = math.log(2.0) / 4096
-
-TAIL_ZERO = "zero"
-TAIL_CONSTANT = "constant"
-
-
-@dataclass(frozen=True)
-class ForcingSequence:
-    """Forcing terms B_0 .. B_{T-1} plus the behaviour beyond the horizon.
-
-    terms is one (T, q, M) array, B_n = terms[n] the (q, M) coefficient
-    block of a degree-`degree` map.  tail "zero" means B_n = 0 for n >= T;
-    tail "constant" means B_n = tail_value, a (q, M) block, for n >= T.
-    """
-
-    degree: int
-    q: int
-    terms: np.ndarray
-    tail: str = TAIL_ZERO
-    tail_value: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tail not in (TAIL_ZERO, TAIL_CONSTANT):
-            raise ValueError(f"unknown tail policy {self.tail!r}")
-        if self.tail == TAIL_CONSTANT and self.tail_value is None:
-            raise ValueError("constant tail needs a tail_value")
-        shape = (self.q, index_count(self.q, self.degree))
-        terms = np.asarray(self.terms, dtype=complex)
-        tail = None if self.tail_value is None else np.asarray(self.tail_value, dtype=complex)
-        if terms.ndim != 3 or terms.shape[1:] != shape or (
-                tail is not None and tail.shape != shape):
-            raise ValueError("forcing terms must share one dimension and degree")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "tail_value", tail)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def window(self, count: int) -> np.ndarray:
-        """B_0 .. B_{count-1} as one (count, q, M) array."""
-        out = np.zeros((count,) + self.terms.shape[1:], dtype=complex)
-        stored = min(count, len(self.terms))
-        out[:stored] = self.terms[:stored]
-        if self.tail == TAIL_CONSTANT:
-            out[stored:] = self.tail_value
-        return out
-
-
-@dataclass(frozen=True)
-class SolutionSequence:
-    """H_0 .. H_T as one (T + 1, q, M) array, with the recurrence residuals.
-
-    residuals[n] is ||H_{n+1} - Gamma(H_n) - B_n|| / (1 + ||B_n||) in the
-    max-coefficient norm.
-    """
-
-    degree: int
-    q: int
-    terms: np.ndarray
-    residuals: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def _check_unit_gap(split: SpectralSplit) -> None:
     """Refuse a stable or unstable direction whose eigenvalue mu of Gamma
@@ -147,9 +83,10 @@ def _unstable_fixed_point(A: np.ndarray, S: np.ndarray, unstable: np.ndarray,
 
 
 def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
-                     split: SpectralSplit, forcing: ForcingSequence,
-                     horizon: int | None = None) -> SolutionSequence:
-    """Solve the difference equation over n = 0 .. horizon.
+                     split: SpectralSplit, forcing: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the difference equation over n = 0 .. T for the (T, q, M)
+    forcing B_0 .. B_{T-1}, continued past T by its last row.
 
     Gamma = kron(A, S): A is the optimal form's lower-triangular matrix,
     S the substitution matrix of A^{-1} (S[K, I] the coefficient of z^K in
@@ -158,12 +95,15 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
     built on OptimalForm.inverse_matrix.  The forcing must vanish on the
     resonant family; Gamma must leave the stable and unstable coordinate
     families invariant (guaranteed by optimal-form linear parts, asserted
-    here).  Under a constant tail the unstable block is the autonomous
-    fixed point (I - Gamma_u)^{-1} B^u_inf of the tail equation on the
-    trailing run of steps whose unstable forcing equals B^u_inf, through
-    H_T, and the backward sweep covers only the steps before that run.
+    here).  The unstable block is the autonomous fixed point
+    (I - Gamma_u)^{-1} B^u_{T-1} of the tail equation on the trailing run
+    of steps whose unstable forcing equals B^u_{T-1}, through H_T, and the
+    backward sweep covers only the steps before that run.
+
+    Returns H_0 .. H_T as one (T + 1, q, M) array and the recurrence
+    residuals, residuals[n] = ||H_{n+1} - Gamma(H_n) - B_n|| / (1 + ||B_n||)
+    in the max-coefficient norm.
     """
-    T = len(forcing) if horizon is None else horizon
     q, degree = split.q, split.degree
     M = split.dimension // q
     A = np.asarray(A, dtype=complex)
@@ -173,8 +113,10 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
     if np.any(np.triu(A, 1) != 0) or np.any(np.tril(S, -1) != 0):
         raise ValueError("A must be lower and S upper triangular: "
                          "the linear part is not in optimal form")
-    if (forcing.q, forcing.degree) != (q, degree):
-        raise ValueError("forcing does not match the split")
+    b = np.asarray(forcing, dtype=complex)
+    if b.ndim != 3 or b.shape[1:] != (q, M) or not len(b):
+        raise ValueError(f"forcing must be a nonempty (T, {q}, {M}) array "
+                         f"matching the split, got shape {b.shape}")
     _check_unit_gap(split)
     stable, unstable, resonant = (mask.reshape(q, M) for mask in
                                   (split.stable, split.unstable, split.resonant))
@@ -188,9 +130,9 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
                 "gamma mixes the stable/resonant/unstable families "
                 f"(leak {leak:.3g}); the linear part is not in optimal form")
 
-    b = forcing.window(T)
-    b_max = np.abs(b).max(axis=(1, 2), initial=0.0)
-    leaked = np.where(resonant, np.abs(b), 0.0).max(axis=(1, 2), initial=0.0)
+    T = len(b)
+    b_max = np.abs(b).max(axis=(1, 2))
+    leaked = np.where(resonant, np.abs(b), 0.0).max(axis=(1, 2))
     bad = np.nonzero(leaked > _RESONANT_FORCING_RTOL * np.maximum(b_max, 1.0))[0]
     if bad.size:
         raise ValueError(f"forcing term {bad[0]} has a resonant component")
@@ -206,17 +148,15 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
             h = np.where(stable, A @ h @ St, 0.0) + bs[n]
             H[n + 1] = h
 
-    # unstable block: the tail equation's fixed point X = Gamma_u X + B^u_inf
-    # (zero under a zero tail) solves every step of the trailing run of rows
-    # forced by B^u_inf, since Gamma_u^{-1}(X - B^u_inf) = X; the backward
-    # sweep starts below that run
+    # unstable block: the tail equation's fixed point X = Gamma_u X + B^u_{T-1}
+    # solves every step of the trailing run of rows forced by B^u_{T-1},
+    # since Gamma_u^{-1}(X - B^u_{T-1}) = X; the backward sweep starts below
+    # that run
     if unstable.any():
-        tail = (forcing.tail_value if forcing.tail == TAIL_CONSTANT
-                else np.zeros((q, M), dtype=complex))
-        h = _unstable_fixed_point(A, S, unstable, tail, degree)
-        bu, bu_inf = np.where(unstable, b, 0.0), np.where(unstable, tail, 0.0)
-        start = T
-        while start and np.array_equal(bu[start - 1], bu_inf):
+        bu = np.where(unstable, b, 0.0)
+        h = _unstable_fixed_point(A, S, unstable, b[-1], degree)
+        start = T - 1
+        while start and np.array_equal(bu[start - 1], bu[-1]):
             start -= 1
         H[start:] += h
         Ainv, Sinv_t = np.tril(np.linalg.inv(A)), S_inv.T
@@ -225,5 +165,4 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
             H[n] += h
 
     r = H[1:] - A @ H[:-1] @ St - b
-    residuals = np.abs(r).max(axis=(1, 2), initial=0.0) / (1.0 + b_max)
-    return SolutionSequence(degree, q, H, tuple(residuals.tolist()))
+    return H, np.abs(r).max(axis=(1, 2)) / (1.0 + b_max)

@@ -358,6 +358,7 @@ class PolyJet:
         order = int(data["order"])
         t = _tables(q, order)
         c = np.zeros((q, t.count), dtype=complex)
+        seen = set()
         for term in data["terms"]:
             j = int(term["component"]) - 1
             I = tuple(int(e) for e in term["index"])
@@ -365,6 +366,9 @@ class PolyJet:
                 raise ValueError(f"component {j + 1} out of range for q={q}")
             if len(I) != q or any(e < 0 for e in I) or not 1 <= sum(I) <= order:
                 raise ValueError(f"bad multi-index {list(I)} for q={q}, order={order}")
+            if (j, I) in seen:
+                raise ValueError(f"term (component {j + 1}, index {list(I)}) is listed twice")
+            seen.add((j, I))
             c[j, t.rank[I]] = complex(float(term["re"]), float(term["im"]))
         return PolyJet(q, order, c)
 

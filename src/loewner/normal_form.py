@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .homological import ForcingSequence, TAIL_CONSTANT, TAIL_ZERO, solve_difference
+from .homological import solve_difference
 from .jets import (PolyJet, PowerTable, compose, evaluate_triangular_inverse_many,
                    gradient_bound_matrix, invert, is_triangular, _compose_arrays,
                    _gradient_bounds, _monomial_values, _support, _tables)
@@ -58,8 +58,9 @@ def _nonlinear(jet: PolyJet) -> PolyJet:
 def _value_key(jet: PolyJet) -> tuple:
     """Cache key equal for jets with identical coefficients.
 
-    Object ids are reused once a jet is collected, and zero-tail families
-    build a fresh jet on every step(n) call, so caches key by value.
+    Object ids are reused once a jet is collected, and equal jets are
+    often distinct objects (discretize composes each unit step afresh, so
+    an autonomous field's steps are equal copies), so caches key by value.
     """
     return (jet.q, jet.order, jet.coeffs.tobytes())
 
@@ -87,7 +88,7 @@ def _optimal_form(shape: tuple[int, ...], raw: bytes) -> OptimalForm:
     A = np.frombuffer(raw, dtype=complex).reshape(shape).copy()
     sizes = _already_optimal(A, CLUSTER_RTOL)
     if sizes is None:
-        raise ValueError(
+        raise PreconditionError(
             "the linear part must be in optimal form (lower triangular, "
             "nonincreasing moduli inside the unit disc, distinct-modulus "
             "blocks decoupled, operator norm below one); run to_optimal_form "
@@ -127,21 +128,19 @@ class DiscreteEvolutionFamily:
     """Unit-step transition jets phi_n with a shared linear part.
 
     Every step must carry the same linear part (within 1e-8; snapped exactly
-    on construction).  Steps beyond the stored window follow the tail
-    policy: "constant" repeats the last step, "zero" continues with the
-    bare linear map, matching the forcing tails of the difference solver.
+    on construction).  Steps beyond the stored window repeat the last one,
+    as the difference solver continues its forcing by the last row; a
+    family that turns linear past the window ends on
+    PolyJet.from_linear(linear_part, order).
     """
 
     linear_part: np.ndarray
     steps: tuple[PolyJet, ...]
-    tail: str = TAIL_CONSTANT
 
     def __post_init__(self):
         A = np.ascontiguousarray(np.asarray(self.linear_part, dtype=complex))
         if not self.steps:
             raise ValueError("a family needs at least one step")
-        if self.tail not in (TAIL_CONSTANT, TAIL_ZERO):
-            raise ValueError(f"unknown tail policy {self.tail!r}")
         q = self.steps[0].q
         order = self.steps[0].order
         if A.shape != (q, q):
@@ -174,11 +173,7 @@ class DiscreteEvolutionFamily:
     def step(self, n: int) -> PolyJet:
         if n < 0:
             raise IndexError("step index must be nonnegative")
-        if n < len(self.steps):
-            return self.steps[n]
-        if self.tail == TAIL_CONSTANT:
-            return self.steps[-1]
-        return PolyJet.from_linear(self.linear_part, self.order)
+        return self.steps[min(n, len(self.steps) - 1)]
 
     def with_order(self, order: int) -> "DiscreteEvolutionFamily":
         """Reissue the family at another jet order (steps taken as exact
@@ -188,7 +183,7 @@ class DiscreteEvolutionFamily:
         conv = (lambda s: s.extended(order)) if order > self.order else (
             lambda s: s.truncated(order))
         return DiscreteEvolutionFamily(self.linear_part,
-                                       tuple(conv(s) for s in self.steps), self.tail)
+                                       tuple(conv(s) for s in self.steps))
 
     def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
         """Jet of phi_{n,m} = phi_{m-1} o ... o phi_n."""
@@ -492,9 +487,7 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     new_T, forcing, resonant_norm = _split_defect(
         T, defect(family, k, T, degree, {} if tables is None else tables),
         split.resonant.reshape(q, -1), rows, degree)
-    tail = forcing[-1] if family.tail == TAIL_CONSTANT else None
-    sol = solve_difference(A_opt.matrix, S, S_inv, split,
-                           ForcingSequence(degree, q, forcing, family.tail, tail))
+    H, residuals = solve_difference(A_opt.matrix, S, S_inv, split, forcing)
 
     t = _tables(q, work)
     lo, hi = t.offsets[degree:degree + 2]
@@ -505,17 +498,17 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     # a shared jet, and H_n is compared bit for bit with the earlier H_m
     # of that jet only, which keeps no copies of the window's blocks
     updated: dict[int, list[int]] = {}
-    for n in np.flatnonzero(sol.terms.any(axis=(1, 2))):
+    for n in np.flatnonzero(H.any(axis=(1, 2))):
         same = updated.setdefault(id(k[n]), [])
-        h = sol.terms[n].tobytes()
-        m = next((m for m in same if sol.terms[m].tobytes() == h), n)
+        h = H[n].tobytes()
+        m = next((m for m in same if H[m].tobytes() == h), n)
         if m == n:
             c = np.array(identity)
-            c[:, lo:hi] = sol.terms[n]
+            c[:, lo:hi] = H[n]
             new_k[n] = compose(PolyJet(q, work, c), k[n], work)
             same.append(n)
         new_k[n] = new_k[m]
-    report = StageReport(degree, resonant_norm, max(sol.residuals, default=0.0))
+    report = StageReport(degree, resonant_norm, float(residuals.max()))
     return tuple(new_k), new_T, report
 
 
@@ -795,7 +788,7 @@ class ConjugacyResult:
             "work_order": self.work_order,
             "horizon": self.horizon,
             "work_horizon": self.work_horizon,
-            "tail": self.family.tail,
+            "tail": "constant",
             "certificate": self.certificate,
             "cluster_sizes": list(self.cluster_sizes),
             "defect_sup": self.defect_sup,

@@ -343,7 +343,7 @@ def _log_moduli(lam: np.ndarray) -> np.ndarray:
     moduli = np.abs(lam)
     bad = (moduli == 0.0) | (moduli >= 1.0)
     if bad.any():
-        raise ValueError(
+        raise PreconditionError(
             f"eigenvalue {lam[bad][0]} has modulus outside (0, 1): not a dilation spectrum")
     return np.log(moduli)
 

@@ -59,7 +59,7 @@ def random_polyjet(rng, q, order, linear=None, scale=0.3):
 
 
 def random_optimal_family(rng, q, degree, horizon=3, lo=0.45, hi=0.8,
-                          scale=0.3, tail="constant"):
+                          scale=0.3):
     """Random dilation family conjugated into optimal-form coordinates.
 
     The linear part is a random normal matrix with spectrum from
@@ -77,7 +77,7 @@ def random_optimal_family(rng, q, degree, horizon=3, lo=0.45, hi=0.8,
     for _ in range(horizon):
         raw = random_polyjet(rng, q, degree, A_orig, scale)
         steps.append(compose(Mj, compose(raw, Mij, degree), degree))
-    return DiscreteEvolutionFamily(opt.matrix, tuple(steps), tail)
+    return DiscreteEvolutionFamily(opt.matrix, tuple(steps))
 
 
 def gamma_factors(A, degree):
@@ -105,16 +105,20 @@ def norm_series_bound(block):
     raise ValueError("operator powers did not contract within 4096 powers")
 
 
-def dense_sup_bound(gamma, split, forcing, horizon):
+def padded(terms, horizon):
+    """The (horizon, q, M) forcing B_0 .. B_{horizon-1} that continues the
+    rows of terms by their last one, as solve_difference continues it."""
+    terms = np.asarray(terms, dtype=complex)
+    return terms[np.minimum(np.arange(horizon), len(terms) - 1)]
+
+
+def dense_sup_bound(gamma, split, forcing):
     """A-priori bound on every ||H_n|| of the bounded solution of
     H_{n+1} = Gamma(H_n) + B_n over the infinite horizon, from the dense
     gamma: sum_j ||Gamma_s^j|| sup |B^s| plus ||Gamma_u^{-1}||
-    sum_j ||Gamma_u^{-j}|| sup |B^u|, the sups over B_0 .. B_{horizon-1}
-    and the constant tail."""
+    sum_j ||Gamma_u^{-j}|| sup |B^u|, the sups over the rows of the
+    (T, q, M) forcing, whose last row repeats past the window."""
     bound = 0.0
-    terms = list(forcing.window(horizon))
-    if forcing.tail_value is not None:
-        terms.append(forcing.tail_value)
     for mask, inverse in ((split.stable, False), (split.unstable, True)):
         idx = np.nonzero(mask)[0]
         if not idx.size:
@@ -124,7 +128,7 @@ def dense_sup_bound(gamma, split, forcing, horizon):
         if inverse:
             block = np.linalg.inv(block)
             lead = float(np.linalg.norm(block, np.inf))
-        sup = max(float(np.max(np.abs(B.reshape(-1)[idx]))) for B in terms)
+        sup = max(float(np.max(np.abs(B.reshape(-1)[idx]))) for B in forcing)
         bound += lead * norm_series_bound(block) * sup
     return bound
 

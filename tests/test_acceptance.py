@@ -15,12 +15,10 @@ import numpy as np
 from loewner import (
     ContinuousEvolution,
     DiscreteEvolutionFamily,
-    ForcingSequence,
     HerglotzFieldSpec,
     LoewnerChain,
     PolyJet,
     ResonanceReport,
-    TAIL_CONSTANT,
     TimeCoefficient,
     build_chain,
     build_normal_form,
@@ -45,6 +43,7 @@ from conftest import (
     gamma_factors,
     koenigs_family,
     koenigs_oracle,
+    padded,
     random_optimal_family,
     random_spectrum,
 )
@@ -210,17 +209,16 @@ def test_criterion_05_homological_solver():
         vecs = [rng.normal(size=split.dimension)
                 + 1j * rng.normal(size=split.dimension) for _ in range(6)]
         terms = np.array(vecs).reshape(6, 2, -1)
-        forcing = ForcingSequence(degree, 2, terms, TAIL_CONSTANT, terms[-1])
-        sol = solve_difference(*factors, split, forcing, horizon=40)
-        sup_bound = dense_sup_bound(G, split, forcing, 40)
-        worst_res = max(worst_res, max(sol.residuals))
-        bounded &= np.abs(sol.terms).max() <= sup_bound
+        forcing = padded(terms, 40)
+        H, residuals = solve_difference(*factors, split, forcing)
+        sup_bound = dense_sup_bound(G, split, forcing)
+        worst_res = max(worst_res, max(residuals))
+        bounded &= np.abs(H).max() <= sup_bound
         # autonomous: constant forcing must settle on (I - Gamma)^{-1} B
         B = terms[0]
-        flat = ForcingSequence(degree, 2, [B] * 3, TAIL_CONSTANT, B)
-        sol2 = solve_difference(*factors, split, flat, horizon=220)
+        H2, _ = solve_difference(*factors, split, padded([B], 220))
         star = np.linalg.solve(np.eye(split.dimension) - G, B.reshape(-1))
-        gap = np.max(np.abs(sol2.terms[110].reshape(-1) - star))
+        gap = np.max(np.abs(H2[110].reshape(-1) - star))
         worst_fix = max(worst_fix, gap / max(1.0, float(np.max(np.abs(star)))))
     ok = worst_res <= 1e-10 and worst_fix <= 1e-10 and bounded
     assert _verdict(5, ok, f"10 solves, residual {worst_res:.2e}, "

@@ -333,18 +333,62 @@ def _high_index_step():
     return step
 
 
-@pytest.mark.parametrize("doc", [
-    _family_doc(steps=[_high_index_step()]),
-    _family_doc(steps=[PolyJet.identity(3, 2).to_json_dict()]),
-    _family_doc(tail="bogus"),
-    _family_doc(steps=[]),
-    _family_doc(steps=[_family_doc()["steps"][0], PolyJet.from_linear(
-        np.diag([0.6, 0.3]).astype(complex), 2).to_json_dict()]),
-], ids=["index-above-order", "q3-step", "bogus-tail", "no-steps", "drifting-linear-part"])
-def test_malformed_family_exits_2(tmp_path, capsys, doc):
+def _duplicated_term_step():
+    step = _family_doc()["steps"][0]
+    step["terms"].append(dict(step["terms"][-1], re=0.2))
+    return step
+
+
+_TAIL_MESSAGE = "a family has the constant tail, its steps past the window repeat the last one"
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_family_doc(steps=[_high_index_step()]), "bad multi-index [3, 0]"),
+    (_family_doc(steps=[PolyJet.identity(3, 2).to_json_dict()]), "dimension"),
+    (_family_doc(tail="bogus"), _TAIL_MESSAGE),
+    (_family_doc(tail="zero"), _TAIL_MESSAGE),
+    (_family_doc(steps=[]), "at least one step"),
+    (_family_doc(steps=[_family_doc()["steps"][0], PolyJet.from_linear(
+        np.diag([0.6, 0.3]).astype(complex), 2).to_json_dict()]), "linear part off"),
+    (_family_doc(steps=[_duplicated_term_step()]),
+     "term (component 2, index [2, 0]) is listed twice"),
+], ids=["index-above-order", "q3-step", "bogus-tail", "zero-tail", "no-steps",
+        "drifting-linear-part", "duplicated-term"])
+def test_malformed_family_exits_2(tmp_path, capsys, doc, message):
     inp = _write(tmp_path / "family.json", doc)
     assert main(["normalform", "--input", inp]) == 2
-    assert "malformed input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed input" in err and message in err
+
+
+def test_family_tail_may_be_stated_or_left_out(tmp_path):
+    reports = []
+    for name, doc in [("implied", _family_doc()), ("stated", _family_doc(tail="constant"))]:
+        out = tmp_path / f"{name}.json"
+        assert main(["normalform", "--input", _write(tmp_path / f"{name}-in.json", doc),
+                     "--output", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1] and '"tail": "constant"' in reports[0]
+
+
+@pytest.mark.parametrize("linear", [
+    np.diag([0.3, 0.5]),
+    np.array([[0.5, 0.1], [0.0, 0.3]]),
+    np.diag([1.2, 0.5]),
+    np.diag([0.5, 0.0]),
+], ids=["increasing-moduli", "upper-triangular", "expanding", "singular"])
+def test_family_linear_part_outside_optimal_form_exits_3(tmp_path, capsys, linear):
+    A = linear.astype(complex)
+    step = PolyJet.from_linear(A, 2) + PolyJet.from_terms(2, 2, {(1, (2, 0)): 0.1})
+    inp = _write(tmp_path / "family.json", {"linear_part": matrix_to_json(A),
+                                            "steps": [step.to_json_dict()] * 2})
+    assert main(["normalform", "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ")
+    if np.all(np.diagonal(A)):
+        assert "the linear part must be in optimal form" in err
+    else:
+        assert "eigenvalue 0j has modulus outside (0, 1)" in err
 
 
 def _lower_order_jet(doc):
@@ -388,6 +432,18 @@ def test_out_of_range_chain_exits_2(tmp_path, capsys, chain_doc, change):
     err = capsys.readouterr().err
     assert "malformed input" in err
     assert all(key in err for key in dropped)
+
+
+def test_chain_document_with_a_duplicated_jet_term_exits_2(tmp_path, capsys, chain_doc):
+    jet = json.loads(json.dumps(chain_doc["jets"][1]))
+    jet["terms"].append(dict(jet["terms"][0], re=jet["terms"][0]["re"] + 1.0))
+    term = jet["terms"][0]
+    doc = {**chain_doc, "jets": [chain_doc["jets"][0], jet, *chain_doc["jets"][2:]]}
+    assert main(["verify", "--input", _write(tmp_path / "chain.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err
+    assert (f"term (component {term['component']}, index {term['index']}) "
+            "is listed twice") in err
 
 
 def test_old_chain_document_with_basis_change_verifies(tmp_path, chain_doc):

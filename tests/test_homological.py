@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from loewner import (
-    ForcingSequence,
     HomogeneousMap,
     OptimalForm,
-    TAIL_CONSTANT,
-    TAIL_ZERO,
     gamma_matrix,
     solve_difference,
     spectral_split,
@@ -16,7 +13,7 @@ from loewner import (
 
 from loewner import homological
 
-from conftest import dense_sup_bound, gamma_factors
+from conftest import dense_sup_bound, gamma_factors, padded
 
 
 def split_forcing(B, split):
@@ -39,21 +36,21 @@ def fixed_point_solution(gamma, split, B):
     return HomogeneousMap.from_flat(split.q, split.degree, flat)
 
 
-def dense_solution(gamma, split, forcing, horizon):
+def dense_solution(gamma, split, forcing):
     """Reference bounded solution on the dense gamma, as an array of flat
-    H_0 .. H_horizon: the stable block forward from zero, the unstable
-    block backward from its tail value, one np.linalg.solve per step."""
+    H_0 .. H_T for a (T, q, M) forcing continued by its last row: the
+    stable block forward from zero, the unstable block backward from the
+    tail equation's fixed point, one np.linalg.solve per step."""
     s, u = np.nonzero(split.stable)[0], np.nonzero(split.unstable)[0]
-    b = forcing.window(horizon).reshape(horizon, -1)
+    horizon = len(forcing)
+    b = forcing.reshape(horizon, -1)
     H = np.zeros((horizon + 1, split.dimension), dtype=complex)
     Gs, Gu = gamma[np.ix_(s, s)], gamma[np.ix_(u, u)]
     h = np.zeros(s.size, dtype=complex)
     for n in range(horizon):
         h = Gs @ h + b[n][s]
         H[n + 1, s] = h
-    h = np.zeros(u.size, dtype=complex)
-    if forcing.tail == TAIL_CONSTANT:
-        h = np.linalg.solve(np.eye(u.size) - Gu, forcing.tail_value.reshape(-1)[u])
+    h = np.linalg.solve(np.eye(u.size) - Gu, b[-1][u])
     H[horizon, u] = h
     for n in range(horizon - 1, -1, -1):
         h = np.linalg.solve(Gu, h - b[n][u])
@@ -111,20 +108,18 @@ def test_split_forcing_degree_mismatch():
 
 def test_zero_forcing_gives_zero_solution():
     factors, split = _setup([0.5, 0.3])
-    forcing = ForcingSequence(2, 2, np.zeros((4, 2, 3)), TAIL_ZERO)
-    sol = solve_difference(*factors, split, forcing)
-    assert sol.terms.shape == (5, 2, 3) and not sol.terms.any()
-    assert max(sol.residuals) == 0.0
+    H, residuals = solve_difference(*factors, split, np.zeros((4, 2, 3)))
+    assert H.shape == (5, 2, 3) and not H.any()
+    assert residuals.shape == (4,) and not residuals.any()
 
 
 def test_recurrence_residuals_below_tolerance():
     rng = np.random.default_rng(7)
     factors, split = _setup([0.6, 0.35], degree=3)
     terms = np.array([_random_nonresonant(rng, split) for _ in range(6)])
-    forcing = ForcingSequence(3, 2, terms, TAIL_CONSTANT, terms[-1])
-    sol = solve_difference(*factors, split, forcing, horizon=12)
-    assert len(sol.terms) == 13
-    for n, res in enumerate(sol.residuals):
+    H, residuals = solve_difference(*factors, split, padded(terms, 12))
+    assert len(H) == 13
+    for n, res in enumerate(residuals):
         assert res <= 1e-10, f"step {n} residual {res}"
 
 
@@ -132,10 +127,10 @@ def test_sup_bound_dominates_realized_norms():
     rng = np.random.default_rng(9)
     factors, split = _setup([0.7, 0.3], degree=2)
     terms = np.array([_random_nonresonant(rng, split) for _ in range(5)])
-    forcing = ForcingSequence(2, 2, terms, TAIL_CONSTANT, terms[-1])
-    sol = solve_difference(*factors, split, forcing, horizon=40)
-    sup_bound = dense_sup_bound(gamma_matrix(factors[0], 2), split, forcing, 40)
-    realized = np.abs(sol.terms).max()
+    forcing = padded(terms, 40)
+    H, _ = solve_difference(*factors, split, forcing)
+    sup_bound = dense_sup_bound(gamma_matrix(factors[0], 2), split, forcing)
+    realized = np.abs(H).max()
     assert realized <= sup_bound
     assert np.isfinite(sup_bound)
 
@@ -146,11 +141,10 @@ def test_autonomous_matches_fixed_point():
         factors, split = _setup(lam, degree)
         gamma = gamma_matrix(factors[0], degree)
         B = HomogeneousMap(split.q, degree, _random_nonresonant(rng, split))
-        forcing = ForcingSequence(degree, split.q, [B.coeffs] * 3, TAIL_CONSTANT, B.coeffs)
-        sol = solve_difference(*factors, split, forcing, horizon=60)
+        H, _ = solve_difference(*factors, split, padded([B.coeffs], 60))
         star = fixed_point_solution(gamma, split, B)
         # away from the seam both ends sit on the fixed point
-        assert (HomogeneousMap(split.q, degree, sol.terms[30]) - star).norm <= (
+        assert (HomogeneousMap(split.q, degree, H[30]) - star).norm <= (
             1e-10 * max(1.0, star.norm))
         assert (star - HomogeneousMap.from_flat(
             split.q, degree, gamma @ star.flat + B.flat)).norm <= 1e-10
@@ -161,20 +155,19 @@ def test_scalar_unstable_fixed_point():
     factors, split = _setup([0.5])
     assert abs(np.kron(*factors[:2])[0, 0] - 2.0) < 1e-14
     b = np.array([[0.7 - 0.2j]])
-    forcing = ForcingSequence(2, 1, [b] * 2, TAIL_CONSTANT, b)
-    sol = solve_difference(*factors, split, forcing, horizon=10)
-    for H in sol.terms[:8]:
-        assert np.allclose(H, -b, atol=1e-12)
+    H, _ = solve_difference(*factors, split, padded([b], 10))
+    for h in H[:8]:
+        assert np.allclose(h, -b, atol=1e-12)
 
 
 def test_zero_tail_returns_to_zero():
     rng = np.random.default_rng(5)
     factors, split = _setup([0.5, 0.3])
     B = _random_nonresonant(rng, split)
-    forcing = ForcingSequence(2, 2, [B], TAIL_ZERO)
-    sol = solve_difference(*factors, split, forcing, horizon=80)
+    H, _ = solve_difference(*factors, split, padded([B, np.zeros_like(B)], 80))
     # unstable content vanishes once the forcing stops; stable content decays
-    assert np.abs(sol.terms[-1]).max() <= 1e-10 * max(1.0, np.abs(B).max())
+    assert not np.where(split.unstable.reshape(B.shape), H[1:], 0.0).any()
+    assert np.abs(H[-1]).max() <= 1e-10 * max(1.0, np.abs(B).max())
 
 
 def test_forward_only_divergence_witness():
@@ -202,9 +195,8 @@ def test_resonant_forcing_is_rejected():
     r = np.nonzero(split.resonant)[0][0]
     vec = np.zeros(split.dimension, dtype=complex)
     vec[r] = 1.0
-    forcing = ForcingSequence(2, 2, [vec.reshape(2, 3)], TAIL_ZERO)
     with pytest.raises(ValueError, match="resonant"):
-        solve_difference(*factors, split, forcing)
+        solve_difference(*factors, split, vec.reshape(1, 2, 3))
 
 
 def test_block_mixing_gamma_is_rejected():
@@ -212,7 +204,7 @@ def test_block_mixing_gamma_is_rejected():
     # direction (0, (2, 0)) into the stable (1, (2, 0))
     A = np.array([[0.9, 0.0], [0.5, 0.3]], dtype=complex)
     split = spectral_split(A, 2)
-    forcing = ForcingSequence(2, 2, np.zeros((1, 2, 3)), TAIL_ZERO)
+    forcing = np.zeros((1, 2, 3))
     with pytest.raises(ValueError, match="optimal form"):
         solve_difference(*gamma_factors(A, 2), split, forcing)
     # and an upper-triangular A is no optimal form either
@@ -220,11 +212,12 @@ def test_block_mixing_gamma_is_rejected():
         solve_difference(*gamma_factors(A.T, 2), split, forcing)
 
 
-def test_constant_tail_requires_value():
-    with pytest.raises(ValueError):
-        ForcingSequence(2, 2, np.zeros((1, 2, 3)), TAIL_CONSTANT)
-    with pytest.raises(ValueError):
-        ForcingSequence(2, 2, np.zeros((1, 2, 3)), "periodic")
+def test_forcing_must_be_a_nonempty_window_matching_the_split():
+    factors, split = _setup([0.5, 0.3])
+    # no window, no window axis, another degree's M, another q
+    for shape in [(0, 2, 3), (2, 3), (1, 2, 4), (1, 3, 3)]:
+        with pytest.raises(ValueError, match="forcing must be a nonempty"):
+            solve_difference(*factors, split, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------- #
@@ -264,30 +257,32 @@ def test_optimal_form_inverse_is_exactly_lower_triangular():
     assert np.allclose(opt.inverse_matrix @ A, np.eye(2), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("tail", [TAIL_ZERO, TAIL_CONSTANT])
+# the forcing's last row, repeated past the window: zero (a family that
+# turns linear) or the last of five random rows
+@pytest.mark.parametrize("last", ["zero", "constant"])
 @pytest.mark.parametrize("degree", [2, 3, 4])
 @pytest.mark.parametrize("name", OPTIMAL_FORMS)
-def test_structured_solve_matches_dense_reference(name, degree, tail):
+def test_structured_solve_matches_dense_reference(name, degree, last):
     A = OPTIMAL_FORMS[name].astype(complex)
     split = spectral_split(A, degree)
     # one equal-modulus cluster has only unstable directions
     assert split.unstable.any() and (split.stable.any() or name.startswith("(2,)"))
     rng = np.random.default_rng(degree)
     terms = np.array([_random_nonresonant(rng, split) for _ in range(5)])
-    forcing = ForcingSequence(degree, len(A), terms, tail,
-                              terms[-1] if tail == TAIL_CONSTANT else None)
+    if last == "zero":
+        terms = np.concatenate([terms, np.zeros_like(terms[:1])])
+    forcing = padded(terms, 12)
     factors = gamma_factors(A, degree)
-    sol = solve_difference(*factors, split, forcing, horizon=12)
-    ref = dense_solution(gamma_matrix(A, degree), split, forcing, 12)
-    got = sol.terms.reshape(13, -1)
+    H, residuals = solve_difference(*factors, split, forcing)
+    ref = dense_solution(gamma_matrix(A, degree), split, forcing)
+    got = H.reshape(13, -1)
     # roundoff bound: measured at most 3.3e-15 of max |H|
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert max(sol.residuals) <= 1e-13
-    if tail == TAIL_CONSTANT:
-        # B_4 .. B_11 equal the tail value, so H_4 .. H_12 solve the tail
-        # equation: their unstable blocks are its fixed point bit for bit
-        unstable = split.unstable.reshape(terms.shape[1:])
-        X = homological._unstable_fixed_point(*factors[:2], unstable, terms[-1], degree)
-        for n in range(4, 13):
-            assert np.array_equal(np.where(unstable, sol.terms[n], 0.0), X), n
+    assert max(residuals) <= 1e-13
+    # B_k .. B_11 equal the last row, so H_k .. H_12 solve the tail
+    # equation: their unstable blocks are its fixed point bit for bit
+    unstable = split.unstable.reshape(terms.shape[1:])
+    X = homological._unstable_fixed_point(*factors[:2], unstable, terms[-1], degree)
+    for n in range(len(terms) - 1, 13):
+        assert np.array_equal(np.where(unstable, H[n], 0.0), X), n
 

@@ -304,6 +304,15 @@ def test_json_rejects_garbage():
         PolyJet.from_json_dict({"q": 1, "order": 0, "terms": []})
 
 
+def test_json_rejects_a_term_listed_twice():
+    # keeping either value would be a guess, and from_terms would add them
+    data = {"q": 1, "order": 2, "terms": [
+        {"component": 1, "index": [2], "re": 1.0, "im": 0.0},
+        {"component": 1, "index": [2], "re": 2.0, "im": 0.0}]}
+    with pytest.raises(ValueError, match=r"term \(component 1, index \[2\]\) is listed twice"):
+        PolyJet.from_json_dict(data)
+
+
 # finite floats, with signed zeros, subnormals and extreme magnitudes drawn
 # on purpose
 _parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

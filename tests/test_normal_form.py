@@ -52,9 +52,9 @@ def seed12_q2():
     return build_normal_form(fam, extension=8)
 
 
-def _linear_family(A, order=3, horizon=3, tail="constant"):
+def _linear_family(A, order=3, horizon=3):
     step = PolyJet.from_linear(A, order)
-    return DiscreteEvolutionFamily(A, (step,) * horizon, tail)
+    return DiscreteEvolutionFamily(A, (step,) * horizon)
 
 
 def _resonant_family(c=0.05, order=3, horizon=2):
@@ -76,11 +76,51 @@ def test_family_rejects_drifting_linear_part():
         DiscreteEvolutionFamily(A, (good, bad))
 
 
-def test_family_tail_policies():
-    fam_c = koenigs_family(0.5, 0.1, horizon=2)
-    assert fam_c.step(7) == fam_c.steps[-1]
-    fam_z = DiscreteEvolutionFamily(fam_c.linear_part, fam_c.steps, "zero")
-    assert fam_z.step(7) == PolyJet.from_linear(fam_c.linear_part, 3)
+def test_family_repeats_its_last_step():
+    rng = np.random.default_rng(2)
+    fam = random_optimal_family(rng, 2, 3, horizon=3)
+    assert [fam.step(n) for n in range(3)] == list(fam.steps)
+    for n in (3, 7, 400):
+        assert fam.step(n) is fam.steps[-1]
+    wider = fam.with_order(4)
+    assert wider.step(9) is wider.steps[-1]
+    with pytest.raises(IndexError):
+        fam.step(-1)
+
+
+def _ends_linear(family):
+    """family with its linear map appended as the last step: past its
+    stored steps the family turns linear."""
+    last = PolyJet.from_linear(family.linear_part, family.order)
+    return DiscreteEvolutionFamily(family.linear_part, family.steps + (last,))
+
+
+@pytest.mark.parametrize("name", ["koenigs-order-8", "q3-stable"])
+def test_a_family_that_turns_linear_stops_its_forcing(monkeypatch, name):
+    # from the step that is the linear map A on, every degree's forcing row
+    # is exactly zero, so the tail that repeats A continues the forcing by
+    # zero
+    if name == "q3-stable":
+        family, order = _tabled_family(name), None
+        assert spectral_split(family.linear_part, 2).stable.any()
+    else:
+        family, order = koenigs_family(0.5, 0.1), 8
+    family = _ends_linear(family)
+    linear_from = len(family) - 1
+    forcings = []
+
+    def recorded(A, S, S_inv, split, forcing):
+        forcings.append((split.degree, np.array(forcing)))
+        return solve(A, S, S_inv, split, forcing)
+
+    solve = normal_form.solve_difference
+    monkeypatch.setattr(normal_form, "solve_difference", recorded)
+    res = build_normal_form(family, order=order)
+    assert forcings[-1][0] == res.work_order >= (order or 2)
+    for degree, forcing in forcings:
+        assert len(forcing) > linear_from
+        assert forcing[:linear_from].any(), degree
+        assert not forcing[linear_from:].any(), degree
 
 
 def test_transition_cocycle():
