@@ -20,8 +20,7 @@ from loewner import (
     TimeCoefficient,
     attraction_check,
     build_chain,
-    build_normal_form,
-    discretize,
+    normalize_field,
     pde_residual,
     range_growth_check,
     verify_subordination_chain,
@@ -68,10 +67,10 @@ def run(field, order, save):
     print(f"pde residual: {coarse:.3e} at h=1e-3, halving ratio {coarse / fine:.2f}")
 
     # the chain keeps only its jets: range growth reads a normal form
-    # rebuilt from the chain's own discretization, as `loewner verify` does,
-    # from the half-step jets the chain's evolution already holds
-    disc = discretize(chain.evolution, chain.horizon)
-    growth = range_growth_check(build_normal_form(disc.family, horizon=chain.horizon))
+    # rebuilt from the chain's own evolution, as `loewner verify` does, from
+    # the half-step jets that evolution already holds
+    _, rebuilt = normalize_field(chain.evolution, chain.horizon)
+    growth = range_growth_check(rebuilt)
     reached = (f"step {growth.achieved_step} (bound {growth.step_bound})"
                if growth.achieved_step is not None else "not reached in window")
     target = growth.factor * growth.inner_radius
@@ -83,7 +82,7 @@ def run(field, order, save):
     for n, (rho, which) in enumerate(zip(growth.inradii, growth.radius_bounds)):
         print(f"  {n:3d}  {rho:.6e}  {which:>5}  {rho / target:.4g}")
 
-    orbit = attraction_check(disc.family, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
+    orbit = attraction_check(rebuilt.family, complex_ball_points(chain.q, 0.5 * chain.radius, 8))
     worst = max(r.steps for r in orbit.rows)
     print(f"attraction: all converged={orbit.all_converged}, "
           f"slowest orbit {worst} steps to the {orbit.tol:g} ball")

@@ -14,9 +14,8 @@ from loewner import (
     HerglotzFieldSpec,
     TimeCoefficient,
     build_chain,
-    build_normal_form,
     detect_resonances,
-    discretize,
+    normalize_field,
 )
 
 
@@ -34,8 +33,7 @@ def run(cs, alpha):
     print(f"{'c':>6} {'T coeff':>10} {'predicted':>10} {'k extra':>10} {'certificate':>12}")
     for c in cs:
         field = field_for(c, alpha)
-        disc = discretize(ContinuousEvolution(field, field.order), 2)
-        res = build_normal_form(disc.family, horizon=2)
+        _, res = normalize_field(ContinuousEvolution(field, field.order), 2)
         t_coeff = res.triangular.step(0).coefficient(1, (2, 0))
         # unit-time integration of the forced mode: c * e^{2 alpha}
         predicted = c * math.exp(2.0 * alpha)

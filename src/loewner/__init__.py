@@ -42,7 +42,6 @@ from .herglotz import (
     AttractionReport,
     ContinuousEvolution,
     PreconditionError,
-    DiscretizedField,
     HerglotzFieldSpec,
     LoewnerChain,
     SubordinationReport,
@@ -53,6 +52,7 @@ from .herglotz import (
     integrate_jet,
     integrate_points,
     integrate_variational,
+    normalize_field,
     pde_residual,
     verification_samples,
     verify_subordination_chain,

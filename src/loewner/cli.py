@@ -29,6 +29,7 @@ from .herglotz import (
     complex_to_json,
     discretize,
     matrix_from_json,
+    normalize_field,
     verify_subordination_chain,
 )
 from .jets import PolyJet
@@ -225,11 +226,11 @@ def cmd_analyze(args) -> int:
 
     order = max(2, field.order if args.order is None else args.order)
     _check_work_order(order, "the field's order")
-    disc = discretize(ContinuousEvolution(field, order), horizon=1)
-    A = disc.family.linear_part
+    family = discretize(ContinuousEvolution(field, order), horizon=1)
+    A = family.linear_part
     trivial = TriangularFamily(A, (PolyJet.from_linear(A, order),))
     multiplicative = detect_resonances(np.diag(A), tau=args.tau)
-    constants = estimate_constants(disc.family, trivial, multiplicative)
+    constants = estimate_constants(family, trivial, multiplicative)
 
     out = {
         "schema": "loewner-analysis/1",
@@ -262,17 +263,14 @@ def cmd_normalform(args) -> int:
     _check_order_flag(args)
     if "Lambda" in doc:
         field = _field_from_doc(doc)
-        T = int(math.ceil(field.horizon)) if args.horizon is None else args.horizon
         order = max(2, field.order if args.order is None else args.order)
-        _check_work_order(order, "the field's order")
-        family = discretize(ContinuousEvolution(field, order), T).family
+        _, result = normalize_field(ContinuousEvolution(field, order), args.horizon,
+                                    tau=args.tau)
     elif "steps" in doc:
-        family = _family_from_doc(doc)
+        result = build_normal_form(_family_from_doc(doc), order=args.order,
+                                   horizon=args.horizon, tau=args.tau)
     else:
         raise _Malformed("document is neither a field ('Lambda') nor a family ('steps')")
-
-    result = build_normal_form(family, order=args.order, horizon=args.horizon,
-                               tau=args.tau)
     out = {"schema": "loewner-normalform/1", **result.to_json_dict()}
     _dump(out, args.output)
 
@@ -345,9 +343,8 @@ def cmd_verify(args) -> int:
     # runs under the document's resonance rule
     rebuilt = None
     try:
-        disc = discretize(chain.evolution, chain.horizon)
-        rebuilt = build_normal_form(disc.family, horizon=chain.horizon,
-                                    tau=chain.resonances.tolerance)
+        _, rebuilt = normalize_field(chain.evolution, chain.horizon,
+                                     tau=chain.resonances.tolerance)
     except PreconditionError:
         raise
     except (ValueError, RuntimeError) as e:
@@ -370,7 +367,7 @@ def cmd_verify(args) -> int:
             failures.append("range-growth")
         ball = complex_ball_points(chain.q, 0.5 * rebuilt.constants.r,
                                    args.samples, start=args.seed)
-        attract = attraction_check(disc.family, ball, tol=args.tol)
+        attract = attraction_check(rebuilt.family, ball, tol=args.tol)
         checks["attraction"] = {"passed": attract.all_converged,
                                 "max_steps_used": max(
                                     (r.steps for r in attract.rows

@@ -19,6 +19,7 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from scipy.linalg import expm
 from .jets import PolyJet, _mul_table, _tables, compose, invert
 from .normal_form import (
     UNIVALENCE_COLLISION,
+    ConjugacyResult,
     DiscreteEvolutionFamily,
     UnivalenceReport,
     _check_work_order,
@@ -48,8 +50,8 @@ __all__ = [
     "integrate_jet",
     "integrate_points",
     "ContinuousEvolution",
-    "DiscretizedField",
     "discretize",
+    "normalize_field",
     "LoewnerChain",
     "build_chain",
     "pde_residual",
@@ -226,6 +228,12 @@ class HerglotzFieldSpec:
     def abscissa(self) -> float:
         """Largest real part in the spectrum of Lambda (negative)."""
         return float(np.linalg.eigvals(self.Lambda).real.max())
+
+    @cached_property
+    def optimal(self) -> OptimalForm:
+        """Optimal form of exp(Lambda), the linear part of every unit step
+        in the discretized family; made once."""
+        return to_optimal_form(expm(self.Lambda))
 
     def breakpoints(self) -> tuple[float, ...]:
         pts: set[float] = set()
@@ -693,25 +701,6 @@ class ContinuousEvolution:
 # --------------------------------------------------------------------- #
 # discretization at integer times
 
-@dataclass(frozen=True)
-class DiscretizedField:
-    """Unit-step jets of a field, conjugated into optimal linear coordinates.
-
-    family steps are psi_n = M o phi_{n,n+1} o M^{-1} with M the optimal
-    basis change of exp(Lambda); the linear block of every step is snapped to
-    the optimal matrix exactly, higher orders keep the values composed from
-    the integrated half steps.
-    """
-
-    family: DiscreteEvolutionFamily
-    optimal: OptimalForm
-    exp_linear: np.ndarray
-
-    @property
-    def q(self) -> int:
-        return self.family.linear_part.shape[0]
-
-
 # half a unit step: discretize composes each unit step from the transitions
 # of its two halves, and the certificate sweep and verify run on this grid,
 # so one command integrates each half-step transition once
@@ -719,8 +708,10 @@ CERTIFICATE_STEP = 0.5
 
 
 def discretize(evolution: ContinuousEvolution,
-               horizon: int | None = None) -> DiscretizedField:
-    """Integer-time snapshots psi_n of the evolution family, ready to normalize.
+               horizon: int | None = None) -> DiscreteEvolutionFamily:
+    """Integer-time snapshots psi_n = M o phi_{n,n+1} o M^{-1} of the
+    evolution family, M the field's optimal basis change, with the linear
+    block snapped to the optimal matrix exactly: ready to normalize.
 
     The unit step is phi_{n,n+1} = phi_{n+1/2,n+1} o phi_{n,n+1/2}, composed
     from the evolution's half-step jets at its order: for maps fixing 0 the
@@ -731,8 +722,7 @@ def discretize(evolution: ContinuousEvolution,
     T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
     if T < 1:
         raise ValueError("horizon must cover at least one unit step")
-    expL = expm(field.Lambda)
-    opt = to_optimal_form(expL)
+    opt = field.optimal
     A = opt.matrix
     Mj = PolyJet.from_linear(opt.basis_change, order)
     Mij = PolyJet.from_linear(opt.basis_change_inverse, order)
@@ -742,8 +732,7 @@ def discretize(evolution: ContinuousEvolution,
         J = compose(evolution.jet(mid, n + 1), evolution.jet(n, mid), order)
         psi = compose(Mj, compose(J, Mij, order), order)
         steps.append(_with_linear(psi, A))
-    family = DiscreteEvolutionFamily(A, tuple(steps))
-    return DiscretizedField(family, opt, expL)
+    return DiscreteEvolutionFamily(A, tuple(steps))
 
 
 # --------------------------------------------------------------------- #
@@ -932,72 +921,85 @@ def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
     return max(_sup_norm(chain.normalized_jet(t).evaluate_many(points)) for t in ts)
 
 
-MAX_JET_ORDER_PASSES = 3  # build_chain's rebuilds until the jets cover the work order
+MAX_JET_ORDER_PASSES = 3  # normalize_field's rebuilds until the jets cover the work order
 RADIUS_FACTOR = 0.4       # validity radius over r / (|M| x transient growth of exp(tau Lambda))
 CERTIFICATE_SAMPLES = 16  # ball points of the certificate sweep
 CERTIFICATE_BALL = 0.95   # the sweep's ball, relative to the validity radius
 CERTIFICATE_FACTOR = 1.25  # certificate over the measured sup
 
 
-def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
-                order: int | None = None, tau: float = RESONANCE_TOL) -> LoewnerChain:
-    """Normalize the evolution family of the field into a Loewner chain.
-
-    The field is discretized at integer times, the discrete family is brought
-    to normal form, and the chain maps are pulled back to the original
-    coordinates.  Discretization and normalization must agree on the jet
-    order: the working order depends on constants measured from the
-    normalized data, so the estimate is refined and the family rebuilt until
-    the jets carry true flow coefficients at every order the normalization
-    touches.  A sup bound for the normalized chain jets on the validity
-    ball is attached only when the spectrum is resonance-free.
+def normalize_field(evolution: ContinuousEvolution, horizon: int | None = None,
+                    tau: float = RESONANCE_TOL
+                    ) -> tuple[ContinuousEvolution, ConjugacyResult]:
+    """Normal form through the evolution's order of the field's own
+    evolution family over `horizon` unit steps (default the field's), and
+    the evolution at the working order: `evolution` itself when it has that
+    order, so its cached half-step jets are reused.  The working order
+    depends on constants measured from the normalized data, so the family is
+    re-integrated at the order the normalization asks for until its jets
+    carry true flow coefficients at every order the normalization touches.
     """
-    T = int(math.ceil(field.horizon)) if horizon is None else int(horizon)
-    if T < 1:
-        raise ValueError("horizon must cover at least one unit step")
-    base_order = max(2, field.order if order is None else int(order))
-    opt0 = to_optimal_form(expm(field.Lambda))
-    alpha0 = 0.5 * (opt0.norm_bound + 1.0)
-    beta0 = float(np.abs(np.linalg.inv(opt0.matrix)).sum(axis=1).max())
-    jet_order = max(base_order, _smallest_ell(alpha0, beta0))
-    disc = result = evolution = None
+    field, order = evolution.field, evolution.order
+    horizon = None if horizon is None else int(horizon)
+    opt = field.optimal
+    alpha0 = 0.5 * (opt.norm_bound + 1.0)
+    beta0 = float(np.abs(opt.inverse_matrix).sum(axis=1).max())
+    jet_order = max(order, _smallest_ell(alpha0, beta0))
+    source = "the field's order" if order == field.order else "the requested order"
     for _ in range(MAX_JET_ORDER_PASSES):
         # build_normal_form would refuse this order only after the
         # integration, which above the cap can run for minutes
-        _check_work_order(jet_order, "the requested order" if jet_order == base_order else None)
-        evolution = ContinuousEvolution(field, jet_order)
-        disc = discretize(evolution, T)
-        result = build_normal_form(disc.family, order=base_order, horizon=T, tau=tau)
+        _check_work_order(jet_order, source if jet_order == order else None)
+        if evolution.order != jet_order:
+            evolution = ContinuousEvolution(field, jet_order)
+        result = build_normal_form(discretize(evolution, horizon), order=order,
+                                   horizon=horizon, tau=tau)
         if result.work_order <= jet_order:
             break
         jet_order = result.work_order
     else:
         raise RuntimeError(f"jet order failed to stabilize in {MAX_JET_ORDER_PASSES} passes")
+    if result.work_order < evolution.order:
+        # the normalization settled below the jets' order: result.family holds
+        # them truncated, which need not match jets integrated at its order
+        evolution = ContinuousEvolution(field, result.work_order)
+    return evolution, result
 
-    discrete = discrete_chain(result, T)
+
+def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
+                order: int | None = None, tau: float = RESONANCE_TOL) -> LoewnerChain:
+    """Normalize the evolution family of the field into a Loewner chain.
+
+    The field's normal form (normalize_field) is pulled back to the original
+    coordinates, and the chain keeps the evolution the normalization
+    integrated.  A sup bound for the normalized chain jets on the validity
+    ball is attached only when the spectrum is resonance-free.
+    """
+    base_order = max(2, field.order if order is None else int(order))
+    evolution, result = normalize_field(ContinuousEvolution(field, base_order), horizon,
+                                        tau=tau)
+    discrete = discrete_chain(result)
     W = discrete[0].order
-    M = disc.optimal.basis_change
+    M = field.optimal.basis_change
     Mj = PolyJet.from_linear(M, W)
-    Mij = PolyJet.from_linear(disc.optimal.basis_change_inverse, W)
+    Mij = PolyJet.from_linear(field.optimal.basis_change_inverse, W)
     jets = tuple(compose(Mij, compose(fj, Mj, W), W) for fj in discrete)
 
     growth = _transient_growth(field.Lambda)
     radius = RADIUS_FACTOR * result.constants.r / (operator_norm(M) * growth)
     chain = LoewnerChain(
         field=field,
-        horizon=T,
+        horizon=result.horizon,
         radius=radius,
         chain_jets=jets,
         resonances=result.resonance_report,
         certificate=None,
         certificate_step=CERTIFICATE_STEP,
-        # a chain at another order integrates its own: a jet integrated at a
-        # higher order and truncated need not match the document's bits
-        evolution=evolution if evolution.order == W else None,
+        evolution=evolution,
     )
     if not result.resonance_report.resonances:
         pts = complex_ball_points(field.q, CERTIFICATE_BALL * radius, CERTIFICATE_SAMPLES)
-        sup = _normalized_sup(chain, _certificate_grid(T, CERTIFICATE_STEP), pts)
+        sup = _normalized_sup(chain, _certificate_grid(chain.horizon, CERTIFICATE_STEP), pts)
         chain = dataclasses.replace(chain, certificate=CERTIFICATE_FACTOR * sup)
     return chain
 

@@ -231,16 +231,16 @@ def test_criterion_06_counterexample_behavior():
     additive = detect_resonances(np.diag(field.Lambda), mode="additive")
     detected = (1, (2, 0)) in additive.resonances
 
-    disc = discretize(ContinuousEvolution(field, field.order), 2)
-    A = disc.family.linear_part
-    order = disc.family.steps[0].order
+    family = discretize(ContinuousEvolution(field, field.order), 2)
+    A = family.linear_part
+    order = family.steps[0].order
     k = (PolyJet.identity(2, order),) * 3
     T = (PolyJet.from_linear(A, order),) * 2
-    P = defect(disc.family, k, T, 2)[0]
+    P = defect(family, k, T, 2)[0]
     split = spectral_split(A, 2)
     res_norm = float(np.max(np.abs(P.reshape(-1)[split.resonant]), initial=0.0))
 
-    res = build_normal_form(disc.family, horizon=2)
+    res = build_normal_form(family, horizon=2)
     t_coeff = abs(res.triangular.step(0).coefficient(1, (2, 0)))
 
     chain = build_chain(field)

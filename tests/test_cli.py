@@ -126,21 +126,15 @@ def test_spectrum_near_unit_circle_exits_3(tmp_path, capsys, command):
     assert "precondition violated" in err and "degree cap 512" in err
 
 
+@pytest.mark.parametrize("command", ["chain", "normalform"])
 def test_chain_beyond_the_working_order_cap_exits_3_before_integrating(
-        tmp_path, capsys, monkeypatch):
-    # this spectrum asks for chain order 264, whose multiplication table
+        tmp_path, capsys, monkeypatch, command):
+    # this spectrum asks for working order 264, whose multiplication table
     # alone takes minutes to build
-    calls = []
-    discretize = herglotz.discretize
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return discretize(*args, **kwargs)
-
-    monkeypatch.setattr(herglotz, "discretize", counted)
+    calls = _counting_integrate_jet(monkeypatch)
     doc = demo_field().to_json_dict()
     doc["Lambda"] = matrix_to_json(np.diag([-100.0, -1.0]).astype(complex))
-    assert main(["chain", "--input", _write(tmp_path / "field.json", doc)]) == 3
+    assert main([command, "--input", _write(tmp_path / "field.json", doc)]) == 3
     err = capsys.readouterr().err
     assert "precondition violated" in err and "working order 264" in err
     assert f"limit {normal_form.MAX_WORK_ORDER}" in err
@@ -172,7 +166,7 @@ def test_order_flag_beyond_the_cap_exits_3_before_integrating(
     assert calls == []
 
 
-@pytest.mark.parametrize("command", ["analyze", "normalform"])
+@pytest.mark.parametrize("command", ["analyze", "normalform", "chain"])
 def test_field_order_beyond_the_cap_exits_3_before_integrating(
         tmp_path, capsys, monkeypatch, command):
     calls = _counting_integrate_jet(monkeypatch)
@@ -610,6 +604,32 @@ def test_normalform_field_input(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["certificate"] == "resonant-normal-form"
     assert "component 2, index (2, 0)" in capsys.readouterr().out
+
+
+def test_normalform_of_a_field_states_its_flows_normal_form(tmp_path, monkeypatch):
+    # the demo field has order 3 and works at order 4: the family is the
+    # flow integrated at order 4, not order 3 jets padded with zeros
+    field = demo_field()
+    want = normal_form.build_normal_form(
+        herglotz.discretize(herglotz.ContinuousEvolution(field, 4), 3), order=3, horizon=3)
+    assert want.work_order == 4
+    inp = _write(tmp_path / "field.json", field.to_json_dict())
+    out = tmp_path / "nf.json"
+    assert main(["normalform", "--input", inp, "--output", str(out)]) == 0
+    assert out.read_text() == report_text(
+        {"schema": "loewner-normalform/1", **want.to_json_dict()})
+
+    # the optimal form of exp(Lambda) is the field's, made once per command
+    calls = []
+    to_optimal_form = herglotz.to_optimal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return to_optimal_form(*args, **kwargs)
+
+    monkeypatch.setattr(herglotz, "to_optimal_form", counted)
+    assert main(["chain", "--input", inp, "--output", str(tmp_path / "chain.json")]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------- #

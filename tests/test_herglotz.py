@@ -27,6 +27,7 @@ from loewner import (
     integrate_jet,
     integrate_points,
     integrate_variational,
+    normalize_field,
     pde_residual,
     verification_samples,
     verify_subordination_chain,
@@ -611,17 +612,20 @@ def test_piecewise_evolution_does_not_reuse_across_a_node(monkeypatch):
 
 def test_discretize_linear_field():
     f = _linear_field()
-    disc = discretize(ContinuousEvolution(f, f.order), 2)
+    family = discretize(ContinuousEvolution(f, f.order), 2)
     step = np.diag([math.exp(-0.5), math.exp(-0.8)])
-    assert np.max(np.abs(disc.exp_linear - step)) <= 1e-12
-    want = PolyJet.from_linear(disc.family.linear_part, disc.family.steps[0].order)
-    assert (disc.family.steps[0] - want).max_coeff <= 1e-10
+    # the field's optimal basis change carries the family's linear part
+    # back to exp(Lambda)
+    M = f.optimal.basis_change
+    assert np.max(np.abs(np.linalg.inv(M) @ family.linear_part @ M - step)) <= 1e-12
+    want = PolyJet.from_linear(family.linear_part, family.steps[0].order)
+    assert (family.steps[0] - want).max_coeff <= 1e-10
 
 
 def test_discretize_autonomous_steps_repeat():
-    disc = discretize(ContinuousEvolution(demo_field(), 3), 3)
-    d01 = (disc.family.steps[0] - disc.family.steps[1]).max_coeff
-    d12 = (disc.family.steps[1] - disc.family.steps[2]).max_coeff
+    family = discretize(ContinuousEvolution(demo_field(), 3), 3)
+    d01 = (family.steps[0] - family.steps[1]).max_coeff
+    d12 = (family.steps[1] - family.steps[2]).max_coeff
     assert max(d01, d12) <= 1e-10
 
 
@@ -630,8 +634,8 @@ def test_discretize_counterexample_coefficient():
     c = 0.3
     f = counterexample_field(c=c)
     a = f.Lambda[0, 0].real
-    disc = discretize(ContinuousEvolution(f, f.order), 2)
-    got = disc.family.steps[0].coefficient(1, (2, 0))
+    family = discretize(ContinuousEvolution(f, f.order), 2)
+    got = family.steps[0].coefficient(1, (2, 0))
     assert abs(got - c * math.exp(2 * a)) <= 1e-8
 
 
@@ -729,14 +733,15 @@ def test_field_commands_integrate_each_half_step_once(tmp_path, monkeypatch):
 
     calls.clear()
     rebuild = []
+    discretize = herglotz.discretize
 
     def counted_discretize(*args, **kwargs):
         before = len(calls)
-        out = herglotz.discretize(*args, **kwargs)
+        out = discretize(*args, **kwargs)
         rebuild.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(cli, "discretize", counted_discretize)
+    monkeypatch.setattr(herglotz, "discretize", counted_discretize)
     inp = tmp_path / "chain.json"
     inp.write_text(report_text(chain.to_json_dict()))
     assert cli.main(["verify", "--input", str(inp),
@@ -775,10 +780,42 @@ def test_built_and_loaded_chain_share_every_transition_bit(field):
     back = _reloaded(chain)
     for t in herglotz._certificate_grid(chain.horizon, chain.certificate_step):
         assert np.array_equal(back.jet(t).coeffs, chain.jet(t).coeffs)
-    built = discretize(chain.evolution, chain.horizon).family.steps
-    loaded = discretize(back.evolution, back.horizon).family.steps
+    built = discretize(chain.evolution, chain.horizon).steps
+    loaded = discretize(back.evolution, back.horizon).steps
     for a, b in zip(built, loaded):
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def test_normalize_field_normalizes_the_flow_at_the_working_order():
+    # the first pass integrates at order 6, the normalization asks for 7
+    field = counterexample_field(c=0.4)
+    evolution, result = normalize_field(ContinuousEvolution(field, 2), 2)
+    assert evolution.order == result.work_order == 7 and result.order == 2
+    for got, want in zip(result.family.steps, discretize(evolution, 2).steps, strict=True):
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    # verify's rebuild: an evolution at the working order is kept, with its
+    # cached jets
+    again, rebuilt = normalize_field(evolution, 2)
+    assert again is evolution and rebuilt.work_order == 7
+
+
+def test_chain_settling_below_its_jet_order_gets_an_evolution_at_its_order(
+        demo_chain, monkeypatch):
+    # a first estimate above the order the normalization settles on: the
+    # jets were integrated at order 6, and the chain works at order 4
+    smallest_ell = herglotz._smallest_ell
+    monkeypatch.setattr(herglotz, "_smallest_ell", lambda a, b: smallest_ell(a, b) + 2)
+    field = demo_field()
+    evolution, result = normalize_field(ContinuousEvolution(field, 3), 3)
+    assert result.work_order == 4 and result.family.order == 4
+    assert evolution.order == 4 and evolution.field is field
+    chain = build_chain(field)
+    assert chain.order == demo_chain.order == 4 and chain.evolution.order == 4
+
+
+def test_chain_horizon_is_a_whole_number_of_unit_steps():
+    chain = build_chain(demo_field(), horizon=2.0)
+    assert type(chain.horizon) is int and chain.horizon == len(chain.chain_jets) - 1 == 2
 
 
 def test_chain_takes_only_an_evolution_of_its_own_order_and_field(demo_chain):
@@ -991,8 +1028,8 @@ def test_attraction_reports_stalled_orbits():
 
 
 def test_attraction_accepts_discretized_field():
-    disc = discretize(ContinuousEvolution(demo_field(), 3), 2)
+    family = discretize(ContinuousEvolution(demo_field(), 3), 2)
     pts = complex_ball_points(2, 0.2, 3)
-    rep = attraction_check(disc.family, pts, tol=1e-6)
+    rep = attraction_check(family, pts, tol=1e-6)
     assert rep.all_converged
     assert json.dumps(rep.to_json_dict())

@@ -27,6 +27,7 @@ from loewner import (
     extend_intertwining,
     invert,
     normal_form_step,
+    normalize_field,
     range_growth_check,
     spectral_split,
     univalence_check,
@@ -554,7 +555,7 @@ def _growth_field3():
              (1, (2, 0, 0), TimeCoefficient.constant(0.1 - 0.05j)),
              (2, (1, 0, 1), TimeCoefficient.constant(0.15j)))
     field = HerglotzFieldSpec(Lam, 3, terms, horizon=3.0)
-    return build_normal_form(discretize(ContinuousEvolution(field, 3), 3).family, horizon=3)
+    return build_normal_form(discretize(ContinuousEvolution(field, 3), 3), horizon=3)
 
 
 def _squares_family(a=0.9, c=0.2, order=4, horizon=3):
@@ -722,8 +723,7 @@ _PLANTED_FIELDS = (
 def test_range_growth_planted_fields_keep_their_steps(field, step):
     # verify's rebuild: the chain's own evolution, discretized and normalized
     chain = build_chain(field)
-    disc = discretize(chain.evolution, chain.horizon)
-    res = build_normal_form(disc.family, horizon=chain.horizon)
+    _, res = normalize_field(chain.evolution, chain.horizon)
     assert res.triangular.composed_degree == 2
     rep = range_growth_check(res)
     assert rep.passed and rep.achieved_step == step
@@ -776,7 +776,7 @@ def test_univalence_check_outcomes(koenigs10):
 
 def _tabled_family(name):
     if name == "demo-field":
-        return discretize(ContinuousEvolution(demo_field(), 4), 3).family
+        return discretize(ContinuousEvolution(demo_field(), 4), 3)
     if name == "planted":
         return _resonant_family(horizon=4)
     if name == "q3-stable":

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loewner.cli as cli
+import loewner.herglotz as herglotz
 from loewner.cli import _family_from_doc, main, report_text
 from loewner.herglotz import (HerglotzFieldSpec, LoewnerChain, TimeCoefficient,
                               matrix_to_json)
@@ -69,7 +70,9 @@ def reports(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_dump", lambda doc, path: (handed.append(doc), dump(doc, path)))
+        # a family document is normalized in cli, a field in herglotz
         mp.setattr(cli, "build_normal_form", build_and_keep)
+        mp.setattr(herglotz, "build_normal_form", build_and_keep)
         out = {}
         for label, command, source, code in COMMANDS:
             if source == "corrupted":
