@@ -1,7 +1,6 @@
 """Normal forms and Loewner chains for discrete and continuous dilation dynamics."""
 
 from .jets import (
-    HomogeneousMap,
     PolyJet,
     compose,
     gradient_bound_matrix,

@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .jets import PolyJet, _mul_table, _tables, compose, invert
 from .normal_form import (
@@ -41,7 +40,7 @@ from .normal_form import (
 )
 from .sampling import complex_ball_points
 from .spectral import (RESONANCE_TOL, OptimalForm, PreconditionError, ResonanceReport,
-                       _check_tau, operator_norm, to_optimal_form)
+                       _check_tau, expm, operator_norm, to_optimal_form)
 
 __all__ = [
     "PreconditionError",

@@ -266,15 +266,6 @@ class PolyJet:
         flat, values = self.flat_terms()
         return [(k // t.count, t.indices[k % t.count], c) for k, c in zip(flat, values)]
 
-    def homogeneous_part(self, degree: int) -> "HomogeneousMap":
-        """The degree-`degree` homogeneous block, 1 <= degree <= order."""
-        if degree < 1 or degree > self.order:
-            raise ValueError(
-                f"homogeneous part of degree {degree} not available at order {self.order}")
-        t = self.tables
-        block = np.array(self.coeffs[:, t.offsets[degree]:t.offsets[degree + 1]])
-        return HomogeneousMap(self.q, degree, block)
-
     # ------------------------------------------------------------------ #
     # arithmetic
 
@@ -371,82 +362,6 @@ class PolyJet:
             seen.add((j, I))
             c[j, t.rank[I]] = complex(float(term["re"]), float(term["im"]))
         return PolyJet(q, order, c)
-
-
-@dataclass(frozen=True, eq=False)
-class HomogeneousMap:
-    """A polynomial map C^q -> C^q all of whose monomials share one degree."""
-
-    q: int
-    degree: int
-    coeffs: np.ndarray  # shape (q, index_count(q, degree)), graded-lex columns
-
-    def __post_init__(self):
-        n = index_count(self.q, self.degree)
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if c.shape != (self.q, n):
-            raise ValueError(f"expected shape ({self.q}, {n}), got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def zero(q: int, degree: int) -> "HomogeneousMap":
-        return HomogeneousMap(q, degree, np.zeros((q, index_count(q, degree)), dtype=complex))
-
-    @staticmethod
-    def from_flat(q: int, degree: int, vec: np.ndarray) -> "HomogeneousMap":
-        return HomogeneousMap(q, degree, np.asarray(vec, dtype=complex).reshape(q, -1))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Component-major flattening, matching the basis order (j, I)."""
-        return self.coeffs.reshape(-1)
-
-    @property
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
-
-    def __add__(self, other):
-        if not isinstance(other, HomogeneousMap):
-            return NotImplemented
-        if (self.q, self.degree) != (other.q, other.degree):
-            raise ValueError("dimension/degree mismatch")
-        return HomogeneousMap(self.q, self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogeneousMap):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return HomogeneousMap(self.q, self.degree, self.coeffs * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousMap):
-            return NotImplemented
-        return ((self.q, self.degree) == (other.q, other.degree)
-                and bool(np.array_equal(self.coeffs, other.coeffs)))
-
-    def to_jet(self, order: int | None = None) -> PolyJet:
-        order = self.degree if order is None else order
-        if order < self.degree:
-            raise ValueError("order must be >= degree")
-        t = _tables(self.q, order)
-        c = np.zeros((self.q, t.count), dtype=complex)
-        c[:, t.offsets[self.degree]:t.offsets[self.degree + 1]] = self.coeffs
-        return PolyJet(self.q, order, c)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Deterministic low-discrepancy sample points for balls and spheres in C^q.
+"""Deterministic low-discrepancy sample points for balls in C^q.
 
 Everything here is a pure function of (count, dimension, start offset), so
 repeated runs with the same configuration touch exactly the same points.
@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 # below this share of cube points landing in the ball, the ball sampler
 # maps points instead of rejecting them: rejection costs 1 / share Halton
@@ -72,6 +71,7 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
         raise ValueError(f"start must be >= 0, got {start}")
     acceptance = math.pi ** q / (math.factorial(q) * 4 ** q)
     if acceptance < _MIN_BALL_ACCEPTANCE:
+        from scipy.special import ndtri  # imported only for q >= 7
         u = halton(count, 2 * q + 1, start)
         g = ndtri(np.clip(u[:, :-1], _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
         g *= (u[:, -1] ** (1.0 / (2 * q)) / np.linalg.norm(g, axis=1))[:, None]
@@ -93,13 +93,3 @@ def complex_ball_points(q: int, radius: float, count: int, start: int = 0) -> np
             pts[:, have + i] = row[:q] + 1j * row[q:]
         have += take
     return radius * pts
-
-
-def complex_sphere_points(q: int, radius: float, count: int, start: int = 0) -> np.ndarray:
-    """`count` points on the euclidean sphere |z| = radius in C^q, shape (q, count).
-
-    Raises ValueError for a negative start, as halton does."""
-    u = halton(count, 2 * q, start)
-    g = ndtri(np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return radius * (g[:, :q] + 1j * g[:, q:]).T

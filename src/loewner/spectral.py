@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .jets import MultiIndex, PolyJet, _power_rows, enumerate_indices
 
@@ -54,6 +53,38 @@ def spectral_radius(matrix: np.ndarray) -> float:
 def operator_norm(matrix: np.ndarray) -> float:
     """Largest singular value: max |A z| / |z| over z != 0."""
     return float(np.linalg.norm(np.asarray(matrix, dtype=complex), 2))
+
+
+# scipy.linalg takes a process about 0.25 s and 15 MB to import, several
+# times what a command on a benchmark document computes, and every matrix
+# those documents hand expm, _complex_schur and _cluster_coupling is
+# diagonal.  Each of the three returns scipy's own answer for a diagonal
+# input, bit for bit, and imports scipy only for any other input.
+
+def _is_diagonal(matrix: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of a square matrix is zero (either sign)."""
+    return not np.any(matrix[~np.eye(matrix.shape[0], dtype=bool)])
+
+
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """Matrix exponential.  For a diagonal matrix this is the exponential of
+    each diagonal entry, which is scipy.linalg.expm's own diagonal branch."""
+    A = np.asarray(matrix)
+    if _is_diagonal(A):
+        return np.diag(np.exp(np.diagonal(A)))
+    import scipy.linalg
+    return scipy.linalg.expm(A)
+
+
+def _complex_schur(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, Q) with A = Q T Q^H and T upper triangular, as scipy.linalg.schur
+    returns them.  A diagonal A is its own Schur form: LAPACK returns T = A
+    and Q = I, column-major, and so does this, so the sort that follows
+    runs on the same arrays."""
+    if _is_diagonal(A):
+        return np.array(A, order="F"), np.eye(A.shape[0], dtype=complex, order="F")
+    import scipy.linalg
+    return scipy.linalg.schur(A, output="complex")
 
 
 @dataclass(frozen=True)
@@ -151,6 +182,16 @@ def _sort_schur_ascending(T: np.ndarray, Q: np.ndarray) -> None:
             return
 
 
+def _cluster_coupling(L11: np.ndarray, L21: np.ndarray, L22: np.ndarray) -> np.ndarray:
+    """The X with L22 X - X L11 = L21 for complex blocks, as
+    scipy.linalg.solve_sylvester solves it.  Two diagonal blocks with a zero
+    coupling give X = 0, there and here."""
+    if not np.any(L21) and _is_diagonal(L11) and _is_diagonal(L22):
+        return np.zeros_like(L21)
+    import scipy.linalg
+    return scipy.linalg.solve_sylvester(-L22, L11, -L21)
+
+
 def _decouple_clusters(L: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Zero the blocks of a lower-triangular L linking distinct clusters.
 
@@ -164,7 +205,7 @@ def _decouple_clusters(L: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray,
     L11 = L[:n1, :n1]
     L21 = L[n1:, :n1]
     L22 = L[n1:, n1:]
-    X = scipy.linalg.solve_sylvester(-L22, L11, -L21)
+    X = _cluster_coupling(L11, L21, L22)
     sub, Y2 = _decouple_clusters(L22, sizes[1:])
     out = np.zeros_like(L)
     out[:n1, :n1] = L11
@@ -231,7 +272,7 @@ def to_optimal_form(matrix: np.ndarray, target_norm: float | None = None,
 
     scale = max(operator_norm(A_orig), 1.0)
     for attempt_rtol in (cluster_rtol, *_CLUSTER_RETRY_RTOLS):
-        T, Q = scipy.linalg.schur(A_orig, output="complex")
+        T, Q = _complex_schur(A_orig)
         _sort_schur_ascending(T, Q)
         flip = np.eye(q)[::-1]
         lower = flip @ T @ flip          # lower triangular, moduli nonincreasing

@@ -6,16 +6,17 @@ small; the acceptance budget is one core and sixty seconds per suite.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.special import ndtri
 
 from loewner import (
     DiscreteEvolutionFamily,
     HerglotzFieldSpec,
-    HomogeneousMap,
     PolyJet,
     TimeCoefficient,
     build_chain,
@@ -26,8 +27,10 @@ from loewner import (
     operator_norm,
     to_optimal_form,
 )
+from loewner.jets import _tables, index_count
 from loewner.normal_form import (NormalFormConstants, _as_optimal, _majorant_series,
                                  _nonlinear, _poly_compose, _series_add, _smallest_ell)
+from loewner.sampling import _NDTRI_CLIP, halton
 from loewner.spectral import substitution_matrix, substitution_rows
 
 settings.register_profile(
@@ -38,6 +41,107 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+# ---------------------------------------------------------------------- #
+# homogeneous maps and sphere samples: references only the tests use
+
+
+@dataclass(frozen=True, eq=False)
+class HomogeneousMap:
+    """A polynomial map C^q -> C^q all of whose monomials share one degree."""
+
+    q: int
+    degree: int
+    coeffs: np.ndarray  # shape (q, index_count(q, degree)), graded-lex columns
+
+    def __post_init__(self):
+        n = index_count(self.q, self.degree)
+        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if c.shape != (self.q, n):
+            raise ValueError(f"expected shape ({self.q}, {n}), got {c.shape}")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    @staticmethod
+    def zero(q: int, degree: int) -> "HomogeneousMap":
+        return HomogeneousMap(q, degree, np.zeros((q, index_count(q, degree)), dtype=complex))
+
+    @staticmethod
+    def from_flat(q: int, degree: int, vec: np.ndarray) -> "HomogeneousMap":
+        return HomogeneousMap(q, degree, np.asarray(vec, dtype=complex).reshape(q, -1))
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Component-major flattening, matching the basis order (j, I)."""
+        return self.coeffs.reshape(-1)
+
+    @property
+    def norm(self) -> float:
+        return float(np.max(np.abs(self.coeffs)))
+
+    def is_zero(self, tol: float = 0.0) -> bool:
+        return bool(np.all(np.abs(self.coeffs) <= tol))
+
+    def __add__(self, other):
+        if not isinstance(other, HomogeneousMap):
+            return NotImplemented
+        if (self.q, self.degree) != (other.q, other.degree):
+            raise ValueError("dimension/degree mismatch")
+        return HomogeneousMap(self.q, self.degree, self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        if not isinstance(other, HomogeneousMap):
+            return NotImplemented
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, (int, float, complex)):
+            return HomogeneousMap(self.q, self.degree, self.coeffs * scalar)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __eq__(self, other):
+        if not isinstance(other, HomogeneousMap):
+            return NotImplemented
+        return ((self.q, self.degree) == (other.q, other.degree)
+                and bool(np.array_equal(self.coeffs, other.coeffs)))
+
+    def to_jet(self, order: int | None = None) -> PolyJet:
+        order = self.degree if order is None else order
+        if order < self.degree:
+            raise ValueError("order must be >= degree")
+        t = _tables(self.q, order)
+        c = np.zeros((self.q, t.count), dtype=complex)
+        c[:, t.offsets[self.degree]:t.offsets[self.degree + 1]] = self.coeffs
+        return PolyJet(self.q, order, c)
+
+
+def homogeneous_part(jet, degree):
+    """The degree-`degree` homogeneous block of a jet, 1 <= degree <= order."""
+    if degree < 1 or degree > jet.order:
+        raise ValueError(
+            f"homogeneous part of degree {degree} not available at order {jet.order}")
+    t = jet.tables
+    block = np.array(jet.coeffs[:, t.offsets[degree]:t.offsets[degree + 1]])
+    return HomogeneousMap(jet.q, degree, block)
+
+
+def complex_sphere_points(q: int, radius: float, count: int, start: int = 0) -> np.ndarray:
+    """`count` points on the euclidean sphere |z| = radius in C^q, shape (q, count):
+    Halton points mapped to Gaussian directions.
+
+    Raises ValueError for a negative start, as halton does."""
+    u = halton(count, 2 * q, start)
+    g = ndtri(np.clip(u, _NDTRI_CLIP, 1.0 - _NDTRI_CLIP))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return radius * (g[:, :q] + 1j * g[:, q:]).T
 
 
 def random_spectrum(rng, q, lo=0.45, hi=0.8):

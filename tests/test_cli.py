@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loewner
-from loewner import herglotz, normal_form
+from loewner import HerglotzFieldSpec, TimeCoefficient, herglotz, normal_form
 from loewner.cli import _build_parser, main, report_text
 from loewner.herglotz import matrix_to_json
 from loewner.jets import PolyJet
@@ -809,36 +809,47 @@ def _env_with_package():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.2 s and 15 MB per process; the package
-    # needs none of it
-    env = _env_with_package()
-    code = ("import loewner.cli, sys; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+def _unsorted_diagonal_field():
+    """q = 3, diagonal Lambda whose exp has moduli out of order: to_optimal_form
+    sorts them by a Schur form and decouples three clusters."""
+    Lam = np.diag([-1.0, -0.35, -0.55]).astype(complex)
+    return HerglotzFieldSpec(Lam, 3, ((0, (0, 2, 0), TimeCoefficient.constant(0.1)),
+                                      (2, (1, 1, 0), TimeCoefficient.constant(0.05j))),
+                             horizon=2.0)
 
 
-README_FIELD = {
-    "Lambda": [[{"re": -0.6, "im": 0.0}, {"re": 0.0, "im": 0.0}],
-               [{"re": 0.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]],
-    "order": 3,
-    "terms": [{"component": 1, "index": [0, 2],
-               "time": {"kind": "constant", "value": {"re": 0.2, "im": 0.0}}}],
-    "horizon": 3.0,
-}
-
-
-def test_cli_chain_leaves_scipy_sparse_unloaded(tmp_path):
-    # the jet products scatter with numpy alone; scipy.sparse would add
-    # its import time to every chain command
-    env = _env_with_package()
-    inp = _write(tmp_path / "field.json", README_FIELD)
-    code = ("import sys; from loewner.cli import main; "
-            "rc = main(sys.argv[1:]); "
-            "sys.exit(rc or 10 * ('scipy.sparse' in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code, "chain", "--input", inp,
-                           "--output", str(tmp_path / "chain.json")], env=env)
-    assert proc.returncode == 0
+def test_commands_on_diagonal_documents_load_no_scipy(tmp_path):
+    # scipy.linalg alone costs a process about 0.25 s and 15 MB; a diagonal
+    # Lambda or A reaches none of it, nor scipy.special, sparse or optimize
+    field = _unsorted_diagonal_field()
+    assert field.optimal.cluster_sizes == (1, 1, 1)
+    assert not np.array_equal(field.optimal.basis_change, np.eye(3))
+    A = np.diag([0.5, 0.3]).astype(complex)
+    step = PolyJet.from_linear(A, 3) + PolyJet.from_terms(
+        2, 3, {(0, (1, 1)): 0.1, (1, (2, 0)): 0.05})
+    family = _write(tmp_path / "family.json", {"linear_part": matrix_to_json(A),
+                                               "steps": [step.to_json_dict()] * 2})
+    chain = str(tmp_path / "chain.json")
+    steps = [
+        ["chain", "--input", _write(tmp_path / "field.json", field.to_json_dict()),
+         "--output", chain],
+        ["verify", "--input", chain],
+        ["normalform", "--input", family],
+    ]
+    code = ("import json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import loewner.cli\n"
+            "seen = [('import', 0, loaded())]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append((argv[0], loewner.cli.main(argv), loaded()))\n"
+            "print(json.dumps(seen))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(steps)],
+                          env=_env_with_package(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # at each point: exit code 0 and no scipy module loaded
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [point, 0, []] for point in ("import", "chain", "verify", "normalform")]
 
 
 def test_chain_report_script_saves_a_verifiable_chain(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loewner import (
-    HomogeneousMap,
     OptimalForm,
     gamma_matrix,
     solve_difference,
@@ -13,7 +12,7 @@ from loewner import (
 
 from loewner import homological
 
-from conftest import dense_sup_bound, gamma_factors, padded
+from conftest import HomogeneousMap, dense_sup_bound, gamma_factors, padded
 
 
 def split_forcing(B, split):

@@ -13,7 +13,6 @@ from loewner import (
     ContinuousEvolution,
     DiscreteEvolutionFamily,
     HerglotzFieldSpec,
-    HomogeneousMap,
     PolyJet,
     TimeCoefficient,
     TriangularFamily,
@@ -35,10 +34,10 @@ from loewner import (
 from loewner import homological, normal_form
 from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
-from loewner.sampling import complex_ball_points, complex_sphere_points
+from loewner.sampling import complex_ball_points
 
-from conftest import (constants_reference, demo_field, koenigs_family, koenigs_oracle,
-                      random_optimal_family)
+from conftest import (HomogeneousMap, complex_sphere_points, constants_reference, demo_field,
+                      homogeneous_part, koenigs_family, koenigs_oracle, random_optimal_family)
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +258,7 @@ def _substitute_linear_reference(N, Ainv):
     """N o Ainv by one full jet composition, as every forcing term was built
     before the substitution rows were shared with Gamma."""
     lin = PolyJet.from_linear(Ainv, N.degree)
-    return compose(N.to_jet(), lin).homogeneous_part(N.degree)
+    return homogeneous_part(compose(N.to_jet(), lin), N.degree)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
@@ -853,7 +852,7 @@ def test_window_defect_matches_the_per_step_reference(name):
         assert got.shape == (len(T), fam.q, HomogeneousMap.zero(fam.q, degree).coeffs.shape[1])
         for n in range(len(T)):
             lhs, rhs = _conjugacy_sides(fam, k, T, n, degree, {})
-            ref = (lhs - rhs).homogeneous_part(degree).coeffs
+            ref = homogeneous_part(lhs - rhs, degree).coeffs
             assert np.array_equal(got[n], ref), (degree, n)
             nonlinear |= normal_form._nonlinear(T[n].truncated(degree)).coeffs.any()
     # the planted resonance puts z_0^2 into every T_n: T_n o k_n takes the

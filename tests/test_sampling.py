@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from loewner.sampling import complex_ball_points, complex_sphere_points, halton
+from loewner.sampling import complex_ball_points, halton
+
+from conftest import complex_sphere_points
 
 
 def _halton_reference(count, dim, start=0):

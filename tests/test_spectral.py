@@ -1,14 +1,15 @@
 """Optimal forms, the conjugation operator spectrum, and resonance search."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from loewner import (
     HerglotzFieldSpec,
-    HomogeneousMap,
     PolyJet,
     TimeCoefficient,
     build_chain,
@@ -21,10 +22,12 @@ from loewner import (
     spectral_split,
     to_optimal_form,
 )
+from loewner import spectral
 from loewner.jets import enumerate_indices
-from loewner.spectral import triangular_compatibility_violations
+from loewner.spectral import (_cluster_coupling, _complex_schur, expm,
+                              triangular_compatibility_violations)
 
-from conftest import random_spectrum
+from conftest import HomogeneousMap, homogeneous_part, random_spectrum
 
 
 # ---------------------------------------------------------------------- #
@@ -90,6 +93,104 @@ def test_cluster_blocks_confine_couplings():
 
 
 # ---------------------------------------------------------------------- #
+# diagonal shortcuts: scipy's own answers, bit for bit (.tobytes() tells a
+# signed zero apart)
+
+
+def _generators(rng, q):
+    """Diagonal Lambdas, q x q, real and complex, with spectral abscissae in
+    no particular order, so exp(Lambda)'s moduli come out unsorted."""
+    re = -rng.uniform(0.05, 3.0, q)
+    return [np.diag(re), np.diag(re + 1j * rng.uniform(-3.0, 3.0, q))]
+
+
+def _dilations(rng, q):
+    """Diagonal dilations: exp of _generators, and a complex one whose moduli
+    tie in pairs, so that clusters hold more than one eigenvalue."""
+    moduli = np.repeat(rng.uniform(0.05, 0.95, (q + 1) // 2), 2)[:q]
+    rng.shuffle(moduli)
+    tied = np.diag(moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, q)))
+    return [scipy.linalg.expm(G).astype(complex) for G in _generators(rng, q)] + [tied]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_expm_of_a_diagonal_is_scipys(q):
+    rng = np.random.default_rng([32, q])
+    cases = [G for _ in range(20) for G in _generators(rng, q)]
+    Lam = cases[-1]
+    # tau = 0 in the transient-growth scan, t = 0 in verify's -t Lambda
+    cases += [np.zeros((q, q)), 0.0 * Lam, -0.0 * Lam]
+    for G in cases:
+        assert _same_bits(expm(G), scipy.linalg.expm(G))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_schur_of_a_diagonal_is_scipys(q):
+    rng = np.random.default_rng([33, q])
+    cases = [D for _ in range(20) for D in _dilations(rng, q)]
+    for D in cases + [np.zeros((q, q), dtype=complex)]:
+        T, Q = _complex_schur(D)
+        T_ref, Q_ref = scipy.linalg.schur(D, output="complex")
+        assert _same_bits(T, T_ref) and _same_bits(Q, Q_ref)
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_zero_coupling_of_diagonal_clusters_is_scipys(q):
+    # to_optimal_form hands over complex blocks: a real solve would keep
+    # the sign of -L21's zeros, which complex products drop
+    rng = np.random.default_rng([34, q])
+    for _ in range(20):
+        for L in [*_generators(rng, q), *_dilations(rng, q)]:
+            L = L.astype(complex)
+            for n1 in range(1, q):
+                L11, L21, L22 = L[:n1, :n1], L[n1:, :n1], L[n1:, n1:]
+                X = _cluster_coupling(L11, L21, L22)
+                assert not X.any()
+                assert _same_bits(X, scipy.linalg.solve_sylvester(-L22, L11, -L21))
+
+
+def _scipy_path(monkeypatch, make):
+    """make() with every diagonal shortcut off: each matrix goes to scipy."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_is_diagonal", lambda matrix: False)
+        return make()
+
+
+def _same_optimal_form(a, b):
+    return (_same_bits(a.matrix, b.matrix) and _same_bits(a.basis_change, b.basis_change)
+            and (a.cluster_sizes, a.epsilon, a.norm_bound)
+            == (b.cluster_sizes, b.epsilon, b.norm_bound))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_diagonal_dilations_get_scipys_optimal_form(q, monkeypatch):
+    rng = np.random.default_rng([35, q])
+    for D in [D for _ in range(5) for D in _dilations(rng, q)]:
+        opt = to_optimal_form(D)
+        assert _same_optimal_form(opt, _scipy_path(monkeypatch, lambda: to_optimal_form(D)))
+
+
+def test_non_diagonal_lambda_still_goes_through_scipy(monkeypatch):
+    # exp(Lambda) is lower triangular with its moduli out of order: a Schur
+    # form, then a nonzero coupling between its two clusters
+    Lam = np.array([[-1.0, 0.0], [0.3, -0.4]], dtype=complex)
+    field = HerglotzFieldSpec(Lam, 2, (), horizon=1.0)
+    spies = {name: mock.Mock(wraps=getattr(scipy.linalg, name))
+             for name in ("expm", "schur", "solve_sylvester")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    opt = field.optimal
+    assert all(spy.called for spy in spies.values())
+    assert opt.cluster_sizes == (1, 1)
+    ref = _scipy_path(monkeypatch, lambda: to_optimal_form(scipy.linalg.expm(Lam)))
+    assert _same_optimal_form(opt, ref)
+
+
+# ---------------------------------------------------------------------- #
 # the conjugation operator
 
 
@@ -133,7 +234,7 @@ def test_gamma_matches_jet_composition_oracle():
     vec = rng.normal(size=G.shape[0]) + 1j * rng.normal(size=G.shape[0])
     H = HomogeneousMap.from_flat(2, degree, vec)
     direct = compose(Aj, compose(H.to_jet(degree), Aji, degree), degree)
-    assert np.allclose(G @ vec, direct.homogeneous_part(degree).flat, atol=1e-12)
+    assert np.allclose(G @ vec, homogeneous_part(direct, degree).flat, atol=1e-12)
 
 
 def test_gamma_conjugation_covariance():
