@@ -809,6 +809,38 @@ def _env_with_package():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s and 15 MB per process; the package
+    # needs none of it
+    env = _env_with_package()
+    code = ("import loewner.cli, sys; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+README_FIELD = {
+    "Lambda": [[{"re": -0.6, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+               [{"re": 0.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]],
+    "order": 3,
+    "terms": [{"component": 1, "index": [0, 2],
+               "time": {"kind": "constant", "value": {"re": 0.2, "im": 0.0}}}],
+    "horizon": 3.0,
+}
+
+
+def test_cli_chain_leaves_scipy_sparse_unloaded(tmp_path):
+    # the jet products scatter with numpy alone; scipy.sparse would add
+    # its import time to every chain command
+    env = _env_with_package()
+    inp = _write(tmp_path / "field.json", README_FIELD)
+    code = ("import sys; from loewner.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "sys.exit(rc or 10 * ('scipy.sparse' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, "chain", "--input", inp,
+                           "--output", str(tmp_path / "chain.json")], env=env)
+    assert proc.returncode == 0
+
+
 def _unsorted_diagonal_field():
     """q = 3, diagonal Lambda whose exp has moduli out of order: to_optimal_form
     sorts them by a Schur form and decouples three clusters."""
