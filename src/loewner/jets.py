@@ -23,7 +23,6 @@ read-only), so they can be shared freely between caches and threads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -31,11 +30,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 MultiIndex = tuple[int, ...]
-
-
-def index_count(q: int, degree: int) -> int:
-    """Number of exponent tuples of length q with total degree `degree`."""
-    return math.comb(degree + q - 1, q - 1)
 
 
 @lru_cache(maxsize=None)

@@ -473,9 +473,13 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     The degree-`degree` defect splits into a resonant part, absorbed into
     T_n, and a nonresonant part, cancelled by the bounded solution of
     H_{n+1} = Gamma(H_n) - N_n o A^{-1}.  The degree runs over the whole
-    window at once, on (window, q, M) stacks of coefficient blocks; only
-    the k-updates compose, once per distinct (H_n, k_n).  `tables` holds
-    the steps' power tables across degrees (see _window_sides).
+    window at once, on (window, q, M) stacks of coefficient blocks.  H_n is
+    written into k_n's degree-`degree` block (the direct format) instead of
+    composing (id + H_n) o k_n: phi_n and T_n share the linear part A, so
+    both updates move this degree's defect alike and differ only above it,
+    where later stages solve again.  Each distinct (H_n, k_n) makes one new
+    jet.  `tables` holds the steps' power tables across degrees (see
+    _window_sides).
     """
     q, work = _window_shape(k, T)
     A_opt = _as_optimal(family.linear_part)
@@ -489,10 +493,7 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
         split.resonant.reshape(q, -1), rows, degree)
     H, residuals = solve_difference(A_opt.matrix, S, S_inv, split, forcing)
 
-    t = _tables(q, work)
-    lo, hi = t.offsets[degree:degree + 2]
-    identity = np.zeros((q, t.count), dtype=complex)
-    identity[:, 1:1 + q] = np.eye(q)
+    lo, hi = _tables(q, work).offsets[degree:degree + 2]
     new_k = list(k)
     # fields repeat (H_n, k_n): k holds every k_n alive, so a shared id is
     # a shared jet, and H_n is compared bit for bit with the earlier H_m
@@ -503,9 +504,9 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
         h = H[n].tobytes()
         m = next((m for m in same if H[m].tobytes() == h), n)
         if m == n:
-            c = np.array(identity)
-            c[:, lo:hi] = H[n]
-            new_k[n] = compose(PolyJet(q, work, c), k[n], work)
+            c = np.array(k[n].coeffs)
+            c[:, lo:hi] += H[n]
+            new_k[n] = PolyJet(q, work, c)
             same.append(n)
         new_k[n] = new_k[m]
     report = StageReport(degree, resonant_norm, float(residuals.max()))
@@ -720,7 +721,9 @@ class ConjugacyResult:
     """Output of build_normal_form.
 
     normalizers[n] is the jet k_n (linear part identity) over the working
-    window n = 0 .. work_horizon; triangular.steps[n] is T_n, and the jet
+    window n = 0 .. work_horizon, in the direct-format gauge: its degree-d
+    block is the stage-d correction H_n, so its nonlinear part holds only
+    nonresonant monomials.  triangular.steps[n] is T_n, and the jet
     identity k_{n+1} o phi_n = T_n o k_n holds through work_order with sup
     coefficient error defect_sup.  The intertwining maps h_n share the jets
     of k_n; pointwise values anchor the backward chain at a fixed m >= n.
@@ -755,13 +758,6 @@ class ConjugacyResult:
     @property
     def certificate(self) -> str:
         return "linearizable" if self.linearizable else "resonant-normal-form"
-
-    def defect_jet(self, n: int, order: int | None = None) -> PolyJet:
-        """k_{n+1} o phi_n - T_n o k_n at the given order."""
-        order = min(order or self.work_order, self.work_order)
-        [(_, lhs, rhs)] = _window_sides(self.family, self.normalizers,
-                                        self.triangular.steps, order, {}, [n])
-        return PolyJet(self.q, order, lhs[0] - rhs[0])
 
     def intertwining_jet(self, n: int) -> PolyJet:
         """h_n as a jet; the anchored limit stabilizes on k_n itself."""

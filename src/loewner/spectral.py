@@ -368,16 +368,6 @@ class SpectralSplit:
         """|lambda_j / lambda^I| along each basis direction."""
         return np.exp(self.gap)
 
-    @property
-    def rho_stable(self) -> float:
-        """Largest stable modulus (0 when the stable family is empty)."""
-        return float(self.mu[self.stable].max()) if self.stable.any() else 0.0
-
-    @property
-    def rho_unstable_inverse(self) -> float:
-        """Largest 1/mu over the unstable family (0 when empty)."""
-        return float((1.0 / self.mu[self.unstable]).max()) if self.unstable.any() else 0.0
-
 
 def _log_moduli(lam: np.ndarray) -> np.ndarray:
     """log|lambda| of a dilation spectrum, whose moduli lie in (0, 1)."""
@@ -443,10 +433,6 @@ class ResonanceReport:
     tolerance: float
     p: int
     resonances: tuple[tuple[int, MultiIndex], ...]
-
-    @property
-    def is_resonant(self) -> bool:
-        return bool(self.resonances)
 
     def to_json_dict(self) -> dict:
         return {

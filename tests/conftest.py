@@ -27,9 +27,10 @@ from loewner import (
     operator_norm,
     to_optimal_form,
 )
-from loewner.jets import _tables, index_count
+from loewner.jets import _tables
 from loewner.normal_form import (NormalFormConstants, _as_optimal, _majorant_series,
-                                 _nonlinear, _poly_compose, _series_add, _smallest_ell)
+                                 _nonlinear, _poly_compose, _series_add, _smallest_ell,
+                                 _window_sides)
 from loewner.sampling import _NDTRI_CLIP, halton
 from loewner.spectral import substitution_matrix, substitution_rows
 
@@ -44,7 +45,32 @@ settings.load_profile("suite")
 
 
 # ---------------------------------------------------------------------- #
-# homogeneous maps and sphere samples: references only the tests use
+# homogeneous maps, sphere samples and small readouts: references only the
+# tests use
+
+
+def index_count(q: int, degree: int) -> int:
+    """Number of exponent tuples of length q with total degree `degree`."""
+    return math.comb(degree + q - 1, q - 1)
+
+
+def rho_stable(split) -> float:
+    """Largest stable modulus of a SpectralSplit (0 when the stable family
+    is empty)."""
+    return float(split.mu[split.stable].max()) if split.stable.any() else 0.0
+
+
+def rho_unstable_inverse(split) -> float:
+    """Largest 1/mu over a SpectralSplit's unstable family (0 when empty)."""
+    return float((1.0 / split.mu[split.unstable]).max()) if split.unstable.any() else 0.0
+
+
+def defect_jet(result, n: int, order: int | None = None) -> PolyJet:
+    """k_{n+1} o phi_n - T_n o k_n of a ConjugacyResult at the given order."""
+    order = min(order or result.work_order, result.work_order)
+    [(_, lhs, rhs)] = _window_sides(result.family, result.normalizers,
+                                    result.triangular.steps, order, {}, [n])
+    return PolyJet(result.q, order, lhs[0] - rhs[0])
 
 
 @dataclass(frozen=True, eq=False)

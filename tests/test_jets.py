@@ -23,12 +23,11 @@ from loewner.jets import (
     enumerate_indices,
     evaluate_triangular_inverse_many,
     gradient_bound_matrix,
-    index_count,
     majorant_bound,
 )
 from loewner.spectral import substitution_rows
 
-from conftest import HomogeneousMap, homogeneous_part, random_polyjet
+from conftest import HomogeneousMap, homogeneous_part, index_count, random_polyjet
 
 
 # ---------------------------------------------------------------------- #

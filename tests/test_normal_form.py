@@ -36,8 +36,9 @@ from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points
 
-from conftest import (HomogeneousMap, complex_sphere_points, constants_reference, demo_field,
-                      homogeneous_part, koenigs_family, koenigs_oracle, random_optimal_family)
+from conftest import (HomogeneousMap, complex_sphere_points, constants_reference, defect_jet,
+                      demo_field, homogeneous_part, koenigs_family, koenigs_oracle,
+                      random_optimal_family)
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +120,18 @@ def test_a_family_that_turns_linear_stops_its_forcing(monkeypatch, name):
     assert forcings[-1][0] == res.work_order >= (order or 2)
     for degree, forcing in forcings:
         assert len(forcing) > linear_from
-        assert forcing[:linear_from].any(), degree
         assert not forcing[linear_from:].any(), degree
+        if name == "q3-stable":
+            assert forcing[:linear_from].any(), degree
+        else:
+            # phi = 0.5 z + 0.1 z^2 twice, then A: the conjugacy is the
+            # polynomial k_1 = phi / 0.5, k_0 = phi o phi / 0.25, so the
+            # forcing before the linear step lives at degrees 2-4 only
+            assert forcing[:linear_from].any() == (degree <= 4), degree
+    if name == "koenigs-order-8":
+        for n, want in ((1, [0, 1, 0.2]), (0, [0, 1, 0.3, 0.04, 0.004])):
+            got = res.normalizers[n].truncated(order).coeffs[0]
+            assert np.abs(got - np.pad(want, (0, order + 1 - len(want)))).max() <= 1e-15
 
 
 def test_transition_cocycle():
@@ -254,6 +265,66 @@ def test_step_absorbs_resonant_defect_into_T():
     assert stage.recurrence_residual <= 1e-10
 
 
+def _recorded_corrections(monkeypatch):
+    """Patch normal_form.solve_difference to keep each degree's H_0 .. H_T
+    in the returned dict, the latest stage of a degree winning."""
+    solve = normal_form.solve_difference
+    H = {}
+
+    def recorded(A, S, S_inv, split, forcing):
+        H[split.degree], residuals = solve(A, S, S_inv, split, forcing)
+        return H[split.degree], residuals
+
+    monkeypatch.setattr(normal_form, "solve_difference", recorded)
+    return H
+
+
+@pytest.mark.parametrize("name", ["q2-random", "planted"])
+def test_each_normalizer_degree_block_is_its_correction(monkeypatch, name):
+    # the direct format: a stage writes H_n into k_n's degree block, so
+    # after every stage k_n's degree-d block is that stage's H_n bit for bit
+    # and nothing above d is set, no k_n carries a resonant monomial, and no
+    # stage composes
+    if name == "q2-random":
+        family = random_optimal_family(np.random.default_rng(12), 2, 3, horizon=3)
+    else:
+        # the planted resonance z_1 <- z_0^2 beside nonresonant terms
+        planted = _resonant_family(horizon=4)
+        extra = PolyJet.from_terms(2, 3, {(0, (2, 0)): 0.1, (0, (1, 1)): 0.05,
+                                          (1, (1, 1)): 0.07, (1, (0, 3)): 0.03})
+        family = DiscreteEvolutionFamily(planted.linear_part,
+                                         tuple(s + extra for s in planted.steps))
+    step = normal_form.normal_form_step
+    H = _recorded_corrections(monkeypatch)
+
+    def no_compose(*args, **kwargs):
+        raise AssertionError("a normalization stage composed")
+
+    def checked(fam, k, T, degree, **kwargs):
+        with monkeypatch.context() as patched:
+            patched.setattr(normal_form, "compose", no_compose)
+            new_k, new_T, report = step(fam, k, T, degree, **kwargs)
+        lo, hi = fam.steps[0].tables.offsets[degree:degree + 2]
+        assert len(H[degree]) == len(new_k)
+        for kn, hn in zip(new_k, H[degree]):
+            assert np.array_equal(kn.coeffs[:, lo:hi], hn), degree
+            assert not kn.coeffs[:, hi:].any(), degree
+        return new_k, new_T, report
+
+    monkeypatch.setattr(normal_form, "normal_form_step", checked)
+    res = build_normal_form(family, extension=8)
+    resonant = False
+    for degree in range(2, res.work_order + 1):
+        split = spectral_split(family.linear_part, degree)
+        resonant |= bool(split.resonant.any())
+        lo, hi = res.normalizers[0].tables.offsets[degree:degree + 2]
+        for kn in res.normalizers:
+            assert not kn.coeffs[:, lo:hi].reshape(-1)[split.resonant].any(), degree
+    assert resonant == (name == "planted")
+    assert res.resonant_norm > 0.0 if resonant else res.linearizable
+    assert all(h.any() for h in H.values())
+
+
 def _substitute_linear_reference(N, Ainv):
     """N o Ainv by one full jet composition, as every forcing term was built
     before the substitution rows were shared with Gamma."""
@@ -357,7 +428,7 @@ def test_build_resonance_free_collapse():
     rng = np.random.default_rng(6)
     fam = random_optimal_family(rng, 2, 3, horizon=3)
     res = build_normal_form(fam, extension=8)
-    if res.resonance_report.is_resonant:
+    if res.resonance_report.resonances:
         pytest.skip("sampler hit a resonance")
     A = fam.linear_part
     W = res.work_order
@@ -386,7 +457,7 @@ def test_build_work_order_covers_ell():
 def test_conjugacy_identity_through_work_order(koenigs10):
     scale = max(1.0, max(s.max_coeff for s in koenigs10.family.steps))
     for n in range(koenigs10.work_horizon):
-        assert koenigs10.defect_jet(n).max_coeff <= 1e-10 * scale
+        assert defect_jet(koenigs10, n).max_coeff <= 1e-10 * scale
 
 
 def test_intertwining_identity_jets_and_points(seed12_q2):
@@ -884,18 +955,25 @@ def test_one_power_table_per_distinct_step_per_pass(monkeypatch, name, distinct)
     assert set(built[-distinct:]) == steps
 
 
-def test_k_updates_compose_each_distinct_pair_once(monkeypatch):
+def test_k_updates_build_each_distinct_pair_once(monkeypatch):
     # a constant-coefficient field repeats (H_n, k_n) across its window:
-    # each degree composes identity + H_n with k_n once per distinct pair
-    composed = []
+    # each degree builds one new jet per distinct pair with H_n != 0, shared
+    # by every step that repeats it, and keeps k_n where H_n = 0
+    step = normal_form.normal_form_step
+    H, built = _recorded_corrections(monkeypatch), []
 
-    def counted(outer, inner, order=None):
-        composed.append((normal_form._value_key(outer), normal_form._value_key(inner)))
-        return compose(outer, inner, order)
+    def counted(fam, k, T, degree, **kwargs):
+        new_k, new_T, report = step(fam, k, T, degree, **kwargs)
+        moved = H[degree].any(axis=(1, 2))
+        pairs = {(id(k[n]), H[degree][n].tobytes()) for n in np.flatnonzero(moved)}
+        assert len({id(new_k[n]) for n in np.flatnonzero(moved)}) == len(pairs)
+        assert all(new_k[n] is k[n] for n in np.flatnonzero(~moved))
+        built.append(len(pairs))
+        return new_k, new_T, report
 
-    monkeypatch.setattr(normal_form, "compose", counted)
+    monkeypatch.setattr(normal_form, "normal_form_step", counted)
     res = build_normal_form(_tabled_family("demo-field"))
-    assert len(set(composed)) == len(composed) < res.work_horizon
+    assert 0 < max(built) < res.work_horizon
 
 
 def test_window_defect_forms_each_distinct_side_once(monkeypatch):
@@ -925,25 +1003,15 @@ def test_window_defect_forms_each_distinct_side_once(monkeypatch):
         assert sum(formed) == len(distinct) < len(T), degree
 
 
-def test_unstable_tail_normalizers_share_one_value(monkeypatch):
+def test_unstable_tail_normalizers_share_one_value():
     # no direction is stable at any degree, so past the stored steps the
     # forcing repeats its tail value and every tail H_n sits on the tail's
-    # fixed point: k_n for n >= horizon - 1 is one jet, and a degree's
-    # k-updates compose once per distinct (H_n, k_n), at most horizon of them
-    composed = []
-
-    def counted(outer, inner, order=None):
-        composed.append((normal_form._value_key(outer), normal_form._value_key(inner)))
-        return compose(outer, inner, order)
-
-    monkeypatch.setattr(normal_form, "compose", counted)
+    # fixed point: k_n for n >= horizon - 1 is one jet
     family = _tabled_family("q4")
     res = build_normal_form(family)
     for degree in range(2, res.work_order + 1):
         assert not spectral_split(family.linear_part, degree).stable.any()
-    tail = {normal_form._value_key(kn) for kn in res.normalizers[res.horizon - 1:]}
-    assert len(tail) == 1
-    assert len(set(composed)) == len(composed) <= (res.work_order - 1) * res.horizon
+    assert len({id(kn) for kn in res.normalizers[res.horizon - 1:]}) == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -27,7 +27,8 @@ from loewner.jets import enumerate_indices
 from loewner.spectral import (_cluster_coupling, _complex_schur, expm,
                               triangular_compatibility_violations)
 
-from conftest import HomogeneousMap, homogeneous_part, random_spectrum
+from conftest import (HomogeneousMap, homogeneous_part, random_spectrum, rho_stable,
+                      rho_unstable_inverse)
 
 
 # ---------------------------------------------------------------------- #
@@ -295,7 +296,7 @@ def test_split_partitions_basis():
     total = split.stable.astype(int) + split.resonant.astype(int) \
         + split.unstable.astype(int)
     assert np.all(total == 1)
-    assert split.rho_stable < 1.0 and split.rho_unstable_inverse < 1.0
+    assert rho_stable(split) < 1.0 and rho_unstable_inverse(split) < 1.0
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf"), -1e-9])
