@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -424,36 +425,39 @@ _FLAGS = {
 }
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process.  It names each
+    command only: main looks cmd_<command> up when it runs, so a rebound
+    cmd_* (a tracer's wrapper, a test's recorder) serves every later call."""
     parser = argparse.ArgumentParser(
         prog="loewner",
         description="Normal forms and Loewner chains for dilation evolution families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("analyze", cmd_analyze, "resonances and convergence constants of a field",
+        ("analyze", "resonances and convergence constants of a field",
          ("--order", "--tau")),
-        ("normalform", cmd_normalform, "normalize a field or discrete family",
+        ("normalform", "normalize a field or discrete family",
          ("--order", "--tau", "--horizon")),
-        ("chain", cmd_chain, "build the Loewner chain of a field",
+        ("chain", "build the Loewner chain of a field",
          ("--order", "--tau", "--horizon")),
-        ("verify", cmd_verify, "check a chain document against its field",
+        ("verify", "check a chain document against its field",
          ("--tol", "--samples", "--seed")),
     ]
-    for name, func, help_text, flags in specs:
+    for name, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return 3

@@ -155,9 +155,8 @@ def solve_difference(A: np.ndarray, S: np.ndarray, S_inv: np.ndarray,
     if unstable.any():
         bu = np.where(unstable, b, 0.0)
         h = _unstable_fixed_point(A, S, unstable, b[-1], degree)
-        start = T - 1
-        while start and np.array_equal(bu[start - 1], bu[-1]):
-            start -= 1
+        moved = np.flatnonzero((bu[:-1] != bu[-1]).any(axis=(1, 2)))
+        start = int(moved[-1]) + 1 if moved.size else 0
         H[start:] += h
         Ainv, Sinv_t = np.tril(np.linalg.inv(A)), S_inv.T
         for n in range(start - 1, -1, -1):

@@ -65,6 +65,16 @@ def _value_key(jet: PolyJet) -> tuple:
     return (jet.q, jet.order, jet.coeffs.tobytes())
 
 
+def _value_keys(jets: Sequence[PolyJet]) -> list[tuple]:
+    """_value_key of every jet, computed once per distinct object: the
+    sequence holds its jets alive, so a shared id is a shared jet."""
+    known: dict[int, tuple] = {}
+    for jet in jets:
+        if id(jet) not in known:
+            known[id(jet)] = _value_key(jet)
+    return [known[id(jet)] for jet in jets]
+
+
 def _with_linear(jet: PolyJet, matrix: np.ndarray) -> PolyJet:
     t = jet.tables
     coeffs = np.array(jet.coeffs)
@@ -200,7 +210,11 @@ class DiscreteEvolutionFamily:
 @dataclass(frozen=True)
 class TriangularFamily:
     """Unit-step triangular maps T_n: every component depends linearly on
-    its own variable and polynomially on the strictly earlier ones."""
+    its own variable and polynomially on the strictly earlier ones.
+
+    The shape is checked once per distinct step object (a window's
+    constant tail repeats one jet), and a refusal names the first step
+    that breaks it."""
 
     linear_part: np.ndarray
     steps: tuple[PolyJet, ...]
@@ -210,9 +224,12 @@ class TriangularFamily:
         A.setflags(write=False)
         object.__setattr__(self, "linear_part", A)
         object.__setattr__(self, "steps", tuple(self.steps))
+        seen = set()
         for n, s in enumerate(self.steps):
-            if not is_triangular(s):
-                raise ValueError(f"step {n} is not triangular")
+            if id(s) not in seen:
+                seen.add(id(s))
+                if not is_triangular(s):
+                    raise ValueError(f"step {n} is not triangular")
 
     @property
     def q(self) -> int:
@@ -302,12 +319,15 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     Yields (blocks, lhs, rhs) with lhs[i], rhs[i] the (q, count) coefficient
     blocks of the two sides at every step of the list blocks[i].  Steps
     share a block when they share the k_{n+1} and k_n jets (k holds every
-    k_n alive, so a shared id is a shared jet), phi_n's power table (from
-    `tables`, keyed by the step's value and filled on first use) and T_n
-    bit for bit, compared only with the earlier T_m of those three.  A
-    group of blocks shares the power table, the monomials k_{n+1} uses and
-    those T_n uses, so each side is one batched matmul: numpy runs one gemm
-    per block, of the shapes compose uses, and every block equals
+    k_n alive, so a shared id is a shared jet), phi_n's power table and
+    T_n bit for bit, compared only with the earlier T_m of those three (a
+    shared T_n object needs no comparison).  Power tables come from
+    `tables`, keyed by the step's value (equal steps are often distinct
+    objects) and filled on first use; each distinct step object is keyed
+    once per call, so a window's constant tail costs a lookup per step.
+    A group of blocks shares the power table, the monomials k_{n+1} uses
+    and those T_n uses, so each side is one batched matmul: numpy runs one
+    gemm per block, of the shapes compose uses, and every block equals
     compose's bit for bit.  T_n o k_n reads only the coordinates of k_n
     when T_n is linear; a T_n with nonlinear terms is composed block by
     block.  A group runs in chunks of at most _STACK_COEFFS coefficients
@@ -317,16 +337,14 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     width = t.count
     shared: dict[tuple, list[list[int]]] = {}
     groups: dict[tuple, tuple] = {}
-    for n in steps:
-        step = family.step(n)
-        key = _value_key(step)
+    for n, key in zip(steps, _value_keys([family.step(n) for n in steps])):
         if key not in tables:
-            tables[key] = PowerTable(step)
+            tables[key] = PowerTable(family.step(n))
         table = tables[key]
         same = shared.setdefault((id(k[n + 1]), id(table), id(k[n])), [])
         tn = T[n].coeffs[:, :width]
-        block = next((b for b in same
-                      if np.array_equal(T[b[0]].coeffs[:, :width], tn)), None)
+        block = next((b for b in same if T[b[0]] is T[n]
+                      or np.array_equal(T[b[0]].coeffs[:, :width], tn)), None)
         if block is not None:
             block.append(n)
             continue
@@ -443,16 +461,25 @@ def _split_defect(T: Sequence[PolyJet], P: np.ndarray, resonant: np.ndarray,
 
     Returns the new T_n, the forcing -N_n o A^{-1} of the nonresonant part
     N_n as one (window, q, M) array, and the largest resonant coefficient.
-    P is overwritten with N.
+    P is overwritten with N.  A new T_n depends only on T_n and its
+    resonant row, so steps that repeat both (a window's constant tail)
+    share one new jet, checked for the triangular shape once; a refusal
+    names the first step that breaks it.
     """
     q, work = T[0].q, T[0].order
     lo, hi = _tables(q, work).offsets[degree:degree + 2]
     kept = P[:, resonant]
     new_T = list(T)
+    # T holds every T_n alive, so a shared id is a shared jet
+    made: dict[tuple, PolyJet] = {}
     for n in np.flatnonzero(kept.any(axis=1)):
+        key = (id(T[n]), kept[n].tobytes())
+        if key in made:
+            new_T[n] = made[key]
+            continue
         c = np.array(T[n].coeffs)
         c[:, lo:hi] += np.where(resonant, P[n], 0.0)
-        new_T[n] = PolyJet(q, work, c)
+        new_T[n] = made[key] = PolyJet(q, work, c)
         if not is_triangular(new_T[n]):
             raise ValueError(
                 f"resonant defect at step {n}, degree {degree} falls off "
@@ -600,15 +627,18 @@ def _defect_sup_majorant(family: DiscreteEvolutionFamily,
     The exact polynomials k_{n+1} o phi_n and T_n o k_n agree through the
     working order, so the true defect is dominated by the degree >= L tail
     of kappa_{n+1}(phihat_n) + That_n(kappa_n), L = order + 1.  Each
-    distinct (k_{n+1}, phi_n, T_n, k_n) is bounded once.
+    distinct (k_{n+1}, phi_n, T_n, k_n) is bounded once, and each distinct
+    jet object is keyed once.
     """
     L = normalizers[0].order + 1
-    keys = [_value_key(kn) for kn in normalizers]
+    window = range(len(normalizers) - 1)
+    steps = [family.step(n) for n in window]
+    tns = [triangular.step(min(n, len(triangular) - 1)) for n in window]
+    keys, step_keys, t_keys = (_value_keys(jets) for jets in (normalizers, steps, tns))
     sides: dict[tuple, tuple] = {}
-    for n in range(len(normalizers) - 1):
-        step, tn = family.step(n), triangular.step(min(n, len(triangular) - 1))
-        sides.setdefault((keys[n + 1], _value_key(step), _value_key(tn), keys[n]),
-                         (normalizers[n + 1], step, tn, normalizers[n]))
+    for n in window:
+        sides.setdefault((keys[n + 1], step_keys[n], t_keys[n], keys[n]),
+                         (normalizers[n + 1], steps[n], tns[n], normalizers[n]))
     majorants: dict[tuple, np.ndarray] = {}
     worst = 0.0
     for side_keys, jets in sides.items():
@@ -651,15 +681,14 @@ def estimate_constants(family: DiscreteEvolutionFamily,
 
     # |phi(z) - Az| <= C2 |z|^2 uniformly on the unit ball
     c2 = 0.0
-    for s_jet in {_value_key(s_jet): s_jet for s_jet in family.steps}.values():
+    for s_jet in dict(zip(_value_keys(family.steps), family.steps)).values():
         series = _majorant_series(s_jet)
         c2 = max(c2, math.sqrt(q) * float(series[2:].sum()))
     r = 0.5 if c2 == 0.0 else min(0.5, (alpha - norm_a) / c2)
 
     beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
     inverses: dict[tuple, PolyJet] = {}
-    for tn in triangular.steps:
-        key = _value_key(tn)
+    for key, tn in zip(_value_keys(triangular.steps), triangular.steps):
         if key not in inverses:
             inverses[key] = invert(tn)
             g = gradient_bound_matrix(inverses[key], 0.5)
@@ -670,7 +699,7 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         # the operator norms of the distinct deviations k_n - id at a trial
         # radius: one stack of gradient bounds and one stacked SVD per chunk,
         # the chunk's (chunk, q, count, q) terms within _STACK_COEFFS
-        distinct = list({_value_key(kn): kn for kn in normalizers}.values())
+        distinct = list(dict(zip(_value_keys(normalizers), normalizers)).values())
         chunk = max(1, _STACK_COEFFS // (q * distinct[0].coeffs.size))
         tables = distinct[0].tables
         rs = r
@@ -876,12 +905,16 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
         defect_sup = max(defect_sup, float(np.abs(lhs).max()))
 
     # probe the guaranteed rate once, recording the Cauchy increments of h_0
-    # anchored at m = 0 .. work_horizon: push once, pull back in one pass
-    w = complex_ball_points(q, 0.5 * constants.r, 1)
-    anchored = [k[0].evaluate_many(w)]
-    for m in range(1, work_horizon + 1):
-        w = fam_w.step(m - 1).evaluate_many(w)
-        anchored.append(k[m].evaluate_many(w))
+    # anchored at m = 0 .. work_horizon: push the orbit once, build the
+    # monomials of all its points at once, apply each k_m to its own column
+    # by the matmul evaluate_many runs (one batched matmul would round
+    # differently), and pull back in one pass
+    orbit = [complex_ball_points(q, 0.5 * constants.r, 1)]
+    for m in range(work_horizon):
+        orbit.append(fam_w.step(m).evaluate_many(orbit[-1]))
+    mono = _monomial_values(k[0].tables, np.concatenate(orbit, axis=1))
+    anchored = [kn.coeffs @ np.ascontiguousarray(mono[:, m:m + 1])
+                for m, kn in enumerate(k)]
     vals = triangular.inverse_from_origin(np.arange(work_horizon + 1),
                                           np.concatenate(anchored, axis=1))
     log = []

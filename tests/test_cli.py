@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loewner
-from loewner import HerglotzFieldSpec, TimeCoefficient, herglotz, normal_form
+from loewner import HerglotzFieldSpec, TimeCoefficient, cli, herglotz, normal_form
 from loewner.cli import _build_parser, main, report_text
 from loewner.herglotz import matrix_to_json
 from loewner.jets import PolyJet
@@ -800,6 +800,31 @@ def test_parser_accepts_every_flag_a_command_reads(command):
         argv += [f"--{name}", str(value)]
     args = _build_parser().parse_args(argv)
     assert {name: getattr(args, name) for name in flags} == flags
+
+
+def test_one_parser_serves_a_command_rebound_after_first_use(monkeypatch, tmp_path):
+    # the parser is built once per process, but main looks the command up
+    # when it runs: a cmd_* rebound after the first call (as a tracer
+    # rebinds it) serves the next one
+    parsers = []
+
+    def recorded_parser(_build=cli._build_parser):
+        parsers.append(_build())
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recorded_parser)
+    inp = _write(tmp_path / "field.json", demo_field().to_json_dict())
+    assert main(["analyze", "--input", inp, "--output", str(tmp_path / "a.json")]) == 0
+    seen = []
+
+    def recorder(args):
+        seen.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_chain", recorder)
+    assert main(["chain", "--input", inp]) == 0
+    assert seen == ["chain"]
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def _env_with_package():

@@ -31,7 +31,7 @@ from loewner import (
     spectral_split,
     univalence_check,
 )
-from loewner import homological, normal_form
+from loewner import homological, jets, normal_form
 from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points
@@ -152,6 +152,25 @@ def test_triangular_family_rejects_leaky_steps():
     leak = PolyJet.from_linear(A, 2) + PolyJet.from_terms(2, 2, {(0, (0, 2)): 1.0})
     with pytest.raises(ValueError, match="triangular"):
         TriangularFamily(A, (leak,))
+    # the shape is checked once per distinct step object, and the refusal
+    # still names the first step that breaks it
+    lin = PolyJet.from_linear(A, 2)
+    with pytest.raises(ValueError, match="step 2 is not triangular"):
+        TriangularFamily(A, (lin, lin, leak, lin, leak))
+
+
+def test_resonant_defect_off_the_triangular_shape_names_the_first_step():
+    # a tolerance that reads every monomial as resonant absorbs z_1^2 into
+    # component 0, off the triangular shape; the steps from 1 on repeat
+    # one T_n and one resonant row, so they share one new jet, and the
+    # refusal names the first of them
+    A = np.diag([0.5, 0.3]).astype(complex)
+    lin = PolyJet.from_linear(A, 2)
+    leak = lin + PolyJet.from_terms(2, 2, {(0, (0, 2)): 0.1})
+    fam = DiscreteEvolutionFamily(A, (lin, leak))
+    k = (PolyJet.identity(2, 2),) * 7
+    with pytest.raises(ValueError, match="step 1, degree 2 falls off"):
+        normal_form_step(fam, k, (lin,) * 6, 2, tau=10.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -508,7 +527,14 @@ def seed7_q4():
     return build_normal_form(fam, extension=8)
 
 
-@pytest.mark.parametrize("name", ["koenigs10", "seed12_q2", "seed7_q4"])
+@pytest.fixture(scope="module")
+def planted_q2():
+    # nonlinear T_n, one jet across the tail, through the batched monomials
+    # and inverse_from_origin
+    return build_normal_form(_resonant_family(), extension=8)
+
+
+@pytest.mark.parametrize("name", ["koenigs10", "seed12_q2", "seed7_q4", "planted_q2"])
 def test_convergence_log_matches_per_anchor_loop(name, request):
     res = request.getfixturevalue(name)
     assert len(res.convergence_log) == res.work_horizon
@@ -1001,6 +1027,41 @@ def test_window_defect_forms_each_distinct_side_once(monkeypatch):
         else:
             defect(fam, k, T, degree, tables)
         assert sum(formed) == len(distinct) < len(T), degree
+
+
+def test_constant_tail_costs_no_per_step_work(monkeypatch):
+    # past the family's own steps the window repeats its last (k_{n+1},
+    # phi_n, T_n, k_n): a longer tail adds no triangular plan, no shape
+    # check and no power table, and its T_n are one jet
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class Counted(normal_form.PowerTable):
+        def __init__(self, g):
+            counts["PowerTable"] += 1
+            super().__init__(g)
+
+    monkeypatch.setattr(jets, "_triangular_plan", counted("_triangular_plan",
+                                                          jets._triangular_plan))
+    monkeypatch.setattr(normal_form, "is_triangular", counted("is_triangular",
+                                                              normal_form.is_triangular))
+    monkeypatch.setattr(normal_form, "PowerTable", Counted)
+    seen = []
+    for extension in (4, 32):
+        counts.update(_triangular_plan=0, is_triangular=0, PowerTable=0)
+        res = build_normal_form(_resonant_family(), extension=extension)
+        assert not res.linearizable
+        tail = res.triangular.steps[len(res.family) - 1:]
+        assert len(tail) == res.work_horizon - 1
+        assert all(tn is tail[0] for tn in tail)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert min(seen[0].values()) > 0
 
 
 def test_unstable_tail_normalizers_share_one_value():
