@@ -2,8 +2,8 @@
 """Build the Loewner chain of a dilation field and run the whole check
 battery: subordination identity, inscribed range growth, and attraction of
 sample orbits, plus the PDE residual at two step sizes.  For each interval
-of the certificate grid it prints the pieces and terms of the Taylor series
-of its two halves.  The chain solves the Loewner PDE by construction
+of the certificate grid it prints the pieces and terms of the one Taylor
+series of its transition jet.  The chain solves the Loewner PDE by construction
 (f_t = f_a o phi_{t,a} for any jet f_a), so the residual and its halving
 ratio diagnose the integrator and the difference quotient, not the chain;
 `loewner verify` does not compute it.
@@ -51,9 +51,9 @@ def run(field, order, save):
           f"transition defect {rep.transition_defect:.2e}, "
           f"normalized sup {rep.normalization_sup:.4f}")
 
-    # integrate_jet's own helper: the work of each interval's two half series
+    # integrate_jet's own helper: the work of each interval's series
     grid = _certificate_grid(chain.horizon, chain.certificate_step)
-    print("transition jets, Taylor series of the two halves:")
+    print("transition jets, one Taylor series per interval:")
     print("  interval      pieces  terms")
     for s, t in zip(grid, grid[1:]):
         _, pieces, terms = _transition(chain.field, s, t, chain.order)

@@ -221,12 +221,12 @@ def _family_from_doc(doc: dict) -> DiscreteEvolutionFamily:
 def cmd_analyze(args) -> int:
     doc = _load(args.input)
     field = _field_from_doc(doc)
-    _check_order_flag(args)
+    _check_order_flag(args, field.q)
     eigs = np.linalg.eigvals(field.Lambda)
     additive = detect_resonances(eigs, mode="additive", tau=args.tau)
 
     order = max(2, field.order if args.order is None else args.order)
-    _check_work_order(order, "the field's order")
+    _check_work_order(field.q, order, "the field's order")
     family = discretize(ContinuousEvolution(field, order), horizon=1)
     A = family.linear_part
     trivial = TriangularFamily(A, (PolyJet.from_linear(A, order),))
@@ -253,22 +253,24 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _check_order_flag(args) -> None:
+def _check_order_flag(args, q: int) -> None:
     # before any integration, which above the cap can run for minutes
     if args.order is not None:
-        _check_work_order(args.order, "--order")
+        _check_work_order(q, args.order, "--order")
 
 
 def cmd_normalform(args) -> int:
     doc = _load(args.input)
-    _check_order_flag(args)
     if "Lambda" in doc:
         field = _field_from_doc(doc)
+        _check_order_flag(args, field.q)
         order = max(2, field.order if args.order is None else args.order)
         _, result = normalize_field(ContinuousEvolution(field, order), args.horizon,
                                     tau=args.tau)
     elif "steps" in doc:
-        result = build_normal_form(_family_from_doc(doc), order=args.order,
+        family = _family_from_doc(doc)
+        _check_order_flag(args, family.q)
+        result = build_normal_form(family, order=args.order,
                                    horizon=args.horizon, tau=args.tau)
     else:
         raise _Malformed("document is neither a field ('Lambda') nor a family ('steps')")
@@ -301,7 +303,7 @@ def cmd_normalform(args) -> int:
 def cmd_chain(args) -> int:
     doc = _load(args.input)
     field = _field_from_doc(doc)
-    _check_order_flag(args)
+    _check_order_flag(args, field.q)
     chain = build_chain(field, horizon=args.horizon, order=args.order, tau=args.tau)
     _dump(chain.to_json_dict(), args.output)
     cert = "none (resonances present)" if chain.certificate is None \
@@ -323,6 +325,8 @@ def cmd_verify(args) -> int:
         raise
     except _UNREADABLE as e:
         raise _Malformed(f"bad chain document: {e}") from e
+    # the rebuild below would refuse the jets' order, after the checks
+    _check_work_order(chain.q, chain.order, "the chain's order")
 
     report = verify_subordination_chain(chain, samples=args.samples, start=args.seed)
     failures = list(report.failures)

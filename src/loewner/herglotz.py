@@ -336,10 +336,15 @@ class _FieldStage:
     nonzero: Lambda's and the slots'.  H has no constant term, so M never
     lowers a degree and is exact on jets: the truncation drops only rows
     above the order.
+
+    M is applied as a dense count x count matrix when count^2 <= 2 q
+    entries, and as a scatter over its entries otherwise.  Under that rule
+    the matrix takes no more bytes than the two (entries, q) temporaries of
+    one scatter product, so memory follows the field either way.
     """
 
     __slots__ = ("template", "flat", "schedules", "count", "lie_take", "lie_mult",
-                 "lie_row", "lie_col", "lie_gap", "lie_bins")
+                 "lie_row", "lie_col", "lie_gap", "lie_bins", "dense")
 
     def __init__(self, field: HerglotzFieldSpec, order: int):
         q = field.q
@@ -378,10 +383,12 @@ class _FieldStage:
         exps = np.array(t.indices, dtype=float).reshape(n, q)
         self.lie_take, self.lie_mult = i * n + src, exps[rj[m], i] + 1.0
         self.lie_row = row = rk[m]
-        self.lie_col, self.lie_gap = up[rj[m], i], t.degrees[src] - 1
-        # real and imaginary slots of M x in its float view
-        self.lie_bins = (2 * (row[:, None] * q + np.arange(q))[:, :, None]
-                         + np.array([0, 1])).reshape(-1)
+        self.lie_col = col = up[rj[m], i]
+        self.lie_gap = t.degrees[src] - 1
+        self.dense = n * n <= 2 * q * row.size
+        # real and imaginary slots, in the float view, of M's cells or of M x
+        cells = row * n + col if self.dense else (row[:, None] * q + np.arange(q))
+        self.lie_bins = (2 * cells[..., None] + np.array([0, 1])).reshape(-1)
 
     def block(self, tau: float) -> np.ndarray:
         if not self.schedules:
@@ -413,9 +420,14 @@ class _FieldStage:
 
     def lie_operator(self, weights: np.ndarray):
         """x -> M x, x of shape (count, q), for the Lie matrix with these
-        entries: a scatter over the entries, so memory follows the entries
-        rather than count^2."""
-        col, bins = self.lie_col, self.lie_bins
+        entries: one product with M assembled dense, or a scatter over the
+        entries (see the class)."""
+        bins = self.lie_bins
+        if self.dense:
+            n = self.count
+            return np.bincount(bins, weights=weights.view(float),
+                               minlength=2 * n * n).view(complex).reshape(n, n).__matmul__
+        col = self.lie_col
 
         def apply(x):
             prod = weights[:, None] * x[col]
@@ -531,26 +543,21 @@ def _series(field: HerglotzFieldSpec, stage: _FieldStage, s: float, t: float,
 
 def _transition(field: HerglotzFieldSpec, s: float, t: float, order: int,
                 tail: float = SERIES_TAIL) -> tuple[PolyJet, int, int]:
-    """phi_{s,t} as the composition of its two half-interval series, with
-    the two series' piece and term counts."""
-    stage = field._stage(order)
-    mid = 0.5 * (s + t)
-    runs = [_series(field, stage, a, b, tail) for a, b in ((s, mid), (mid, t))]
-    # an overflowing field: inf * 0 would also put NaN in the constant row
-    if not all(np.isfinite(z).all() for z, _, _ in runs):
+    """phi_{s,t} as one Taylor series over [s, t], with its piece and term
+    counts."""
+    z, pieces, terms = _series(field, field._stage(order), s, t, tail)
+    if not np.isfinite(z).all():
         raise ValueError("transition jet coefficients must be finite")
-    left, right = (PolyJet(field.q, order, z.T) for z, _, _ in runs)
-    return (compose(right, left, order), sum(r[1] for r in runs),
-            sum(r[2] for r in runs))
+    return PolyJet(field.q, order, z.T), pieces, terms
 
 
 def integrate_jet(field: HerglotzFieldSpec, s: float, t: float,
                   order: int | None = None, tol: float = SERIES_TAIL) -> PolyJet:
     """Jet of the transition map phi_{s,t} of the field, s <= t.
 
-    The map is the composition of the half-interval maps, each a Taylor
-    series of the linear Loewner PDE (_series) truncated where its tail
-    bound falls below tol, in (0, 1).
+    The map is one Taylor series of the linear Loewner PDE over [s, t]
+    (_series), truncated where its tail bound falls below tol, in (0, 1);
+    nothing is composed.
     """
     if not 0.0 < tol < 1.0:  # NaN fails too: the term count would never stop
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -665,11 +672,9 @@ class ContinuousEvolution:
     The owner of every transition jet a command computes: each distinct
     interval is integrated once and kept for the life of the evolution, so
     the cache holds at most one jet per distinct interval of one command.
-    For a field without breakpoints (every coefficient constant) the map
-    depends on the interval only through its two halves, and integrate_jet
-    reads exactly the floats mid - s and t - mid with mid = (s + t) / 2;
-    keying by those makes a hit bit-identical to a fresh integration.
-    Other fields key by (s, t).
+    For a field without breakpoints (every coefficient constant) the series
+    reads the interval only through the float t - s; keying by it makes a
+    hit bit-identical to a fresh integration.  Other fields key by (s, t).
     """
 
     field: HerglotzFieldSpec
@@ -680,10 +685,7 @@ class ContinuousEvolution:
         object.__setattr__(self, "_autonomous", not self.field.breakpoints())
 
     def _key(self, s: float, t: float) -> tuple:
-        if not self._autonomous:
-            return (s, t)
-        mid = 0.5 * (s + t)
-        return (mid - s, t - mid)
+        return (t - s,) if self._autonomous else (s, t)
 
     def jet(self, s: float, t: float) -> PolyJet:
         s, t = float(s), float(t)
@@ -948,7 +950,7 @@ def normalize_field(evolution: ContinuousEvolution, horizon: int | None = None,
     for _ in range(MAX_JET_ORDER_PASSES):
         # build_normal_form would refuse this order only after the
         # integration, which above the cap can run for minutes
-        _check_work_order(jet_order, source if jet_order == order else None)
+        _check_work_order(field.q, jet_order, source if jet_order == order else None)
         if evolution.order != jet_order:
             evolution = ContinuousEvolution(field, jet_order)
         result = build_normal_form(discretize(evolution, horizon), order=order,

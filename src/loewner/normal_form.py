@@ -739,6 +739,9 @@ def estimate_constants(family: DiscreteEvolutionFamily,
 # the driver
 
 MAX_WORK_ORDER = 18      # working-order cap of build_normal_form
+# bytes of the largest power table, 16 count(q, W)^2 at working order W: q = 4
+# runs to the cap (816 MiB at W = 18), q = 6 to W = 10, q = 8 to W = 7
+MAX_POWER_TABLE_BYTES = 2 ** 30
 MAX_ELL_PASSES = 4       # its rebuilds chasing the contraction exponent ell
 # extra window steps: until they move h_n by less than the target, 4 to 32
 _EXTENSION_TARGET, _MIN_EXTENSION, _MAX_EXTENSION = 1e-10, 4, 32
@@ -827,14 +830,21 @@ class ConjugacyResult:
         }
 
 
-def _check_work_order(work_order: int, source: str | None = None) -> None:
-    """Refuse a working order above MAX_WORK_ORDER.  source names what set
-    the order, such as "--order"; without it the spectrum did."""
+def _check_work_order(q: int, work_order: int, source: str | None = None) -> None:
+    """Refuse a working order above MAX_WORK_ORDER, or one whose power
+    table in q variables passes MAX_POWER_TABLE_BYTES.  source names what
+    set the order, such as "--order"; without it the spectrum did."""
+    cause = f"{source} sets it" if source else "the spectrum is too spread out"
     if work_order > MAX_WORK_ORDER:
-        cause = f"{source} sets it" if source else "the spectrum is too spread out"
         raise PreconditionError(
             f"normalization needs working order {work_order} above the "
             f"limit {MAX_WORK_ORDER}; {cause}")
+    table = 16 * math.comb(q + work_order, q) ** 2
+    if table > MAX_POWER_TABLE_BYTES:
+        raise PreconditionError(
+            f"normalization in q = {q} variables at working order {work_order} "
+            f"needs a {table}-byte power table, above the budget of "
+            f"{MAX_POWER_TABLE_BYTES} bytes; {cause}")
 
 
 def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
@@ -870,7 +880,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
     work_order = max(order, _smallest_ell(alpha, beta))
 
     for _ in range(MAX_ELL_PASSES):
-        _check_work_order(work_order, "the requested order" if work_order == order else None)
+        _check_work_order(q, work_order, "the requested order" if work_order == order else None)
         rate = min(0.9, beta * alpha ** (work_order + 1))
         if extension is None:
             ext = math.ceil(math.log(_EXTENSION_TARGET) / math.log(rate))

@@ -178,6 +178,37 @@ def test_field_order_beyond_the_cap_exits_3_before_integrating(
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "normalform", "chain"])
+def test_power_table_beyond_the_byte_budget_exits_3_before_integrating(
+        tmp_path, capsys, monkeypatch, command):
+    # q = 6 at order 12, inside the order cap: one power table would take
+    # 16 * C(18, 6)^2 bytes, 5.1 GiB
+    calls = _counting_integrate_jet(monkeypatch)
+    Lam = np.diag([-0.5, -0.52, -0.54, -0.56, -0.58, -0.6]).astype(complex)
+    field = HerglotzFieldSpec(Lam, 12, ((0, (0, 2, 0, 0, 0, 0), TimeCoefficient.constant(0.1)),))
+    start = time.perf_counter()
+    assert main([command, "--input", _write(tmp_path / "field.json", field.to_json_dict())]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert ("q = 6 variables at working order 12 needs a 5513953536-byte power table, "
+            f"above the budget of {normal_form.MAX_POWER_TABLE_BYTES} bytes; "
+            "the field's order sets it") in err
+    assert calls == []
+
+
+def test_verify_refuses_jets_beyond_the_byte_budget_before_integrating(
+        tmp_path, capsys, monkeypatch, chain_doc):
+    # the demo chain's jets have order 4: 15 monomials in 2 variables
+    assert (chain_doc["q"], chain_doc["order"]) == (2, 4)
+    calls = _counting_integrate_jet(monkeypatch)
+    monkeypatch.setattr(normal_form, "MAX_POWER_TABLE_BYTES", 16 * 15 ** 2 - 1)
+    assert main(["verify", "--input", _write(tmp_path / "chain.json", chain_doc)]) == 3
+    err = capsys.readouterr().err
+    assert "q = 2 variables at working order 4 needs a 3600-byte power table" in err
+    assert "the chain's order sets it" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["normalform", "chain"])
 def test_spread_spectrum_beyond_the_cap_names_the_spectrum(tmp_path, capsys, command):
     doc = demo_field().to_json_dict()

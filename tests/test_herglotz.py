@@ -32,7 +32,7 @@ from loewner import (
     verification_samples,
     verify_subordination_chain,
 )
-from loewner import cli, herglotz
+from loewner import cli, herglotz, jets
 from loewner.cli import report_text
 from loewner.herglotz import _difference_stencil, _segments
 from loewner.normal_form import jacobian_points
@@ -542,6 +542,51 @@ def test_lie_entries_are_those_the_field_reaches():
     assert got == want
 
 
+@pytest.mark.parametrize("order, dense", [(3, True), (6, False)])
+def test_lie_operator_matches_the_entry_sums_on_either_side_of_the_dense_rule(order, dense):
+    # count^2 <= 2 q entries picks the dense matrix: 400 <= 636 at order 3,
+    # 7056 > 3864 at order 6; both must equal sum of weight * x[col] into row
+    f = _piecewise_field(3)
+    stage = f._stage(order)
+    n, entries = stage.count, stage.lie_row.size
+    assert stage.dense is dense and (n * n <= 2 * 3 * entries) is dense
+    weights = stage.lie_weights(stage.block(1.1))
+    x = np.random.default_rng(7).standard_normal((n, 3, 2)) @ np.array([1.0, 1.0j])
+    M = np.zeros((n, n), dtype=complex)
+    np.add.at(M, (stage.lie_row, stage.lie_col), weights)
+    scatter = np.zeros_like(x)
+    np.add.at(scatter, stage.lie_row, weights[:, None] * x[stage.lie_col])
+    got = stage.lie_operator(weights)(x)
+    # both sums run over the same terms in some order: a few roundings each
+    bound = 1e-14 * (np.abs(M) @ np.abs(x)) + 1e-300
+    assert np.all(np.abs(got - M @ x) <= bound)
+    assert np.all(np.abs(got - scatter) <= bound)
+
+
+def test_large_stage_keeps_the_scatter():
+    # q = 4 at order 12: count 1820, whose dense matrix would pass the scatter's bytes
+    f = HerglotzFieldSpec(np.diag([-0.5, -0.6, -0.7, -0.8]).astype(complex), 3,
+                          ((0, (0, 2, 0, 0), TimeCoefficient.constant(0.1)),))
+    stage = f._stage(12)
+    assert stage.count == 1820 and not stage.dense
+
+
+@pytest.mark.parametrize("field", [demo_field, lambda: _piecewise_field(3)])
+def test_integrate_jet_composes_nothing(monkeypatch, field):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(herglotz, "compose", counted)
+    monkeypatch.setattr(jets, "compose", counted)
+    f = field()
+    for s, t in ((0.0, 0.5), (0.5, 1.0), (0.3, 1.9)):
+        integrate_jet(f, s, t, 4)
+    assert calls == []
+
+
 def test_integrate_jet_overflow_names_finiteness():
     # the z0^3 coefficient of the flow passes the float range; the scaled
     # norm keeps the series at a few pieces
@@ -550,10 +595,9 @@ def test_integrate_jet_overflow_names_finiteness():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
             integrate_jet(f, 0.0, 1.0)
-        # the pieces and terms _transition's two half series run
-        halves = [herglotz._series(f, f._stage(3), a, b, herglotz.SERIES_TAIL)
-                  for a, b in ((0.0, 0.5), (0.5, 1.0))]
-    assert sum(h[1] for h in halves) <= 4 and sum(h[2] for h in halves) <= 100
+        # the pieces and terms of _transition's one series over [0, 1]
+        _, pieces, terms = herglotz._series(f, f._stage(3), 0.0, 1.0, herglotz.SERIES_TAIL)
+    assert pieces <= 4 and terms <= 100
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, 1.0])
@@ -585,10 +629,12 @@ def test_autonomous_evolution_integrates_each_length_once(monkeypatch):
     intervals = [(n, n + 1) for n in range(3)] + [(k / 2, k / 2 + 0.5) for k in range(4)]
     got = [evo.jet(s, t) for s, t in intervals]
     assert len(calls) == 2  # one unit step, one half step
-    # equal float lengths whose midpoints round apart give different bits
-    intervals += [(0.0, 0.1), (0.1, 0.2)]
-    got += [evo.jet(0.0, 0.1), evo.jet(0.1, 0.2)]
-    assert len(calls) == 4
+    # the series reads only the float t - s: 0.2 - 0.1 == 0.1 shares a key,
+    # 0.3 - 0.2 != 0.1 does not
+    intervals += [(0.0, 0.1), (0.1, 0.2), (0.2, 0.3)]
+    got += [evo.jet(s, t) for s, t in intervals[-3:]]
+    assert calls[2:] == [(0.0, 0.1), (0.2, 0.3)]
+    assert evo.jet(0.1, 0.2) is evo.jet(0.0, 0.1)
     for (s, t), jet in zip(intervals, got):
         assert np.array_equal(jet.coeffs, integrate_jet(f, s, t, 3).coeffs)
 
