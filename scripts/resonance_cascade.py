@@ -13,7 +13,7 @@ from loewner import (
     ContinuousEvolution,
     HerglotzFieldSpec,
     TimeCoefficient,
-    build_chain,
+    assemble_chain,
     detect_resonances,
     normalize_field,
 )
@@ -33,14 +33,14 @@ def run(cs, alpha):
     print(f"{'c':>6} {'T coeff':>10} {'predicted':>10} {'k extra':>10} {'certificate':>12}")
     for c in cs:
         field = field_for(c, alpha)
-        _, res = normalize_field(ContinuousEvolution(field, field.order), 2)
+        evolution, res = normalize_field(ContinuousEvolution(field, field.order), 2)
         t_coeff = res.triangular.step(0).coefficient(1, (2, 0))
         # unit-time integration of the forced mode: c * e^{2 alpha}
         predicted = c * math.exp(2.0 * alpha)
         k0 = res.intertwining_jet(0)
         extra = max((abs(v) for j, I, v in k0.nonzero_terms() if sum(I) > 1),
                     default=0.0)
-        chain = build_chain(field)
+        chain = assemble_chain(evolution, res)
         cert = "withheld" if chain.certificate is None else f"{chain.certificate:.4f}"
         print(f"{c:6.3f} {abs(t_coeff):10.5f} {abs(predicted):10.5f} "
               f"{extra:10.2e} {cert:>12}")

@@ -45,6 +45,7 @@ from .herglotz import (
     LoewnerChain,
     SubordinationReport,
     TimeCoefficient,
+    assemble_chain,
     attraction_check,
     build_chain,
     discretize,

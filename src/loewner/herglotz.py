@@ -31,6 +31,7 @@ from .normal_form import (
     DiscreteEvolutionFamily,
     UnivalenceReport,
     _check_work_order,
+    _linear_bounds,
     _smallest_ell,
     _with_linear,
     build_normal_form,
@@ -49,10 +50,12 @@ __all__ = [
     "integrate_jet",
     "integrate_points",
     "ContinuousEvolution",
+    "DiscretizedFamily",
     "discretize",
     "normalize_field",
     "LoewnerChain",
     "build_chain",
+    "assemble_chain",
     "pde_residual",
     "SubordinationReport",
     "verify_subordination_chain",
@@ -708,11 +711,29 @@ class ContinuousEvolution:
 CERTIFICATE_STEP = 0.5
 
 
+@dataclass(frozen=True)
+class DiscretizedFamily(DiscreteEvolutionFamily):
+    """The unit steps of a field's flow, as discretize builds them, with
+    the evolution whose half-step jets they were composed from."""
+
+    evolution: ContinuousEvolution = dataclasses.field(repr=False, compare=False)
+
+    def with_order(self, order: int) -> DiscreteEvolutionFamily:
+        """The family itself at its own order; at any other order the flow
+        integrated there, over the same number of steps.  Padding the jets
+        with zeros would not give the flow's coefficients."""
+        if order == self.order:
+            return self
+        return discretize(ContinuousEvolution(self.evolution.field, order), len(self))
+
+
 def discretize(evolution: ContinuousEvolution,
-               horizon: int | None = None) -> DiscreteEvolutionFamily:
+               horizon: int | None = None) -> DiscretizedFamily:
     """Integer-time snapshots psi_n = M o phi_{n,n+1} o M^{-1} of the
     evolution family, M the field's optimal basis change, with the linear
-    block snapped to the optimal matrix exactly: ready to normalize.
+    block snapped to the optimal matrix exactly: ready to normalize.  The
+    family keeps the evolution, and re-integrates the flow when it is
+    reissued at another order.
 
     The unit step is phi_{n,n+1} = phi_{n+1/2,n+1} o phi_{n,n+1/2}, composed
     from the evolution's half-step jets at its order: for maps fixing 0 the
@@ -733,7 +754,7 @@ def discretize(evolution: ContinuousEvolution,
         J = compose(evolution.jet(mid, n + 1), evolution.jet(n, mid), order)
         psi = compose(Mj, compose(J, Mij, order), order)
         steps.append(_with_linear(psi, A))
-    return DiscreteEvolutionFamily(A, tuple(steps))
+    return DiscretizedFamily(A, tuple(steps), evolution)
 
 
 # --------------------------------------------------------------------- #
@@ -761,8 +782,8 @@ class LoewnerChain:
     the normal form under.  certificate_step, in
     [CERTIFICATE_STEP, 1], is the step of that grid and of verify's.  A
     chain and its JSON document evaluate identically.  evolution holds the
-    field's transition maps at the chain order: build_chain hands over the
-    one its discretization filled, and a chain given none derives its own.
+    field's transition maps at the chain order: assemble_chain hands over
+    the one the normalization filled, and a chain given none derives its own.
     """
 
     field: HerglotzFieldSpec
@@ -922,7 +943,6 @@ def _normalized_sup(chain: LoewnerChain, ts: Sequence[float],
     return max(_sup_norm(chain.normalized_jet(t).evaluate_many(points)) for t in ts)
 
 
-MAX_JET_ORDER_PASSES = 3  # normalize_field's rebuilds until the jets cover the work order
 RADIUS_FACTOR = 0.4       # validity radius over r / (|M| x transient growth of exp(tau Lambda))
 CERTIFICATE_SAMPLES = 16  # ball points of the certificate sweep
 CERTIFICATE_BALL = 0.95   # the sweep's ball, relative to the validity radius
@@ -934,51 +954,49 @@ def normalize_field(evolution: ContinuousEvolution, horizon: int | None = None,
                     ) -> tuple[ContinuousEvolution, ConjugacyResult]:
     """Normal form through the evolution's order of the field's own
     evolution family over `horizon` unit steps (default the field's), and
-    the evolution at the working order: `evolution` itself when it has that
-    order, so its cached half-step jets are reused.  The working order
-    depends on constants measured from the normalized data, so the family is
-    re-integrated at the order the normalization asks for until its jets
-    carry true flow coefficients at every order the normalization touches.
+    the evolution at the working order.
+
+    The flow is integrated at the working order estimated from the optimal
+    form of exp(Lambda): by `evolution` itself when it has that order, so
+    its cached half-step jets are reused.  build_normal_form raises the
+    working order while the normalization asks for more, and the
+    discretized family re-integrates the flow at each new order, so the
+    jets carry true flow coefficients at every order the normalization
+    touches.
     """
     field, order = evolution.field, evolution.order
     horizon = None if horizon is None else int(horizon)
-    opt = field.optimal
-    alpha0 = 0.5 * (opt.norm_bound + 1.0)
-    beta0 = float(np.abs(opt.inverse_matrix).sum(axis=1).max())
-    jet_order = max(order, _smallest_ell(alpha0, beta0))
+    jet_order = max(order, _smallest_ell(*_linear_bounds(field.optimal)))
     source = "the field's order" if order == field.order else "the requested order"
-    for _ in range(MAX_JET_ORDER_PASSES):
-        # build_normal_form would refuse this order only after the
-        # integration, which above the cap can run for minutes
-        _check_work_order(field.q, jet_order, source if jet_order == order else None)
-        if evolution.order != jet_order:
-            evolution = ContinuousEvolution(field, jet_order)
-        result = build_normal_form(discretize(evolution, horizon), order=order,
-                                   horizon=horizon, tau=tau)
-        if result.work_order <= jet_order:
-            break
-        jet_order = result.work_order
-    else:
-        raise RuntimeError(f"jet order failed to stabilize in {MAX_JET_ORDER_PASSES} passes")
-    if result.work_order < evolution.order:
-        # the normalization settled below the jets' order: result.family holds
-        # them truncated, which need not match jets integrated at its order
-        evolution = ContinuousEvolution(field, result.work_order)
-    return evolution, result
+    # build_normal_form would refuse this order only after the integration,
+    # which above the cap can run for minutes
+    _check_work_order(field.q, jet_order, source if jet_order == order else None)
+    if jet_order != order:
+        evolution = ContinuousEvolution(field, jet_order)
+    result = build_normal_form(discretize(evolution, horizon), order=order,
+                               horizon=horizon, tau=tau)
+    return result.family.evolution, result
 
 
 def build_chain(field: HerglotzFieldSpec, horizon: int | None = None,
                 order: int | None = None, tau: float = RESONANCE_TOL) -> LoewnerChain:
-    """Normalize the evolution family of the field into a Loewner chain.
-
-    The field's normal form (normalize_field) is pulled back to the original
-    coordinates, and the chain keeps the evolution the normalization
-    integrated.  A sup bound for the normalized chain jets on the validity
-    ball is attached only when the spectrum is resonance-free.
-    """
+    """Normalize the evolution family of the field (normalize_field) into a
+    Loewner chain (assemble_chain)."""
     base_order = max(2, field.order if order is None else int(order))
-    evolution, result = normalize_field(ContinuousEvolution(field, base_order), horizon,
-                                        tau=tau)
+    return assemble_chain(*normalize_field(ContinuousEvolution(field, base_order),
+                                           horizon, tau=tau))
+
+
+def assemble_chain(evolution: ContinuousEvolution, result: ConjugacyResult) -> LoewnerChain:
+    """The Loewner chain of a field's normal form, as normalize_field
+    returns the pair.
+
+    The normal form is pulled back to the original coordinates, and the
+    chain keeps the evolution the normalization integrated.  A sup bound
+    for the normalized chain jets on the validity ball is attached only
+    when the spectrum is resonance-free.
+    """
+    field = evolution.field
     discrete = discrete_chain(result)
     W = discrete[0].order
     M = field.optimal.basis_change

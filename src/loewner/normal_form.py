@@ -109,6 +109,13 @@ def _optimal_form(shape: tuple[int, ...], raw: bytes) -> OptimalForm:
     return OptimalForm(A, np.eye(q), sizes, eps, operator_norm(A))
 
 
+def _linear_bounds(opt: OptimalForm) -> tuple[float, float]:
+    """alpha, the midpoint between |A| and 1, and beta, the Lipschitz bound
+    of A^{-1}: the constants of the linear part alone, from which the first
+    working order is estimated."""
+    return 0.5 * (opt.norm_bound + 1.0), float(np.abs(opt.inverse_matrix).sum(axis=1).max())
+
+
 def _smallest_ell(alpha: float, beta: float) -> int:
     # conjugacy starts at degree 2, so ell = 2 is the floor
     ell = 2
@@ -119,18 +126,6 @@ def _smallest_ell(alpha: float, beta: float) -> int:
                 f"no contraction exponent ell up to the degree cap {MAX_DEGREE}; "
                 "the linear part is too close to the unit sphere")
     return ell
-
-
-def _compose_steps(family, n: int, m: int, order: int | None) -> PolyJet:
-    """family.step(m-1) o ... o family.step(n) as one jet, at family.order
-    unless an order is given."""
-    if m < n:
-        raise ValueError("transition needs n <= m")
-    order = order or family.order
-    out = PolyJet.identity(family.q, order)
-    for j in range(n, m):
-        out = compose(family.step(j), out, order)
-    return out
 
 
 @dataclass(frozen=True)
@@ -186,18 +181,17 @@ class DiscreteEvolutionFamily:
         return self.steps[min(n, len(self.steps) - 1)]
 
     def with_order(self, order: int) -> "DiscreteEvolutionFamily":
-        """Reissue the family at another jet order (steps taken as exact
-        polynomials when the order grows)."""
+        """Reissue the family at another jet order, as build_normal_form
+        does at each working order.  The steps are taken as exact
+        polynomials: padded with zeros when the order grows, truncated when
+        it falls.  A field's discretized family re-integrates instead
+        (herglotz.DiscretizedFamily)."""
         if order == self.order:
             return self
         conv = (lambda s: s.extended(order)) if order > self.order else (
             lambda s: s.truncated(order))
         return DiscreteEvolutionFamily(self.linear_part,
                                        tuple(conv(s) for s in self.steps))
-
-    def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
-        """Jet of phi_{n,m} = phi_{m-1} o ... o phi_n."""
-        return _compose_steps(self, n, m, order)
 
     def evaluate_transition(self, n: int, m: int, points: np.ndarray) -> np.ndarray:
         """phi_{n,m} applied to points of shape (q, count)."""
@@ -240,15 +234,6 @@ class TriangularFamily:
         return self.steps[0].order
 
     @property
-    def degree(self) -> int:
-        """Largest monomial degree carried by any step."""
-        out = 1
-        for s in self.steps:
-            for _, I, _ in _nonlinear(s).nonzero_terms():
-                out = max(out, sum(I))
-        return out
-
-    @property
     def composed_degree(self) -> int:
         """Degree D that bounds every T_{0,n} = T_{n-1} o ... o T_0.
 
@@ -268,10 +253,6 @@ class TriangularFamily:
 
     def step(self, n: int) -> PolyJet:
         return self.steps[n]
-
-    def transition(self, n: int, m: int, order: int | None = None) -> PolyJet:
-        """Jet of T_{n,m} = T_{m-1} o ... o T_n."""
-        return _compose_steps(self, n, m, order)
 
     def inverse_evaluate(self, n: int, m: int, points: np.ndarray) -> np.ndarray:
         """T_{n,m}^{-1} applied to points of shape (q, count), by exact
@@ -677,7 +658,7 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         report = detect_resonances(A_opt.eigenvalues, "multiplicative", RESONANCE_TOL)
     q = family.q
     norm_a = A_opt.norm_bound
-    alpha = 0.5 * (norm_a + 1.0)
+    alpha, beta = _linear_bounds(A_opt)
 
     # |phi(z) - Az| <= C2 |z|^2 uniformly on the unit ball
     c2 = 0.0
@@ -686,7 +667,6 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         c2 = max(c2, math.sqrt(q) * float(series[2:].sum()))
     r = 0.5 if c2 == 0.0 else min(0.5, (alpha - norm_a) / c2)
 
-    beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
     inverses: dict[tuple, PolyJet] = {}
     for key, tn in zip(_value_keys(triangular.steps), triangular.steps):
         if key not in inverses:
@@ -857,8 +837,11 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
     the triangular maps stabilize at degree <= p - 1.  Because ell depends on
     the Lipschitz bound of the finished triangular family, the build
     re-estimates it after the stages and reruns at a larger working order
-    until the estimate is covered.  The window is extended past the
-    requested horizon until the extra steps stop mattering pointwise.
+    until the estimate is covered; the working order never falls.  Each
+    pass normalizes family.with_order(working order): a family document's
+    steps padded with zeros, a field's flow re-integrated.  The window is
+    extended past the requested horizon until the extra steps stop
+    mattering pointwise.
     """
     A_opt = _as_optimal(family.linear_part)
     A = A_opt.matrix
@@ -875,8 +858,7 @@ def build_normal_form(family: DiscreteEvolutionFamily, order: int | None = None,
             f"resonant monomials {bad[:3]} escape the triangular shape; "
             "the optimal-form ordering is inconsistent with the resonances")
 
-    alpha = 0.5 * (A_opt.norm_bound + 1.0)
-    beta = float(np.abs(A_opt.inverse_matrix).sum(axis=1).max())
+    alpha, beta = _linear_bounds(A_opt)
     work_order = max(order, _smallest_ell(alpha, beta))
 
     for _ in range(MAX_ELL_PASSES):

@@ -73,6 +73,28 @@ def defect_jet(result, n: int, order: int | None = None) -> PolyJet:
     return PolyJet(result.q, order, lhs[0] - rhs[0])
 
 
+def transition(family, n: int, m: int, order: int | None = None) -> PolyJet:
+    """family.step(m-1) o ... o family.step(n) as one jet, at family.order
+    unless an order is given: phi_{n,m} of a DiscreteEvolutionFamily, T_{n,m}
+    of a TriangularFamily."""
+    if m < n:
+        raise ValueError("transition needs n <= m")
+    order = order or family.order
+    out = PolyJet.identity(family.q, order)
+    for j in range(n, m):
+        out = compose(family.step(j), out, order)
+    return out
+
+
+def largest_degree(triangular) -> int:
+    """Largest monomial degree carried by any step of a TriangularFamily."""
+    out = 1
+    for s in triangular.steps:
+        for _, I, _ in _nonlinear(s).nonzero_terms():
+            out = max(out, sum(I))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class HomogeneousMap:
     """A polynomial map C^q -> C^q all of whose monomials share one degree."""

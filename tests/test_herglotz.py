@@ -32,7 +32,7 @@ from loewner import (
     verification_samples,
     verify_subordination_chain,
 )
-from loewner import cli, herglotz, jets
+from loewner import cli, herglotz, jets, normal_form
 from loewner.cli import report_text
 from loewner.herglotz import _difference_stencil, _segments
 from loewner.normal_form import jacobian_points
@@ -832,11 +832,29 @@ def test_built_and_loaded_chain_share_every_transition_bit(field):
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
 
-def test_normalize_field_normalizes_the_flow_at_the_working_order():
-    # the first pass integrates at order 6, the normalization asks for 7
+def test_normalize_field_normalizes_the_flow_at_the_working_order(monkeypatch):
+    # the first pass integrates at order 6, the normalization asks for 7,
+    # and the family re-integrates the flow there: two passes, one per order
+    passes, integrated = [], []
+    estimate = normal_form.estimate_constants
+    discretize_ = herglotz.discretize
+
+    def counted_estimate(family, *args, **kwargs):
+        passes.append(family.order)
+        return estimate(family, *args, **kwargs)
+
+    def counted_discretize(evolution, *args, **kwargs):
+        integrated.append(evolution.order)
+        return discretize_(evolution, *args, **kwargs)
+
+    monkeypatch.setattr(normal_form, "estimate_constants", counted_estimate)
+    monkeypatch.setattr(herglotz, "discretize", counted_discretize)
     field = counterexample_field(c=0.4)
     evolution, result = normalize_field(ContinuousEvolution(field, 2), 2)
+    assert passes == [6, 7] and integrated == [6, 7]
+    monkeypatch.undo()
     assert evolution.order == result.work_order == 7 and result.order == 2
+    assert result.family.evolution is evolution
     for got, want in zip(result.family.steps, discretize(evolution, 2).steps, strict=True):
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
     # verify's rebuild: an evolution at the working order is kept, with its
