@@ -33,7 +33,7 @@ from .herglotz import (
     normalize_field,
     verify_subordination_chain,
 )
-from .jets import PolyJet
+from .jets import PolyJet, _tables
 from .normal_form import (
     DiscreteEvolutionFamily,
     TriangularFamily,
@@ -75,8 +75,18 @@ def _load(path: str) -> dict:
 
 _string = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_TERM_KEYS = {"component", "im", "index", "re"}
-_INT = {int}
+
+
+class _Jet(dict):
+    """A jet in a report document.  As a dict it is the jet's document
+    PolyJet.to_json_dict(), so json.dumps writes it as ever; report_text
+    writes its text straight from the coefficient array."""
+
+    __slots__ = ("jet",)
+
+    def __init__(self, jet: PolyJet):
+        super().__init__(jet.to_json_dict())
+        self.jet = jet
 
 
 def report_text(doc) -> str:
@@ -88,13 +98,12 @@ def report_text(doc) -> str:
     isinstance order, so subclasses (np.float64) are written as json writes
     them, and raises json's TypeError for an object json cannot write.  Dict
     keys must be str; json would write int keys as strings, reports have
-    none.  A coefficient term, a dict of exactly an int component, an index
-    list of ints and float re and im, is written by filling a frame built
-    once per (indentation, component, index) with its two floats.  Frames
-    are kept for one call only.
+    none.  A jet the command line hands over as a _Jet is written from its
+    coefficients: the nonzero ones in flat order, each filling the frame of
+    its position with its two parts.
     """
     out: list[str] = []
-    _write(doc, "\n", out.append, {})
+    _write(doc, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
@@ -104,28 +113,35 @@ def _float_text(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def _term_text(x, nl: str, frames: dict) -> str | None:
-    """A term's text on a line indented as nl, or None if x is not a term.
-    frames maps (nl, component, *index) to the text around its two floats."""
-    if type(x) is not dict or x.keys() != _TERM_KEYS:
-        return None
-    c, index, re, im = x["component"], x["index"], x["re"], x["im"]
-    if (type(c) is not int or type(index) is not list or type(re) is not float
-            or type(im) is not float or set(map(type, index)) != _INT):
-        return None
-    key = (nl, c, *index)
-    frame = frames.get(key)
-    if frame is None:
-        inner = nl + "  "
-        listed = f",{inner}  ".join(map(str, index))
-        # no "%" in a frame but its two slots: the rest is keys and ints
-        frame = frames[key] = (
-            f'{{{inner}"component": {c},{inner}"im": %s,{inner}"index": '
-            f'[{inner}  {listed}{inner}],{inner}"re": %s{nl}}}')
-    return frame % (_float_text(im), _float_text(re))
+@lru_cache(maxsize=8)
+def _term_frames(q: int, order: int, nl: str) -> tuple[str, ...]:
+    """The text of the term at each flat position j * count + rank of a
+    (q, order) coefficient block, on a line indented as nl, with %r where
+    its im and re parts go.  No other "%" is in a frame: the rest is keys
+    and ints."""
+    inner = nl + "  "
+    listed = [f",{inner}  ".join(map(str, I)) for I in _tables(q, order).indices]
+    return tuple(f'{{{inner}"component": {j + 1},{inner}"im": %r,{inner}"index": '
+                 f'[{inner}  {index}{inner}],{inner}"re": %r{nl}}}'
+                 for j in range(q) for index in listed)
 
 
-def _write(x, nl: str, put, frames: dict) -> None:
+def _jet_text(jet: PolyJet, nl: str) -> str:
+    """jet.to_json_dict()'s text on a line indented as nl.  A jet's parts
+    are finite, so %r writes each as json does."""
+    inner, item = nl + "  ", nl + "    "
+    head = f'{{{inner}"order": {jet.order},{inner}"q": {jet.q},{inner}"terms": '
+    flat = np.flatnonzero(jet.coeffs)
+    if not flat.size:
+        return f"{head}[]{nl}}}"
+    frames = _term_frames(jet.q, jet.order, item)
+    # (im, re) of each term in turn, the order of its frame's slots
+    parts = jet.coeffs.reshape(-1)[flat].view(float).reshape(-1, 2)[:, ::-1]
+    terms = f",{item}".join(map(frames.__getitem__, flat.tolist()))
+    return f"{head}[{item}{terms % tuple(parts.reshape(-1).tolist())}{inner}]{nl}}}"
+
+
+def _write(x, nl: str, put) -> None:
     """Put x's text on a line indented as nl: nl is a newline and the
     indentation.  Module functions, not closures, so that no reference
     cycle keeps the written pieces alive after report_text returns."""
@@ -149,13 +165,11 @@ def _write(x, nl: str, put, frames: dict) -> None:
         sep, comma = "[" + inner, "," + inner
         for item in x:
             put(sep)
-            text = _term_text(item, inner, frames)
-            if text is None:
-                _write(item, inner, put, frames)
-            else:
-                put(text)
+            _write(item, inner, put)
             sep = comma
         put(nl + "]")
+    elif type(x) is _Jet:
+        put(_jet_text(x.jet, nl))
     elif isinstance(x, dict):
         if not x:
             put("{}")
@@ -165,7 +179,7 @@ def _write(x, nl: str, put, frames: dict) -> None:
         for key in sorted(x):
             # _string raises TypeError for a key that is not a str
             put(sep + _string(key) + ": ")
-            _write(x[key], inner, put, frames)
+            _write(x[key], inner, put)
             sep = comma
         put(nl + "}")
     else:
@@ -274,7 +288,7 @@ def cmd_normalform(args) -> int:
                                    horizon=args.horizon, tau=args.tau)
     else:
         raise _Malformed("document is neither a field ('Lambda') nor a family ('steps')")
-    out = {"schema": "loewner-normalform/1", **result.to_json_dict()}
+    out = {"schema": "loewner-normalform/1", **result.report_entries(_Jet)}
     _dump(out, args.output)
 
     cs = result.constants
@@ -305,7 +319,7 @@ def cmd_chain(args) -> int:
     field = _field_from_doc(doc)
     _check_order_flag(args, field.q)
     chain = build_chain(field, horizon=args.horizon, order=args.order, tau=args.tau)
-    _dump(chain.to_json_dict(), args.output)
+    _dump(chain.document(_Jet), args.output)
     cert = "none (resonances present)" if chain.certificate is None \
         else f"{chain.certificate:.6g}"
     _say(args, f"chain: horizon {chain.horizon}, order {chain.order}, "

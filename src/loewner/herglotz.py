@@ -20,7 +20,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -488,12 +488,28 @@ def _series_terms(x: float, y: float, tail: float) -> int:
     Cauchy's estimate bounds the tail past u^K by
     exp(r x + r^2 y / 2) r^-(K + 1) r / (r - 1) for every r > 1; r is the
     minimizer of the first two factors.
+
+    The search starts where that bound can first pass.  With m = K + 1,
+    r is the root of y r^2 + x r = m, so r x + r^2 y / 2 is at least m / 2
+    (m when y = 0), and passing needs m log r > L + m / 2 (L + m), where
+    L = -log(tail).  As r <= m / x and r <= sqrt(m / y), that asks for
+    m log(m / c) > L' with c = x sqrt(e) (x e) and L' = L, and with
+    c = y e and L' = 2 L.  The root of m log(m / c) = L' lies above
+    L' / log(1 + L' / c), since Lambert's W(z) <= log(1 + z), so every m up
+    to the larger bound fails; the search starts one below it, against the
+    rounding of the bound itself.
     """
     K = 1
+    L = -math.log(tail)
+    if L > 0.0:
+        cx = x * (math.e if y == 0.0 else math.sqrt(math.e))
+        bound = max(L / math.log1p(L / cx) if x > 0.0 else 0.0,
+                    2.0 * L / math.log1p(2.0 * L / (y * math.e)) if y > 0.0 else 0.0)
+        K = max(1, math.floor(bound) - 1)
     while True:
         r = 2.0 * (K + 1) / (x + math.sqrt(x * x + 4.0 * y * (K + 1)))
         if r > 1.0 and (r * x + 0.5 * r * r * y - (K + 1) * math.log(r)
-                        + math.log(r / (r - 1.0))) <= math.log(tail):
+                        + math.log(r / (r - 1.0))) <= -L:
             return K
         K += 1
 
@@ -869,6 +885,11 @@ class LoewnerChain:
         return out[:, 0] if single else out
 
     def to_json_dict(self) -> dict:
+        return self.document(PolyJet.to_json_dict)
+
+    def document(self, jet_entry: Callable[[PolyJet], object]) -> dict:
+        """The chain document, each chain jet written as jet_entry(jet):
+        to_json_dict gives plain JSON."""
         return {
             "schema": "loewner-chain/1",
             "q": self.q,
@@ -879,7 +900,7 @@ class LoewnerChain:
             "certificate_step": self.certificate_step,
             "field": self.field.to_json_dict(),
             "resonances": self.resonances.to_json_dict(),
-            "jets": [j.to_json_dict() for j in self.chain_jets],
+            "jets": [jet_entry(j) for j in self.chain_jets],
         }
 
     @staticmethod

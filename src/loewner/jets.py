@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -332,30 +334,85 @@ class PolyJet:
 
     def to_json_dict(self) -> dict:
         t = self.tables
-        flat, values = self.flat_terms()
-        terms = [{"component": k // t.count + 1, "index": list(t.indices[k % t.count]),
-                  "re": c.real, "im": c.imag} for k, c in zip(flat, values)]
+        flat = np.flatnonzero(self.coeffs)
+        values = self.coeffs.reshape(-1)[flat]
+        component, rank = np.divmod(flat, t.count)
+        terms = [{"component": j, "index": list(t.indices[r]), "re": re, "im": im}
+                 for j, r, re, im in zip((component + 1).tolist(), rank.tolist(),
+                                         values.real.tolist(), values.imag.tolist())]
         return {"q": self.q, "order": self.order, "terms": terms}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "PolyJet":
+        """The jet of a {"q", "order", "terms"} document.
+
+        A term list as documents hold it (int components, index lists of
+        ints, float parts) fills the coefficient block in one scatter,
+        checked as arrays.  Any other list, and any list those checks
+        refuse, is read term by term, so a refusal names the first bad term
+        with the message of the term loop.
+        """
         q = int(data["q"])
         order = int(data["order"])
         t = _tables(q, order)
-        c = np.zeros((q, t.count), dtype=complex)
-        seen = set()
-        for term in data["terms"]:
-            j = int(term["component"]) - 1
-            I = tuple(int(e) for e in term["index"])
-            if not 0 <= j < q:
-                raise ValueError(f"component {j + 1} out of range for q={q}")
-            if len(I) != q or any(e < 0 for e in I) or not 1 <= sum(I) <= order:
-                raise ValueError(f"bad multi-index {list(I)} for q={q}, order={order}")
-            if (j, I) in seen:
-                raise ValueError(f"term (component {j + 1}, index {list(I)}) is listed twice")
-            seen.add((j, I))
-            c[j, t.rank[I]] = complex(float(term["re"]), float(term["im"]))
+        c = _filled(q, order, data["terms"])
+        if c is None:
+            c = _read_terms(q, order, t, data["terms"])
         return PolyJet(q, order, c)
+
+
+_TERM_PARTS = itemgetter("component", "index", "re", "im")
+
+
+@lru_cache(maxsize=None)
+def _term_positions(q: int, order: int) -> dict[tuple[int, MultiIndex], int]:
+    """Flat position j * count + rank in a coefficient block of every term
+    (component j + 1, index) a jet of (q, order) stores."""
+    t = _tables(q, order)
+    return {(j + 1, I): j * t.count + r for j in range(q)
+            for r, I in enumerate(t.indices) if r}
+
+
+def _filled(q: int, order: int, terms) -> np.ndarray | None:
+    """The coefficient block of a term list, or None where _read_terms must
+    read it: anything but a list of term dicts with an int component in
+    1..q, an index list of ints naming a monomial of degree 1..order and
+    float parts, each (component, index) once."""
+    if type(terms) is not list:
+        return None
+    try:
+        comps, indices, re, im = zip(*map(_TERM_PARTS, terms))
+        flat = list(map(_term_positions(q, order).__getitem__,
+                        zip(comps, map(tuple, indices))))
+    except (KeyError, TypeError, ValueError):
+        # ValueError: an empty list, which the loop reads at no cost
+        return None
+    if not (len(set(flat)) == len(flat)
+            and {int}.issuperset(map(type, chain(comps, chain.from_iterable(indices))))
+            and {float}.issuperset(map(type, chain(re, im)))):
+        return None
+    c = np.zeros(q * _tables(q, order).count, dtype=complex)
+    c[flat] = list(map(complex, re, im))
+    return c.reshape(q, -1)
+
+
+def _read_terms(q: int, order: int, t: _Tables, terms) -> np.ndarray:
+    """The coefficient block of a term list, read and checked one term at a
+    time."""
+    c = np.zeros((q, t.count), dtype=complex)
+    seen = set()
+    for term in terms:
+        j = int(term["component"]) - 1
+        I = tuple(int(e) for e in term["index"])
+        if not 0 <= j < q:
+            raise ValueError(f"component {j + 1} out of range for q={q}")
+        if len(I) != q or any(e < 0 for e in I) or not 1 <= sum(I) <= order:
+            raise ValueError(f"bad multi-index {list(I)} for q={q}, order={order}")
+        if (j, I) in seen:
+            raise ValueError(f"term (component {j + 1}, index {list(I)}) is listed twice")
+        seen.add((j, I))
+        c[j, t.rank[I]] = complex(float(term["re"]), float(term["im"]))
+    return c
 
 
 # ---------------------------------------------------------------------- #

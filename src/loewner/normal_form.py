@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .homological import solve_difference
 from .jets import (PolyJet, PowerTable, compose, evaluate_triangular_inverse_many,
@@ -285,10 +284,28 @@ class TriangularFamily:
         return out
 
 
-# coefficients one stacked (blocks, q, count) array of _window_sides holds at
-# most (one block at least): 64 KB, so a group's stacks and the temporaries
-# reduced from them stay small beside the steps' power tables
+# coefficients one stacked (chunk, q, count) array holds at most (one block
+# at least): 64 KB, so the window's side products and the s search's
+# gradient bounds and SVDs keep their temporaries small beside the steps'
+# power tables.  Stacking a whole group of the window's blocks instead
+# raised the peak resident memory of a families run by about 1.3 MB
 _STACK_COEFFS = 4096
+
+
+def _first_seen(keys: Iterable, count: int) -> np.ndarray:
+    """For each of `count` keys, the position of the first equal key: one
+    label per distinct key, as one dict pass in C."""
+    seen: dict = {}
+    return np.fromiter(map(seen.setdefault, keys, range(count)), dtype=np.intp, count=count)
+
+
+def _rows_of(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions of the distinct entries, row of every entry among them)
+    from the first-seen labels `at`."""
+    first = np.flatnonzero(at == np.arange(at.size))
+    row = np.empty(at.size, dtype=np.intp)
+    row[first] = np.arange(first.size)
+    return first, row[at]
 
 
 def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
@@ -298,57 +315,90 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     per distinct (k_{n+1}, phi_n, T_n, k_n), a group of those at a time.
 
     Yields (blocks, lhs, rhs) with lhs[i], rhs[i] the (q, count) coefficient
-    blocks of the two sides at every step of the list blocks[i].  Steps
+    blocks of the two sides at every step of the array blocks[i].  Steps
     share a block when they share the k_{n+1} and k_n jets (k holds every
     k_n alive, so a shared id is a shared jet), phi_n's power table and
-    T_n bit for bit, compared only with the earlier T_m of those three (a
-    shared T_n object needs no comparison).  Power tables come from
-    `tables`, keyed by the step's value (equal steps are often distinct
-    objects) and filled on first use; each distinct step object is keyed
-    once per call, so a window's constant tail costs a lookup per step.
+    T_n's bits through `order`.  The blocks come from arrays: the distinct
+    k jets and the distinct T values each enter one stack, each distinct
+    step object is keyed once, and the four parts of every step make one
+    integer code.  Power tables come from `tables`, keyed by the step's
+    value (equal steps are often distinct objects) and filled on first use.
     A group of blocks shares the power table, the monomials k_{n+1} uses
-    and those T_n uses, so each side is one batched matmul: numpy runs one
-    gemm per block, of the shapes compose uses, and every block equals
-    compose's bit for bit.  T_n o k_n reads only the coordinates of k_n
-    when T_n is linear; a T_n with nonlinear terms is composed block by
-    block.  A group runs in chunks of at most _STACK_COEFFS coefficients
-    per stack.
+    and those T_n uses, so the table rows of that support are gathered once
+    per group, and k_{n+1} o phi_n is one gemm of the blocks' rows stacked
+    over them, in chunks of at most _STACK_COEFFS coefficients per stack.
+    Each row equals compose's bit for bit (at q = 1 numpy runs a block's
+    one-row product as gemv, which rounds otherwise, so there each block is
+    its own product).  T_n o k_n reads only the coordinates of k_n when T_n
+    is linear, one gemm per block; a T_n with nonlinear terms is composed
+    block by block.
     """
-    t = _tables(family.q, order)
+    q = family.q
+    t = _tables(q, order)
     width = t.count
-    shared: dict[tuple, list[list[int]]] = {}
-    groups: dict[tuple, tuple] = {}
-    for n, key in zip(steps, _value_keys([family.step(n) for n in steps])):
+    steps = np.asarray(steps, dtype=np.intp)
+    k_first, k_row = _rows_of(_first_seen(map(id, k), len(k)))
+    K = np.stack([k[i].coeffs[:, :width] for i in k_first.tolist()])
+    # T_n by its bits: a window usually holds one T jet, a resonant one a few
+    t_first, t_row = _rows_of(_first_seen(map(id, T), len(T)))
+    TS = np.stack([T[i].coeffs[:, :width] for i in t_first.tolist()])
+    if len(TS) > 1:
+        t_value, t_of = _rows_of(_first_seen(map(np.ndarray.tobytes, TS), len(TS)))
+        TS, t_row = TS[t_value], t_of[t_row]
+    # phi_n past the stored steps repeats the last one; one power table per
+    # distinct step value, each step object keyed once
+    objects = np.minimum(steps, len(family.steps) - 1)
+    table_row: dict[tuple, int] = {}
+    s_row = np.empty(len(family.steps), dtype=np.intp)
+    for i in set(objects.tolist()):
+        key = _value_key(family.steps[i])
         if key not in tables:
-            tables[key] = PowerTable(family.step(n))
-        table = tables[key]
-        same = shared.setdefault((id(k[n + 1]), id(table), id(k[n])), [])
-        tn = T[n].coeffs[:, :width]
-        block = next((b for b in same if T[b[0]] is T[n]
-                      or np.array_equal(T[b[0]].coeffs[:, :width], tn)), None)
-        if block is not None:
-            block.append(n)
-            continue
-        same.append([n])
-        ks = _support(k[n + 1].coeffs[:, :width])
-        ts = _support(tn)
-        gkey = (id(table), ks.tobytes(), ts.tobytes())
-        groups.setdefault(gkey, (table, ks, ts, []))[3].append(same[-1])
-    chunk = max(1, _STACK_COEFFS // (family.q * width))
-    for table, ks, ts, members in groups.values():
-        for start in range(0, len(members), chunk):
-            blocks = members[start:start + chunk]
-            ns = [b[0] for b in blocks]
-            outer = np.stack([k[n + 1].coeffs[:, ks] for n in ns])
-            lhs = np.matmul(outer, table.table[table.pos[ks], :width])
-            if ts.size and t.degrees[ts[-1]] > 1:
-                rhs = np.stack([_compose_arrays(t.q, order, T[n].coeffs[:, :width],
-                                                k[n].coeffs[:, :width]) for n in ns])
+            tables[key] = PowerTable(family.steps[i])
+        s_row[i] = table_row.setdefault(key, len(table_row))
+    table_list = [tables[key] for key in table_row]
+    nk, nt = len(K), len(TS)
+    code = ((k_row[steps + 1] * nt + t_row[steps]) * nk + k_row[steps]) * len(table_list) \
+        + s_row[objects]
+    block_at = _first_seen(code.tolist(), code.size)
+    by_block = np.argsort(block_at, kind="stable")
+    members = np.split(steps[by_block], np.flatnonzero(np.diff(block_at[by_block])) + 1)
+    head = block_at == np.arange(code.size)
+    b_next, b_T, b_k = k_row[steps[head] + 1], t_row[steps[head]], k_row[steps[head]]
+    b_table = s_row[objects[head]]
+    # the monomials each distinct k_{n+1} and T_n uses (rank 0 is the
+    # constant monomial, which never has a power row)
+    k_used = (K != 0).any(axis=1)
+    k_used[:, 0] = False
+    t_used = (TS != 0).any(axis=1)
+    t_used[:, 0] = False
+    k_support = _first_seen(map(np.ndarray.tobytes, k_used), nk)
+    t_support = _first_seen(map(np.ndarray.tobytes, t_used), nt)
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(b_table.tolist(), k_support[b_next].tolist(),
+                                t_support[b_T].tolist())):
+        groups.setdefault(key, []).append(i)
+    qi = np.arange(q)[:, None]
+    chunk = max(1, _STACK_COEFFS // (q * width))
+    for ids in groups.values():
+        table = table_list[b_table[ids[0]]]
+        ks = np.flatnonzero(k_used[b_next[ids[0]]])
+        ts = np.flatnonzero(t_used[b_T[ids[0]]])
+        rows = table.table[table.pos[ks], :width]
+        coords = t.parent_var[ts][:, None]
+        for start in range(0, len(ids), chunk):
+            part = np.array(ids[start:start + chunk])
+            outer = K[b_next[part][:, None, None], qi, ks]
+            if q == 1:
+                lhs = np.matmul(outer, rows)
             else:
-                coords = t.parent_var[ts]
-                rhs = np.matmul(np.stack([T[n].coeffs[:, ts] for n in ns]),
-                                np.stack([k[n].coeffs[coords, :width] for n in ns]))
-            yield blocks, lhs, rhs
+                lhs = (outer.reshape(-1, ks.size) @ rows).reshape(part.size, q, width)
+            if ts.size and t.degrees[ts[-1]] > 1:
+                rhs = np.stack([_compose_arrays(q, order, TS[b_T[j]], K[b_k[j]])
+                                for j in part.tolist()])
+            else:
+                rhs = np.matmul(TS[b_T[part][:, None, None], qi, ts],
+                                K[b_k[part][:, None, None], coords, range(width)])
+            yield [members[j] for j in part.tolist()], lhs, rhs
 
 
 def _window_shape(k: Sequence[PolyJet], T: Sequence[PolyJet]) -> tuple[int, int]:
@@ -397,9 +447,10 @@ def defect(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
         sizes = np.maximum(np.abs(lhs).max(axis=(1, 2)), np.abs(rhs).max(axis=(1, 2)))
         lhs -= rhs
         lows = np.abs(lhs[:, :, :cut]).max(axis=(1, 2))
-        # each block is written in place to every step that shares it
-        for i, ns in enumerate(blocks):
-            scale[ns], low[ns], out[ns] = sizes[i], lows[i], lhs[i, :, cut:]
+        # each block is written to every step that shares it
+        ns = np.concatenate(blocks)
+        which = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        scale[ns], low[ns], out[ns] = sizes[which], lows[which], lhs[which, :, cut:]
     bad = np.flatnonzero(low > _IDENTITY_BREAK_TOL * np.maximum(scale, 1.0))
     if bad.size:
         n = int(bad[0])
@@ -435,6 +486,36 @@ def _substituted(N: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_heads(jets: Sequence[PolyJet], rows: np.ndarray) -> np.ndarray:
+    """First-seen labels of the distinct (jet object, row bits) pairs:
+    jets[i] is held alive by the caller, so a shared id is a shared jet, and
+    rows[i] is a block of a contiguous stack.  Bits are compared as words
+    with the pair's first jet; only a mismatch there, two distinct rows on
+    one jet, takes a dict of their bytes."""
+    at = _first_seen(map(id, jets), len(jets))
+    words = rows.reshape(len(rows), -1).view(np.uint64)
+    if (words == words[at]).all():
+        return at
+    return _first_seen(zip(at.tolist(), map(np.ndarray.tobytes, words)), len(jets))
+
+
+def _updated(jets: Sequence[PolyJet], steps: np.ndarray, blocks: np.ndarray,
+             lo: int, hi: int) -> tuple[np.ndarray, list[PolyJet]]:
+    """One new jet per distinct (jets[n], blocks[i]) pair over n = steps[i]:
+    the jet with the block added to its columns lo:hi, all formed in one
+    stack.  Returns the row of each step's jet in the list of new jets,
+    that list, and the first step of each, in step order."""
+    at = _pair_heads([jets[n] for n in steps.tolist()], blocks)
+    heads = np.flatnonzero(at == np.arange(at.size))
+    firsts = steps[heads].tolist()
+    stack = np.stack([jets[n].coeffs for n in firsts])
+    stack[:, :, lo:hi] += blocks[heads]
+    row = np.empty(at.size, dtype=np.intp)
+    row[heads] = np.arange(heads.size)
+    q, order = jets[0].q, jets[0].order
+    return row[at], [PolyJet(q, order, c) for c in stack], firsts
+
+
 def _split_defect(T: Sequence[PolyJet], P: np.ndarray, resonant: np.ndarray,
                   rows: np.ndarray, degree: int
                   ) -> tuple[tuple[PolyJet, ...], np.ndarray, float]:
@@ -451,20 +532,16 @@ def _split_defect(T: Sequence[PolyJet], P: np.ndarray, resonant: np.ndarray,
     lo, hi = _tables(q, work).offsets[degree:degree + 2]
     kept = P[:, resonant]
     new_T = list(T)
-    # T holds every T_n alive, so a shared id is a shared jet
-    made: dict[tuple, PolyJet] = {}
-    for n in np.flatnonzero(kept.any(axis=1)):
-        key = (id(T[n]), kept[n].tobytes())
-        if key in made:
-            new_T[n] = made[key]
-            continue
-        c = np.array(T[n].coeffs)
-        c[:, lo:hi] += np.where(resonant, P[n], 0.0)
-        new_T[n] = made[key] = PolyJet(q, work, c)
-        if not is_triangular(new_T[n]):
-            raise ValueError(
-                f"resonant defect at step {n}, degree {degree} falls off "
-                "the triangular shape; resonance classification conflict")
+    live = np.flatnonzero(kept.any(axis=1))
+    if live.size:
+        row, made, firsts = _updated(T, live, np.where(resonant, P[live], 0.0), lo, hi)
+        for jet, n in zip(made, firsts):
+            if not is_triangular(jet):
+                raise ValueError(
+                    f"resonant defect at step {n}, degree {degree} falls off "
+                    "the triangular shape; resonance classification conflict")
+        for n, r in zip(live.tolist(), row.tolist()):
+            new_T[n] = made[r]
     P[:, resonant] = 0.0
     forcing = _substituted(P, rows)
     np.negative(forcing, out=forcing)
@@ -503,20 +580,13 @@ def normal_form_step(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
 
     lo, hi = _tables(q, work).offsets[degree:degree + 2]
     new_k = list(k)
-    # fields repeat (H_n, k_n): k holds every k_n alive, so a shared id is
-    # a shared jet, and H_n is compared bit for bit with the earlier H_m
-    # of that jet only, which keeps no copies of the window's blocks
-    updated: dict[int, list[int]] = {}
-    for n in np.flatnonzero(H.any(axis=(1, 2))):
-        same = updated.setdefault(id(k[n]), [])
-        h = H[n].tobytes()
-        m = next((m for m in same if H[m].tobytes() == h), n)
-        if m == n:
-            c = np.array(k[n].coeffs)
-            c[:, lo:hi] += H[n]
-            new_k[n] = PolyJet(q, work, c)
-            same.append(n)
-        new_k[n] = new_k[m]
+    # fields repeat (H_n, k_n): each distinct pair makes one new jet, and
+    # steps with H_n = 0 keep k_n
+    moved = np.flatnonzero(H.any(axis=(1, 2)))
+    if moved.size:
+        row, made, _ = _updated(k, moved, H[moved], lo, hi)
+        for n, r in zip(moved.tolist(), row.tolist()):
+            new_k[n] = made[r]
     report = StageReport(degree, resonant_norm, float(residuals.max()))
     return tuple(new_k), new_T, report
 
@@ -598,6 +668,15 @@ def _poly_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
         out[0] += c
         out = _trim(out)
     return out
+
+
+def _polyval(x: float, series: np.ndarray) -> float:
+    """sum_d series[d] x^d by numpy.polynomial's polyval recurrence (Horner
+    from c[-1] + x * 0), so the same floats without importing it."""
+    value = series[-1] + x * 0
+    for c in series[-2::-1]:
+        value = c + value * x
+    return float(value)
 
 
 def _defect_sup_majorant(family: DiscreteEvolutionFamily,
@@ -710,7 +789,7 @@ def estimate_constants(family: DiscreteEvolutionFamily,
             ti = _majorant_series(inverses[last_key])
             total = _poly_compose(ti, _majorant_series(step))
             total[1] = max(0.0, total[1] - 1.0)  # one round trip against the identity
-            worst = max(worst, float(npp.polyval(r, total)))
+            worst = max(worst, _polyval(r, total))
         C = math.sqrt(q) * worst / r ** ell
     return NormalFormConstants(alpha, r, s, beta, ell, report.p, C)
 
@@ -787,9 +866,14 @@ class ConjugacyResult:
         return self.triangular.inverse_evaluate(n, m, w)
 
     def to_json_dict(self) -> dict:
-        """The normalform report's entries: normalizers holds k_0 .. k_horizon
-        through order, the normal form the report states; triangular holds
-        every T_n of the working window as built."""
+        """The normalform report's entries as plain JSON."""
+        return self.report_entries(PolyJet.to_json_dict)
+
+    def report_entries(self, jet_entry: Callable[[PolyJet], object]) -> dict:
+        """The normalform report's entries, each jet written as
+        jet_entry(jet): normalizers holds k_0 .. k_horizon through order,
+        the normal form the report states; triangular holds every T_n of
+        the working window as built."""
         return {
             "q": self.q,
             "order": self.order,
@@ -802,9 +886,9 @@ class ConjugacyResult:
             "defect_sup": self.defect_sup,
             "constants": self.constants.as_dict(),
             "resonances": self.resonance_report.to_json_dict(),
-            "normalizers": [k.truncated(self.order).to_json_dict()
+            "normalizers": [jet_entry(k.truncated(self.order))
                             for k in self.normalizers[:self.horizon + 1]],
-            "triangular": [t.to_json_dict() for t in self.triangular.steps],
+            "triangular": [jet_entry(t) for t in self.triangular.steps],
             "convergence_log": [{"m": m, "increment": inc}
                                 for m, inc in self.convergence_log],
         }

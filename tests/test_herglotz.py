@@ -2,9 +2,11 @@
 
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,6 +600,49 @@ def test_integrate_jet_overflow_names_finiteness():
         # the pieces and terms of _transition's one series over [0, 1]
         _, pieces, terms = herglotz._series(f, f._stage(3), 0.0, 1.0, herglotz.SERIES_TAIL)
     assert pieces <= 4 and terms <= 100
+
+
+def _series_terms_upward(x, y, tail):
+    """_series_terms' search from K = 1: the reference its start must keep."""
+    K = 1
+    while True:
+        r = 2.0 * (K + 1) / (x + math.sqrt(x * x + 4.0 * y * (K + 1)))
+        if r > 1.0 and (r * x + 0.5 * r * r * y - (K + 1) * math.log(r)
+                        + math.log(r / (r - 1.0))) <= math.log(tail):
+            return K
+        K += 1
+
+
+def _benchmark_series_arguments(monkeypatch):
+    """(x, y, tail) of every series the seed-12, round-0 chains of the
+    perfbench field workloads run, recorded from _series_terms."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(root))
+    import workloads
+    seen = []
+    terms = herglotz._series_terms
+    monkeypatch.setattr(herglotz, "_series_terms",
+                        lambda *args: seen.append(args) or terms(*args))
+    for name in ("fields-autonomous", "fields-timevarying"):
+        for i, slot in enumerate(workloads.WORKLOADS[name]):
+            doc = slot.make(np.random.default_rng([12, i]))
+            build_chain(HerglotzFieldSpec.from_json_dict(doc))
+    monkeypatch.setattr(herglotz, "_series_terms", terms)
+    return seen
+
+
+def test_series_terms_start_keeps_the_upward_search(monkeypatch):
+    # the closed-form start skips only term counts whose bound must fail:
+    # on a grid of pieces and tails, and on every series the benchmark's
+    # field documents run, the count is the search from 1's
+    grid = list(itertools.product(
+        [0.0, 1e-9, 1e-4, 0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 5.0, 20.0],
+        [0.0, 1e-9, 1e-4, 0.01, 0.05, 0.5, 2.0, 10.0],
+        [herglotz.SERIES_TAIL, 1e-30, 1e-12, 1e-6, 0.1, 0.9, 1.0, 2.0]))
+    recorded = _benchmark_series_arguments(monkeypatch)
+    assert len(recorded) > 50
+    for x, y, tail in [g for g in grid if g[0] or g[1]] + recorded:
+        assert herglotz._series_terms(x, y, tail) == _series_terms_upward(x, y, tail), (x, y, tail)
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, 1.0])

@@ -14,6 +14,8 @@ from loewner.cli import report_text
 from loewner.jets import (
     _PRODUCT_TRIPLES,
     PowerTable,
+    _filled,
+    _read_terms,
     _gradient_bounds,
     _monomial_values,
     _mul_plan,
@@ -734,3 +736,119 @@ def test_triangular_inverse_rejects_vanishing_diagonal_on_every_call():
     for _ in range(2):  # the plan is cached, the refusal is not skipped
         with pytest.raises(ValueError, match="vanishing diagonal"):
             evaluate_triangular_inverse_many(g, np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------- #
+# the reader's array fill against the term loop
+
+
+def _read(doc):
+    """What PolyJet.from_json_dict makes of doc: its coefficient bytes, or
+    the type and message of what it raises."""
+    try:
+        return PolyJet.from_json_dict(doc).coeffs.tobytes()
+    except Exception as e:  # the refusal itself is compared
+        return type(e), str(e)
+
+
+def _read_by_loop(doc):
+    q, order = int(doc["q"]), int(doc["order"])
+    try:
+        return PolyJet(q, order, _read_terms(q, order, _tables(q, order),
+                                             doc["terms"])).coeffs.tobytes()
+    except Exception as e:
+        return type(e), str(e)
+
+
+# one defect each: what the loop refuses, and what its int() and float()
+# read although a document would not hold it
+_DEFECTS = {
+    "component 0": lambda t: {**t, "component": 0},
+    "component above q": lambda t: {**t, "component": 4},
+    "component -1": lambda t: {**t, "component": -1},
+    "huge component": lambda t: {**t, "component": 2 ** 70},
+    "short index": lambda t: {**t, "index": t["index"][:-1]},
+    "long index": lambda t: {**t, "index": [*t["index"], 0]},
+    "negative exponent": lambda t: {**t, "index": [-1, *t["index"][1:]]},
+    "degree zero": lambda t: {**t, "index": [0] * len(t["index"])},
+    "degree above order": lambda t: {**t, "index": [9, *t["index"][1:]]},
+    "index not a list": lambda t: {**t, "index": 3},
+    "str component": lambda t: {**t, "component": str(t["component"])},
+    "float component": lambda t: {**t, "component": float(t["component"])},
+    "bool component": lambda t: {**t, "component": True},
+    "str in index": lambda t: {**t, "index": [str(t["index"][0]), *t["index"][1:]]},
+    "float in index": lambda t: {**t, "index": [float(t["index"][0]), *t["index"][1:]]},
+    "bool in index": lambda t: {**t, "index": [bool(t["index"][0]), *t["index"][1:]]},
+    "int part": lambda t: {**t, "re": 1},
+    "str part": lambda t: {**t, "im": "0.5"},
+    "nan part": lambda t: {**t, "re": math.nan},
+    "no re": lambda t: {k: v for k, v in t.items() if k != "re"},
+    "not a dict": lambda t: list(t.values()),
+}
+
+
+def _term_list(q=3, order=3):
+    rng = np.random.default_rng(q * 10 + order)
+    t = _tables(q, order)
+    return [{"component": j + 1, "index": list(t.indices[r]),
+             "re": float(rng.normal()), "im": float(rng.normal())}
+            for j in range(q) for r in range(1, t.count) if rng.random() < 0.6]
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+@pytest.mark.parametrize("at", [0, 5, -1])
+def test_reader_fast_path_reads_and_refuses_as_the_term_loop(defect, at):
+    # a defect at the first, a middle or the last term: the jet, or the
+    # exception type and message, is the loop's
+    terms = _term_list()
+    terms[at] = _DEFECTS[defect](terms[at])
+    doc = {"q": 3, "order": 3, "terms": terms}
+    assert _read(doc) == _read_by_loop(doc)
+
+
+@pytest.mark.parametrize("first,second", [("component 0", "degree zero"),
+                                          ("degree above order", "component 4"),
+                                          ("duplicate", "component 0")])
+def test_reader_names_the_first_bad_term(first, second):
+    defects = {**_DEFECTS, "component 4": _DEFECTS["component above q"]}
+    terms = _term_list()
+    if first == "duplicate":
+        terms[4] = {**terms[2], "re": 7.0}
+    else:
+        terms[2] = defects[first](terms[2])
+    terms[6] = defects[second](terms[6])
+    doc = {"q": 3, "order": 3, "terms": terms}
+    got = _read(doc)
+    assert got == _read_by_loop(doc)
+    assert type(got) is tuple and ("twice" if first == "duplicate" else
+                                   "bad multi-index" if "degree" in first else
+                                   "component 0") in got[1]
+
+
+def test_reader_refuses_a_duplicate_term_as_the_loop():
+    terms = _term_list()
+    terms.append({**terms[3], "re": -1.0})
+    doc = {"q": 3, "order": 3, "terms": terms}
+    assert _read(doc) == _read_by_loop(doc)
+    assert "listed twice" in _read(doc)[1]
+
+
+def test_reader_takes_document_term_lists_without_the_loop(monkeypatch):
+    # the lists a document holds never reach the term loop; anything else
+    # (a tuple of terms, a generator) is the loop's
+    terms = _term_list(4, 4)
+    doc = {"q": 4, "order": 4, "terms": terms}
+    want = _read_by_loop(doc)
+    monkeypatch.setattr("loewner.jets._read_terms", None)
+    assert PolyJet.from_json_dict(doc).coeffs.tobytes() == want
+    assert _filled(4, 4, tuple(terms)) is None
+    assert _filled(4, 4, iter(terms)) is None
+    assert _filled(4, 4, []) is None
+
+
+@given(sparse_jets())
+def test_reader_fast_path_fills_what_the_loop_reads(f):
+    doc = json.loads(report_text(f.to_json_dict()))
+    c = _filled(f.q, f.order, doc["terms"])
+    loop = _read_terms(f.q, f.order, f.tables, doc["terms"])
+    assert c is None if not doc["terms"] else c.tobytes() == loop.tobytes()

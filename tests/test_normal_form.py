@@ -1157,6 +1157,21 @@ def _poly_compose_reference(outer, inner):
     return out
 
 
+def test_polyval_matches_numpy_polynomial_bit_for_bit():
+    # estimate_constants' no-normalizer branch evaluates its majorant with
+    # numpy.polynomial's own recurrence, so the constants keep their bits
+    rng = np.random.default_rng(43)
+    cases = [(0.5, np.zeros(1)), (0.5, np.array([0.0, -0.0])), (1e-300, np.array([0.0, 5e-324]))]
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        s = rng.uniform(size=n) * (rng.uniform(size=n) < 0.7) * 10.0 ** rng.integers(-8, 8)
+        cases.append((float(rng.uniform(0.0, 0.5)), s))
+    for r, s in cases:
+        got = normal_form._polyval(r, s)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(npp.polyval(r, s)).tobytes(), (r, s)
+
+
 def test_majorant_series_arithmetic_matches_numpy_polynomial():
     # same coefficients and same lengths: trailing zeros are trimmed as
     # numpy.polynomial trims them, so `tail @ powers` reads the same terms

@@ -1,6 +1,7 @@
 """Every report is the text of json.dumps(doc, sort_keys=True, indent=2), and
 what it holds loads back bit for bit."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -15,6 +16,7 @@ from loewner.cli import _family_from_doc, main, report_text
 from loewner.herglotz import (HerglotzFieldSpec, LoewnerChain, TimeCoefficient,
                               matrix_to_json)
 from loewner.jets import PolyJet
+from loewner.normal_form import NormalFormConstants, build_normal_form
 from loewner.spectral import ResonanceReport
 
 from conftest import counterexample_field, demo_field, random_optimal_family
@@ -285,6 +287,108 @@ def test_family_document_round_trip_keeps_every_bit(parts):
     assert len(back.steps) == len(steps)
     for a, b in zip(back.steps, steps):
         assert a.coeffs.tobytes() == _unwritten_zeros(b.coeffs).tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# analyze, normalform and verify reports: the command line's form of each
+# report is written as json.dumps writes the plain one, and loads back
+
+
+# report floats may be anything json writes; jet parts are finite
+_report_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf])
+_jet_parts = _parts | st.sampled_from([1e308, -1e308])
+
+
+@st.composite
+def _report_jets(draw, q, order):
+    count = PolyJet.zero(q, order).tables.count
+    c = np.zeros((q, count), dtype=complex)
+    for j, r, re, im in draw(st.lists(st.tuples(
+            st.integers(0, q - 1), st.integers(1, count - 1), _jet_parts, _jet_parts),
+            max_size=16)):
+        c[j, r] = complex(re, im)
+    return PolyJet(q, order, c)
+
+
+def _constants(draw):
+    return NormalFormConstants(*(draw(_report_floats) for _ in range(4)),
+                               draw(st.integers(2, 9)), draw(st.integers(2, 9)),
+                               draw(_report_floats))
+
+
+@pytest.fixture(scope="module")
+def built():
+    return build_normal_form(random_optimal_family(np.random.default_rng(7), 3, 3, horizon=2))
+
+
+def _canonical(x):
+    """x with dicts as sorted items and floats as their repr, so -0.0 and
+    0.0 differ and NaN equals itself."""
+    if isinstance(x, dict):
+        return sorted((k, _canonical(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return [_canonical(v) for v in x]
+    return repr(x) if isinstance(x, float) else x
+
+
+def _loads_back(text, doc):
+    return _canonical(json.loads(text)) == _canonical(doc)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_normalform_report_round_trip(built, data):
+    # generated normalizers and numbers in a real result: the command
+    # line's report, with its jets handed over as they are, is json.dumps'
+    # text of the plain report, and every jet loads back bit for bit
+    q, order = built.q, built.order
+    written = built.horizon + 1
+    result = dataclasses.replace(
+        built, normalizers=tuple(data.draw(_report_jets(q, built.work_order))
+                                 for _ in range(written)) + built.normalizers[written:],
+        defect_sup=data.draw(_report_floats), constants=_constants(data.draw),
+        convergence_log=tuple((m, data.draw(_report_floats)) for m in range(3)))
+    text = report_text({"schema": "loewner-normalform/1", **result.report_entries(cli._Jet)})
+    plain = {"schema": "loewner-normalform/1", **result.to_json_dict()}
+    assert text == _reference(plain)
+    assert _loads_back(text, plain)
+    loaded = json.loads(text)["normalizers"]
+    assert len(loaded) == written
+    for loaded, jet in zip(loaded, result.normalizers):
+        want = _unwritten_zeros(jet.truncated(order).coeffs)
+        assert PolyJet.from_json_dict(loaded).coeffs.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40)
+@given(data=st.data(), report=_resonance_reports())
+def test_analyze_report_round_trip(data, report):
+    eigs = [complex(data.draw(_report_floats), data.draw(_report_floats)) for _ in range(2)]
+    doc = {"schema": "loewner-analysis/1", "q": 2, "order": data.draw(st.integers(2, 9)),
+           "abscissa": data.draw(_report_floats),
+           "eigenvalues": [herglotz.complex_to_json(v) for v in eigs],
+           "resonances": report.to_json_dict(), "constants": _constants(data.draw).as_dict()}
+    text = report_text(doc)
+    assert text == _reference(doc)
+    assert _loads_back(text, doc)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_verify_report_round_trip(data):
+    checks = {name: {"passed": data.draw(st.booleans()), key: data.draw(_report_floats)}
+              for name, key in [("linear-part", "defect"), ("transition-containment", "margin"),
+                                ("transition-field-match", "defect"), ("rebuild", "error")]}
+    checks["normalization-bound"] = {"passed": True, "sup": data.draw(_report_floats),
+                                     "declared": data.draw(st.none() | _report_floats)}
+    doc = {"schema": "loewner-verify/1", "passed": data.draw(st.booleans()),
+           "failures": data.draw(st.lists(st.sampled_from(sorted(checks)), max_size=3)),
+           "checks": checks,
+           "report": {"grid": data.draw(st.lists(_report_floats, max_size=4)),
+                      "samples": data.draw(st.integers(0, 12))}}
+    text = report_text(doc)
+    assert text == _reference(doc)
+    assert _loads_back(text, doc)
 
 
 # ---------------------------------------------------------------------- #
