@@ -871,16 +871,15 @@ class ConjugacyResult:
 
     def report_entries(self, jet_entry: Callable[[PolyJet], object]) -> dict:
         """The normalform report's entries, each jet written as
-        jet_entry(jet): normalizers holds k_0 .. k_horizon through order,
-        the normal form the report states; triangular holds every T_n of
-        the working window as built."""
+        jet_entry(jet): the normal form the report states, through order
+        over the window 0 .. horizon, so normalizers holds k_0 .. k_horizon
+        and triangular T_0 .. T_{horizon-1}."""
         return {
             "q": self.q,
             "order": self.order,
             "work_order": self.work_order,
             "horizon": self.horizon,
             "work_horizon": self.work_horizon,
-            "tail": "constant",
             "certificate": self.certificate,
             "cluster_sizes": list(self.cluster_sizes),
             "defect_sup": self.defect_sup,
@@ -888,7 +887,8 @@ class ConjugacyResult:
             "resonances": self.resonance_report.to_json_dict(),
             "normalizers": [jet_entry(k.truncated(self.order))
                             for k in self.normalizers[:self.horizon + 1]],
-            "triangular": [jet_entry(t) for t in self.triangular.steps],
+            "triangular": [jet_entry(t.truncated(self.order))
+                           for t in self.triangular.steps[:self.horizon]],
             "convergence_log": [{"m": m, "increment": inc}
                                 for m, inc in self.convergence_log],
         }
