@@ -185,6 +185,28 @@ class PolyJet:
     # constructors
 
     @staticmethod
+    def stacked(q: int, order: int, stack: np.ndarray) -> list["PolyJet"]:
+        """The jet of every (q, count) block of a (n, q, count) stack,
+        checked once as a stack as the constructor checks one block; each
+        jet's coefficients are a read-only view of the stack."""
+        c = np.ascontiguousarray(np.asarray(stack, dtype=complex))
+        if c.ndim != 3 or c.shape[1:] != (q, _tables(q, order).count):
+            raise ValueError(f"coefficient blocks must have shape "
+                             f"({q}, {_tables(q, order).count}), got {c.shape[1:]}")
+        if c[:, :, 0].any():
+            raise ValueError("jets fix the origin: constant coefficients must vanish")
+        if not np.isfinite(c).all():
+            raise ValueError("jet coefficients must be finite")
+        c.setflags(write=False)
+        jets = []
+        for block in c:
+            jet = object.__new__(PolyJet)
+            for name, value in (("q", q), ("order", order), ("coeffs", block)):
+                object.__setattr__(jet, name, value)
+            jets.append(jet)
+        return jets
+
+    @staticmethod
     def zero(q: int, order: int) -> "PolyJet":
         return PolyJet(q, order, np.zeros((q, _tables(q, order).count), dtype=complex))
 
@@ -736,7 +758,7 @@ def _gradient_bounds(coeffs: np.ndarray, t: _Tables, radius: float) -> np.ndarra
     e = t.exponents[1:]
     # the terms |c| e r^(d-1) as the term loop forms them: np.hypot rounds
     # like abs(complex), and the powers are Python's own
-    powers = np.array([radius ** (d - 1) for d in t.degrees[1:].tolist()])
+    powers = np.array([radius ** d for d in range(t.order)])[t.degrees[1:] - 1]
     terms = np.hypot(c.real, c.imag)[..., None] * e * powers[:, None]
     terms = np.where((c != 0)[..., None] & (e > 0), terms, 0.0)
     # accumulate sums in rank order, as the loop does (reduce sums pairwise)

@@ -360,9 +360,11 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     code = ((k_row[steps + 1] * nt + t_row[steps]) * nk + k_row[steps]) * len(table_list) \
         + s_row[objects]
     block_at = _first_seen(code.tolist(), code.size)
-    by_block = np.argsort(block_at, kind="stable")
-    members = np.split(steps[by_block], np.flatnonzero(np.diff(block_at[by_block])) + 1)
     head = block_at == np.arange(code.size)
+    # the steps of each block, blocks in order of their first step
+    by_block = steps[np.argsort(block_at, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(block_at, minlength=code.size)[head]).tolist()
+    members = [by_block[a:b] for a, b in zip([0] + ends, ends)]
     b_next, b_T, b_k = k_row[steps[head] + 1], t_row[steps[head]], k_row[steps[head]]
     b_table = s_row[objects[head]]
     # the monomials each distinct k_{n+1} and T_n uses (rank 0 is the
@@ -391,7 +393,7 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
             if q == 1:
                 lhs = np.matmul(outer, rows)
             else:
-                lhs = (outer.reshape(-1, ks.size) @ rows).reshape(part.size, q, width)
+                lhs = (outer.reshape(part.size * q, ks.size) @ rows).reshape(part.size, q, width)
             if ts.size and t.degrees[ts[-1]] > 1:
                 rhs = np.stack([_compose_arrays(q, order, TS[b_T[j]], K[b_k[j]])
                                 for j in part.tolist()])
@@ -473,16 +475,21 @@ def _substituted(N: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """N_n o A^{-1} for every block of the (window, q, M) stack N, as
     compose forms it: each block's nonzero columns times their full-width
     substitution rows of A^{-1}, cut to the degree afterwards.  Blocks with
-    the same nonzero columns share one batched matmul, one gemm per block."""
-    M = len(rows)
+    the same nonzero columns share one gemm of their rows stacked (at q = 1
+    one gemv per block, as compose runs it)."""
+    window, q, M = N.shape
     out = np.empty_like(N)
     used = (N != 0).any(axis=1)
-    groups: dict[bytes, list[int]] = {}
-    for n, row in enumerate(used):
-        groups.setdefault(row.tobytes(), []).append(n)
-    for ns in groups.values():
-        support = np.flatnonzero(used[ns[0]])
-        out[ns] = np.matmul(N[ns][:, :, support], rows[support])[:, :, -M:]
+    at = _first_seen(map(np.ndarray.tobytes, used), window)
+    for first in np.flatnonzero(at == np.arange(window)).tolist():
+        ns = np.flatnonzero(at == first)
+        support = np.flatnonzero(used[first])
+        part = N[ns][:, :, support]
+        if q == 1:
+            out[ns] = np.matmul(part, rows[support])[:, :, -M:]
+        else:
+            out[ns] = (part.reshape(ns.size * q, support.size) @ rows[support]).reshape(
+                ns.size, q, -1)[:, :, -M:]
     return out
 
 
@@ -512,8 +519,7 @@ def _updated(jets: Sequence[PolyJet], steps: np.ndarray, blocks: np.ndarray,
     stack[:, :, lo:hi] += blocks[heads]
     row = np.empty(at.size, dtype=np.intp)
     row[heads] = np.arange(heads.size)
-    q, order = jets[0].q, jets[0].order
-    return row[at], [PolyJet(q, order, c) for c in stack], firsts
+    return row[at], PolyJet.stacked(jets[0].q, jets[0].order, stack), firsts
 
 
 def _split_defect(T: Sequence[PolyJet], P: np.ndarray, resonant: np.ndarray,
@@ -632,11 +638,16 @@ class NormalFormConstants:
 def _majorant_series(jet: PolyJet) -> np.ndarray:
     """Ascending coefficients a_d = max_j sum_{|I|=d} |c_{j,I}|; then
     |jet(z)|_inf <= sum a_d t^d whenever |z|_inf <= t."""
-    t = jet.tables
-    out = np.zeros(jet.order + 1)
-    for d in range(1, jet.order + 1):
-        out[d] = float(np.abs(jet.coeffs[:, t.offsets[d]:t.offsets[d + 1]])
-                       .sum(axis=1).max())
+    return _majorant_rows(jet.coeffs[None], jet.tables)[0]
+
+
+def _majorant_rows(stack: np.ndarray, t) -> np.ndarray:
+    """_majorant_series of every block of a (n, q, count) stack, one row
+    each: each degree's sums run over the stack at once, block by block as
+    one jet's do."""
+    out = np.zeros((len(stack), t.order + 1))
+    for d in range(1, t.order + 1):
+        out[:, d] = np.abs(stack[:, :, t.offsets[d]:t.offsets[d + 1]]).sum(axis=2).max(axis=1)
     return out
 
 
@@ -695,16 +706,14 @@ def _defect_sup_majorant(family: DiscreteEvolutionFamily,
     steps = [family.step(n) for n in window]
     tns = [triangular.step(min(n, len(triangular) - 1)) for n in window]
     keys, step_keys, t_keys = (_value_keys(jets) for jets in (normalizers, steps, tns))
-    sides: dict[tuple, tuple] = {}
-    for n in window:
-        sides.setdefault((keys[n + 1], step_keys[n], t_keys[n], keys[n]),
-                         (normalizers[n + 1], steps[n], tns[n], normalizers[n]))
-    majorants: dict[tuple, np.ndarray] = {}
+    sides = {(keys[n + 1], step_keys[n], t_keys[n], keys[n]) for n in window}
+    # every distinct jet's majorant, as one stack
+    distinct = dict(zip(keys + step_keys + t_keys, [*normalizers, *steps, *tns]))
+    rows = _majorant_rows(np.stack([jet.coeffs for jet in distinct.values()]),
+                          normalizers[0].tables)
+    majorants = dict(zip(distinct, rows))
     worst = 0.0
-    for side_keys, jets in sides.items():
-        for key, jet in zip(side_keys, jets):
-            if key not in majorants:
-                majorants[key] = _majorant_series(jet)
+    for side_keys in sides:
         k_next, phihat, that, k_n = (majorants[key] for key in side_keys)
         total = _series_add(_poly_compose(k_next, phihat), _poly_compose(that, k_n))
         tail = total[L:]
@@ -765,8 +774,9 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         for _ in range(60):
             dev = 0.0
             for start in range(0, len(distinct), chunk):
-                stack = np.stack([_nonlinear(kn).coeffs
-                                  for kn in distinct[start:start + chunk]])
+                # the nonlinear parts, as _nonlinear forms them
+                stack = np.stack([kn.coeffs for kn in distinct[start:start + chunk]])
+                stack[:, :, tables.offsets[1]:tables.offsets[2]] = 0.0
                 g = _gradient_bounds(stack, tables, rs).astype(complex)
                 dev = max(dev, float(np.linalg.norm(g, 2, axis=(1, 2)).max()))
             if dev < 1.0:

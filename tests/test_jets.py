@@ -576,13 +576,17 @@ def test_compose_matches_dense_power_table(q, order):
         for f in outers:
             assert compose(f, inner).coeffs.tobytes() == _dense_compose(f, inner).tobytes()
         assert invert(inner).coeffs.tobytes() == _invert_reference(inner).tobytes()
-    # the substitution rows request one degree of a linear inner map
-    Ainv = np.linalg.inv(g.linear_matrix)
-    for degree in range(2, order + 1):
-        lin = PolyJet.from_linear(Ainv, degree)
-        t = lin.tables
-        dense = _dense_power_table(t, lin.coeffs)[t.offsets[degree]:]
-        assert substitution_rows(Ainv, degree).tobytes() == dense.tobytes()
+    # the substitution rows request one degree of a linear inner map; a
+    # diagonal one (every benchmark document's) takes its own path: complex,
+    # negative, imaginary and signed-zero entries
+    lam = np.exp(1j * rng.uniform(0, 6, size=q)) * rng.uniform(0.3, 2.0, size=q)
+    for Ainv in (np.linalg.inv(g.linear_matrix), np.diag(lam), np.diag(-lam.real + 0j),
+                 np.diag(1j * lam.imag), np.diag(np.conj(lam.real + 0j))):
+        for degree in range(2, order + 1):
+            lin = PolyJet.from_linear(Ainv, degree)
+            t = lin.tables
+            dense = _dense_power_table(t, lin.coeffs)[t.offsets[degree]:]
+            assert substitution_rows(Ainv, degree).tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("q,order", [(1, 6), (2, 8), (3, 6), (4, 6)])
@@ -852,3 +856,20 @@ def test_reader_fast_path_fills_what_the_loop_reads(f):
     c = _filled(f.q, f.order, doc["terms"])
     loop = _read_terms(f.q, f.order, f.tables, doc["terms"])
     assert c is None if not doc["terms"] else c.tobytes() == loop.tobytes()
+
+
+def test_stacked_jets_are_the_constructor_s_jets():
+    rng = np.random.default_rng(8)
+    blocks = [random_polyjet(rng, 3, 3).coeffs for _ in range(4)]
+    jets = PolyJet.stacked(3, 3, np.stack(blocks))
+    for jet, block in zip(jets, blocks):
+        assert jet == PolyJet(3, 3, block) and jet.coeffs.tobytes() == block.tobytes()
+        assert (jet.q, jet.order) == (3, 3) and not jet.coeffs.flags.writeable
+    bad = np.stack(blocks)
+    for change, message in [((1, 2, 0), "constant"), ((2, 0, 5), "finite")]:
+        broken = bad.copy()
+        broken[change] = np.inf if message == "finite" else 1.0
+        with pytest.raises(ValueError, match=message):
+            PolyJet.stacked(3, 3, broken)
+    with pytest.raises(ValueError, match="shape"):
+        PolyJet.stacked(3, 2, bad)
