@@ -707,11 +707,13 @@ def _defect_sup_majorant(family: DiscreteEvolutionFamily,
     tns = [triangular.step(min(n, len(triangular) - 1)) for n in window]
     keys, step_keys, t_keys = (_value_keys(jets) for jets in (normalizers, steps, tns))
     sides = {(keys[n + 1], step_keys[n], t_keys[n], keys[n]) for n in window}
-    # every distinct jet's majorant, as one stack
+    # every distinct jet's majorant, one stack per jet order
     distinct = dict(zip(keys + step_keys + t_keys, [*normalizers, *steps, *tns]))
-    rows = _majorant_rows(np.stack([jet.coeffs for jet in distinct.values()]),
-                          normalizers[0].tables)
-    majorants = dict(zip(distinct, rows))
+    majorants: dict[tuple, np.ndarray] = {}
+    for order in {key[1] for key in distinct}:
+        same = [key for key in distinct if key[1] == order]
+        majorants.update(zip(same, _majorant_rows(
+            np.stack([distinct[key].coeffs for key in same]), distinct[same[0]].tables)))
     worst = 0.0
     for side_keys in sides:
         k_next, phihat, that, k_n = (majorants[key] for key in side_keys)
