@@ -377,9 +377,9 @@ class PolyJet:
         q = int(data["q"])
         order = int(data["order"])
         t = _tables(q, order)
-        c = _filled(q, order, data["terms"])
+        c = _filled(t, data["terms"])
         if c is None:
-            c = _read_terms(q, order, t, data["terms"])
+            c = _read_terms(t, data["terms"])
         return PolyJet(q, order, c)
 
 
@@ -395,16 +395,16 @@ def _term_positions(q: int, order: int) -> dict[tuple[int, MultiIndex], int]:
             for r, I in enumerate(t.indices) if r}
 
 
-def _filled(q: int, order: int, terms) -> np.ndarray | None:
+def _filled(t: _Tables, terms) -> np.ndarray | None:
     """The coefficient block of a term list, or None where _read_terms must
     read it: anything but a list of term dicts with an int component in
-    1..q, an index list of ints naming a monomial of degree 1..order and
+    1..t.q, an index list of ints naming a monomial of degree 1..t.order and
     float parts, each (component, index) once."""
     if type(terms) is not list:
         return None
     try:
         comps, indices, re, im = zip(*map(_TERM_PARTS, terms))
-        flat = list(map(_term_positions(q, order).__getitem__,
+        flat = list(map(_term_positions(t.q, t.order).__getitem__,
                         zip(comps, map(tuple, indices))))
     except (KeyError, TypeError, ValueError):
         # ValueError: an empty list, which the loop reads at no cost
@@ -413,14 +413,15 @@ def _filled(q: int, order: int, terms) -> np.ndarray | None:
             and {int}.issuperset(map(type, chain(comps, chain.from_iterable(indices))))
             and {float}.issuperset(map(type, chain(re, im)))):
         return None
-    c = np.zeros(q * _tables(q, order).count, dtype=complex)
+    c = np.zeros(t.q * t.count, dtype=complex)
     c[flat] = list(map(complex, re, im))
-    return c.reshape(q, -1)
+    return c.reshape(t.q, t.count)
 
 
-def _read_terms(q: int, order: int, t: _Tables, terms) -> np.ndarray:
+def _read_terms(t: _Tables, terms) -> np.ndarray:
     """The coefficient block of a term list, read and checked one term at a
     time."""
+    q, order = t.q, t.order
     c = np.zeros((q, t.count), dtype=complex)
     seen = set()
     for term in terms:

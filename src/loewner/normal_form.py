@@ -26,7 +26,7 @@ import numpy as np
 from .homological import solve_difference
 from .jets import (PolyJet, PowerTable, compose, evaluate_triangular_inverse_many,
                    gradient_bound_matrix, invert, is_triangular, _compose_arrays,
-                   _gradient_bounds, _monomial_values, _support, _tables)
+                   _gradient_bounds, _monomial_values, _tables)
 from .sampling import complex_ball_points
 from .spectral import (CLUSTER_RTOL, MAX_DEGREE, RESONANCE_TOL, OptimalForm,
                        PreconditionError, ResonanceReport, _already_optimal,
@@ -45,13 +45,6 @@ UNIVALENCE_DELTA = 1e-4
 UNIVALENCE_COLLISION = 1e-10
 # relative gap extend_intertwining allows between the values of two anchors
 EXTENSION_ANCHOR_RTOL = 1e-10
-
-
-def _nonlinear(jet: PolyJet) -> PolyJet:
-    t = jet.tables
-    coeffs = np.array(jet.coeffs)
-    coeffs[:, t.offsets[1]:t.offsets[2]] = 0.0
-    return PolyJet(jet.q, jet.order, coeffs)
 
 
 def _value_key(jet: PolyJet) -> tuple:
@@ -315,7 +308,7 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     per distinct (k_{n+1}, phi_n, T_n, k_n), a group of those at a time.
 
     Yields (blocks, lhs, rhs) with lhs[i], rhs[i] the (q, count) coefficient
-    blocks of the two sides at every step of the array blocks[i].  Steps
+    blocks of the two sides at every step of the list blocks[i].  Steps
     share a block when they share the k_{n+1} and k_n jets (k holds every
     k_n alive, so a shared id is a shared jet), phi_n's power table and
     T_n's bits through `order`.  The blocks come from arrays: the distinct
@@ -507,7 +500,7 @@ def _pair_heads(jets: Sequence[PolyJet], rows: np.ndarray) -> np.ndarray:
 
 
 def _updated(jets: Sequence[PolyJet], steps: np.ndarray, blocks: np.ndarray,
-             lo: int, hi: int) -> tuple[np.ndarray, list[PolyJet]]:
+             lo: int, hi: int) -> tuple[np.ndarray, list[PolyJet], list[int]]:
     """One new jet per distinct (jets[n], blocks[i]) pair over n = steps[i]:
     the jet with the block added to its columns lo:hi, all formed in one
     stack.  Returns the row of each step's jet in the list of new jets,
@@ -776,7 +769,7 @@ def estimate_constants(family: DiscreteEvolutionFamily,
         for _ in range(60):
             dev = 0.0
             for start in range(0, len(distinct), chunk):
-                # the nonlinear parts, as _nonlinear forms them
+                # the nonlinear parts: the linear columns zeroed
                 stack = np.stack([kn.coeffs for kn in distinct[start:start + chunk]])
                 stack[:, :, tables.offsets[1]:tables.offsets[2]] = 0.0
                 g = _gradient_bounds(stack, tables, rs).astype(complex)

@@ -29,8 +29,7 @@ from loewner import (
 )
 from loewner.jets import _tables
 from loewner.normal_form import (NormalFormConstants, _as_optimal, _majorant_series,
-                                 _nonlinear, _poly_compose, _series_add, _smallest_ell,
-                                 _window_sides)
+                                 _poly_compose, _series_add, _smallest_ell, _window_sides)
 from loewner.sampling import _NDTRI_CLIP, halton
 from loewner.spectral import substitution_matrix, substitution_rows
 
@@ -63,6 +62,14 @@ def rho_stable(split) -> float:
 def rho_unstable_inverse(split) -> float:
     """Largest 1/mu over a SpectralSplit's unstable family (0 when empty)."""
     return float((1.0 / split.mu[split.unstable]).max()) if split.unstable.any() else 0.0
+
+
+def _nonlinear(jet: PolyJet) -> PolyJet:
+    """The jet with its linear part zeroed."""
+    t = jet.tables
+    coeffs = np.array(jet.coeffs)
+    coeffs[:, t.offsets[1]:t.offsets[2]] = 0.0
+    return PolyJet(jet.q, jet.order, coeffs)
 
 
 def defect_jet(result, n: int, order: int | None = None) -> PolyJet:

@@ -758,8 +758,7 @@ def _read(doc):
 def _read_by_loop(doc):
     q, order = int(doc["q"]), int(doc["order"])
     try:
-        return PolyJet(q, order, _read_terms(q, order, _tables(q, order),
-                                             doc["terms"])).coeffs.tobytes()
+        return PolyJet(q, order, _read_terms(_tables(q, order), doc["terms"])).coeffs.tobytes()
     except Exception as e:
         return type(e), str(e)
 
@@ -845,16 +844,17 @@ def test_reader_takes_document_term_lists_without_the_loop(monkeypatch):
     want = _read_by_loop(doc)
     monkeypatch.setattr("loewner.jets._read_terms", None)
     assert PolyJet.from_json_dict(doc).coeffs.tobytes() == want
-    assert _filled(4, 4, tuple(terms)) is None
-    assert _filled(4, 4, iter(terms)) is None
-    assert _filled(4, 4, []) is None
+    t = _tables(4, 4)
+    assert _filled(t, tuple(terms)) is None
+    assert _filled(t, iter(terms)) is None
+    assert _filled(t, []) is None
 
 
 @given(sparse_jets())
 def test_reader_fast_path_fills_what_the_loop_reads(f):
     doc = json.loads(report_text(f.to_json_dict()))
-    c = _filled(f.q, f.order, doc["terms"])
-    loop = _read_terms(f.q, f.order, f.tables, doc["terms"])
+    c = _filled(f.tables, doc["terms"])
+    loop = _read_terms(f.tables, doc["terms"])
     assert c is None if not doc["terms"] else c.tobytes() == loop.tobytes()
 
 

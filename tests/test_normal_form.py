@@ -36,9 +36,9 @@ from loewner.normal_form import RangeGrowthReport
 from loewner.spectral import PreconditionError, substitution_rows
 from loewner.sampling import complex_ball_points
 
-from conftest import (HomogeneousMap, complex_sphere_points, constants_reference, defect_jet,
-                      demo_field, homogeneous_part, koenigs_family, koenigs_oracle,
-                      largest_degree, random_optimal_family, transition)
+from conftest import (HomogeneousMap, _nonlinear, complex_sphere_points, constants_reference,
+                      defect_jet, demo_field, homogeneous_part, koenigs_family,
+                      koenigs_oracle, largest_degree, random_optimal_family, transition)
 
 
 @pytest.fixture(scope="module")
@@ -951,7 +951,7 @@ def test_window_defect_matches_the_per_step_reference(name):
             lhs, rhs = _conjugacy_sides(fam, k, T, n, degree, {})
             ref = homogeneous_part(lhs - rhs, degree).coeffs
             assert np.array_equal(got[n], ref), (degree, n)
-            nonlinear |= normal_form._nonlinear(T[n].truncated(degree)).coeffs.any()
+            nonlinear |= _nonlinear(T[n].truncated(degree)).coeffs.any()
     # the planted resonance puts z_0^2 into every T_n: T_n o k_n takes the
     # step-by-step fallback from degree 3 on
     assert nonlinear == (name == "planted")
