@@ -468,8 +468,9 @@ def _substituted(N: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """N_n o A^{-1} for every block of the (window, q, M) stack N, as
     compose forms it: each block's nonzero columns times their full-width
     substitution rows of A^{-1}, cut to the degree afterwards.  Blocks with
-    the same nonzero columns share one gemm of their rows stacked (at q = 1
-    one gemv per block, as compose runs it)."""
+    the same nonzero columns share one gemm of their rows stacked.  (At
+    q = 1 a degree has one monomial, so each row is a one-term product,
+    which a gemm row and compose's gemv round alike.)"""
     window, q, M = N.shape
     out = np.empty_like(N)
     used = (N != 0).any(axis=1)
@@ -477,12 +478,8 @@ def _substituted(N: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for first in np.flatnonzero(at == np.arange(window)).tolist():
         ns = np.flatnonzero(at == first)
         support = np.flatnonzero(used[first])
-        part = N[ns][:, :, support]
-        if q == 1:
-            out[ns] = np.matmul(part, rows[support])[:, :, -M:]
-        else:
-            out[ns] = (part.reshape(ns.size * q, support.size) @ rows[support]).reshape(
-                ns.size, q, -1)[:, :, -M:]
+        part = N[ns][:, :, support].reshape(ns.size * q, support.size)
+        out[ns] = (part @ rows[support]).reshape(ns.size, q, -1)[:, :, -M:]
     return out
 
 

@@ -921,6 +921,27 @@ def test_step_tables_compose_like_compose_at_every_degree(name):
             assert np.array_equal(lhs, compose(k[n + 1], fam.step(n), order).coeffs)
 
 
+def test_q1_blocks_sharing_a_table_keep_compose_bits():
+    # three equal steps share one power table, so their distinct k_{n+1}
+    # make one group of three blocks; at q = 1 numpy runs compose's one-row
+    # product as gemv, whose bits a stacked gemm row does not keep
+    rng = np.random.default_rng(3)
+    order, lam = 5, 0.5 * np.exp(0.7j)
+    c = np.zeros((1, order + 1), dtype=complex)
+    c[0, 1], c[0, 2:] = lam, rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1)
+    fam = DiscreteEvolutionFamily(np.array([[lam]]),
+                                  tuple(PolyJet(1, order, c.copy()) for _ in range(3)))
+    k = [PolyJet(1, order, np.concatenate(
+        [[[0.0, 1.0]], rng.normal(size=(1, order - 1)) + 1j * rng.normal(size=(1, order - 1))],
+        axis=1)) for _ in range(4)]
+    T = (PolyJet.from_linear(np.array([[lam]]), order),) * 3
+    [(blocks, lhs, _)] = normal_form._window_sides(fam, k, T, order, {}, range(3))
+    assert len(blocks) == 3
+    for ns, block in zip(blocks, lhs):
+        for n in ns:
+            assert block.tobytes() == compose(k[n + 1], fam.step(n), order).coeffs.tobytes()
+
+
 def _conjugacy_sides(family, k, T, n, order, tables):
     """Per-step reference: k_{n+1} o phi_n from phi_n's power table and
     T_n o k_n by compose, both through `order`."""
