@@ -312,9 +312,9 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
     share a block when they share the k_{n+1} and k_n jets (k holds every
     k_n alive, so a shared id is a shared jet), phi_n's power table and
     T_n's bits through `order`.  The blocks come from arrays: the distinct
-    k jets and the distinct T values each enter one stack, each distinct
-    step object is keyed once, and the four parts of every step make one
-    integer code.  Power tables come from `tables`, keyed by the step's
+    k jets and the distinct T values each enter one stack, each stored step
+    the window reads is keyed once, and the four parts of every step make
+    one integer code.  Power tables come from `tables`, keyed by the step's
     value (equal steps are often distinct objects) and filled on first use.
     A group of blocks shares the power table, the monomials k_{n+1} uses
     and those T_n uses, so the table rows of that support are gathered once
@@ -339,7 +339,7 @@ def _window_sides(family: DiscreteEvolutionFamily, k: Sequence[PolyJet],
         t_value, t_of = _rows_of(_first_seen(map(np.ndarray.tobytes, TS), len(TS)))
         TS, t_row = TS[t_value], t_of[t_row]
     # phi_n past the stored steps repeats the last one; one power table per
-    # distinct step value, each step object keyed once
+    # distinct step value
     objects = np.minimum(steps, len(family.steps) - 1)
     table_row: dict[tuple, int] = {}
     s_row = np.empty(len(family.steps), dtype=np.intp)
