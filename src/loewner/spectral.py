@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import MultiIndex, PolyJet, _monomial_values, _power_rows, enumerate_indices
+from .jets import MultiIndex, PolyJet, _power_rows, enumerate_indices
 
 _CONJUGATION_RTOL = 1e-10
 
@@ -310,20 +310,10 @@ def to_optimal_form(matrix: np.ndarray, target_norm: float | None = None,
 def substitution_rows(Ainv: np.ndarray, degree: int) -> np.ndarray:
     """compose's power rows (Ainv z)^I for the degree-`degree` monomials I, over
     every column of a degree-`degree` jet; the last square block is S^T, with
-    S[K, I] = coefficient of z^K in (Ainv z)^I, both graded-lex.
-
-    For a diagonal Ainv each row holds one product: the table forms it as
-    its parent's product times one diagonal entry, summed from 0.0 with
-    zero products, which is _monomial_values' product plus 0.0, so the rows
-    are the table's bit for bit without building it."""
+    S[K, I] = coefficient of z^K in (Ainv z)^I, both graded-lex."""
     jet = PolyJet.from_linear(Ainv, degree)
     t = jet.tables
     lo, hi = t.offsets[degree], t.offsets[degree + 1]
-    if _is_diagonal(jet.linear_matrix):
-        rows = np.zeros((hi - lo, t.count), dtype=complex)
-        diagonal = _monomial_values(t, np.diagonal(jet.linear_matrix)[:, None])
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = diagonal[lo:hi, 0] + 0.0
-        return rows
     pos, table = _power_rows(t, jet.coeffs, np.arange(lo, hi))
     return table[pos[lo:hi]]
 
