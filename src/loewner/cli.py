@@ -77,18 +77,6 @@ _string = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _Jet(dict):
-    """A jet in a report document.  As a dict it is the jet's document
-    PolyJet.to_json_dict(), so json.dumps writes it as ever; report_text
-    writes its text straight from the coefficient array."""
-
-    __slots__ = ("jet",)
-
-    def __init__(self, jet: PolyJet):
-        super().__init__(jet.to_json_dict())
-        self.jet = jet
-
-
 def report_text(doc) -> str:
     """The text of a report: byte for byte json.dumps(doc, sort_keys=True,
     indent=2), plus a final newline.
@@ -98,9 +86,10 @@ def report_text(doc) -> str:
     isinstance order, so subclasses (np.float64) are written as json writes
     them, and raises json's TypeError for an object json cannot write.  Dict
     keys must be str; json would write int keys as strings, reports have
-    none.  A jet the command line hands over as a _Jet is written from its
-    coefficients: the nonzero ones in flat order, each filling the frame of
-    its position with its two parts.
+    none.  A PolyJet, as the command line hands its jets over, is written
+    as its to_json_dict() would be, straight from its coefficients: the
+    nonzero ones in flat order, each filling the frame of its position with
+    its two parts.
     """
     out: list[str] = []
     _write(doc, "\n", out.append)
@@ -168,8 +157,8 @@ def _write(x, nl: str, put) -> None:
             _write(item, inner, put)
             sep = comma
         put(nl + "]")
-    elif type(x) is _Jet:
-        put(_jet_text(x.jet, nl))
+    elif type(x) is PolyJet:
+        put(_jet_text(x, nl))
     elif isinstance(x, dict):
         if not x:
             put("{}")
@@ -288,7 +277,7 @@ def cmd_normalform(args) -> int:
                                    horizon=args.horizon, tau=args.tau)
     else:
         raise _Malformed("document is neither a field ('Lambda') nor a family ('steps')")
-    out = {"schema": "loewner-normalform/1", **result.report_entries(_Jet)}
+    out = {"schema": "loewner-normalform/1", **result.report_entries(lambda jet: jet)}
     _dump(out, args.output)
 
     cs = result.constants
@@ -319,7 +308,7 @@ def cmd_chain(args) -> int:
     field = _field_from_doc(doc)
     _check_order_flag(args, field.q)
     chain = build_chain(field, horizon=args.horizon, order=args.order, tau=args.tau)
-    _dump(chain.document(_Jet), args.output)
+    _dump(chain.document(lambda jet: jet), args.output)
     cert = "none (resonances present)" if chain.certificate is None \
         else f"{chain.certificate:.6g}"
     _say(args, f"chain: horizon {chain.horizon}, order {chain.order}, "
