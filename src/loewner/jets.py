@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -183,28 +182,6 @@ class PolyJet:
 
     # ------------------------------------------------------------------ #
     # constructors
-
-    @staticmethod
-    def stacked(q: int, order: int, stack: np.ndarray) -> list["PolyJet"]:
-        """The jet of every (q, count) block of a (n, q, count) stack,
-        checked once as a stack as the constructor checks one block; each
-        jet's coefficients are a read-only view of the stack."""
-        c = np.ascontiguousarray(np.asarray(stack, dtype=complex))
-        if c.ndim != 3 or c.shape[1:] != (q, _tables(q, order).count):
-            raise ValueError(f"coefficient blocks must have shape "
-                             f"({q}, {_tables(q, order).count}), got {c.shape[1:]}")
-        if c[:, :, 0].any():
-            raise ValueError("jets fix the origin: constant coefficients must vanish")
-        if not np.isfinite(c).all():
-            raise ValueError("jet coefficients must be finite")
-        c.setflags(write=False)
-        jets = []
-        for block in c:
-            jet = object.__new__(PolyJet)
-            for name, value in (("q", q), ("order", order), ("coeffs", block)):
-                object.__setattr__(jet, name, value)
-            jets.append(jet)
-        return jets
 
     @staticmethod
     def zero(q: int, order: int) -> "PolyJet":
@@ -369,10 +346,10 @@ class PolyJet:
         """The jet of a {"q", "order", "terms"} document.
 
         A term list as documents hold it (int components, index lists of
-        ints, float parts) fills the coefficient block in one scatter,
-        checked as arrays.  Any other list, and any list those checks
-        refuse, is read term by term, so a refusal names the first bad term
-        with the message of the term loop.
+        ints, float parts) fills the coefficient block with one position
+        lookup per term.  Any other list, and any list that fill refuses,
+        is read by the checked term loop, so a refusal names the first bad
+        term with the loop's message.
         """
         q = int(data["q"])
         order = int(data["order"])
@@ -384,14 +361,15 @@ class PolyJet:
 
 
 _TERM_PARTS = itemgetter("component", "index", "re", "im")
+_INT = {int}
 
 
 @lru_cache(maxsize=None)
-def _term_positions(q: int, order: int) -> dict[tuple[int, MultiIndex], int]:
+def _term_positions(q: int, order: int) -> dict[tuple[int, ...], int]:
     """Flat position j * count + rank in a coefficient block of every term
-    (component j + 1, index) a jet of (q, order) stores."""
+    (component j + 1, *index) a jet of (q, order) stores."""
     t = _tables(q, order)
-    return {(j + 1, I): j * t.count + r for j in range(q)
+    return {(j + 1, *I): j * t.count + r for j in range(q)
             for r, I in enumerate(t.indices) if r}
 
 
@@ -399,22 +377,25 @@ def _filled(t: _Tables, terms) -> np.ndarray | None:
     """The coefficient block of a term list, or None where _read_terms must
     read it: anything but a list of term dicts with an int component in
     1..t.q, an index list of ints naming a monomial of degree 1..t.order and
-    float parts, each (component, index) once."""
+    float parts, each (component, index) once.  One pass with a dict lookup
+    per term and no per-term conversions, so it is quicker than the loop
+    from one term on."""
     if type(terms) is not list:
         return None
-    try:
-        comps, indices, re, im = zip(*map(_TERM_PARTS, terms))
-        flat = list(map(_term_positions(t.q, t.order).__getitem__,
-                        zip(comps, map(tuple, indices))))
-    except (KeyError, TypeError, ValueError):
-        # ValueError: an empty list, which the loop reads at no cost
-        return None
-    if not (len(set(flat)) == len(flat)
-            and {int}.issuperset(map(type, chain(comps, chain.from_iterable(indices))))
-            and {float}.issuperset(map(type, chain(re, im)))):
-        return None
+    positions = _term_positions(t.q, t.order)
     c = np.zeros(t.q * t.count, dtype=complex)
-    c[flat] = list(map(complex, re, im))
+    seen: set[int] = set()
+    try:
+        for term in terms:
+            component, index, re, im = _TERM_PARTS(term)
+            k = positions[component, *index]
+            if (k in seen or type(component) is not int or type(re) is not float
+                    or type(im) is not float or not _INT.issuperset(map(type, index))):
+                return None
+            seen.add(k)
+            c[k] = complex(re, im)
+    except (KeyError, TypeError):
+        return None
     return c.reshape(t.q, t.count)
 
 

@@ -499,7 +499,7 @@ def _pair_heads(jets: Sequence[PolyJet], rows: np.ndarray) -> np.ndarray:
 def _updated(jets: Sequence[PolyJet], steps: np.ndarray, blocks: np.ndarray,
              lo: int, hi: int) -> tuple[np.ndarray, list[PolyJet], list[int]]:
     """One new jet per distinct (jets[n], blocks[i]) pair over n = steps[i]:
-    the jet with the block added to its columns lo:hi, all formed in one
+    the jet with the block added to its columns lo:hi, all added in one
     stack.  Returns the row of each step's jet in the list of new jets,
     that list, and the first step of each, in step order."""
     at = _pair_heads([jets[n] for n in steps.tolist()], blocks)
@@ -509,7 +509,8 @@ def _updated(jets: Sequence[PolyJet], steps: np.ndarray, blocks: np.ndarray,
     stack[:, :, lo:hi] += blocks[heads]
     row = np.empty(at.size, dtype=np.intp)
     row[heads] = np.arange(heads.size)
-    return row[at], PolyJet.stacked(jets[0].q, jets[0].order, stack), firsts
+    q, order = jets[0].q, jets[0].order
+    return row[at], [PolyJet(q, order, c) for c in stack], firsts
 
 
 def _split_defect(T: Sequence[PolyJet], P: np.ndarray, resonant: np.ndarray,
