@@ -361,7 +361,6 @@ class PolyJet:
 
 
 _TERM_PARTS = itemgetter("component", "index", "re", "im")
-_INT = {int}
 
 
 @lru_cache(maxsize=None)
@@ -375,11 +374,12 @@ def _term_positions(q: int, order: int) -> dict[tuple[int, ...], int]:
 
 def _filled(t: _Tables, terms) -> np.ndarray | None:
     """The coefficient block of a term list, or None where _read_terms must
-    read it: anything but a list of term dicts with an int component in
-    1..t.q, an index list of ints naming a monomial of degree 1..t.order and
-    float parts, each (component, index) once.  One pass with a dict lookup
-    per term and no per-term conversions, so it is quicker than the loop
-    from one term on."""
+    read it: anything but a list of term dicts whose component and index
+    name a stored monomial of degree 1..t.order, each once, with float
+    parts.  A component or index entry equal to an int (1.0, True) finds
+    that int's position, where the loop's int() puts it too.  One pass with
+    a dict lookup per term and no per-term conversions, so it is quicker
+    than the loop from one term on."""
     if type(terms) is not list:
         return None
     positions = _term_positions(t.q, t.order)
@@ -389,8 +389,7 @@ def _filled(t: _Tables, terms) -> np.ndarray | None:
         for term in terms:
             component, index, re, im = _TERM_PARTS(term)
             k = positions[component, *index]
-            if (k in seen or type(component) is not int or type(re) is not float
-                    or type(im) is not float or not _INT.issuperset(map(type, index))):
+            if k in seen or type(re) is not float or type(im) is not float:
                 return None
             seen.add(k)
             c[k] = complex(re, im)

@@ -784,6 +784,7 @@ _DEFECTS = {
     "bool in index": lambda t: {**t, "index": [bool(t["index"][0]), *t["index"][1:]]},
     "int part": lambda t: {**t, "re": 1},
     "str part": lambda t: {**t, "im": "0.5"},
+    "complex part": lambda t: {**t, "re": 0.5j},
     "nan part": lambda t: {**t, "re": math.nan},
     "no re": lambda t: {k: v for k, v in t.items() if k != "re"},
     "not a dict": lambda t: list(t.values()),
