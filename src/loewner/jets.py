@@ -388,7 +388,7 @@ def _filled(t: _Tables, terms) -> np.ndarray | None:
     try:
         for term in terms:
             component, index, re, im = _TERM_PARTS(term)
-            k = positions[component, *index]
+            k = positions[(component, *index)]
             if k in seen or type(re) is not float or type(im) is not float:
                 return None
             seen.add(k)
